@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ValidationError, load_config
+from .config import load_config
 from . import pipeline
 
 
@@ -104,10 +104,7 @@ def main(argv=None) -> int:
             Path(args.output).write_text(pipeline.report_json(reports) + "\n", encoding="utf-8")
             print(pipeline.format_report(reports))
         return 0
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except ValueError as e:  # includes config.ValidationError
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -31,9 +31,7 @@ class SideConfig:
 
 @dataclass(frozen=True)
 class SupervisionConfig:
-    loss: str = "contrastive"  # contrastive | margin_mse | term_mse | none
-    level: str = "passage"  # passage | term
-    negatives: str = "file"  # provenance note; negatives always come from the triples file
+    loss: str = "contrastive"  # contrastive | margin_mse | term_mse (term level) | none
     steps: int = 100
     lr: float = 0.5
 
@@ -46,7 +44,6 @@ class PathsConfig:
     qrels: Path | None = None
     expansions: Path | None = None
     triples: Path | None = None
-    embeddings: Path | None = None
     query_heads: Path | None = None
     doc_heads: Path | None = None
 
@@ -127,7 +124,6 @@ def load_config(path: str | Path) -> MethodConfig:
             qrels=resolve("qrels"),
             expansions=resolve("expansions"),
             triples=resolve("triples"),
-            embeddings=resolve("embeddings"),
             query_heads=resolve("query_heads"),
             doc_heads=resolve("doc_heads"),
         )
@@ -142,8 +138,6 @@ def load_config(path: str | Path) -> MethodConfig:
             shared_heads=bool(obj.get("shared_heads", False)),
             supervision=SupervisionConfig(
                 loss=sup.get("loss", "contrastive"),
-                level=sup.get("level", "passage"),
-                negatives=sup.get("negatives", "file"),
                 steps=int(sup.get("steps", 100)),
                 lr=float(sup.get("lr", 0.5)),
             ),

@@ -1,7 +1,10 @@
 """Sparse encoders: binary, MLP, expansion-MLP, MLM, CLS-MLM, and the BM25 pair.
 
 Every encoder is a pure function TokenizedText -> SparseVector.  Query-document
-similarity is the dot product of the two encoded vectors.
+similarity is the dot product of the two encoded vectors.  The neural heads
+(MLP, expansion-MLP, MLM, CLS-MLM) and the binary encoder also have a dense
+form, `head_forward`, with its gradient `head_backward`; the sparse encoders
+wrap the former and the trainer calls both.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -143,27 +146,12 @@ def encode_mlp(text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters) 
     With log normalization each occurrence contributes log(act(h_j.W + b) + 1);
     without it (the uniCOIL-style variant) the activated logit is used directly.
     """
-    _check_ctx(text, emb)
-    if len(text) == 0:
-        return SparseVector()
-    z = emb.ctx_embeddings @ head.mlp_weight + head.mlp_bias
-    a = activate(z, head.activation)
-    contrib = np.log1p(a) if head.mlp_log_normalize else a
-    out: dict[int, float] = {}
-    for t, c in zip(text.token_ids, contrib):
-        out[t] = out.get(t, 0.0) + float(c)
-    return SparseVector(out)
+    return SparseVector.from_dense(head_forward(EncoderKind.MLP, text, emb, head)[0])
 
 
-def expand_text(
-    text: TokenizedText,
-    expansions: Mapping[str, list[int]],
-    warnings: list[str] | None = None,
-) -> TokenizedText:
+def expand_text(text: TokenizedText, expansions: Mapping[str, list[int]]) -> TokenizedText:
     """Append external expansion terms, deduplicated against the original text."""
     if text.doc_id not in expansions:
-        if warnings is not None:
-            warnings.append(f"no expansion terms for {text.doc_id!r}")
         return text
     seen = set(text.token_ids)
     extra = []
@@ -180,25 +168,81 @@ def encode_mlm(text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters) 
     w_i = q(t) * log(1 + max_j act(h_j . e_i + b_i) * g(t_j)); with quality heads
     off both q and g are 1.  Output support may extend beyond the input terms.
     """
-    _check_ctx(text, emb)
-    if len(text) == 0:
-        return SparseVector()
-    logits = emb.ctx_embeddings @ emb.input_embeddings.T + head.mlm_bias  # L x |V|
-    a = activate(logits, head.activation)
-    if head.use_quality_heads:
-        q, g = _quality_scores(emb, head)
-        a = a * g[:, None]
-    else:
-        q = 1.0
-    m = a.max(axis=0)
-    w = q * np.log1p(m)
-    return SparseVector.from_dense(w)
+    return SparseVector.from_dense(head_forward(EncoderKind.MLM, text, emb, head)[0])
 
 
 def encode_cls_mlm(text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters) -> SparseVector:
     """Sequence-slot MLM head: w_i = act(h_0 . e_i + b_i), no log, no max."""
-    logits = emb.cls_embedding @ emb.input_embeddings.T + head.mlm_bias
-    return SparseVector.from_dense(activate(logits, head.activation))
+    return SparseVector.from_dense(head_forward(EncoderKind.CLS_MLM, text, emb, head)[0])
+
+
+# ---------------------------------------------------------------------------
+# Dense forward/backward per head, shared by the encoders and the trainer
+# ---------------------------------------------------------------------------
+
+
+def head_forward(
+    kind: EncoderKind, text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters
+) -> tuple[np.ndarray, dict | None]:
+    """Dense |V|-vector of weights plus the cache `head_backward` needs.
+
+    The cache is None when the weights depend on no trainable parameter (the
+    binary encoder, or an empty text under a per-token head).
+    """
+    w = np.zeros(emb.input_embeddings.shape[0])
+    if kind is EncoderKind.BINARY:
+        w[list(text.token_ids)] = 1.0
+        return w, None
+    if kind is EncoderKind.CLS_MLM:
+        z = emb.cls_embedding @ emb.input_embeddings.T + head.mlm_bias
+        return activate(z, head.activation), {"kind": kind, "head": head, "z": z}
+    if kind not in (EncoderKind.MLP, EncoderKind.EXP_MLP, EncoderKind.MLM):
+        raise ValueError(f"encoder kind {kind.value!r} has no dense head")
+    _check_ctx(text, emb)
+    if len(text) == 0:
+        return w, None
+    if kind is EncoderKind.MLM:
+        logits = emb.ctx_embeddings @ emb.input_embeddings.T + head.mlm_bias  # L x |V|
+        a = activate(logits, head.activation)
+        if head.use_quality_heads:
+            q, g = _quality_scores(emb, head)
+            a = a * g[:, None]
+        else:
+            q, g = 1.0, np.ones(len(text))
+        cols = np.arange(len(w))
+        jstar = a.argmax(axis=0)  # first max wins ties
+        m = a[jstar, cols]
+        cache = {"kind": kind, "head": head, "m": m, "zstar": logits[jstar, cols], "gstar": g[jstar], "q": q}
+        return q * np.log1p(m), cache
+    ids = list(text.token_ids)
+    z = emb.ctx_embeddings @ head.mlp_weight + head.mlp_bias
+    a = activate(z, head.activation)
+    np.add.at(w, ids, np.log1p(a) if head.mlp_log_normalize else a)  # in token order, like a loop
+    return w, {"kind": kind, "head": head, "ids": ids, "ctx": emb.ctx_embeddings, "z": z, "a": a}
+
+
+def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
+    """Accumulate head-parameter gradients given dLoss/dWeights for one text.
+
+    Chain rule through log/softplus/ReLU/max; max routes its gradient to the
+    arg-max position, ties to the lowest.  `grads` holds "mlp_weight",
+    "mlp_bias" and "mlm_bias", as zeros before the first text.
+    """
+    if cache is None:
+        return
+    kind, head = cache["kind"], cache["head"]
+    if kind is EncoderKind.CLS_MLM:
+        grads["mlm_bias"] += grad_w * activate_grad(cache["z"], head.activation)
+    elif kind is EncoderKind.MLM:
+        fprime = activate_grad(cache["zstar"], head.activation)
+        grads["mlm_bias"] += grad_w * cache["q"] * cache["gstar"] * fprime / (1.0 + cache["m"])
+    else:
+        fprime = activate_grad(cache["z"], head.activation)
+        if head.mlp_log_normalize:
+            fprime = fprime / (1.0 + cache["a"])
+        gz = grad_w[cache["ids"]] * fprime
+        grads["mlp_weight"] += cache["ctx"].T @ gz
+        grads["mlp_bias"] += float(gz.sum())
 
 
 def idf(term_id: int, stats: CorpusStats) -> float:
@@ -348,41 +392,6 @@ def read_head_parameters(path: str | Path) -> HeadParameters:
         mlp_log_normalize=record["mlp_log_normalize"],
         use_quality_heads=record["use_quality_heads"],
     )
-
-
-def write_embedding_file(bundles: Iterable[tuple[str, EmbeddingBundle]], path: str | Path) -> None:
-    """One record per document: doc_id, L, d, row-major h matrix, optional h_0."""
-    with open(path, "w", encoding="utf-8") as f:
-        for doc_id, emb in bundles:
-            rec = {
-                "doc_id": doc_id,
-                "L": int(emb.ctx_embeddings.shape[0]),
-                "d": emb.embedding_dim,
-                "h": emb.ctx_embeddings.ravel().tolist(),
-                "h0": emb.cls_embedding.tolist(),
-            }
-            f.write(json.dumps(rec) + "\n")
-
-
-def read_embedding_file(
-    path: str | Path, input_embeddings: np.ndarray
-) -> Iterator[tuple[str, EmbeddingBundle]]:
-    """Read externally dumped contextualized embeddings; h_0 defaults to the row mean."""
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            rec = json.loads(line)
-            L, d = rec["L"], rec["d"]
-            ctx = np.asarray(rec["h"], dtype=np.float64).reshape(L, d)
-            if "h0" in rec and rec["h0"] is not None:
-                cls = np.asarray(rec["h0"], dtype=np.float64)
-            else:
-                cls = ctx.mean(axis=0) if L else np.zeros(d)
-            yield rec["doc_id"], EmbeddingBundle(
-                ctx_embeddings=ctx,
-                cls_embedding=cls,
-                input_embeddings=input_embeddings,
-                embedding_dim=d,
-            )
 
 
 def read_expansion_file(path: str | Path, term_to_id: Mapping[str, int]) -> dict[str, list[int]]:

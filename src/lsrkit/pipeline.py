@@ -42,14 +42,6 @@ from .regularization import RegularizerKind, topk_prune
 from .supervision import TrainResult, TrainSetup, compute_term_recall, read_triples, train_heads
 
 
-def worker_threads() -> int:
-    """Worker-parallelism cap from LSR_THREADS (default: available cores)."""
-    value = os.environ.get("LSR_THREADS")
-    if value:
-        return max(1, int(value))
-    return os.cpu_count() or 1
-
-
 @dataclass
 class Resources:
     """Loaded data shared by pipeline stages."""

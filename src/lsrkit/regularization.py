@@ -1,10 +1,17 @@
-"""Sparsity control: batch FLOPs penalty, Lp norms, and top-k pruning."""
+"""Sparsity control: batch FLOPs penalty, Lp norms, and top-k pruning.
+
+The penalties take a dense N x |V| batch of encoder outputs and return the
+value with its gradient; the trainer calls them directly.  One top-k rule
+(largest weight first, then the smaller term id) serves both inference-time
+pruning and the trainer's mask.
+"""
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import SparseVector
 
@@ -30,59 +37,59 @@ class RegularizerConfig:
             raise ValueError("k must be >= 0")
 
 
-def flops_penalty(
-    batch: list[SparseVector], vocab_size: int, dense_gradient: bool = False
-) -> tuple[float, list[SparseVector]]:
+def _batch_size(batch: np.ndarray) -> int:
+    if batch.ndim != 2 or batch.shape[0] == 0:
+        raise ValueError("penalties require a nonempty N x |V| batch")
+    return batch.shape[0]
+
+
+def flops_penalty(batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Squared mean activation per dimension, summed over the vocabulary.
 
-    The analytic gradient wrt every weight is 2 * mean_i / N, which is dense in
-    the batch mean; by default it is reported only at each vector's stored
-    positions.  Pass dense_gradient=True to materialize it at every dimension
-    with a nonzero batch mean (used by the trainer).
+    Returns the value and its N x |V| gradient, 2 * mean_i / N in every row.
     """
-    if not batch:
-        raise ValueError("flops_penalty requires a nonempty batch")
-    n = len(batch)
-    mean: dict[int, float] = {}
-    for v in batch:
-        for t, w in v.entries.items():
-            mean[t] = mean.get(t, 0.0) + w / n
-    value = sum(m * m for m in mean.values())
-    if dense_gradient:
-        shared = SparseVector({t: 2.0 * m / n for t, m in mean.items()})
-        grads = [shared for _ in batch]
-    else:
-        grads = [
-            SparseVector({t: 2.0 * mean[t] / n for t in v.entries}) for v in batch
-        ]
-    return value, grads
+    n = _batch_size(batch)
+    mean = batch.mean(axis=0)
+    return float(mean @ mean), np.broadcast_to(2.0 * mean / n, batch.shape)
 
 
-def lp_penalty(v: SparseVector, p: int) -> tuple[float, SparseVector]:
-    """L1 or L2 norm of the output vector, with its gradient.
+def lp_penalty(batch: np.ndarray, p: int) -> tuple[float, np.ndarray]:
+    """Mean L1 or L2 norm over the N rows of the batch, with its N x |V| gradient.
 
-    The L2 gradient at the zero vector is defined as the zero vector.
+    The L2 gradient of an all-zero row is defined as the zero row.
     """
+    n = _batch_size(batch)
     if p == 1:
-        value = sum(abs(w) for w in v.entries.values())
-        grad = SparseVector({t: math.copysign(1.0, w) for t, w in v.entries.items()})
-        return value, grad
+        return float(np.abs(batch).sum()) / n, np.sign(batch) / n
     if p == 2:
-        value = math.sqrt(sum(w * w for w in v.entries.values()))
-        if value == 0.0:
-            return 0.0, SparseVector()
-        return value, SparseVector({t: w / value for t, w in v.entries.items()})
+        norms = np.linalg.norm(batch, axis=1)
+        safe = np.where(norms > 0, norms, 1.0)
+        return float(norms.sum()) / n, batch / (safe[:, None] * n)
     raise ValueError("p must be 1 or 2")
+
+
+def topk_positions(weights: np.ndarray, term_ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k largest weights, ties broken by the smaller term id."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return np.lexsort((term_ids, -weights))[:k]
 
 
 def topk_prune(v: SparseVector, k: int) -> SparseVector:
     """Keep the k largest weights, ties broken by smaller term id."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     if k >= v.nnz:
         return SparseVector(v.entries)
-    kept = sorted(v.entries.items(), key=lambda it: (-it[1], it[0]))[:k]
-    return SparseVector(dict(kept))
+    ids = np.fromiter(v.entries, dtype=np.int64, count=v.nnz)
+    weights = np.fromiter(v.entries.values(), dtype=np.float64, count=v.nnz)
+    return SparseVector({t: v.entries[t] for t in ids[topk_positions(weights, ids, k)].tolist()})
+
+
+def topk_mask(w: np.ndarray, k: int) -> np.ndarray:
+    """0/1 mask over a dense |V|-vector that keeps its k largest positive weights."""
+    keep = topk_positions(w, np.arange(len(w)), k)
+    mask = np.zeros_like(w)
+    mask[keep[w[keep] > 0]] = 1.0
+    return mask
 
 
 def topk_schedule(start_k: int, end_k: int, steps: int, step: int) -> int:

@@ -1,9 +1,10 @@
 """Labels, losses, and a head-only trainer over frozen backbone embeddings.
 
-Gradients are hand-derived per encoder head (chain rule through
-log/softplus/ReLU/max; max routes its gradient to the arg-max position,
-ties to the lowest index) so the whole training path is checkable against
-finite differences without an autodiff dependency.
+Every loss returns its gradient next to its value.  The trainer runs the
+encoders' own dense heads (`encoders.head_forward` / `head_backward`) and the
+regularizers of `regularization`, so the code that trains is the code that
+encodes and the code the finite-difference checks cover; no autodiff
+dependency is needed.
 """
 
 from __future__ import annotations
@@ -16,17 +17,24 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import SparseVector, TokenizedText
+from .core import TokenizedText
 from .encoders import (
     DIFFERENTIABLE,
     EmbeddingBundle,
     EncoderKind,
     HeadParameters,
-    activate,
-    activate_grad,
+    head_backward,
+    head_forward,
     init_head_parameters,
 )
-from .regularization import RegularizerConfig, RegularizerKind, topk_schedule
+from .regularization import (
+    RegularizerConfig,
+    RegularizerKind,
+    flops_penalty,
+    lp_penalty,
+    topk_mask,
+    topk_schedule,
+)
 
 
 @dataclass(frozen=True)
@@ -47,15 +55,11 @@ class TrainingTriple:
 TermRecallLabels = dict[str, dict[int, float]]
 
 
-def compute_term_recall(
-    relevant_queries: Mapping[str, list[TokenizedText]],
-    warnings: list[str] | None = None,
-) -> TermRecallLabels:
+def compute_term_recall(relevant_queries: Mapping[str, list[TokenizedText]]) -> TermRecallLabels:
+    """Docs without relevant queries get no labels."""
     labels: TermRecallLabels = {}
     for doc_id, queries in relevant_queries.items():
         if not queries:
-            if warnings is not None:
-                warnings.append(f"doc {doc_id!r} has no relevant queries; skipped")
             continue
         counts: dict[int, int] = {}
         for q in queries:
@@ -65,20 +69,16 @@ def compute_term_recall(
     return labels
 
 
-def term_mse_loss(
-    pred: SparseVector, labels: Mapping[int, float]
-) -> tuple[float, SparseVector]:
-    """Mean squared error over the labeled terms only."""
+def term_mse_loss(pred: np.ndarray, labels: Mapping[int, float]) -> tuple[float, np.ndarray]:
+    """Mean squared error over the labeled terms only, with its |V|-vector gradient."""
     if not labels:
         raise ValueError("term_mse_loss requires a nonempty label set")
     n = len(labels)
-    loss = 0.0
-    grad: dict[int, float] = {}
-    for t, target in labels.items():
-        diff = pred.get(t) - target
-        loss += diff * diff / n
-        grad[t] = 2.0 * diff / n
-    return loss, SparseVector(grad)
+    terms = np.fromiter(labels, dtype=np.int64, count=n)
+    diff = pred[terms] - np.fromiter(labels.values(), dtype=np.float64, count=n)
+    grad = np.zeros_like(pred)
+    grad[terms] = 2.0 * diff / n
+    return float(diff @ diff) / n, grad
 
 
 def contrastive_nll(
@@ -117,87 +117,6 @@ def margin_mse_loss(
 
 
 # ---------------------------------------------------------------------------
-# Dense forward/backward per encoder head
-# ---------------------------------------------------------------------------
-
-
-def _forward_dense(
-    kind: EncoderKind, text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters
-) -> tuple[np.ndarray, dict]:
-    """Dense |V|-vector of weights plus the cache needed for the backward pass."""
-    vsize = emb.input_embeddings.shape[0]
-    if kind is EncoderKind.BINARY:
-        w = np.zeros(vsize)
-        for t in text.token_ids:
-            w[t] = 1.0
-        return w, {"kind": kind, "empty": True}  # no trainable parameters
-    if kind in (EncoderKind.MLP, EncoderKind.EXP_MLP):
-        w = np.zeros(vsize)
-        if len(text) == 0:
-            return w, {"kind": kind, "empty": True}
-        z = emb.ctx_embeddings @ head.mlp_weight + head.mlp_bias
-        a = activate(z, head.activation)
-        contrib = np.log1p(a) if head.mlp_log_normalize else a
-        for t, c in zip(text.token_ids, contrib):
-            w[t] += c
-        return w, {"kind": kind, "text": text, "emb": emb, "z": z, "a": a, "head": head}
-    if kind == EncoderKind.MLM:
-        if len(text) == 0:
-            return np.zeros(vsize), {"kind": kind, "empty": True}
-        logits = emb.ctx_embeddings @ emb.input_embeddings.T + head.mlm_bias
-        a = activate(logits, head.activation)
-        if head.use_quality_heads:
-            from .encoders import _quality_scores
-
-            q, g = _quality_scores(emb, head)
-            a = a * g[:, None]
-        else:
-            q, g = 1.0, np.ones(len(text))
-        jstar = a.argmax(axis=0)  # first max wins ties
-        m = a[jstar, np.arange(vsize)]
-        w = q * np.log1p(m)
-        zstar = logits[jstar, np.arange(vsize)]
-        return w, {"kind": kind, "m": m, "zstar": zstar, "jstar": jstar, "q": q, "g": g, "head": head}
-    if kind == EncoderKind.CLS_MLM:
-        z = emb.cls_embedding @ emb.input_embeddings.T + head.mlm_bias
-        return activate(z, head.activation), {"kind": kind, "z": z, "head": head}
-    raise ValueError(f"encoder kind {kind.value!r} is not differentiable")
-
-
-@dataclass
-class _ParamGrads:
-    mlp_weight: np.ndarray
-    mlp_bias: float
-    mlm_bias: np.ndarray
-
-    @classmethod
-    def zeros(cls, vocab_size: int, dim: int) -> "_ParamGrads":
-        return cls(np.zeros(dim), 0.0, np.zeros(vocab_size))
-
-
-def _backward_dense(cache: dict, grad_w: np.ndarray, out: _ParamGrads) -> None:
-    """Accumulate head-parameter gradients given dLoss/dWeights for one text."""
-    if cache.get("empty"):
-        return
-    kind = cache["kind"]
-    head: HeadParameters = cache["head"]
-    if kind in (EncoderKind.MLP, EncoderKind.EXP_MLP):
-        text, emb, z, a = cache["text"], cache["emb"], cache["z"], cache["a"]
-        fprime = activate_grad(z, head.activation)
-        if head.mlp_log_normalize:
-            fprime = fprime / (1.0 + a)
-        gz = np.array([grad_w[t] for t in text.token_ids]) * fprime
-        out.mlp_weight += emb.ctx_embeddings.T @ gz
-        out.mlp_bias += float(gz.sum())
-    elif kind == EncoderKind.MLM:
-        m, zstar, jstar, q, g = cache["m"], cache["zstar"], cache["jstar"], cache["q"], cache["g"]
-        gstar = np.asarray(g)[jstar]
-        out.mlm_bias += grad_w * q * gstar * activate_grad(zstar, head.activation) / (1.0 + m)
-    elif kind == EncoderKind.CLS_MLM:
-        out.mlm_bias += grad_w * activate_grad(cache["z"], head.activation)
-
-
-# ---------------------------------------------------------------------------
 # Head-only trainer
 # ---------------------------------------------------------------------------
 
@@ -220,7 +139,6 @@ class TrainSetup:
     train_doc: bool = True
     activation: str = "relu"
     mlp_log_normalize: bool = True
-    topk_start: int | None = None  # training-time top-k decay schedule
 
 
 @dataclass
@@ -288,31 +206,31 @@ def train_heads(
             d_texts[("d", neg.doc_id)] = neg
     bundles = {key: embed(text) for key, text in {**q_texts, **d_texts}.items()}
 
+    def zero_grads() -> dict:
+        return {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": np.zeros(vocab_size)}
+
+    def apply(heads: HeadParameters, grads: dict) -> None:
+        for name, g in grads.items():
+            setattr(heads, name, getattr(heads, name) - setup.lr * g)
+
     loss_history: list[float] = []
     for step in range(setup.steps):
-        fwd: dict[tuple[str, str], tuple[np.ndarray, dict]] = {}
-        topk_masks: dict[tuple[str, str], np.ndarray] = {}
+        fwd: dict[tuple[str, str], tuple[np.ndarray, dict | None]] = {}
         for key, text in q_texts.items():
-            fwd[key] = _forward_dense(setup.query_encoder, text, bundles[key], q_heads)
+            fwd[key] = head_forward(setup.query_encoder, text, bundles[key], q_heads)
         for key, text in d_texts.items():
-            fwd[key] = _forward_dense(setup.doc_encoder, text, bundles[key], d_heads)
+            fwd[key] = head_forward(setup.doc_encoder, text, bundles[key], d_heads)
 
-        # Training-time top-k pruning with a linear k-decay schedule.
+        # Training-time top-k pruning with a linear k-decay schedule from |V|.
+        topk_masks: dict[tuple[str, str], np.ndarray] = {}
         for side, cfg in (("q", setup.query_reg), ("d", setup.doc_reg)):
             if cfg.kind is not RegularizerKind.TOPK:
                 continue
-            start = setup.topk_start if setup.topk_start is not None else vocab_size
-            k = topk_schedule(start, cfg.k, setup.steps, step)
+            k = topk_schedule(vocab_size, cfg.k, setup.steps, step)
             for key in fwd:
-                if key[0] != side:
-                    continue
-                w = fwd[key][0]
-                mask = np.zeros_like(w)
-                if k > 0:
-                    order = np.lexsort((np.arange(len(w)), -w))[:k]
-                    mask[order[w[order] > 0]] = 1.0
-                topk_masks[key] = mask
-                fwd[key] = (w * mask, fwd[key][1])
+                if key[0] == side:
+                    topk_masks[key] = topk_mask(fwd[key][0], k)
+                    fwd[key] = (fwd[key][0] * topk_masks[key], fwd[key][1])
 
         grads_w = {key: np.zeros(vocab_size) for key in fwd}
         total_loss = 0.0
@@ -323,12 +241,9 @@ def train_heads(
                 labels = term_labels.get(key[1], {})
                 if not labels:
                     continue
-                w = fwd[key][0]
-                n = len(labels)
-                for t, target in labels.items():
-                    diff = w[t] - target
-                    total_loss += diff * diff / (n * len(docs))
-                    grads_w[key][t] += 2.0 * diff / (n * len(docs))
+                loss, grad = term_mse_loss(fwd[key][0], labels)
+                total_loss += loss / len(docs)
+                grads_w[key] += grad / len(docs)
         else:
             for triple in triples:
                 qk = ("q", triple.query.doc_id)
@@ -367,43 +282,27 @@ def train_heads(
                 continue
             keys = sorted(k for k in fwd if k[0] == side)
             batch = np.stack([fwd[k][0] for k in keys])
-            n = len(keys)
             if cfg.kind is RegularizerKind.FLOPS:
-                mean = batch.mean(axis=0)
-                total_loss += lam * float(mean @ mean)
-                shared_grad = lam * 2.0 * mean / n
-                for k in keys:
-                    grads_w[k] += shared_grad
-            elif cfg.kind is RegularizerKind.L1:
-                total_loss += lam * float(np.abs(batch).sum()) / n
-                for k in keys:
-                    grads_w[k] += lam * np.sign(fwd[k][0]) / n
-            elif cfg.kind is RegularizerKind.L2:
-                for k in keys:
-                    norm = float(np.linalg.norm(fwd[k][0]))
-                    total_loss += lam * norm / n
-                    if norm > 0:
-                        grads_w[k] += lam * fwd[k][0] / (norm * n)
+                value, grad = flops_penalty(batch)
+            else:
+                value, grad = lp_penalty(batch, 1 if cfg.kind is RegularizerKind.L1 else 2)
+            total_loss += lam * value
+            grad = lam * grad
+            for k, g in zip(keys, grad):
+                grads_w[k] += g
 
-        q_grads = _ParamGrads.zeros(vocab_size, dim)
-        d_grads = q_grads if setup.shared_heads else _ParamGrads.zeros(vocab_size, dim)
+        q_grads = zero_grads()
+        d_grads = q_grads if setup.shared_heads else zero_grads()
         for key in sorted(fwd):
             gw = grads_w[key]
             if key in topk_masks:
                 gw = gw * topk_masks[key]
-            _backward_dense(fwd[key][1], gw, q_grads if key[0] == "q" else d_grads)
-
-        def apply(heads: HeadParameters, grads: _ParamGrads, kind: EncoderKind) -> None:
-            if kind in (EncoderKind.MLP, EncoderKind.EXP_MLP):
-                heads.mlp_weight -= setup.lr * grads.mlp_weight
-                heads.mlp_bias -= setup.lr * grads.mlp_bias
-            else:
-                heads.mlm_bias -= setup.lr * grads.mlm_bias
+            head_backward(fwd[key][1], gw, q_grads if key[0] == "q" else d_grads)
 
         if setup.train_query:
-            apply(q_heads, q_grads, setup.query_encoder)
+            apply(q_heads, q_grads)
         if setup.train_doc and not (setup.shared_heads and setup.train_query):
-            apply(d_heads, d_grads, setup.doc_encoder)
+            apply(d_heads, d_grads)
         loss_history.append(total_loss)
 
     return TrainResult(query_heads=q_heads, doc_heads=d_heads, loss_history=loss_history)

@@ -34,6 +34,7 @@ from lsrkit.encoders import (
     encode_mlm,
     encode_mlp,
     expand_text,
+    head_forward,
     init_head_parameters,
     score,
     softplus,
@@ -46,7 +47,6 @@ from lsrkit.regularization import RegularizerConfig, RegularizerKind, flops_pena
 from lsrkit.supervision import (
     TrainSetup,
     TrainingTriple,
-    _forward_dense,
     contrastive_nll,
     margin_mse_loss,
     term_mse_loss,
@@ -228,40 +228,40 @@ class TestCriterion4:
         worst = {"flops": 0.0, "l1": 0.0, "l2": 0.0, "term_mse": 0.0,
                  "contrastive": 0.0, "margin_mse": 0.0}
 
+        def bumped(a, index, delta):
+            out = a.copy()
+            out[index] += delta
+            return out
+
         for _ in range(100):
             V = 12
-            batch = []
-            for _ in range(int(rng.integers(1, 4))):
+            batch = np.zeros((int(rng.integers(1, 4)), V))
+            for row in batch:
                 ids = rng.choice(V, size=4, replace=False)
-                batch.append(SparseVector({int(t): float(rng.uniform(0.1, 2)) for t in ids}))
-            _, grads = flops_penalty(batch, V)
+                for t in ids:
+                    row[t] = rng.uniform(0.1, 2)
+            _, grads = flops_penalty(batch)
             b = int(rng.integers(len(batch)))
-            t = int(next(iter(batch[b].entries)))
+            t = int(np.flatnonzero(batch[b])[0])
+            numeric = (flops_penalty(bumped(batch, (b, t), h))[0]
+                       - flops_penalty(bumped(batch, (b, t), -h))[0]) / (2 * h)
+            worst["flops"] = max(worst["flops"], rel_err(grads[b, t], numeric))
 
-            def perturbed(delta):
-                mod = [v if i != b else SparseVector({**v.entries, t: v.entries[t] + delta})
-                       for i, v in enumerate(batch)]
-                return flops_penalty(mod, V)[0]
-
-            numeric = (perturbed(h) - perturbed(-h)) / (2 * h)
-            worst["flops"] = max(worst["flops"], rel_err(grads[b].get(t), numeric))
-
-            v = batch[0]
+            v = batch[:1]
+            tt = (0, int(np.flatnonzero(v[0])[0]))
             for name, p in (("l1", 1), ("l2", 2)):
                 _, grad = lp_penalty(v, p)
-                up = lp_penalty(SparseVector({**v.entries, t if t in v.entries else next(iter(v.entries)): 0}), p)
-                tt = next(iter(v.entries))
-                num = (lp_penalty(SparseVector({**v.entries, tt: v.entries[tt] + h}), p)[0]
-                       - lp_penalty(SparseVector({**v.entries, tt: v.entries[tt] - h}), p)[0]) / (2 * h)
-                worst[name] = max(worst[name], rel_err(grad.get(tt), num))
+                num = (lp_penalty(bumped(v, tt, h), p)[0] - lp_penalty(bumped(v, tt, -h), p)[0]) / (2 * h)
+                worst[name] = max(worst[name], rel_err(grad[tt], num))
 
             labels = {int(k): float(rng.uniform(0, 1)) for k in rng.choice(V, size=4, replace=False)}
             tt = next(iter(labels))
-            pred = SparseVector({tt: float(rng.uniform(0.1, 2))})
+            pred = np.zeros(V)
+            pred[tt] = rng.uniform(0.1, 2)
             _, grad = term_mse_loss(pred, labels)
-            num = (term_mse_loss(SparseVector({tt: pred.get(tt) + h}), labels)[0]
-                   - term_mse_loss(SparseVector({tt: pred.get(tt) - h}), labels)[0]) / (2 * h)
-            worst["term_mse"] = max(worst["term_mse"], rel_err(grad.get(tt), num))
+            num = (term_mse_loss(bumped(pred, tt, h), labels)[0]
+                   - term_mse_loss(bumped(pred, tt, -h), labels)[0]) / (2 * h)
+            worst["term_mse"] = max(worst["term_mse"], rel_err(grad[tt], num))
 
             pos = float(rng.normal())
             negs = rng.normal(size=3).tolist()
@@ -297,7 +297,7 @@ class TestCriterion5:
                                query_reg=reg, doc_reg=reg, steps=150, lr=0.5, seed=3)
             result = train_heads(setup, triples, embed, V, D)
             counts = [
-                int((_forward_dense(EncoderKind.MLM, d, embed(d), result.doc_heads)[0] > 0).sum())
+                int((head_forward(EncoderKind.MLM, d, embed(d), result.doc_heads)[0] > 0).sum())
                 for d in task.docs
             ]
             nnz.append(float(np.mean(counts)))
@@ -332,7 +332,7 @@ class TestCriterion6:
 
         def encode_all(kind, texts, heads):
             return [
-                (t.doc_id, SparseVector.from_dense(_forward_dense(kind, t, embed(t), heads)[0]))
+                (t.doc_id, SparseVector.from_dense(head_forward(kind, t, embed(t), heads)[0]))
                 for t in texts
             ]
 

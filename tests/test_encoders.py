@@ -18,12 +18,10 @@ from lsrkit.encoders import (
     encode_mlp,
     expand_text,
     init_head_parameters,
-    read_embedding_file,
     read_head_parameters,
     score,
     softplus,
     toy_backbone,
-    write_embedding_file,
     write_head_parameters,
 )
 
@@ -151,10 +149,8 @@ class TestExpandText:
         assert expand_text(text("d"), {"d": [5, 6]}).token_ids == (5, 6)
 
     def test_missing_doc_warns_and_passes_through(self):
-        warnings = []
-        got = expand_text(text("d", 0), {}, warnings=warnings)
+        got = expand_text(text("d", 0), {})
         assert got.token_ids == (0,)
-        assert warnings
 
 
 class TestMlm:
@@ -427,13 +423,3 @@ class TestParameterFiles:
         assert np.array_equal(loaded.mlm_bias, heads.mlm_bias)
         assert loaded.activation == "softplus"
         assert loaded.use_quality_heads
-
-    def test_embedding_file_round_trip(self, tmp_path):
-        t = text("doc-1", 1, 2, 3)
-        emb = toy_backbone(t, 10, 6, seed=3)
-        path = tmp_path / "emb.jsonl"
-        write_embedding_file([("doc-1", emb)], path)
-        (doc_id, loaded), = list(read_embedding_file(path, emb.input_embeddings))
-        assert doc_id == "doc-1"
-        assert np.allclose(loaded.ctx_embeddings, emb.ctx_embeddings)
-        assert np.allclose(loaded.cls_embedding, emb.cls_embedding)

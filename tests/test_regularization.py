@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsrkit.core import SparseVector
-from lsrkit.regularization import flops_penalty, lp_penalty, topk_prune, topk_schedule
+from lsrkit.regularization import flops_penalty, lp_penalty, topk_mask, topk_prune, topk_schedule
 
 
 def random_sparse(rng, vocab_size=16, max_nnz=8, positive=True):
@@ -14,99 +14,108 @@ def random_sparse(rng, vocab_size=16, max_nnz=8, positive=True):
     return SparseVector({int(t): float(rng.uniform(lo, 3.0)) for t in ids})
 
 
+def dense(batch, vocab_size):
+    return np.array([v.to_dense(vocab_size) for v in batch], dtype=np.float64)
+
+
 class TestFlopsPenalty:
     def test_hand_example(self):
-        batch = [SparseVector({0: 1.0}), SparseVector({0: 1.0, 1: 2.0})]
-        value, _ = flops_penalty(batch, vocab_size=4)
+        value, _ = flops_penalty(np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]]))
         assert value == pytest.approx(2.0)  # means (1, 1)
 
     def test_all_zero_batch(self):
-        value, grads = flops_penalty([SparseVector(), SparseVector()], vocab_size=4)
+        value, grads = flops_penalty(np.zeros((2, 4)))
         assert value == 0.0
-        assert all(g.nnz == 0 for g in grads)
+        assert not grads.any()
 
     def test_single_vector(self):
-        value, _ = flops_penalty([SparseVector({0: 3.0})], vocab_size=4)
+        value, _ = flops_penalty(np.array([[3.0, 0.0, 0.0, 0.0]]))
         assert value == pytest.approx(9.0)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            flops_penalty([], vocab_size=4)
+            flops_penalty(np.zeros((0, 4)))
 
     def test_matches_dense_matrix_oracle(self, rng):
         for _ in range(50):
             vocab_size = int(rng.integers(4, 64))
             batch = [random_sparse(rng, vocab_size) for _ in range(int(rng.integers(1, 8)))]
-            value, _ = flops_penalty(batch, vocab_size)
-            dense = np.array([v.to_dense(vocab_size) for v in batch])
-            want = float((dense.mean(axis=0) ** 2).sum())
+            value, _ = flops_penalty(dense(batch, vocab_size))
+            want = sum(sum(v.get(t) for v in batch) ** 2 for t in range(vocab_size)) / len(batch) ** 2
             assert value == pytest.approx(want, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(100):
             vocab_size = 12
-            batch = [random_sparse(rng, vocab_size) for _ in range(int(rng.integers(1, 5)))]
-            _, grads = flops_penalty(batch, vocab_size)
-            j = int(rng.integers(len(batch)))
-            entries = sorted(batch[j].entries)
+            sparse = [random_sparse(rng, vocab_size) for _ in range(int(rng.integers(1, 5)))]
+            batch = dense(sparse, vocab_size)
+            _, grads = flops_penalty(batch)
+            j = int(rng.integers(len(sparse)))
+            entries = sorted(sparse[j].entries)
             t = entries[int(rng.integers(len(entries)))]
             h = 1e-5
 
             def value_at(w):
-                perturbed = list(batch)
-                perturbed[j] = SparseVector({**batch[j].entries, t: w})
-                return flops_penalty(perturbed, vocab_size)[0]
+                perturbed = batch.copy()
+                perturbed[j, t] = w
+                return flops_penalty(perturbed)[0]
 
-            w0 = batch[j].entries[t]
+            w0 = batch[j, t]
             numeric = (value_at(w0 + h) - value_at(w0 - h)) / (2 * h)
-            assert grads[j].get(t) == pytest.approx(numeric, rel=1e-4)
+            assert grads[j, t] == pytest.approx(numeric, rel=1e-4)
 
-    def test_dense_gradient_flag_covers_batch_support(self, rng):
-        batch = [SparseVector({0: 1.0}), SparseVector({1: 2.0})]
-        _, grads = flops_penalty(batch, vocab_size=4, dense_gradient=True)
-        assert set(grads[0].entries) == {0, 1}
+    def test_gradient_covers_batch_support(self, rng):
+        _, grads = flops_penalty(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]]))
+        assert set(np.flatnonzero(grads[0])) == {0, 1}
 
     def test_zeroing_an_entry_never_increases_penalty(self, rng):
         for _ in range(50):
-            batch = [random_sparse(rng) for _ in range(3)]
-            value, _ = flops_penalty(batch, 16)
+            batch = dense([random_sparse(rng) for _ in range(3)], 16)
+            value, _ = flops_penalty(batch)
             j = int(rng.integers(3))
-            t = sorted(batch[j].entries)[0]
-            zeroed = list(batch)
-            zeroed[j] = SparseVector({k: w for k, w in batch[j].entries.items() if k != t})
-            assert flops_penalty(zeroed, 16)[0] <= value + 1e-12
+            zeroed = batch.copy()
+            zeroed[j, np.flatnonzero(batch[j])[0]] = 0.0
+            assert flops_penalty(zeroed)[0] <= value + 1e-12
 
 
 class TestLpPenalty:
     def test_l2_345(self):
-        value, _ = lp_penalty(SparseVector({0: 3.0, 1: 4.0}), p=2)
+        value, _ = lp_penalty(np.array([[3.0, 4.0]]), p=2)
         assert value == pytest.approx(5.0)
 
     def test_l1(self):
-        value, grad = lp_penalty(SparseVector({0: 3.0, 1: 4.0}), p=1)
+        value, grad = lp_penalty(np.array([[3.0, 4.0, 0.0]]), p=1)
         assert value == pytest.approx(7.0)
-        assert grad.entries == {0: 1.0, 1: 1.0}
+        assert grad.tolist() == [[1.0, 1.0, 0.0]]
 
     def test_empty_vector(self):
-        assert lp_penalty(SparseVector(), p=1)[0] == 0.0
-        value, grad = lp_penalty(SparseVector(), p=2)
+        assert lp_penalty(np.zeros((1, 3)), p=1)[0] == 0.0
+        value, grad = lp_penalty(np.zeros((1, 3)), p=2)
         assert value == 0.0
-        assert grad.nnz == 0
+        assert not grad.any()
 
     def test_bad_p_rejected(self):
         with pytest.raises(ValueError):
-            lp_penalty(SparseVector({0: 1.0}), p=3)
+            lp_penalty(np.array([[1.0]]), p=3)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_batch_value_is_mean_row_norm(self, p):
+        value, _ = lp_penalty(np.array([[3.0, 4.0], [0.0, 1.0]]), p)
+        assert value == pytest.approx((7.0 if p == 1 else 5.0) / 2 + 0.5)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_gradient_matches_finite_differences(self, rng, p):
         for _ in range(100):
             v = random_sparse(rng)
-            _, grad = lp_penalty(v, p)
+            batch = dense([v], 16)
+            _, grad = lp_penalty(batch, p)
             t = sorted(v.entries)[int(rng.integers(v.nnz))]
             h = 1e-5
-            up = lp_penalty(SparseVector({**v.entries, t: v.entries[t] + h}), p)[0]
-            down = lp_penalty(SparseVector({**v.entries, t: v.entries[t] - h}), p)[0]
-            assert grad.get(t) == pytest.approx((up - down) / (2 * h), rel=1e-4)
+            up, down = batch.copy(), batch.copy()
+            up[0, t] += h
+            down[0, t] -= h
+            numeric = (lp_penalty(up, p)[0] - lp_penalty(down, p)[0]) / (2 * h)
+            assert grad[0, t] == pytest.approx(numeric, rel=1e-4)
 
 
 class TestTopkPrune:
@@ -138,6 +147,16 @@ class TestTopkPrune:
             d = random_sparse(rng)
             k = int(rng.integers(0, q.nnz + 1))
             assert topk_prune(q, k).dot(d) <= q.dot(d) + 1e-12
+
+
+class TestTopkMask:
+    def test_agrees_with_topk_prune(self, rng):
+        for _ in range(50):
+            v = random_sparse(rng)
+            v = SparseVector({**v.entries, min(v.entries): max(v.entries.values())})  # force a tie
+            k = int(rng.integers(0, 10))
+            w = np.array(v.to_dense(16))
+            assert SparseVector.from_dense(w * topk_mask(w, k)) == topk_prune(v, k)
 
 
 class TestTopkSchedule:

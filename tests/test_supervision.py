@@ -7,8 +7,7 @@ import pytest
 
 from conftest import text
 
-from lsrkit.core import SparseVector, TokenizedText
-from lsrkit.encoders import EncoderKind, toy_backbone
+from lsrkit.encoders import EncoderKind, head_forward, init_head_parameters, toy_backbone
 from lsrkit.regularization import RegularizerConfig, RegularizerKind
 from lsrkit.supervision import (
     TrainSetup,
@@ -37,28 +36,26 @@ class TestTermRecall:
         assert 1 not in labels["d"]
 
     def test_doc_without_queries_excluded_with_warning(self):
-        warnings = []
-        labels = compute_term_recall({"d": []}, warnings=warnings)
+        labels = compute_term_recall({"d": []})
         assert "d" not in labels
-        assert warnings
 
 
 class TestTermMseLoss:
     def test_exact_match_is_zero(self):
-        loss, _ = term_mse_loss(SparseVector({0: 1.0}), {0: 1.0})
+        loss, _ = term_mse_loss(np.array([1.0, 0.0]), {0: 1.0})
         assert loss == 0.0
 
     def test_unit_error(self):
-        loss, _ = term_mse_loss(SparseVector(), {0: 1.0})
+        loss, _ = term_mse_loss(np.zeros(2), {0: 1.0})
         assert loss == pytest.approx(1.0)
 
     def test_hand_evaluation(self):
-        loss, _ = term_mse_loss(SparseVector({0: 0.5, 1: 0.5}), {0: 1.0, 1: 0.0})
+        loss, _ = term_mse_loss(np.array([0.5, 0.5]), {0: 1.0, 1: 0.0})
         assert loss == pytest.approx(0.25)
 
     def test_empty_labels_rejected(self):
         with pytest.raises(ValueError):
-            term_mse_loss(SparseVector(), {})
+            term_mse_loss(np.zeros(2), {})
 
 
 class TestContrastiveNll:
@@ -119,14 +116,18 @@ class TestLossGradients:
     def test_term_mse(self, rng):
         for _ in range(100):
             ids = rng.choice(10, size=4, replace=False)
-            pred = SparseVector({int(t): float(rng.uniform(0.1, 2)) for t in ids[:3]})
+            pred = np.zeros(10)
+            for t in ids[:3]:
+                pred[t] = rng.uniform(0.1, 2)
             labels = {int(t): float(rng.uniform(0, 1)) for t in ids}
             _, grad = term_mse_loss(pred, labels)
             t = int(ids[rng.integers(len(ids))])
             h = 1e-5
-            up = term_mse_loss(SparseVector({**pred.entries, t: pred.get(t) + h}), labels)[0]
-            dn = term_mse_loss(SparseVector({**pred.entries, t: pred.get(t) - h}), labels)[0]
-            assert grad.get(t) == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-8)
+            up, dn = pred.copy(), pred.copy()
+            up[t] += h
+            dn[t] -= h
+            num = (term_mse_loss(up, labels)[0] - term_mse_loss(dn, labels)[0]) / (2 * h)
+            assert grad[t] == pytest.approx(num, rel=1e-4, abs=1e-8)
 
     def test_contrastive(self, rng):
         for _ in range(100):
@@ -185,8 +186,6 @@ class TestTrainHeads:
         v = task.vocab.size
         setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True, steps=5, lr=0.0, seed=2)
         result = train_heads(setup, triples, self._embed(v), v, self.DIM)
-        from lsrkit.encoders import init_head_parameters
-
         init = init_head_parameters(v, self.DIM, 2)
         assert np.array_equal(result.query_heads.mlm_bias, init.mlm_bias)
         assert np.array_equal(result.query_heads.mlp_weight, init.mlp_weight)
@@ -231,11 +230,9 @@ class TestTrainHeads:
         assert len(result.loss_history) == 5
 
     def _mean_doc_nnz(self, task, heads):
-        from lsrkit.supervision import _forward_dense
-
         embed = self._embed(task.vocab.size)
         counts = [
-            int((_forward_dense(EncoderKind.MLM, d, embed(d), heads)[0] > 0).sum())
+            int((head_forward(EncoderKind.MLM, d, embed(d), heads)[0] > 0).sum())
             for d in task.docs
         ]
         return float(np.mean(counts))
@@ -279,47 +276,80 @@ class TestTrainHeads:
 class TestTrainerGradients:
     """End-to-end parameter gradients vs finite differences through one step."""
 
-    def _numeric_check(self, setup, triples, embed, v, dim, getter, setter, index):
+    def _numeric_check(self, setup, triples, embed, v, dim, getter, index, side="query", term_labels=None):
         # one GD step with lr recovers the gradient: grad = (init - updated) / lr
         lr = setup.lr
-        result = train_heads(setup, triples, embed, v, dim)
-        from lsrkit.encoders import init_head_parameters
-
-        init_q = init_head_parameters(v, dim, setup.seed,
-                                      mlp_log_normalize=setup.mlp_log_normalize)
-        grad = (getter(init_q) - getter(result.query_heads))[index] / lr
+        result = train_heads(setup, triples, embed, v, dim, term_labels=term_labels)
+        start = {"query": setup.query_heads, "doc": setup.doc_heads}
+        if start[side] is None:  # shared heads from the seeded initialization
+            init = init_head_parameters(v, dim, setup.seed, mlp_log_normalize=setup.mlp_log_normalize)
+            start = {"query": init, "doc": init}
+        grad = (getter(start[side]) - getter(getattr(result, f"{side}_heads")))[index] / lr
 
         h = 1e-5
 
         def loss_with(delta):
-            heads = init_q.copy()
+            heads = start[side].copy()
             getter(heads)[index] += delta
             probe = TrainSetup(**{**setup.__dict__, "steps": 1, "lr": 0.0,
-                                  "query_heads": heads, "doc_heads": heads})
-            return train_heads(probe, triples, embed, v, dim).loss_history[0]
+                                  "query_heads": start["query"], "doc_heads": start["doc"],
+                                  f"{side}_heads": heads})
+            return train_heads(probe, triples, embed, v, dim, term_labels=term_labels).loss_history[0]
 
         numeric = (loss_with(h) - loss_with(-h)) / (2 * h)
         assert grad == pytest.approx(numeric, rel=1e-3, abs=1e-7)
 
-    def test_mlm_bias_gradient(self, rng):
+    def _task(self):
         task, triples = small_task(num_docs=20, num_queries=8, vocab_size=24)
         v, dim = task.vocab.size, 6
-        embed = lambda t: toy_backbone(t, v, dim, seed=11)
+        return triples, (lambda t: toy_backbone(t, v, dim, seed=11)), v, dim
+
+    def test_mlm_bias_gradient(self, rng):
+        triples, embed, v, dim = self._task()
         setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
                            steps=1, lr=0.25, seed=5)
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(setup, triples, embed, v, dim,
-                                lambda h: h.mlm_bias, None, int(index))
+            self._numeric_check(setup, triples, embed, v, dim, lambda h: h.mlm_bias, int(index))
 
     def test_mlp_weight_gradient(self, rng):
-        task, triples = small_task(num_docs=20, num_queries=8, vocab_size=24)
-        v, dim = task.vocab.size, 6
-        embed = lambda t: toy_backbone(t, v, dim, seed=11)
+        triples, embed, v, dim = self._task()
         setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLP, shared_heads=True,
                            steps=1, lr=0.25, seed=5)
         for index in range(dim):
-            self._numeric_check(setup, triples, embed, v, dim,
-                                lambda h: h.mlp_weight, None, index)
+            self._numeric_check(setup, triples, embed, v, dim, lambda h: h.mlp_weight, index)
+
+    def test_mlm_bias_gradient_margin_mse(self, rng):
+        triples, embed, v, dim = self._task()
+        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
+                           loss_kind="margin_mse", steps=1, lr=0.25, seed=5)
+        for index in rng.integers(0, v, size=5):
+            self._numeric_check(setup, triples, embed, v, dim, lambda h: h.mlm_bias, int(index))
+
+    def test_quality_mlm_softplus_doc_bias_gradient(self, rng):
+        # EPIC's doc head: MLM with quality heads and softplus, MLP query head
+        triples, embed, v, dim = self._task()
+        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLM, steps=1, lr=0.25, seed=5,
+                           query_heads=init_head_parameters(v, dim, 5),
+                           doc_heads=init_head_parameters(v, dim, 6, activation="softplus",
+                                                          use_quality_heads=True))
+        for index in rng.integers(0, v, size=5):
+            self._numeric_check(setup, triples, embed, v, dim, lambda h: h.mlm_bias, int(index),
+                                side="doc")
+
+    def test_cls_mlm_doc_bias_gradient_term_mse(self, rng):
+        # TILDE's doc head: CLS-MLM trained on term recall under a frozen binary query side
+        triples, embed, v, dim = self._task()
+        relevant = {}
+        for t in triples:
+            relevant.setdefault(t.positive.doc_id, []).append(t.query)
+        labels = compute_term_recall(relevant)
+        setup = TrainSetup(EncoderKind.BINARY, EncoderKind.CLS_MLM, loss_kind="term_mse",
+                           steps=1, lr=0.25, seed=5, train_query=False,
+                           doc_heads=init_head_parameters(v, dim, 6))
+        labeled = sorted({t for terms in labels.values() for t in terms})
+        for index in rng.choice(labeled, size=5, replace=False):
+            self._numeric_check(setup, triples, embed, v, dim, lambda h: h.mlm_bias, int(index),
+                                side="doc", term_labels=labels)
 
 
 class TestTriplesFile:
