@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import statistics
 import tempfile
@@ -169,6 +171,8 @@ def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseV
                 vec = SparseVector(
                     {vocab.term_to_id[t]: float(w) for t, w in rec["vector"].items()}
                 )
+                if not all(0 <= w < math.inf for w in vec.entries.values()):
+                    raise ValueError("weights must be finite and non-negative")
                 out.append((rec["id"], vec))
             except (KeyError, ValueError) as e:
                 raise ValidationError(f"{path}:{lineno}: bad vector record ({e})") from e
@@ -184,30 +188,29 @@ def run_encode(config: MethodConfig, side: str, input_path: Path, output_path: P
     return {"count": len(vectors), "mean_nnz": statistics.fmean(nnz) if nnz else 0.0}
 
 
+def vocab_identity(vocab: Vocabulary) -> dict:
+    """Size and sha256 of the terms: what an index records to check its vocab at search."""
+    digest = hashlib.sha256("\n".join(vocab.terms).encode("utf-8")).hexdigest()
+    return {"size": vocab.size, "sha256": digest}
+
+
 def run_index(config: MethodConfig, vectors_path: Path, out_dir: Path) -> dict:
     vocab = read_vocabulary(config.paths.vocab)
     vectors = read_vectors(vectors_path, vocab)
     index = build_index(vectors, config.quantization)
-    save_index(index, out_dir)
-    meta = {"vocab": str(config.paths.vocab), "num_docs": len(index.doc_table)}
-    _atomic_write(Path(out_dir) / "meta.json", json.dumps(meta))
+    index.vocab_id = vocab_identity(vocab)
     return {
         "num_docs": len(index.doc_table),
         "total_postings": index.total_postings,
-        "bytes_estimate": index.bytes_estimate,
+        "bytes_on_disk": save_index(index, out_dir),
     }
 
 
 def run_search(config: MethodConfig, index_dir: Path, query_vectors_path: Path, run_path: Path) -> dict:
     vocab = read_vocabulary(config.paths.vocab)
-    meta_path = Path(index_dir) / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if meta.get("vocab") != str(config.paths.vocab):
-            raise ValidationError(
-                f"index was built with vocab {meta.get('vocab')!r}, config uses {str(config.paths.vocab)!r}"
-            )
     index = load_index(index_dir)
+    if index.vocab_id != vocab_identity(vocab):
+        raise ValidationError(f"index was built with vocab {index.vocab_id}; {config.paths.vocab} differs")
     queries = read_vectors(query_vectors_path, vocab)
     rankings: dict[str, list[tuple[str, float]]] = {}
     total_ops = 0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -187,12 +188,55 @@ class TestCliCommands:
         queries_out = self._encode(config_path, tmp_path, "query", "queries.tsv", "queries.jsonl")
         index_dir = tmp_path / "index"
         assert main(["index", "--config", str(config_path), "--vectors", str(docs_out), "--output", str(index_dir)]) == 0
-        # point the config at a different vocab file and search the same index
+        # point the config at a different vocab file (two term ids swapped) and search the same index
         other = tmp_path / "other"
         other_config, _ = make_workspace(other)
+        vocab_path = other / "data" / "vocab.txt"
+        terms = vocab_path.read_text(encoding="utf-8").splitlines()
+        terms[0], terms[1] = terms[1], terms[0]
+        vocab_path.write_text("".join(t + "\n" for t in terms), encoding="utf-8")
         code = main(["search", "--config", str(other_config), "--index", str(index_dir), "--queries", str(queries_out), "--output", str(tmp_path / "r.trec")])
         assert code == 1
         assert "vocab" in capsys.readouterr().err
+
+    def test_moved_workspace_searches(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        config_path, _ = make_workspace(a)
+        docs_out = self._encode(config_path, a, "doc", "collection.tsv", "docs.jsonl")
+        self._encode(config_path, a, "query", "queries.tsv", "queries.jsonl")
+        assert main(["index", "--config", str(config_path), "--vectors", str(docs_out), "--output", str(a / "index")]) == 0
+        shutil.copytree(a, b)
+        for ws in (a, b):
+            assert main(["search", "--config", str(ws / "config.json"), "--index", str(ws / "index"), "--queries", str(ws / "queries.jsonl"), "--output", str(ws / "r.trec")]) == 0
+        assert (a / "r.trec").read_bytes() == (b / "r.trec").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_corrupt_index_exits_1(self, tmp_path, capsys, damage):
+        config_path, _ = make_workspace(tmp_path)
+        docs_out = self._encode(config_path, tmp_path, "doc", "collection.tsv", "docs.jsonl")
+        queries_out = self._encode(config_path, tmp_path, "query", "queries.tsv", "queries.jsonl")
+        index_dir = tmp_path / "index"
+        assert main(["index", "--config", str(config_path), "--vectors", str(docs_out), "--output", str(index_dir)]) == 0
+        payload = bytearray((index_dir / "postings.bin").read_bytes())
+        if damage == "truncate":
+            del payload[len(payload) // 2:]
+        else:
+            payload[len(payload) // 2] ^= 0x01
+        (index_dir / "postings.bin").write_bytes(bytes(payload))
+        capsys.readouterr()
+        code = main(["search", "--config", str(config_path), "--index", str(index_dir), "--queries", str(queries_out), "--output", str(tmp_path / "r.trec")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-1.5"])
+    def test_bad_vector_weight_exits_1(self, tmp_path, capsys, weight):
+        config_path, task = make_workspace(tmp_path)
+        vectors = tmp_path / "docs.jsonl"
+        term = task.vocab.terms[0]
+        vectors.write_text(f'{{"id": "a", "vector": {{"{term}": 1.0}}}}\n{{"id": "b", "vector": {{"{term}": {weight}}}}}\n', encoding="utf-8")
+        code = main(["index", "--config", str(config_path), "--vectors", str(vectors), "--output", str(tmp_path / "index")])
+        assert code == 1
+        assert f"{vectors}:2" in capsys.readouterr().err
 
     def test_train_head_writes_parameters(self, tmp_path):
         config_path, _ = make_workspace(tmp_path)

@@ -1,7 +1,12 @@
 """Impact index: quantization, term-at-a-time search vs. the exhaustive oracle."""
 
+import json
+import math
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsrkit.core import SparseVector
 from lsrkit.index import (
@@ -13,6 +18,20 @@ from lsrkit.index import (
     load_index,
     save_index,
 )
+
+
+def postings(idx):
+    """The columns as {term id: [(doc ordinal, impact)]}, absent and empty terms left out."""
+    out = {}
+    for t in range(len(idx.offsets) - 1):
+        lo, hi = idx.offsets[t], idx.offsets[t + 1]
+        if hi > lo:
+            out[t] = list(zip(idx.ordinals[lo:hi], idx.impacts[lo:hi]))
+    return out
+
+
+def columns(idx):
+    return idx.offsets, idx.ordinals, idx.impacts
 
 
 def random_corpus(rng, num_docs=200, vocab_size=40, max_nnz=9):
@@ -43,22 +62,23 @@ class TestQuantization:
         # max weight 2.0 maps to 255; weight 1.0 maps to 127.5, rounded half up
         docs = [("a", SparseVector({0: 2.0, 1: 1.0}))]
         idx = build_index(docs, Quantization(mode="bits", bits=8))
-        assert idx.postings[0] == [(0, 255.0)]
-        assert idx.postings[1] == [(0, 128.0)]
-        assert idx.impact_to_weight(255.0) == pytest.approx(2.0)
-        assert idx.impact_to_weight(128.0) == pytest.approx(2.0 * 128 / 255)
+        assert postings(idx)[0] == [(0, 255.0)]
+        assert postings(idx)[1] == [(0, 128.0)]
+        assert idx.weights[0] == pytest.approx(2.0)
+        assert idx.weights[1] == pytest.approx(2.0 * 128 / 255)
 
     def test_zero_impact_dropped(self):
         docs = [("a", SparseVector({0: 1.0, 1: 0.001}))]
         idx = build_index(docs, Quantization(mode="bits", bits=4))
-        assert 1 not in idx.postings
+        assert 1 not in postings(idx)
         assert idx.total_postings == 1
 
     def test_exact_mode_stores_weights(self):
         docs = [("a", SparseVector({0: 1.25}))]
         idx = build_index(docs)
-        assert idx.postings[0] == [(0, 1.25)]
-        assert idx.impact_to_weight(1.25) == 1.25
+        assert postings(idx)[0] == [(0, 1.25)]
+        assert idx.weights is idx.impacts
+        assert idx.weights[0] == 1.25
 
 
 class TestBuildIndex:
@@ -71,11 +91,18 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="non-positive"):
             build_index([("a", SparseVector({0: -1.0}))])
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["exact", "bits"])
+    def test_non_finite_weight_rejected(self, w, mode):
+        with pytest.raises(ValueError, match="non-finite"):
+            build_index([("a", SparseVector({0: 1.0})), ("b", SparseVector({1: w}))], Quantization(mode=mode))
+
     def test_posting_structure(self):
         docs = [("a", SparseVector({0: 1.0, 2: 2.0})), ("b", SparseVector({2: 3.0}))]
         idx = build_index(docs)
         assert idx.doc_table == ["a", "b"]
-        assert idx.postings[2] == [(0, 2.0), (1, 3.0)]
+        assert postings(idx)[2] == [(0, 2.0), (1, 3.0)]
+        assert idx.offsets == [0, 1, 1, 3]
         assert idx.total_postings == 3
 
 
@@ -111,7 +138,7 @@ class TestIndexSearch:
         for _ in range(50):
             q = random_query(rng)
             _, ops = index_search(idx, q, k=10)
-            assert ops == sum(len(idx.postings.get(t, ())) for t in q.entries)
+            assert ops == sum(len(postings(idx).get(t, ())) for t in q.entries)
 
     def test_empty_query(self):
         idx = build_index([("a", SparseVector({0: 1.0}))])
@@ -170,7 +197,7 @@ class TestSerialization:
         idx = build_index(docs)
         save_index(idx, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx")
-        assert loaded.postings == idx.postings
+        assert columns(loaded) == columns(idx)
         assert loaded.doc_table == idx.doc_table
         assert loaded.scale == idx.scale
         for _ in range(20):
@@ -182,7 +209,7 @@ class TestSerialization:
         idx = build_index(docs, Quantization(mode="bits", bits=8))
         save_index(idx, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx")
-        assert loaded.postings == idx.postings
+        assert columns(loaded) == columns(idx)
         assert loaded.quantization == idx.quantization
         for _ in range(20):
             q = random_query(rng)
@@ -195,3 +222,150 @@ class TestSerialization:
         (d / "postings.bin").write_bytes(b"")
         with pytest.raises(ValueError, match="format"):
             load_index(d)
+
+    def test_v1_index_rejected(self, tmp_path):
+        d = tmp_path / "idx"
+        d.mkdir()
+        (d / "header.json").write_text('{"format": "lsrkit-impact-index-v1"}', encoding="utf-8")
+        (d / "postings.bin").write_bytes(b"\x00\x01\x00")
+        with pytest.raises(ValueError, match="unrecognized index format"):
+            load_index(d)
+
+    def test_saved_size_is_the_files_size(self, rng, tmp_path):
+        idx = build_index(random_corpus(rng, num_docs=20), Quantization(mode="bits", bits=8))
+        written = save_index(idx, tmp_path / "idx")
+        assert written == sum(p.stat().st_size for p in (tmp_path / "idx").iterdir())
+        assert (tmp_path / "idx" / "postings.bin").stat().st_size == 8 * len(idx.offsets) + 6 * idx.total_postings
+
+
+# hypothesis strategies: a small sparse corpus with positive finite weights
+weights = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+sparse_vectors = st.dictionaries(st.integers(0, 30), weights, min_size=1, max_size=8).map(SparseVector)
+corpora = st.lists(sparse_vectors, min_size=1, max_size=25).map(lambda vs: [(f"d{i}", v) for i, v in enumerate(vs)])
+
+
+def save_and_load(idx):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(idx, tmp)
+        return load_index(tmp)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(docs=corpora, queries=st.lists(sparse_vectors, min_size=1, max_size=5))
+    def test_index_search_equals_oracle_bitwise(self, docs, queries):
+        built = build_index(docs)
+        loaded = save_and_load(built)
+        for q in queries:
+            expected = exhaustive_search(q, docs, k=10)
+            assert index_search(built, q, k=10)[0] == expected
+            assert index_search(loaded, q, k=10)[0] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(docs=corpora, bits=st.integers(1, 16))
+    def test_bits_round_trip_columns(self, docs, bits):
+        built = build_index(docs, Quantization(mode="bits", bits=bits))
+        loaded = save_and_load(built)
+        assert columns(loaded) == columns(built)
+        assert loaded.weights == built.weights
+        assert (loaded.doc_table, loaded.scale, loaded.quantization) == (built.doc_table, built.scale, built.quantization)
+
+
+@pytest.fixture(scope="module")
+def saved_payload(tmp_path_factory):
+    docs = random_corpus(np.random.default_rng(3), num_docs=12, vocab_size=10, max_nnz=4)
+    d = tmp_path_factory.mktemp("idx")
+    save_index(build_index(docs, Quantization(mode="bits", bits=8)), d)
+    return d, (d / "postings.bin").read_bytes()
+
+
+class TestCorruption:
+    """Any damage to postings.bin raises ValueError, never another exception or a changed index."""
+
+    def _load_with(self, saved_payload, payload, match):
+        d, original = saved_payload
+        (d / "postings.bin").write_bytes(payload)
+        try:
+            with pytest.raises(ValueError, match=match):
+                load_index(d)
+        finally:
+            (d / "postings.bin").write_bytes(original)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncation(self, saved_payload, data):
+        original = saved_payload[1]
+        cut = data.draw(st.integers(0, len(original) - 1))
+        self._load_with(saved_payload, original[:cut], match="bytes, header says")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_changed(self, saved_payload, data):
+        original = saved_payload[1]
+        pos = data.draw(st.integers(0, len(original) - 1))
+        flip = data.draw(st.integers(1, 255))
+        payload = bytearray(original)
+        payload[pos] ^= flip
+        self._load_with(saved_payload, bytes(payload), match="crc32")
+
+    @pytest.mark.parametrize(
+        "offsets, ordinals, impacts, bits",
+        [
+            ([1, 1], [0], [1.0], None),
+            ([0, 2, 1, 2], [0, 1], [1.0, 1.0], None),
+            ([0, 1], [0, 1], [1.0, 1.0], None),
+            ([0, 1], [2], [1.0], None),
+            ([0, 1], [-1], [1.0], None),
+            ([0, 2], [1, 0], [1.0, 1.0], None),
+            ([0, 2], [0, 0], [1.0, 1.0], None),
+            ([0, 1], [0], [math.nan], None),
+            ([0, 1], [0], [math.inf], None),
+            ([0, 1], [0], [0.0], None),
+            ([0, 1], [0], [-1.0], None),
+            ([0, 1], [0], [0], 8),
+            ([0, 1], [0], [256], 8),
+        ],
+        ids=[
+            "offsets-start-past-0", "offsets-decrease", "offsets-end-short", "ordinal-past-doc-table",
+            "ordinal-negative", "ordinals-descend", "ordinal-repeats", "impact-nan", "impact-inf",
+            "impact-zero", "impact-negative", "level-zero", "level-above-max",
+        ],
+    )
+    def test_inconsistent_columns_rejected(self, tmp_path, offsets, ordinals, impacts, bits):
+        quant = Quantization() if bits is None else Quantization(mode="bits", bits=bits)
+        save_index(ImpactIndex(offsets, ordinals, impacts, ["a", "b"], quant, scale=1.0), tmp_path)
+        with pytest.raises(ValueError, match="corrupt index"):
+            load_index(tmp_path)
+
+    def test_ordinals_restart_at_term_boundary(self, tmp_path):
+        save_index(ImpactIndex([0, 1, 1, 2], [1, 0], [1.0, 2.0], ["a", "b"], Quantization(), scale=2.0), tmp_path)
+        assert load_index(tmp_path).ordinals == [1, 0]
+
+    @pytest.mark.parametrize(
+        "key, change",
+        [
+            ("payload_bytes", lambda v: v + 1),
+            ("crc32", lambda v: v ^ 1),
+            ("num_offsets", lambda v: v + 1),
+            ("total_postings", lambda v: v - 1),
+            ("scale", lambda v: math.nan),
+            ("scale", lambda v: -v),
+            ("doc_table", lambda v: list(range(len(v)))),
+            ("quantization", lambda v: {"mode": "bits", "bits": 40}),
+            ("vocab", None),
+        ],
+        ids=[
+            "payload-bytes", "crc32", "num-offsets", "total-postings", "scale-nan", "scale-negative",
+            "doc-ids-not-strings", "quantization", "field-missing",
+        ],
+    )
+    def test_inconsistent_header_rejected(self, tmp_path, key, change):
+        save_index(build_index([("a", SparseVector({0: 1.0, 3: 2.0})), ("b", SparseVector({3: 1.5}))]), tmp_path)
+        header = json.loads((tmp_path / "header.json").read_text(encoding="utf-8"))
+        if change is None:
+            del header[key]
+        else:
+            header[key] = change(header[key])
+        (tmp_path / "header.json").write_text(json.dumps(header), encoding="utf-8")
+        with pytest.raises(ValueError, match="corrupt index"):
+            load_index(tmp_path)

@@ -1,0 +1,62 @@
+"""Digest the outputs of one lsrkit checkout, to show that a change leaves them unchanged.
+
+    python tools/golden_outputs.py SRC_DIR OUT.json
+
+SRC_DIR is the root of a checkout (its `src/`, `configs/` and `data/` are
+used).  For every bundled config the script runs `run_pipeline` untrained;
+for splade_max, deepimpact, epic and tilde it runs `run_pipeline` trained as
+well; and it runs the CLI path `run_index` -> `run_search` on the untrained
+vectors.  OUT.json maps each output file to its sha256.  Two checkouts give
+the same outputs exactly when their OUT.json files are byte-identical
+(`cmp A.json B.json`).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+TRAINED = ("splade_max", "deepimpact", "epic", "tilde")
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def digests(src_dir: Path, work: Path) -> dict:
+    sys.path.insert(0, str(src_dir / "src"))
+    from lsrkit import pipeline
+    from lsrkit.config import load_config
+
+    out: dict = {"untrained": {}, "trained": {}, "cli": {}}
+    for config_path in sorted((src_dir / "configs").glob("*.json")):
+        config = load_config(config_path)
+        name = config_path.stem
+        for kind in ("untrained", "trained") if name in TRAINED else ("untrained",):
+            run_dir = work / kind / name
+            pipeline.run_pipeline(config, run_dir, config.backbone_seed, train=kind == "trained")
+            out[kind][name] = {f: sha256(run_dir / f) for f in ("docs.jsonl", "queries.jsonl", "run.trec")}
+        run_dir = work / "untrained" / name
+        pipeline.run_index(config, run_dir / "docs.jsonl", run_dir / "index")
+        pipeline.run_search(config, run_dir / "index", run_dir / "queries.jsonl", run_dir / "cli.trec")
+        out["cli"][name] = sha256(run_dir / "cli.trec")
+        print(f"{name}: done", file=sys.stderr)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src_dir, out_path = Path(argv[0]).resolve(), Path(argv[1])
+    with tempfile.TemporaryDirectory() as work:
+        result = digests(src_dir, Path(work))
+    out_path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
