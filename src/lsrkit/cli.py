@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
+from .encoders import write_head_parameters
 from . import pipeline
 
 
@@ -91,10 +92,9 @@ def main(argv=None) -> int:
             info = pipeline.run_search(config, Path(args.index), Path(args.queries), Path(args.output))
             print(json.dumps(info))
         elif args.command == "train-head":
-            doc_out = Path(args.doc_output) if args.doc_output else Path(args.output)
-            result = pipeline.run_train(
-                config, seed, query_heads_out=Path(args.output), doc_heads_out=doc_out
-            )
+            result = pipeline.run_train(config, seed)
+            write_head_parameters(result.query_heads, Path(args.output))
+            write_head_parameters(result.doc_heads, Path(args.doc_output or args.output))
             print(json.dumps({"steps": len(result.loss_history), "final_loss": result.loss_history[-1]}))
         elif args.command == "ablate":
             workdir = Path(args.workdir) if args.workdir else Path(args.output).parent / "ablate_work"

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .core import json_object
 from .encoders import Bm25Params, EncoderKind
 from .index import Quantization
 from .regularization import RegularizerConfig, RegularizerKind
@@ -83,12 +84,14 @@ class MethodConfig:
             raise ValidationError(f"{self.name}: top_k must be >= 0")
 
 
-def _parse_side(obj: dict, name: str) -> SideConfig:
+def _parse_side(config_obj: dict, side: str) -> SideConfig:
+    name = config_obj["name"]
+    obj = json_object(config_obj[side], side)
     try:
         kind = EncoderKind(obj["encoder"])
     except (KeyError, ValueError) as e:
         raise ValidationError(f"{name}: bad encoder kind: {e}") from e
-    reg_obj = obj.get("regularizer", {})
+    reg_obj = json_object(obj.get("regularizer", {}), f"{side}.regularizer")
     try:
         reg = RegularizerConfig(
             kind=RegularizerKind(reg_obj.get("kind", "none")),
@@ -108,15 +111,18 @@ def _parse_side(obj: dict, name: str) -> SideConfig:
 
 def load_config(path: str | Path) -> MethodConfig:
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
     base = path.parent
 
+    def section(key: str) -> dict:
+        return json_object(obj.get(key, {}), key)
+
     def resolve(key: str) -> Path | None:
-        value = obj.get("paths", {}).get(key)
+        value = section("paths").get(key)
         return (base / value).resolve() if value else None
 
     try:
+        with open(path, encoding="utf-8") as f:
+            obj = json_object(json.load(f), "config")
         paths = PathsConfig(
             vocab=resolve("vocab"),
             collection=resolve("collection"),
@@ -129,12 +135,13 @@ def load_config(path: str | Path) -> MethodConfig:
         )
         if paths.vocab is None or paths.collection is None or paths.queries is None:
             raise ValidationError(f"{path}: paths.vocab/collection/queries are required")
-        sup = obj.get("supervision", {})
-        quant = obj.get("quantization", {"mode": "exact"})
+        sup = section("supervision")
+        quant = section("quantization")
+        backbone = section("backbone")
         config = MethodConfig(
             name=obj["name"],
-            query=_parse_side(obj["query"], obj["name"]),
-            doc=_parse_side(obj["doc"], obj["name"]),
+            query=_parse_side(obj, "query"),
+            doc=_parse_side(obj, "doc"),
             shared_heads=bool(obj.get("shared_heads", False)),
             supervision=SupervisionConfig(
                 loss=sup.get("loss", "contrastive"),
@@ -145,8 +152,8 @@ def load_config(path: str | Path) -> MethodConfig:
             top_k=int(obj.get("top_k", 100)),
             bm25=Bm25Params(**obj.get("bm25", {})),
             paths=paths,
-            backbone_seed=int(obj.get("backbone", {}).get("seed", 0)),
-            backbone_dim=int(obj.get("backbone", {}).get("dim", 16)),
+            backbone_seed=int(backbone.get("seed", 0)),
+            backbone_dim=int(backbone.get("dim", 16)),
         )
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ValidationError):

@@ -176,3 +176,10 @@ def write_collection(docs: Iterable[TokenizedText], vocab: Vocabulary, path: str
         for doc in docs:
             body = " ".join(vocab.terms[t] for t in doc.token_ids)
             f.write(f"{doc.doc_id}\t{body}\n")
+
+
+def json_object(value, what: str) -> dict:
+    """`value` if it is a JSON object (a record or a nested object a reader reads), else a ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CorpusStats, SparseVector, TokenizedText
+from .core import CorpusStats, SparseVector, TokenizedText, json_object
 
 
 class EncoderKind(str, enum.Enum):
@@ -348,17 +348,17 @@ def init_head_parameters(
 # ---------------------------------------------------------------------------
 
 
+#: the tensors of a head-parameter file, in file order, with their number of axes
+HEAD_TENSORS = {"mlp_weight": 1, "mlp_bias": 0, "mlm_bias": 1, "quality_weight": 1, "quality_bias": 0,
+                "importance_weight": 1, "importance_bias": 0}
+
+
 def write_head_parameters(head: HeadParameters, path: str | Path) -> None:
     """Head-parameter file: one JSON record of named tensors with declared shapes."""
     record = {
         "tensors": {
-            "mlp_weight": {"shape": list(head.mlp_weight.shape), "data": head.mlp_weight.tolist()},
-            "mlp_bias": {"shape": [], "data": head.mlp_bias},
-            "mlm_bias": {"shape": list(head.mlm_bias.shape), "data": head.mlm_bias.tolist()},
-            "quality_weight": {"shape": list(head.quality_weight.shape), "data": head.quality_weight.tolist()},
-            "quality_bias": {"shape": [], "data": head.quality_bias},
-            "importance_weight": {"shape": list(head.importance_weight.shape), "data": head.importance_weight.tolist()},
-            "importance_bias": {"shape": [], "data": head.importance_bias},
+            name: {"shape": list(np.shape(getattr(head, name))), "data": np.asarray(getattr(head, name)).tolist()}
+            for name in HEAD_TENSORS
         },
         "activation": head.activation,
         "mlp_log_normalize": head.mlp_log_normalize,
@@ -369,29 +369,37 @@ def write_head_parameters(head: HeadParameters, path: str | Path) -> None:
 
 
 def read_head_parameters(path: str | Path) -> HeadParameters:
-    with open(path, encoding="utf-8") as f:
-        record = json.load(f)
-    tensors = record["tensors"]
+    """Heads from a `write_head_parameters` file: finite tensors of their declared shapes, typed options.
 
-    def arr(name):
-        t = tensors[name]
-        a = np.asarray(t["data"], dtype=np.float64)
-        if list(a.shape) != t["shape"]:
-            raise ValueError(f"tensor {name}: shape {list(a.shape)} != declared {t['shape']}")
-        return a
-
-    return HeadParameters(
-        mlp_weight=arr("mlp_weight"),
-        mlp_bias=float(tensors["mlp_bias"]["data"]),
-        mlm_bias=arr("mlm_bias"),
-        quality_weight=arr("quality_weight"),
-        quality_bias=float(tensors["quality_bias"]["data"]),
-        importance_weight=arr("importance_weight"),
-        importance_bias=float(tensors["importance_bias"]["data"]),
-        activation=record["activation"],
-        mlp_log_normalize=record["mlp_log_normalize"],
-        use_quality_heads=record["use_quality_heads"],
-    )
+    Anything else is a ValueError naming the file; `pipeline.side_heads` checks the fit to a config.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            record = json_object(json.load(f), "heads file")
+        tensors = json_object(record["tensors"], "tensors")
+        values = {}
+        for name, ndim in HEAD_TENSORS.items():
+            t = json_object(tensors[name], name)
+            a = np.asarray(t["data"], dtype=np.float64)
+            if a.ndim != ndim or list(a.shape) != t["shape"]:
+                raise ValueError(f"tensor {name} has shape {list(a.shape)}, declared {t['shape']}, needs {ndim} axes")
+            if not np.isfinite(a).all():
+                raise ValueError(f"tensor {name} has non-finite values")
+            values[name] = a if ndim else float(a)
+        for flag in ("mlp_log_normalize", "use_quality_heads"):
+            if not isinstance(record[flag], bool):
+                raise ValueError(f"{flag} must be true or false")
+        heads = HeadParameters(
+            **values,
+            activation=record["activation"],
+            mlp_log_normalize=record["mlp_log_normalize"],
+            use_quality_heads=record["use_quality_heads"],
+        )
+    except KeyError as e:
+        raise ValueError(f"{path}: bad heads file (missing {e})") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad heads file ({e})") from e
+    return heads
 
 
 def read_expansion_file(path: str | Path, term_to_id: Mapping[str, int]) -> dict[str, list[int]]:

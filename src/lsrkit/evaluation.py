@@ -68,22 +68,17 @@ def ndcg_at_k(run: RunFile, qrels: Qrels, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     total = 0.0
-    count = 0
-    for qid in run.rankings:
+    qids = _scoreable_queries(run, qrels)
+    for qid in qids:
         relevant = qrels.relevant_docs(qid)
         ideal_grades = sorted(relevant.values(), reverse=True)[:k]
         ideal = sum((2**g - 1) / math.log2(r + 1) for r, g in enumerate(ideal_grades, start=1))
-        if ideal == 0.0:
-            continue
         dcg = sum(
             (2 ** relevant.get(did, 0) - 1) / math.log2(rank + 1)
             for rank, (did, _) in enumerate(run.rankings[qid][:k], start=1)
         )
         total += dcg / ideal
-        count += 1
-    if count == 0:
-        raise ValueError("no queries with judged-relevant documents")
-    return total / count
+    return total / len(qids)
 
 
 def recall_at_k(run: RunFile, qrels: Qrels, k: int) -> float:

@@ -8,15 +8,17 @@ import math
 import os
 import statistics
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .config import MethodConfig, ValidationError, apply_toggle
 from .core import (
+    CorpusStats,
     SparseVector,
     TokenizedText,
     Vocabulary,
     compute_corpus_stats,
+    json_object,
     read_collection,
     read_vocabulary,
 )
@@ -36,10 +38,9 @@ from .encoders import (
     read_expansion_file,
     read_head_parameters,
     toy_backbone,
-    write_head_parameters,
 )
-from .evaluation import RunFile, mrr_at_k, ndcg_at_k, read_qrels, read_run, recall_at_k, write_run
-from .index import Quantization, build_index, index_search, load_index, save_index
+from .evaluation import Qrels, RunFile, mrr_at_k, ndcg_at_k, read_qrels, read_run, recall_at_k, write_run
+from .index import ImpactIndex, build_index, index_search, load_index, save_index
 from .regularization import RegularizerKind, topk_prune
 from .supervision import TrainResult, TrainSetup, compute_term_recall, read_triples, train_heads
 
@@ -51,7 +52,7 @@ class Resources:
     vocab: Vocabulary
     docs: list[TokenizedText]
     queries: list[TokenizedText]
-    stats: "object"
+    stats: CorpusStats
     expansions: dict[str, list[int]]
 
 
@@ -74,23 +75,39 @@ def load_resources(config: MethodConfig) -> Resources:
 
 
 def side_heads(config: MethodConfig, side: str, seed: int, vocab_size: int) -> HeadParameters:
-    """Heads from the configured file when present, otherwise seeded initialization."""
+    """Heads from the configured file when present, otherwise seeded initialization.
+
+    The one head set-up of encoding and training; a heads file must fit the config side.
+    """
     cfg = config.query if side == "query" else config.doc
     path = config.paths.query_heads if side == "query" else config.paths.doc_heads
     if path is not None and Path(path).exists():
-        return read_head_parameters(path)
-    if config.shared_heads:
-        side_offset = 0
-    else:
-        side_offset = 0 if side == "query" else 1
+        heads = read_head_parameters(path)
+        fits = {
+            "mlm_bias length": (heads.mlm_bias.size, vocab_size),
+            "d-vector lengths": ({heads.mlp_weight.size, heads.quality_weight.size, heads.importance_weight.size},
+                                 {config.backbone_dim}),
+            "activation": (heads.activation, cfg.activation),
+            "mlp_log_normalize": (heads.mlp_log_normalize, cfg.log_normalize),
+            "use_quality_heads": (heads.use_quality_heads, cfg.quality_heads),
+        }
+        for what, (got, want) in fits.items():
+            if got != want:
+                raise ValidationError(f"{path}: {what} is {got!r}, the config's {side} side needs {want!r}")
+        return heads
     return init_head_parameters(
         vocab_size,
         config.backbone_dim,
-        seed + side_offset,
+        seed if config.shared_heads or side == "query" else seed + 1,
         activation=cfg.activation,
         mlp_log_normalize=cfg.log_normalize,
         use_quality_heads=cfg.quality_heads,
     )
+
+
+def side_text(kind: EncoderKind, text: TokenizedText, res: Resources) -> TokenizedText:
+    """The text a side's encoder sees, in encoding and in training: expanded for exp_mlp."""
+    return expand_text(text, res.expansions) if kind is EncoderKind.EXP_MLP else text
 
 
 def encode_side(
@@ -108,14 +125,12 @@ def encode_side(
     """
     cfg = config.query if side == "query" else config.doc
     kind = cfg.encoder
-    if heads is None and kind not in (EncoderKind.BINARY, EncoderKind.BM25_QUERY, EncoderKind.BM25_DOC):
+    if heads is None and kind in DIFFERENTIABLE:
         heads = side_heads(config, side, seed, res.vocab.size)
 
     out: list[tuple[str, SparseVector]] = []
-    for text in texts:
-        expanded = text
-        if kind is EncoderKind.EXP_MLP:
-            expanded = expand_text(text, res.expansions)
+    for raw in texts:
+        text = side_text(kind, raw, res)
         if kind is EncoderKind.BINARY:
             vec = encode_binary(text)
         elif kind is EncoderKind.BM25_QUERY:
@@ -123,18 +138,16 @@ def encode_side(
         elif kind is EncoderKind.BM25_DOC:
             vec = encode_bm25_doc(text, res.stats, config.bm25)
         else:
-            emb = toy_backbone(expanded, res.vocab.size, config.backbone_dim, seed)
-            if kind in (EncoderKind.MLP, EncoderKind.EXP_MLP):
-                vec = encode_mlp(expanded, emb, heads)
-            elif kind is EncoderKind.MLM:
-                vec = encode_mlm(expanded, emb, heads)
+            emb = toy_backbone(text, res.vocab.size, config.backbone_dim, seed)
+            if kind is EncoderKind.MLM:
+                vec = encode_mlm(text, emb, heads)
             elif kind is EncoderKind.CLS_MLM:
-                vec = encode_cls_mlm(expanded, emb, heads)
+                vec = encode_cls_mlm(text, emb, heads)
             else:
-                raise ValidationError(f"unsupported encoder kind {kind.value!r}")
+                vec = encode_mlp(text, emb, heads)
         if cfg.regularizer.kind is RegularizerKind.TOPK:
             vec = topk_prune(vec, cfg.regularizer.k)
-        if kind in NON_EXPANDING and not set(vec.entries) <= set(expanded.token_ids):
+        if kind in NON_EXPANDING and not set(vec.entries) <= set(text.token_ids):
             raise ValidationError(
                 f"{config.name}: {kind.value} emitted a term outside the input for {text.doc_id!r}"
             )
@@ -167,14 +180,16 @@ def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseV
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json_object(json.loads(line), "record")
                 vec = SparseVector(
-                    {vocab.term_to_id[t]: float(w) for t, w in rec["vector"].items()}
+                    {vocab.term_to_id[t]: float(w) for t, w in json_object(rec["vector"], "vector").items()}
                 )
                 if not all(0 <= w < math.inf for w in vec.entries.values()):
                     raise ValueError("weights must be finite and non-negative")
+                if not isinstance(rec["id"], str):
+                    raise ValueError("id must be a string")
                 out.append((rec["id"], vec))
-            except (KeyError, ValueError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise ValidationError(f"{path}:{lineno}: bad vector record ({e})") from e
     return out
 
@@ -212,17 +227,9 @@ def run_search(config: MethodConfig, index_dir: Path, query_vectors_path: Path, 
     if index.vocab_id != vocab_identity(vocab):
         raise ValidationError(f"index was built with vocab {index.vocab_id}; {config.paths.vocab} differs")
     queries = read_vectors(query_vectors_path, vocab)
-    rankings: dict[str, list[tuple[str, float]]] = {}
-    total_ops = 0
-    nnz = []
-    for qid, qvec in queries:
-        ranked, ops = index_search(index, qvec, config.top_k)
-        total_ops += ops
-        nnz.append(qvec.nnz)
-        if ranked:
-            rankings[qid] = ranked
-    run = RunFile(rankings=rankings)
+    run, total_ops = search_all(index, queries, config.top_k)
     write_run(run, run_path, tag=config.name)
+    nnz = [qvec.nnz for _, qvec in queries]
     return {
         "queries": len(queries),
         "ops_count": total_ops,
@@ -231,10 +238,20 @@ def run_search(config: MethodConfig, index_dir: Path, query_vectors_path: Path, 
     }
 
 
-def run_eval(run_path: Path, qrels_path: Path, ks: dict[str, int] | None = None) -> dict:
-    ks = ks or {"mrr": 10, "ndcg": 10, "recall": 1000}
-    run = read_run(run_path)
-    qrels = read_qrels(qrels_path)
+def search_all(index: ImpactIndex, queries: list[tuple[str, SparseVector]], k: int) -> tuple[RunFile, int]:
+    """Top-k per query in query order (no ranking for a query without hits) and the summed ops_count."""
+    rankings: dict[str, list[tuple[str, float]]] = {}
+    total_ops = 0
+    for qid, qvec in queries:
+        ranked, ops = index_search(index, qvec, k)
+        total_ops += ops
+        if ranked:
+            rankings[qid] = ranked
+    return RunFile(rankings=rankings), total_ops
+
+
+def evaluate(run: RunFile, qrels: Qrels, ks: dict[str, int]) -> dict[str, float]:
+    """MRR, NDCG and Recall at the cutoffs ks["mrr"], ks["ndcg"] and ks["recall"]."""
     return {
         f"mrr@{ks['mrr']}": mrr_at_k(run, qrels, ks["mrr"]),
         f"ndcg@{ks['ndcg']}": ndcg_at_k(run, qrels, ks["ndcg"]),
@@ -242,26 +259,28 @@ def run_eval(run_path: Path, qrels_path: Path, ks: dict[str, int] | None = None)
     }
 
 
+def run_eval(run_path: Path, qrels_path: Path, ks: dict[str, int] | None = None) -> dict:
+    ks = ks or {"mrr": 10, "ndcg": 10, "recall": 1000}
+    return evaluate(read_run(run_path), read_qrels(qrels_path), ks)
+
+
 def run_train(
     config: MethodConfig,
     seed: int,
-    query_heads_out: Path | None = None,
-    doc_heads_out: Path | None = None,
     train_query: bool = True,
     train_doc: bool = True,
     query_heads_init: HeadParameters | None = None,
     doc_heads_init: HeadParameters | None = None,
+    res: Resources | None = None,
 ) -> TrainResult:
-    """Train the configured heads on the configured triples file."""
+    """Train the configured heads on the configured triples; `res` defaults to `load_resources(config)`."""
     if config.paths.triples is None:
         raise ValidationError(f"{config.name}: training requires paths.triples")
-    res = load_resources(config)
-    queries = {q.doc_id: q for q in res.queries}
-    doc_map = {}
-    for d in res.docs:
-        expanded = expand_text(d, res.expansions) if config.doc.encoder is EncoderKind.EXP_MLP else d
-        doc_map[d.doc_id] = expanded
-    triples = read_triples(config.paths.triples, queries, doc_map)
+    if res is None:
+        res = load_resources(config)
+    queries = {q.doc_id: side_text(config.query.encoder, q, res) for q in res.queries}
+    docs = {d.doc_id: side_text(config.doc.encoder, d, res) for d in res.docs}
+    triples = read_triples(config.paths.triples, queries, docs)
 
     term_labels = None
     if config.supervision.loss == "term_mse":
@@ -281,27 +300,17 @@ def run_train(
         doc_reg=config.doc.regularizer,
         steps=config.supervision.steps,
         lr=config.supervision.lr,
-        seed=seed,
-        query_heads=query_heads_init or side_heads(config, "query", seed, res.vocab.size),
-        doc_heads=doc_heads_init or side_heads(config, "doc", seed, res.vocab.size),
         train_query=train_query,
         train_doc=train_doc,
-        activation=config.doc.activation,
-        mlp_log_normalize=config.doc.log_normalize,
     )
-    result = train_heads(
+    return train_heads(
         setup,
         triples,
         embed=lambda text: toy_backbone(text, res.vocab.size, config.backbone_dim, seed),
-        vocab_size=res.vocab.size,
-        dim=config.backbone_dim,
+        query_heads=query_heads_init or side_heads(config, "query", seed, res.vocab.size),
+        doc_heads=doc_heads_init or side_heads(config, "doc", seed, res.vocab.size),
         term_labels=term_labels,
     )
-    if query_heads_out:
-        write_head_parameters(result.query_heads, query_heads_out)
-    if doc_heads_out:
-        write_head_parameters(result.doc_heads, doc_heads_out)
-    return result
 
 
 @dataclass
@@ -328,7 +337,7 @@ def run_pipeline(
     res = load_resources(config)
 
     if train and query_heads is None and doc_heads is None:
-        result = run_train(config, seed)
+        result = run_train(config, seed, res=res)
         query_heads, doc_heads = result.query_heads, result.doc_heads
 
     doc_vectors = encode_side(config, "doc", res.docs, res, seed, heads=doc_heads)
@@ -337,25 +346,12 @@ def run_pipeline(
     write_vectors(query_vectors, res.vocab, workdir / "queries.jsonl")
 
     index = build_index(doc_vectors, config.quantization)
-    rankings: dict[str, list[tuple[str, float]]] = {}
-    total_ops = 0
-    for qid, qvec in query_vectors:
-        ranked, ops = index_search(index, qvec, config.top_k)
-        total_ops += ops
-        if ranked:
-            rankings[qid] = ranked
-    run = RunFile(rankings=rankings)
-    run_path = workdir / "run.trec"
-    write_run(run, run_path, tag=config.name)
+    run, total_ops = search_all(index, query_vectors, config.top_k)
+    write_run(run, workdir / "run.trec", tag=config.name)
 
     metrics: dict[str, float] = {}
     if config.paths.qrels:
-        qrels = read_qrels(config.paths.qrels)
-        metrics = {
-            "mrr@10": mrr_at_k(run, qrels, 10),
-            "ndcg@10": ndcg_at_k(run, qrels, 10),
-            f"recall@{recall_k}": recall_at_k(run, qrels, recall_k),
-        }
+        metrics = evaluate(run, read_qrels(config.paths.qrels), {"mrr": 10, "ndcg": 10, "recall": recall_k})
     d_nnz = [v.nnz for _, v in doc_vectors]
     q_nnz = [v.nnz for _, v in query_vectors]
     return PipelineReport(
@@ -390,9 +386,10 @@ def run_ablation(
     attributable to that single change.
     """
     workdir = Path(workdir)
-    base_q = base_d = None
+    base_q = base_d = res = None
     if train:
-        base_result = run_train(config, seed)
+        res = load_resources(config)  # toggles change no path, so every variant shares it
+        base_result = run_train(config, seed, res=res)
         base_q, base_d = base_result.query_heads, base_result.doc_heads
     reports = [
         run_pipeline(
@@ -407,16 +404,16 @@ def run_ablation(
             side = _changed_side(config, variant)
             if side == "query":
                 if variant.query.encoder in DIFFERENTIABLE:
-                    result = run_train(variant, seed, train_doc=False, doc_heads_init=base_d)
+                    result = run_train(variant, seed, train_doc=False, doc_heads_init=base_d, res=res)
                     vq = result.query_heads
                 vd = base_d
             elif side == "doc":
                 if variant.doc.encoder in DIFFERENTIABLE:
-                    result = run_train(variant, seed, train_query=False, query_heads_init=base_q)
+                    result = run_train(variant, seed, train_query=False, query_heads_init=base_q, res=res)
                     vd = result.doc_heads
                 vq = base_q
             else:
-                result = run_train(variant, seed)
+                result = run_train(variant, seed, res=res)
                 vq, vd = result.query_heads, result.doc_heads
         reports.append(
             run_pipeline(
@@ -449,16 +446,4 @@ def format_report(reports: list[PipelineReport]) -> str:
 
 
 def report_json(reports: list[PipelineReport]) -> str:
-    return json.dumps(
-        [
-            {
-                "name": r.name,
-                "metrics": r.metrics,
-                "mean_query_nnz": r.mean_query_nnz,
-                "mean_doc_nnz": r.mean_doc_nnz,
-                "ops_count": r.ops_count,
-            }
-            for r in reports
-        ],
-        indent=2,
-    )
+    return json.dumps([asdict(r) for r in reports], indent=2)

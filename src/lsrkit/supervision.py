@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import TokenizedText
+from .core import TokenizedText, json_object
 from .encoders import (
     DIFFERENTIABLE,
     EmbeddingBundle,
@@ -25,7 +25,6 @@ from .encoders import (
     HeadParameters,
     head_backward,
     head_forward,
-    init_head_parameters,
 )
 from .regularization import (
     RegularizerConfig,
@@ -121,6 +120,10 @@ def margin_mse_loss(
 # ---------------------------------------------------------------------------
 
 
+#: share of the steps over which the regularizer weight ramps up quadratically
+WARMUP_FRACTION = 1.0 / 3.0
+
+
 @dataclass
 class TrainSetup:
     query_encoder: EncoderKind
@@ -131,14 +134,8 @@ class TrainSetup:
     doc_reg: RegularizerConfig = field(default_factory=RegularizerConfig)
     steps: int = 100
     lr: float = 0.5
-    seed: int = 0
-    warmup_fraction: float = 1.0 / 3.0  # quadratic ramp of the reg coefficient
-    query_heads: HeadParameters | None = None
-    doc_heads: HeadParameters | None = None
     train_query: bool = True
     train_doc: bool = True
-    activation: str = "relu"
-    mlp_log_normalize: bool = True
 
 
 @dataclass
@@ -148,10 +145,10 @@ class TrainResult:
     loss_history: list[float]
 
 
-def _reg_lambda(cfg: RegularizerConfig, step: int, steps: int, warmup_fraction: float) -> float:
+def _reg_lambda(cfg: RegularizerConfig, step: int, steps: int) -> float:
     if cfg.kind not in (RegularizerKind.FLOPS, RegularizerKind.L1, RegularizerKind.L2):
         return 0.0
-    warm = max(1, int(steps * warmup_fraction))
+    warm = max(1, int(steps * WARMUP_FRACTION))
     ramp = min(1.0, (step / warm) ** 2)
     return cfg.weight * ramp
 
@@ -160,15 +157,16 @@ def train_heads(
     setup: TrainSetup,
     triples: list[TrainingTriple],
     embed: Callable[[TokenizedText], EmbeddingBundle],
-    vocab_size: int,
-    dim: int,
+    query_heads: HeadParameters,
+    doc_heads: HeadParameters,
     term_labels: TermRecallLabels | None = None,
 ) -> TrainResult:
     """Full-batch gradient descent on loss + lambda * regularizer; heads only.
 
-    Backbone embeddings are frozen inputs supplied by `embed`.  Deterministic
-    given the seed: initialization, iteration order, and summation order are
-    all fixed.
+    Starts from copies of the given heads (shared heads: the query heads serve
+    both sides) and reads |V| and d off them.  Backbone embeddings are frozen
+    inputs supplied by `embed`.  Deterministic: iteration order and summation
+    order are fixed.
     """
     for side, kind, trains in (
         ("query", setup.query_encoder, setup.train_query),
@@ -185,17 +183,9 @@ def train_heads(
     if setup.loss_kind == "term_mse" and term_labels is None:
         raise ValueError("term_mse supervision requires term labels")
 
-    def init(side_seed: int) -> HeadParameters:
-        return init_head_parameters(
-            vocab_size,
-            dim,
-            side_seed,
-            activation=setup.activation,
-            mlp_log_normalize=setup.mlp_log_normalize,
-        )
-
-    q_heads = (setup.query_heads or init(setup.seed)).copy()
-    d_heads = q_heads if setup.shared_heads else (setup.doc_heads or init(setup.seed + 1)).copy()
+    q_heads = query_heads.copy()
+    d_heads = q_heads if setup.shared_heads else doc_heads.copy()
+    vocab_size, dim = q_heads.mlm_bias.size, q_heads.mlp_weight.size
 
     # Texts are encoded once per step per distinct id; embeddings cached upfront.
     q_texts = {("q", t.query.doc_id): t.query for t in triples}
@@ -277,7 +267,7 @@ def train_heads(
 
         # Batch regularizers (FLOPs / L1 / L2) with quadratic warm-up.
         for side, cfg in (("q", setup.query_reg), ("d", setup.doc_reg)):
-            lam = _reg_lambda(cfg, step, setup.steps, setup.warmup_fraction)
+            lam = _reg_lambda(cfg, step, setup.steps)
             if lam == 0.0:
                 continue
             keys = sorted(k for k in fwd if k[0] == side)
@@ -325,10 +315,11 @@ def read_triples(
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json_object(json.loads(line), "record")
                 teacher = None
                 if rec.get("teacher") is not None:
-                    teacher = (float(rec["teacher"]["pos"]), tuple(float(s) for s in rec["teacher"]["negs"]))
+                    scores = json_object(rec["teacher"], "teacher")
+                    teacher = (float(scores["pos"]), tuple(float(s) for s in scores["negs"]))
                 out.append(
                     TrainingTriple(
                         query=queries[rec["q"]],

@@ -294,8 +294,9 @@ class TestCriterion5:
         for lam in (0.0, 0.01, 0.1, 1.0):
             reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=lam)
             setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
-                               query_reg=reg, doc_reg=reg, steps=150, lr=0.5, seed=3)
-            result = train_heads(setup, triples, embed, V, D)
+                               query_reg=reg, doc_reg=reg, steps=150, lr=0.5)
+            result = train_heads(setup, triples, embed,
+                                 init_head_parameters(V, D, 3), init_head_parameters(V, D, 4))
             counts = [
                 int((head_forward(EncoderKind.MLM, d, embed(d), result.doc_heads)[0] > 0).sum())
                 for d in task.docs
@@ -320,14 +321,13 @@ class TestCriterion6:
 
         base = train_heads(
             TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=False,
-                       query_reg=reg, doc_reg=reg, steps=150, lr=0.5, seed=3),
-            triples, embed, V, D,
+                       query_reg=reg, doc_reg=reg, steps=150, lr=0.5),
+            triples, embed, init_head_parameters(V, D, 3), init_head_parameters(V, D, 4),
         )
         variant = train_heads(
             TrainSetup(EncoderKind.MLP, EncoderKind.MLM, shared_heads=False,
-                       query_reg=reg, doc_reg=reg, steps=150, lr=0.5, seed=3,
-                       doc_heads=base.doc_heads, train_doc=False),
-            triples, embed, V, D,
+                       query_reg=reg, doc_reg=reg, steps=150, lr=0.5, train_doc=False),
+            triples, embed, init_head_parameters(V, D, 3), base.doc_heads,
         )
 
         def encode_all(kind, texts, heads):

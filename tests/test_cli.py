@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from lsrkit import pipeline
 from lsrkit.cli import main
 from lsrkit.config import ValidationError, apply_toggle, load_config
 from lsrkit.core import read_collection, read_vocabulary, compute_corpus_stats
-from lsrkit.encoders import EncoderKind, encode_bm25_doc, encode_bm25_query, Bm25Params
+from lsrkit.encoders import EncoderKind, encode_bm25_doc, encode_bm25_query, Bm25Params, read_head_parameters
 from lsrkit.index import build_index, exhaustive_search
 from lsrkit.regularization import RegularizerKind
 from lsrkit.synthetic import make_synthetic_task, write_task
@@ -247,8 +248,6 @@ class TestCliCommands:
             "--output", str(q_out), "--doc-output", str(d_out),
         ])
         assert code == 0
-        from lsrkit.encoders import read_head_parameters
-
         heads = read_head_parameters(q_out)
         assert heads.mlp_weight.shape == (8,)
         assert d_out.exists()
@@ -344,3 +343,141 @@ class TestAblate:
             "--workdir", str(tmp_path / "work"), "--toggle", "query_encoder=mlp,doc_encoder=mlm",
         ])
         assert code == 1
+
+
+def _encode_doc_argv(config_path, tmp_path):
+    return [
+        "encode", "--config", str(config_path), "--side", "doc",
+        "--input", str(tmp_path / "data" / "collection.tsv"), "--output", str(tmp_path / "o.jsonl"),
+    ]
+
+
+class TestMalformedJson:
+    """A JSON input of the wrong shape is exit 1 naming the file, never a traceback."""
+
+    @pytest.mark.parametrize("case", [
+        "vector_not_object", "record_not_object", "triple_not_object",
+        "regularizer_not_object", "config_not_object", "heads_without_tensors",
+    ])
+    def test_exits_1(self, tmp_path, capsys, case):
+        config_path, _ = make_workspace(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.jsonl"
+        if case in ("vector_not_object", "record_not_object"):
+            bad.write_text('{"id": "d1", "vector": [1]}\n' if case == "vector_not_object" else "[1, 2]\n", encoding="utf-8")
+            argv = ["index", "--config", str(config_path), "--vectors", str(bad), "--output", str(tmp_path / "index")]
+            where = f"{bad}:1"
+        elif case == "triple_not_object":
+            (tmp_path / "data" / "triples.jsonl").write_text("[1]\n", encoding="utf-8")
+            argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "heads.json")]
+            where = "triples.jsonl:1"
+        else:
+            if case == "regularizer_not_object":
+                config["doc"]["regularizer"] = "flops"
+                where = "config.json"
+            elif case == "config_not_object":
+                config = [config]
+                where = "config.json"
+            else:
+                bad.write_text(json.dumps({"activation": "relu"}), encoding="utf-8")
+                config["paths"]["doc_heads"] = bad.name
+                where = bad.name
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            argv = _encode_doc_argv(config_path, tmp_path)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and where in err
+
+
+class TestHeadsFiles:
+    """`train-head` output feeds `encode` through paths.doc_heads; a file that does
+    not fit the config side is exit 1 naming the file."""
+
+    @staticmethod
+    def _damage(rec, case):
+        tensors = rec["tensors"]
+        if case == "missing_field":
+            del rec["activation"]
+        elif case == "ill_typed_flag":
+            rec["mlp_log_normalize"] = "yes"
+        elif case == "ill_typed_tensor":
+            tensors["mlp_bias"]["data"] = "x"
+        elif case == "non_finite":
+            tensors["mlm_bias"]["data"][3] = math.nan
+        elif case == "short_mlm_bias":
+            tensors["mlm_bias"]["data"].pop()
+            tensors["mlm_bias"]["shape"][0] -= 1
+        elif case == "short_d_vectors":
+            for name in ("mlp_weight", "quality_weight", "importance_weight"):
+                tensors[name]["data"].pop()
+                tensors[name]["shape"][0] -= 1
+        elif case == "activation":
+            rec["activation"] = "softplus"
+        elif case == "log_normalize":
+            rec["mlp_log_normalize"] = False
+        elif case == "quality_heads":
+            rec["use_quality_heads"] = True
+
+    @pytest.mark.parametrize("case", [
+        "fits", "missing_field", "ill_typed_flag", "ill_typed_tensor", "non_finite",
+        "short_mlm_bias", "short_d_vectors", "activation", "log_normalize", "quality_heads",
+    ])
+    def test_heads_file_must_fit_config_side(self, tmp_path, capsys, case):
+        config_path, _ = make_workspace(tmp_path)
+        heads = tmp_path / "d_heads.json"
+        assert main(["train-head", "--config", str(config_path), "--output", str(tmp_path / "q_heads.json"),
+                     "--doc-output", str(heads)]) == 0
+        rec = json.loads(heads.read_text(encoding="utf-8"))
+        self._damage(rec, case)
+        heads.write_text(json.dumps(rec), encoding="utf-8")
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["paths"]["doc_heads"] = heads.name
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        code = main(_encode_doc_argv(config_path, tmp_path))
+        err = capsys.readouterr().err
+        if case == "fits":
+            assert code == 0, err
+        else:
+            assert code == 1
+            assert err.startswith("error:") and heads.name in err
+
+
+class TestOnePath:
+    def test_training_embeds_the_expanded_query(self, tmp_path, monkeypatch):
+        """With an exp_mlp query side, training embeds the same token ids for a
+        query as encode_side does."""
+        config_path, task = make_workspace(tmp_path, query={"encoder": "exp_mlp"})
+        qid = task.triples[0]["q"]
+        query = next(q for q in task.queries if q.doc_id == qid)
+        extra = [t for t in task.vocab.terms if task.vocab.term_to_id[t] not in query.token_ids][:3]
+        with open(tmp_path / "data" / "expansions.tsv", "a", encoding="utf-8") as f:
+            f.write(f"{qid}\t{' '.join(extra)}\n")
+        config = load_config(config_path)
+
+        embedded: dict[str, list[tuple[int, ...]]] = {}
+        backbone = pipeline.toy_backbone
+
+        def recording_backbone(text, *args):
+            embedded.setdefault(text.doc_id, []).append(text.token_ids)
+            return backbone(text, *args)
+
+        monkeypatch.setattr(pipeline, "toy_backbone", recording_backbone)
+        pipeline.run_train(config, config.backbone_seed)
+        trained = embedded.pop(qid)
+        res = pipeline.load_resources(config)
+        pipeline.encode_side(config, "query", [query], res, config.backbone_seed)
+        assert len(embedded[qid][0]) == len(query.token_ids) + 3
+        assert trained == embedded[qid]
+
+    @pytest.mark.parametrize("name", ["deepimpact", "splade_max"])
+    def test_pipeline_run_equals_index_search_eval(self, tmp_path, name):
+        """run_pipeline's run file and metrics equal run_index -> run_search -> run_eval
+        on the vectors it wrote."""
+        config = load_config(CONFIG_DIR / f"{name}.json")
+        report = pipeline.run_pipeline(config, tmp_path, config.backbone_seed)
+        pipeline.run_index(config, tmp_path / "docs.jsonl", tmp_path / "index")
+        pipeline.run_search(config, tmp_path / "index", tmp_path / "queries.jsonl", tmp_path / "cli.trec")
+        assert (tmp_path / "cli.trec").read_bytes() == (tmp_path / "run.trec").read_bytes()
+        assert report.metrics == pipeline.run_eval(tmp_path / "cli.trec", config.paths.qrels)

@@ -181,11 +181,18 @@ class TestTrainHeads:
     def _embed(self, vocab_size):
         return lambda t: toy_backbone(t, vocab_size, self.DIM, seed=11)
 
+    def _heads(self, vocab_size, seed, **kwargs):
+        """Seeded query and doc heads, seeds `seed` and `seed + 1`."""
+        return (
+            init_head_parameters(vocab_size, self.DIM, seed, **kwargs),
+            init_head_parameters(vocab_size, self.DIM, seed + 1, **kwargs),
+        )
+
     def test_lr_zero_returns_initialization(self):
         task, triples = small_task()
         v = task.vocab.size
-        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True, steps=5, lr=0.0, seed=2)
-        result = train_heads(setup, triples, self._embed(v), v, self.DIM)
+        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True, steps=5, lr=0.0)
+        result = train_heads(setup, triples, self._embed(v), *self._heads(v, 2))
         init = init_head_parameters(v, self.DIM, 2)
         assert np.array_equal(result.query_heads.mlm_bias, init.mlm_bias)
         assert np.array_equal(result.query_heads.mlp_weight, init.mlp_weight)
@@ -193,9 +200,9 @@ class TestTrainHeads:
     def test_deterministic_given_seed(self):
         task, triples = small_task()
         v = task.vocab.size
-        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLM, steps=10, lr=0.3, seed=4)
-        a = train_heads(setup, triples, self._embed(v), v, self.DIM)
-        b = train_heads(setup, triples, self._embed(v), v, self.DIM)
+        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLM, steps=10, lr=0.3)
+        a = train_heads(setup, triples, self._embed(v), *self._heads(v, 4))
+        b = train_heads(setup, triples, self._embed(v), *self._heads(v, 4))
         assert np.array_equal(a.query_heads.mlp_weight, b.query_heads.mlp_weight)
         assert np.array_equal(a.doc_heads.mlm_bias, b.doc_heads.mlm_bias)
         assert a.loss_history == b.loss_history
@@ -203,8 +210,8 @@ class TestTrainHeads:
     def test_contrastive_loss_decreases_on_separable_task(self):
         task, triples = small_task()
         v = task.vocab.size
-        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLP, steps=50, lr=0.3, seed=4)
-        result = train_heads(setup, triples, self._embed(v), v, self.DIM)
+        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLP, steps=50, lr=0.3)
+        result = train_heads(setup, triples, self._embed(v), *self._heads(v, 4))
         hist = result.loss_history[:50]
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
@@ -214,19 +221,19 @@ class TestTrainHeads:
         with pytest.raises(ValueError, match="no trainable head"):
             train_heads(
                 TrainSetup(EncoderKind.BM25_QUERY, EncoderKind.MLM, steps=1),
-                triples, self._embed(v), v, self.DIM,
+                triples, self._embed(v), *self._heads(v, 0),
             )
         with pytest.raises(ValueError, match="no trainable head"):
             train_heads(
                 TrainSetup(EncoderKind.BINARY, EncoderKind.MLM, steps=1),
-                triples, self._embed(v), v, self.DIM,
+                triples, self._embed(v), *self._heads(v, 0),
             )
 
     def test_frozen_binary_query_side_allowed(self):
         task, triples = small_task()
         v = task.vocab.size
         setup = TrainSetup(EncoderKind.BINARY, EncoderKind.MLM, steps=5, lr=0.3, train_query=False)
-        result = train_heads(setup, triples, self._embed(v), v, self.DIM)
+        result = train_heads(setup, triples, self._embed(v), *self._heads(v, 0))
         assert len(result.loss_history) == 5
 
     def _mean_doc_nnz(self, task, heads):
@@ -245,9 +252,9 @@ class TestTrainHeads:
             reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=lam)
             setup = TrainSetup(
                 EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
-                query_reg=reg, doc_reg=reg, steps=80, lr=0.5, seed=3,
+                query_reg=reg, doc_reg=reg, steps=80, lr=0.5,
             )
-            result = train_heads(setup, triples, self._embed(v), v, self.DIM)
+            result = train_heads(setup, triples, self._embed(v), *self._heads(v, 3))
             nnz.append(self._mean_doc_nnz(task, result.doc_heads))
         assert all(a >= b for a, b in zip(nnz, nnz[1:])), nnz
         assert nnz[-1] < nnz[0]
@@ -256,8 +263,8 @@ class TestTrainHeads:
         task, triples = small_task()
         v = task.vocab.size
         setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
-                           loss_kind="margin_mse", steps=20, lr=0.05, seed=3)
-        result = train_heads(setup, triples, self._embed(v), v, self.DIM)
+                           loss_kind="margin_mse", steps=20, lr=0.05)
+        result = train_heads(setup, triples, self._embed(v), *self._heads(v, 3))
         assert result.loss_history[-1] < result.loss_history[0]
 
     def test_term_mse_training_reduces_loss(self):
@@ -268,22 +275,19 @@ class TestTrainHeads:
             relevant.setdefault(t.positive.doc_id, []).append(t.query)
         labels = compute_term_recall(relevant)
         setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLP, loss_kind="term_mse",
-                           steps=40, lr=0.3, seed=3, mlp_log_normalize=False)
-        result = train_heads(setup, triples, self._embed(v), v, self.DIM, term_labels=labels)
+                           steps=40, lr=0.3)
+        result = train_heads(setup, triples, self._embed(v), *self._heads(v, 3, mlp_log_normalize=False),
+                             term_labels=labels)
         assert result.loss_history[-1] < result.loss_history[0]
 
 
 class TestTrainerGradients:
     """End-to-end parameter gradients vs finite differences through one step."""
 
-    def _numeric_check(self, setup, triples, embed, v, dim, getter, index, side="query", term_labels=None):
+    def _numeric_check(self, setup, triples, embed, start, getter, index, side="query", term_labels=None):
         # one GD step with lr recovers the gradient: grad = (init - updated) / lr
         lr = setup.lr
-        result = train_heads(setup, triples, embed, v, dim, term_labels=term_labels)
-        start = {"query": setup.query_heads, "doc": setup.doc_heads}
-        if start[side] is None:  # shared heads from the seeded initialization
-            init = init_head_parameters(v, dim, setup.seed, mlp_log_normalize=setup.mlp_log_normalize)
-            start = {"query": init, "doc": init}
+        result = train_heads(setup, triples, embed, start["query"], start["doc"], term_labels=term_labels)
         grad = (getter(start[side]) - getter(getattr(result, f"{side}_heads")))[index] / lr
 
         h = 1e-5
@@ -291,10 +295,10 @@ class TestTrainerGradients:
         def loss_with(delta):
             heads = start[side].copy()
             getter(heads)[index] += delta
-            probe = TrainSetup(**{**setup.__dict__, "steps": 1, "lr": 0.0,
-                                  "query_heads": start["query"], "doc_heads": start["doc"],
-                                  f"{side}_heads": heads})
-            return train_heads(probe, triples, embed, v, dim, term_labels=term_labels).loss_history[0]
+            probe = TrainSetup(**{**setup.__dict__, "steps": 1, "lr": 0.0})
+            probe_heads = {**start, side: heads}
+            return train_heads(probe, triples, embed, probe_heads["query"], probe_heads["doc"],
+                               term_labels=term_labels).loss_history[0]
 
         numeric = (loss_with(h) - loss_with(-h)) / (2 * h)
         assert grad == pytest.approx(numeric, rel=1e-3, abs=1e-7)
@@ -304,37 +308,37 @@ class TestTrainerGradients:
         v, dim = task.vocab.size, 6
         return triples, (lambda t: toy_backbone(t, v, dim, seed=11)), v, dim
 
+    @staticmethod
+    def _seeded(v, dim, seed):
+        return {"query": init_head_parameters(v, dim, seed), "doc": init_head_parameters(v, dim, seed + 1)}
+
     def test_mlm_bias_gradient(self, rng):
         triples, embed, v, dim = self._task()
-        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
-                           steps=1, lr=0.25, seed=5)
+        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True, steps=1, lr=0.25)
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(setup, triples, embed, v, dim, lambda h: h.mlm_bias, int(index))
+            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index))
 
     def test_mlp_weight_gradient(self, rng):
         triples, embed, v, dim = self._task()
-        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLP, shared_heads=True,
-                           steps=1, lr=0.25, seed=5)
+        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLP, shared_heads=True, steps=1, lr=0.25)
         for index in range(dim):
-            self._numeric_check(setup, triples, embed, v, dim, lambda h: h.mlp_weight, index)
+            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlp_weight, index)
 
     def test_mlm_bias_gradient_margin_mse(self, rng):
         triples, embed, v, dim = self._task()
         setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
-                           loss_kind="margin_mse", steps=1, lr=0.25, seed=5)
+                           loss_kind="margin_mse", steps=1, lr=0.25)
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(setup, triples, embed, v, dim, lambda h: h.mlm_bias, int(index))
+            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index))
 
     def test_quality_mlm_softplus_doc_bias_gradient(self, rng):
         # EPIC's doc head: MLM with quality heads and softplus, MLP query head
         triples, embed, v, dim = self._task()
-        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLM, steps=1, lr=0.25, seed=5,
-                           query_heads=init_head_parameters(v, dim, 5),
-                           doc_heads=init_head_parameters(v, dim, 6, activation="softplus",
-                                                          use_quality_heads=True))
+        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLM, steps=1, lr=0.25)
+        start = {"query": init_head_parameters(v, dim, 5),
+                 "doc": init_head_parameters(v, dim, 6, activation="softplus", use_quality_heads=True)}
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(setup, triples, embed, v, dim, lambda h: h.mlm_bias, int(index),
-                                side="doc")
+            self._numeric_check(setup, triples, embed, start, lambda h: h.mlm_bias, int(index), side="doc")
 
     def test_cls_mlm_doc_bias_gradient_term_mse(self, rng):
         # TILDE's doc head: CLS-MLM trained on term recall under a frozen binary query side
@@ -344,11 +348,10 @@ class TestTrainerGradients:
             relevant.setdefault(t.positive.doc_id, []).append(t.query)
         labels = compute_term_recall(relevant)
         setup = TrainSetup(EncoderKind.BINARY, EncoderKind.CLS_MLM, loss_kind="term_mse",
-                           steps=1, lr=0.25, seed=5, train_query=False,
-                           doc_heads=init_head_parameters(v, dim, 6))
+                           steps=1, lr=0.25, train_query=False)
         labeled = sorted({t for terms in labels.values() for t in terms})
         for index in rng.choice(labeled, size=5, replace=False):
-            self._numeric_check(setup, triples, embed, v, dim, lambda h: h.mlm_bias, int(index),
+            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index),
                                 side="doc", term_labels=labels)
 
 

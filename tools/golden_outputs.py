@@ -5,10 +5,13 @@
 SRC_DIR is the root of a checkout (its `src/`, `configs/` and `data/` are
 used).  For every bundled config the script runs `run_pipeline` untrained;
 for splade_max, deepimpact, epic and tilde it runs `run_pipeline` trained as
-well; and it runs the CLI path `run_index` -> `run_search` on the untrained
-vectors.  OUT.json maps each output file to its sha256.  Two checkouts give
+well; it runs the CLI path `run_index` -> `run_search` on the untrained
+vectors; and it runs `run_train` at the config's backbone seed, digesting
+`repr(loss_history)` and the bytes of both heads.  Last, it runs a trained
+`run_ablation` of splade_max with four toggles and digests its
+`report_json`.  OUT.json maps each output to its sha256.  Two checkouts give
 the same outputs exactly when their OUT.json files are byte-identical
-(`cmp A.json B.json`).
+(`cmp A.json B.json`).  Only calls that older checkouts also have are used.
 """
 
 from __future__ import annotations
@@ -20,10 +23,20 @@ import tempfile
 from pathlib import Path
 
 TRAINED = ("splade_max", "deepimpact", "epic", "tilde")
+ABLATION = ("splade_max", ["query_encoder=mlp", "doc_encoder=mlp", "regularizer=topk:50", "shared_heads=false"])
 
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def heads_sha256(heads) -> str:
+    """sha256 over every field of a HeadParameters: array bytes, repr of the rest."""
+    h = hashlib.sha256()
+    for name, value in sorted(vars(heads).items()):
+        h.update(name.encode())
+        h.update(value.tobytes() if hasattr(value, "tobytes") else repr(value).encode())
+    return h.hexdigest()
 
 
 def digests(src_dir: Path, work: Path) -> dict:
@@ -31,7 +44,7 @@ def digests(src_dir: Path, work: Path) -> dict:
     from lsrkit import pipeline
     from lsrkit.config import load_config
 
-    out: dict = {"untrained": {}, "trained": {}, "cli": {}}
+    out: dict = {"untrained": {}, "trained": {}, "cli": {}, "train": {}}
     for config_path in sorted((src_dir / "configs").glob("*.json")):
         config = load_config(config_path)
         name = config_path.stem
@@ -43,7 +56,17 @@ def digests(src_dir: Path, work: Path) -> dict:
         pipeline.run_index(config, run_dir / "docs.jsonl", run_dir / "index")
         pipeline.run_search(config, run_dir / "index", run_dir / "queries.jsonl", run_dir / "cli.trec")
         out["cli"][name] = sha256(run_dir / "cli.trec")
+        result = pipeline.run_train(config, config.backbone_seed)
+        out["train"][name] = {
+            "loss_history": hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
+            "query_heads": heads_sha256(result.query_heads),
+            "doc_heads": heads_sha256(result.doc_heads),
+        }
         print(f"{name}: done", file=sys.stderr)
+    name, toggles = ABLATION
+    config = load_config(src_dir / "configs" / f"{name}.json")
+    reports = pipeline.run_ablation(config, toggles, work / "ablation", config.backbone_seed, train=True)
+    out["ablation"] = {name: hashlib.sha256(pipeline.report_json(reports).encode()).hexdigest()}
     return out
 
 
