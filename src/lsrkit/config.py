@@ -76,6 +76,12 @@ class MethodConfig:
             raise ValidationError(
                 f"{self.name}: shared_heads requires identical query/doc encoder kinds"
             )
+        for option in ("activation", "log_normalize", "quality_heads") if self.shared_heads else ():
+            q, d = getattr(self.query, option), getattr(self.doc, option)
+            if q != d:
+                raise ValidationError(
+                    f"{self.name}: shared_heads requires identical query/doc {option}, got {q!r} and {d!r}"
+                )
         if self.query.encoder is EncoderKind.BM25_DOC:
             raise ValidationError(f"{self.name}: query encoder cannot be 'bm25_doc'")
         if self.doc.encoder is EncoderKind.BM25_QUERY:

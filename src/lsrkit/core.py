@@ -183,3 +183,10 @@ def json_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
     return value
+
+
+def json_list(value, what: str) -> list:
+    """`value` if it is a JSON list, else a ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value

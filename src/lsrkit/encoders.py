@@ -291,19 +291,35 @@ def _toy_vector(dim: int, *parts) -> np.ndarray:
     return _hash_rng(*parts).standard_normal(dim) / math.sqrt(dim)
 
 
-def toy_backbone(text: TokenizedText, vocab_size: int, dim: int, seed: int) -> EmbeddingBundle:
+def backbone_table(vocab_size: int, dim: int, seed: int) -> np.ndarray:
+    """The toy backbone's |V| x d input-embedding table, read-only: e_i depends on (i, seed).
+
+    Building it dominates `toy_backbone`, so callers that embed many texts
+    build it once and pass it in.
+    """
+    table = np.vstack(
+        [_toy_vector(dim, "emb", seed, i) for i in range(vocab_size)]
+    ) if vocab_size else np.zeros((0, dim))
+    table.flags.writeable = False
+    return table
+
+
+def toy_backbone(
+    text: TokenizedText, vocab_size: int, dim: int, seed: int, table: np.ndarray | None = None
+) -> EmbeddingBundle:
     """Deterministic, context-sensitive embeddings.
 
     h_j depends on (previous token, token, next token, position parity, seed),
     so the same token gets different embeddings in different contexts.  Half of
     h_j's variance comes from the token's own input embedding e_{t_j}, mimicking
     a real backbone where h_j . e_i is largest for the input term itself.
-    e_i depends on (i, seed).  h_0 is the mean of the h_j (zero for empty text).
+    e_i is row i of `table`, which must be `backbone_table(vocab_size, dim, seed)`
+    and is built here when not given.  h_0 is the mean of the h_j (zero for empty text).
     """
     ids = text.token_ids
-    input_emb = np.vstack(
-        [_toy_vector(dim, "emb", seed, i) for i in range(vocab_size)]
-    ) if vocab_size else np.zeros((0, dim))
+    input_emb = backbone_table(vocab_size, dim, seed) if table is None else table
+    if input_emb.shape != (vocab_size, dim):
+        raise ValueError(f"backbone table is {input_emb.shape}, expected {(vocab_size, dim)}")
     ctx = np.zeros((len(ids), dim))
     for j, t in enumerate(ids):
         prev_t = ids[j - 1] if j > 0 else -1

@@ -108,7 +108,10 @@ def write_run(run: RunFile, path: str | Path, tag: str = "lsrkit") -> None:
 
 
 def read_run(path: str | Path) -> RunFile:
+    """Read a run file; a bad line, a non-finite score, a rank out of order or a
+    repeated (qid, docid) is a ValueError naming path:line."""
     rankings: dict[str, list[tuple[str, float]]] = {}
+    seen: set[tuple[str, str]] = set()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -121,11 +124,16 @@ def read_run(path: str | Path) -> RunFile:
                 rank, score = int(rank_s), float(score_s)
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: bad rank or score") from e
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{lineno}: score {score_s} is not finite")
             ranking = rankings.setdefault(qid, [])
             if rank != len(ranking) + 1:
                 raise ValueError(
                     f"{path}:{lineno}: rank {rank} is not contiguous for query {qid!r}"
                 )
+            if (qid, did) in seen:
+                raise ValueError(f"{path}:{lineno}: doc {did!r} is ranked twice for query {qid!r}")
+            seen.add((qid, did))
             ranking.append((did, score))
     return RunFile(rankings=rankings)
 
@@ -138,6 +146,8 @@ def write_qrels(qrels: Qrels, path: str | Path) -> None:
 
 
 def read_qrels(path: str | Path) -> Qrels:
+    """Read a qrels file; a bad line, a bad grade or a repeated (qid, docid) is a
+    ValueError naming path:line."""
     judgments: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -148,7 +158,10 @@ def read_qrels(path: str | Path) -> Qrels:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             qid, _, did, grade_s = parts
             try:
-                judgments[(qid, did)] = int(grade_s)
+                grade = int(grade_s)
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: bad grade") from e
+            if (qid, did) in judgments:
+                raise ValueError(f"{path}:{lineno}: ({qid}, {did}) is judged twice")
+            judgments[(qid, did)] = grade
     return Qrels(judgments=judgments)

@@ -8,8 +8,10 @@ import math
 import os
 import statistics
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .config import MethodConfig, ValidationError, apply_toggle
 from .core import (
@@ -27,6 +29,7 @@ from .encoders import (
     NON_EXPANDING,
     EncoderKind,
     HeadParameters,
+    backbone_table,
     encode_binary,
     encode_bm25_doc,
     encode_bm25_query,
@@ -54,6 +57,14 @@ class Resources:
     queries: list[TokenizedText]
     stats: CorpusStats
     expansions: dict[str, list[int]]
+    tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
+
+    def embedding_table(self, dim: int, seed: int) -> np.ndarray:
+        """The backbone's read-only |V| x dim input-embedding table at `seed`, built on first use."""
+        key = (dim, seed)
+        if key not in self.tables:
+            self.tables[key] = backbone_table(self.vocab.size, dim, seed)
+        return self.tables[key]
 
 
 def load_resources(config: MethodConfig) -> Resources:
@@ -125,8 +136,10 @@ def encode_side(
     """
     cfg = config.query if side == "query" else config.doc
     kind = cfg.encoder
-    if heads is None and kind in DIFFERENTIABLE:
-        heads = side_heads(config, side, seed, res.vocab.size)
+    if kind in DIFFERENTIABLE:
+        table = res.embedding_table(config.backbone_dim, seed)
+        if heads is None:
+            heads = side_heads(config, side, seed, res.vocab.size)
 
     out: list[tuple[str, SparseVector]] = []
     for raw in texts:
@@ -138,7 +151,7 @@ def encode_side(
         elif kind is EncoderKind.BM25_DOC:
             vec = encode_bm25_doc(text, res.stats, config.bm25)
         else:
-            emb = toy_backbone(text, res.vocab.size, config.backbone_dim, seed)
+            emb = toy_backbone(text, res.vocab.size, config.backbone_dim, seed, table)
             if kind is EncoderKind.MLM:
                 vec = encode_mlm(text, emb, heads)
             elif kind is EncoderKind.CLS_MLM:
@@ -303,10 +316,11 @@ def run_train(
         train_query=train_query,
         train_doc=train_doc,
     )
+    table = res.embedding_table(config.backbone_dim, seed)
     return train_heads(
         setup,
         triples,
-        embed=lambda text: toy_backbone(text, res.vocab.size, config.backbone_dim, seed),
+        embed=lambda text: toy_backbone(text, res.vocab.size, config.backbone_dim, seed, table),
         query_heads=query_heads_init or side_heads(config, "query", seed, res.vocab.size),
         doc_heads=doc_heads_init or side_heads(config, "doc", seed, res.vocab.size),
         term_labels=term_labels,

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import TokenizedText, json_object
+from .core import TokenizedText, json_list, json_object
 from .encoders import (
     DIFFERENTIABLE,
     EmbeddingBundle,
@@ -319,12 +319,13 @@ def read_triples(
                 teacher = None
                 if rec.get("teacher") is not None:
                     scores = json_object(rec["teacher"], "teacher")
-                    teacher = (float(scores["pos"]), tuple(float(s) for s in scores["negs"]))
+                    teacher_negs = json_list(scores["negs"], "teacher.negs")
+                    teacher = (float(scores["pos"]), tuple(float(s) for s in teacher_negs))
                 out.append(
                     TrainingTriple(
                         query=queries[rec["q"]],
                         positive=docs[rec["pos"]],
-                        negatives=tuple(docs[n] for n in rec["negs"]),
+                        negatives=tuple(docs[n] for n in json_list(rec["negs"], "negs")),
                         teacher_scores=teacher,
                     )
                 )

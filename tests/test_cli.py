@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lsrkit import pipeline
+from lsrkit import encoders, pipeline
 from lsrkit.cli import main
 from lsrkit.config import ValidationError, apply_toggle, load_config
 from lsrkit.core import read_collection, read_vocabulary, compute_corpus_stats
@@ -82,6 +82,17 @@ class TestConfigLoading:
         path, _ = make_workspace(tmp_path, doc={"encoder": "mlm"}, shared_heads=True)
         with pytest.raises(ValidationError, match="shared_heads"):
             load_config(path)
+
+    @pytest.mark.parametrize("option, value", [
+        ("activation", "softplus"), ("log_normalize", False), ("quality_heads", True),
+    ])
+    def test_shared_heads_requires_matching_options(self, tmp_path, capsys, option, value):
+        path, _ = make_workspace(
+            tmp_path, query={"encoder": "mlm"}, doc={"encoder": "mlm", option: value}, shared_heads=True
+        )
+        assert main(_encode_doc_argv(path, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "shared_heads" in err and option in err
 
     def test_missing_required_paths_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -239,6 +250,32 @@ class TestCliCommands:
         assert code == 1
         assert f"{vectors}:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["nan_score", "inf_score", "run_duplicate", "qrels_duplicate"])
+    def test_bad_run_or_qrels_exits_1(self, tmp_path, capsys, case):
+        """A non-finite score, or a (qid, doc) twice in a run or in qrels, is exit 1 naming
+        path:line (a NaN top score compares as neither higher nor lower than the rest)."""
+        run_path, qrels_path = tmp_path / "run.trec", tmp_path / "qrels.txt"
+        run = ["q1 Q0 a 1 2.0 t", "q1 Q0 b 2 1.0 t", "q2 Q0 a 1 1.0 t"]
+        qrels = ["q1 0 a 1", "q1 0 b 0", "q2 0 b 1"]
+        if case == "nan_score":
+            run[0] = "q1 Q0 a 1 nan t"
+            bad, line = run_path, 1
+        elif case == "inf_score":
+            run[1] = "q1 Q0 b 2 -inf t"
+            bad, line = run_path, 2
+        elif case == "run_duplicate":
+            run[1] = "q1 Q0 a 2 1.0 t"
+            bad, line = run_path, 2
+        else:
+            qrels.append("q1 0 a 0")
+            bad, line = qrels_path, 4
+        run_path.write_text("".join(r + "\n" for r in run), encoding="utf-8")
+        qrels_path.write_text("".join(q + "\n" for q in qrels), encoding="utf-8")
+        code = main(["eval", "--run", str(run_path), "--qrels", str(qrels_path), "--output", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and f"{bad}:{line}:" in err
+
     def test_train_head_writes_parameters(self, tmp_path):
         config_path, _ = make_workspace(tmp_path)
         q_out = tmp_path / "q_heads.json"
@@ -356,7 +393,7 @@ class TestMalformedJson:
     """A JSON input of the wrong shape is exit 1 naming the file, never a traceback."""
 
     @pytest.mark.parametrize("case", [
-        "vector_not_object", "record_not_object", "triple_not_object",
+        "vector_not_object", "record_not_object", "triple_not_object", "negs_not_list", "teacher_negs_not_list",
         "regularizer_not_object", "config_not_object", "heads_without_tensors",
     ])
     def test_exits_1(self, tmp_path, capsys, case):
@@ -371,6 +408,18 @@ class TestMalformedJson:
             (tmp_path / "data" / "triples.jsonl").write_text("[1]\n", encoding="utf-8")
             argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "heads.json")]
             where = "triples.jsonl:1"
+        elif case in ("negs_not_list", "teacher_negs_not_list"):
+            triples = tmp_path / "data" / "triples.jsonl"
+            lines = triples.read_text(encoding="utf-8").splitlines()
+            rec = json.loads(lines[1])
+            if case == "negs_not_list":  # iterating an object yields its keys
+                rec["negs"] = {n: 1 for n in rec["negs"]}
+            else:  # keys that parse as scores
+                rec["teacher"]["negs"] = {str(i): x for i, x in enumerate(rec["teacher"]["negs"])}
+            lines[1] = json.dumps(rec)
+            triples.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "heads.json")]
+            where = "triples.jsonl:2"
         else:
             if case == "regularizer_not_object":
                 config["doc"]["regularizer"] = "flops"
@@ -481,3 +530,75 @@ class TestOnePath:
         pipeline.run_search(config, tmp_path / "index", tmp_path / "queries.jsonl", tmp_path / "cli.trec")
         assert (tmp_path / "cli.trec").read_bytes() == (tmp_path / "run.trec").read_bytes()
         assert report.metrics == pipeline.run_eval(tmp_path / "cli.trec", config.paths.qrels)
+
+
+class TestBackboneTable:
+    """A `Resources` owns the backbone's input-embedding table: built on first backbone
+    use, once per (dim, seed), read-only, and giving the bundles of the reference
+    `toy_backbone(text, V, d, seed)`."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        builds: list[tuple] = []
+        bundles: list[tuple] = []
+        table, backbone = pipeline.backbone_table, pipeline.toy_backbone
+
+        def counting_table(*args):
+            builds.append(args)
+            return table(*args)
+
+        def recording_backbone(text, *args):
+            bundle = backbone(text, *args)
+            bundles.append((text, args, bundle))
+            return bundle
+
+        monkeypatch.setattr(pipeline, "backbone_table", counting_table)
+        monkeypatch.setattr(pipeline, "toy_backbone", recording_backbone)
+        return builds, bundles
+
+    def test_built_once_per_dim_and_seed(self, tmp_path, monkeypatch):
+        config_path, _ = make_workspace(tmp_path, query={"encoder": "mlm"})
+        config = load_config(config_path)
+        res = pipeline.load_resources(config)
+        v, d, s = res.vocab.size, config.backbone_dim, config.backbone_seed
+        builds, bundles = self._record(monkeypatch)
+        pipeline.run_train(config, s, res=res)
+        pipeline.encode_side(config, "doc", res.docs, res, s)
+        pipeline.encode_side(config, "query", res.queries, res, s)
+        assert builds == [(v, d, s)]
+        assert len(bundles) > len(res.docs) + len(res.queries)
+        table = res.embedding_table(d, s)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        for text, args, bundle in bundles:
+            assert args[:3] == (v, d, s) and args[3] is table
+            ref = encoders.toy_backbone(text, v, d, s)
+            for field in ("ctx_embeddings", "cls_embedding", "input_embeddings"):
+                assert getattr(bundle, field).tobytes() == getattr(ref, field).tobytes()
+
+    def test_seeds_share_one_resources(self, tmp_path, monkeypatch):
+        """Encoding at seeds s, s + 1, s on one Resources equals fresh Resources per seed."""
+        config_path, _ = make_workspace(tmp_path, query={"encoder": "mlm"})
+        config = load_config(config_path)
+        s = config.backbone_seed
+        fresh = {}
+        for seed in (s, s + 1):
+            res = pipeline.load_resources(config)
+            fresh[seed] = pipeline.encode_side(config, "query", res.queries, res, seed)
+        assert fresh[s] != fresh[s + 1]
+        builds, _ = self._record(monkeypatch)
+        res = pipeline.load_resources(config)
+        for seed in (s, s + 1, s):
+            assert pipeline.encode_side(config, "query", res.queries, res, seed) == fresh[seed]
+        d = config.backbone_dim
+        assert builds == [(res.vocab.size, d, s), (res.vocab.size, d, s + 1)]
+
+    def test_no_table_without_a_backbone(self, tmp_path, monkeypatch):
+        config_path, _ = make_workspace(tmp_path, query={"encoder": "binary"}, doc={"encoder": "bm25_doc"})
+        config = load_config(config_path)
+        builds, _ = self._record(monkeypatch)
+        res = pipeline.load_resources(config)
+        pipeline.encode_side(config, "doc", res.docs, res, config.backbone_seed)
+        pipeline.encode_side(config, "query", res.queries, res, config.backbone_seed)
+        assert builds == []

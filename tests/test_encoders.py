@@ -10,6 +10,7 @@ from conftest import make_bundle, make_heads, text
 from lsrkit.core import SparseVector, TokenizedText, compute_corpus_stats
 from lsrkit.encoders import (
     Bm25Params,
+    backbone_table,
     encode_binary,
     encode_bm25_doc,
     encode_bm25_query,
@@ -344,6 +345,19 @@ class TestToyBackbone:
         a = toy_backbone(t, 10, 8, seed=0)
         b = toy_backbone(t, 10, 8, seed=1)
         assert not np.array_equal(a.ctx_embeddings, b.ctx_embeddings)
+
+    def test_given_table(self):
+        """A passed-in table gives the same bundle bit for bit; it is read-only and must be |V| x d."""
+        t = text("d", 3, 1, 4, 1)
+        table = backbone_table(10, 8, seed=5)
+        ref, emb = toy_backbone(t, 10, 8, seed=5), toy_backbone(t, 10, 8, 5, table)
+        for field in ("ctx_embeddings", "cls_embedding", "input_embeddings"):
+            assert getattr(ref, field).tobytes() == getattr(emb, field).tobytes()
+        assert emb.input_embeddings is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        with pytest.raises(ValueError, match="backbone table"):
+            toy_backbone(t, 11, 8, 5, table)
 
 
 class TestEncoderProperties:

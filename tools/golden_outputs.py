@@ -9,8 +9,11 @@ well; it runs the CLI path `run_index` -> `run_search` on the untrained
 vectors; and it runs `run_train` at the config's backbone seed, digesting
 `repr(loss_history)` and the bytes of both heads.  Last, it runs a trained
 `run_ablation` of splade_max with four toggles and digests its
-`report_json`.  OUT.json maps each output to its sha256.  Two checkouts give
-the same outputs exactly when their OUT.json files are byte-identical
+`report_json`.  Then, on one shared `Resources`, it encodes splade_max's
+queries at seeds s, s + 1 and s again (s its backbone seed), so a per-seed
+cache that returned another seed's embeddings would change a digest.
+OUT.json maps each output to its sha256.  Two checkouts give the same
+outputs exactly when their OUT.json files are byte-identical
 (`cmp A.json B.json`).  Only calls that older checkouts also have are used.
 """
 
@@ -67,6 +70,13 @@ def digests(src_dir: Path, work: Path) -> dict:
     config = load_config(src_dir / "configs" / f"{name}.json")
     reports = pipeline.run_ablation(config, toggles, work / "ablation", config.backbone_seed, train=True)
     out["ablation"] = {name: hashlib.sha256(pipeline.report_json(reports).encode()).hexdigest()}
+    res = pipeline.load_resources(config)
+    s = config.backbone_seed
+    out["shared_resources"] = {}
+    for i, seed in enumerate((s, s + 1, s)):
+        vectors = pipeline.encode_side(config, "query", res.queries, res, seed)
+        pipeline.write_vectors(vectors, res.vocab, work / "shared.jsonl")
+        out["shared_resources"][f"{i}: {name} queries, seed {seed}"] = sha256(work / "shared.jsonl")
     return out
 
 
