@@ -12,9 +12,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .core import json_object
-from .encoders import Bm25Params, EncoderKind
+from .encoders import ACTIVATIONS, Bm25Params, EncoderKind
 from .index import Quantization
 from .regularization import RegularizerConfig, RegularizerKind
+from .supervision import LOSS_KINDS
 
 
 class ValidationError(ValueError):
@@ -32,7 +33,7 @@ class SideConfig:
 
 @dataclass(frozen=True)
 class SupervisionConfig:
-    loss: str = "contrastive"  # contrastive | margin_mse | term_mse (term level) | none
+    loss: str = "contrastive"  # contrastive | margin_mse | term_mse (term level)
     steps: int = 100
     lr: float = 0.5
 
@@ -64,14 +65,12 @@ class MethodConfig:
     backbone_dim: int = 16
 
     def validate(self) -> None:
-        if self.doc.encoder is EncoderKind.EXP_MLP and self.paths.expansions is None:
-            raise ValidationError(
-                f"{self.name}: doc encoder 'exp_mlp' requires paths.expansions"
-            )
-        if self.query.encoder is EncoderKind.EXP_MLP and self.paths.expansions is None:
-            raise ValidationError(
-                f"{self.name}: query encoder 'exp_mlp' requires paths.expansions"
-            )
+        sides = (("doc", self.doc, EncoderKind.BM25_QUERY), ("query", self.query, EncoderKind.BM25_DOC))
+        for side, cfg, wrong in sides:
+            if cfg.encoder is EncoderKind.EXP_MLP and self.paths.expansions is None:
+                raise ValidationError(f"{self.name}: {side} encoder 'exp_mlp' requires paths.expansions")
+            if cfg.encoder is wrong:
+                raise ValidationError(f"{self.name}: {side} encoder cannot be {wrong.value!r}")
         if self.shared_heads and self.query.encoder != self.doc.encoder:
             raise ValidationError(
                 f"{self.name}: shared_heads requires identical query/doc encoder kinds"
@@ -82,12 +81,16 @@ class MethodConfig:
                 raise ValidationError(
                     f"{self.name}: shared_heads requires identical query/doc {option}, got {q!r} and {d!r}"
                 )
-        if self.query.encoder is EncoderKind.BM25_DOC:
-            raise ValidationError(f"{self.name}: query encoder cannot be 'bm25_doc'")
-        if self.doc.encoder is EncoderKind.BM25_QUERY:
-            raise ValidationError(f"{self.name}: doc encoder cannot be 'bm25_query'")
         if self.top_k < 0:
             raise ValidationError(f"{self.name}: top_k must be >= 0")
+
+
+def _choice(obj: dict, key: str, choices: tuple, what: str):
+    """`obj[key]`, one of `choices` and of their type ("false" is no boolean); the first is the default."""
+    value = obj.get(key, choices[0])
+    if type(value) is not type(choices[0]) or value not in choices:
+        raise ValueError(f"{what} must be one of {', '.join(map(json.dumps, choices))}, got {json.dumps(value)}")
+    return value
 
 
 def _parse_side(config_obj: dict, side: str) -> SideConfig:
@@ -108,9 +111,9 @@ def _parse_side(config_obj: dict, side: str) -> SideConfig:
         raise ValidationError(f"{name}: bad regularizer: {e}") from e
     return SideConfig(
         encoder=kind,
-        activation=obj.get("activation", "relu"),
-        log_normalize=obj.get("log_normalize", True),
-        quality_heads=obj.get("quality_heads", False),
+        activation=_choice(obj, "activation", ACTIVATIONS, f"{side}.activation"),
+        log_normalize=_choice(obj, "log_normalize", (True, False), f"{side}.log_normalize"),
+        quality_heads=_choice(obj, "quality_heads", (False, True), f"{side}.quality_heads"),
         regularizer=reg,
     )
 
@@ -148,9 +151,9 @@ def load_config(path: str | Path) -> MethodConfig:
             name=obj["name"],
             query=_parse_side(obj, "query"),
             doc=_parse_side(obj, "doc"),
-            shared_heads=bool(obj.get("shared_heads", False)),
+            shared_heads=_choice(obj, "shared_heads", (False, True), "shared_heads"),
             supervision=SupervisionConfig(
-                loss=sup.get("loss", "contrastive"),
+                loss=_choice(sup, "loss", LOSS_KINDS, "supervision.loss"),
                 steps=int(sup.get("steps", 100)),
                 lr=float(sup.get("lr", 0.5)),
             ),

@@ -62,6 +62,9 @@ class EmbeddingBundle:
             raise ValueError("input_embeddings must be |V| x d")
 
 
+ACTIVATIONS = ("relu", "softplus")
+
+
 @dataclass
 class HeadParameters:
     """Parameters of the linear scoring heads on top of frozen embeddings."""
@@ -73,12 +76,12 @@ class HeadParameters:
     quality_bias: float
     importance_weight: np.ndarray  # (d,), per-token importance head input
     importance_bias: float
-    activation: str = "relu"  # relu | softplus
+    activation: str = "relu"  # one of ACTIVATIONS
     mlp_log_normalize: bool = True
     use_quality_heads: bool = False
 
     def __post_init__(self):
-        if self.activation not in ("relu", "softplus"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     def copy(self) -> "HeadParameters":

@@ -10,14 +10,9 @@ from typing import Mapping
 
 @dataclass(frozen=True)
 class Qrels:
-    """Relevance judgments: (query_id, doc_id) -> integer grade >= 0."""
+    """Relevance judgments: (query_id, doc_id) -> integer grade >= 0 (`read_qrels` checks it)."""
 
     judgments: Mapping[tuple[str, str], int]
-
-    def __post_init__(self):
-        for (qid, did), grade in self.judgments.items():
-            if grade < 0:
-                raise ValueError(f"negative grade for ({qid}, {did})")
 
     def relevant_docs(self, qid: str) -> dict[str, int]:
         return {
@@ -108,8 +103,9 @@ def write_run(run: RunFile, path: str | Path, tag: str = "lsrkit") -> None:
 
 
 def read_run(path: str | Path) -> RunFile:
-    """Read a run file; a bad line, a non-finite score, a rank out of order or a
-    repeated (qid, docid) is a ValueError naming path:line."""
+    """Read a run file; a bad line, a non-finite score, a rank out of order, a
+    score above the one before it or a repeated (qid, docid) is a ValueError
+    naming path:line."""
     rankings: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
     with open(path, encoding="utf-8") as f:
@@ -133,6 +129,8 @@ def read_run(path: str | Path) -> RunFile:
                 )
             if (qid, did) in seen:
                 raise ValueError(f"{path}:{lineno}: doc {did!r} is ranked twice for query {qid!r}")
+            if ranking and score > ranking[-1][1]:
+                raise ValueError(f"{path}:{lineno}: score {score_s} rises down the ranking of query {qid!r}")
             seen.add((qid, did))
             ranking.append((did, score))
     return RunFile(rankings=rankings)
@@ -146,8 +144,8 @@ def write_qrels(qrels: Qrels, path: str | Path) -> None:
 
 
 def read_qrels(path: str | Path) -> Qrels:
-    """Read a qrels file; a bad line, a bad grade or a repeated (qid, docid) is a
-    ValueError naming path:line."""
+    """Read a qrels file; a bad line, a bad or negative grade or a repeated
+    (qid, docid) is a ValueError naming path:line."""
     judgments: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -161,6 +159,8 @@ def read_qrels(path: str | Path) -> Qrels:
                 grade = int(grade_s)
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: bad grade") from e
+            if grade < 0:
+                raise ValueError(f"{path}:{lineno}: grade {grade} is negative")
             if (qid, did) in judgments:
                 raise ValueError(f"{path}:{lineno}: ({qid}, {did}) is judged twice")
             judgments[(qid, did)] = grade

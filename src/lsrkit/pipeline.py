@@ -86,13 +86,13 @@ def load_resources(config: MethodConfig) -> Resources:
 
 
 def side_heads(config: MethodConfig, side: str, seed: int, vocab_size: int) -> HeadParameters:
-    """Heads from the configured file when present, otherwise seeded initialization.
+    """Heads from the side's configured file when it names one, otherwise seeded initialization.
 
-    The one head set-up of encoding and training; a heads file must fit the config side.
+    The one head set-up of encoding and training; a named heads file must exist and fit the config side.
     """
     cfg = config.query if side == "query" else config.doc
     path = config.paths.query_heads if side == "query" else config.paths.doc_heads
-    if path is not None and Path(path).exists():
+    if path is not None:
         heads = read_head_parameters(path)
         fits = {
             "mlm_bias length": (heads.mlm_bias.size, vocab_size),

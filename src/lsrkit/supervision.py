@@ -120,6 +120,9 @@ def margin_mse_loss(
 # ---------------------------------------------------------------------------
 
 
+#: the supervision losses `train_heads` knows
+LOSS_KINDS = ("contrastive", "margin_mse", "term_mse")
+
 #: share of the steps over which the regularizer weight ramps up quadratically
 WARMUP_FRACTION = 1.0 / 3.0
 
@@ -129,7 +132,7 @@ class TrainSetup:
     query_encoder: EncoderKind
     doc_encoder: EncoderKind
     shared_heads: bool = False
-    loss_kind: str = "contrastive"  # contrastive | margin_mse | term_mse
+    loss_kind: str = "contrastive"  # one of LOSS_KINDS
     query_reg: RegularizerConfig = field(default_factory=RegularizerConfig)
     doc_reg: RegularizerConfig = field(default_factory=RegularizerConfig)
     steps: int = 100
@@ -180,6 +183,8 @@ def train_heads(
         raise ValueError("shared heads require identical encoder kinds")
     if not triples:
         raise ValueError("no training triples")
+    if setup.loss_kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {setup.loss_kind!r}")
     if setup.loss_kind == "term_mse" and term_labels is None:
         raise ValueError("term_mse supervision requires term labels")
 
@@ -187,64 +192,58 @@ def train_heads(
     d_heads = q_heads if setup.shared_heads else doc_heads.copy()
     vocab_size, dim = q_heads.mlm_bias.size, q_heads.mlp_weight.size
 
-    # Texts are encoded once per step per distinct id; embeddings cached upfront.
-    q_texts = {("q", t.query.doc_id): t.query for t in triples}
-    d_texts: dict[tuple[str, str], TokenizedText] = {}
-    for t in triples:
-        d_texts[("d", t.positive.doc_id)] = t.positive
-        for neg in t.negatives:
-            d_texts[("d", neg.doc_id)] = neg
-    bundles = {key: embed(text) for key, text in {**q_texts, **d_texts}.items()}
+    # Per side: one row per distinct text, in doc_id order, embedded once.
+    texts = {
+        "q": sorted({t.query.doc_id: t.query for t in triples}.values(), key=lambda text: text.doc_id),
+        "d": sorted({d.doc_id: d for t in triples for d in (t.positive, *t.negatives)}.values(),
+                    key=lambda text: text.doc_id),
+    }
+    row = {side: {text.doc_id: r for r, text in enumerate(texts[side])} for side in texts}
+    bundles = {side: [embed(text) for text in texts[side]] for side in texts}
+    regs = {"q": setup.query_reg, "d": setup.doc_reg}
 
     def zero_grads() -> dict:
         return {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": np.zeros(vocab_size)}
 
-    def apply(heads: HeadParameters, grads: dict) -> None:
+    def apply(params: HeadParameters, grads: dict) -> None:
         for name, g in grads.items():
-            setattr(heads, name, getattr(heads, name) - setup.lr * g)
+            setattr(params, name, getattr(params, name) - setup.lr * g)
 
     loss_history: list[float] = []
     for step in range(setup.steps):
-        fwd: dict[tuple[str, str], tuple[np.ndarray, dict | None]] = {}
-        for key, text in q_texts.items():
-            fwd[key] = head_forward(setup.query_encoder, text, bundles[key], q_heads)
-        for key, text in d_texts.items():
-            fwd[key] = head_forward(setup.doc_encoder, text, bundles[key], d_heads)
-
-        # Training-time top-k pruning with a linear k-decay schedule from |V|.
-        topk_masks: dict[tuple[str, str], np.ndarray] = {}
-        for side, cfg in (("q", setup.query_reg), ("d", setup.doc_reg)):
-            if cfg.kind is not RegularizerKind.TOPK:
-                continue
-            k = topk_schedule(vocab_size, cfg.k, setup.steps, step)
-            for key in fwd:
-                if key[0] == side:
-                    topk_masks[key] = topk_mask(fwd[key][0], k)
-                    fwd[key] = (fwd[key][0] * topk_masks[key], fwd[key][1])
-
-        grads_w = {key: np.zeros(vocab_size) for key in fwd}
+        W, caches, masks = {}, {}, {}
+        for side, kind, params in (("q", setup.query_encoder, q_heads), ("d", setup.doc_encoder, d_heads)):
+            out = [head_forward(kind, t, e, params) for t, e in zip(texts[side], bundles[side])]
+            W[side] = np.stack([w for w, _ in out])
+            caches[side] = [cache for _, cache in out]
+            # Training-time top-k pruning with a linear k-decay schedule from |V|.
+            if regs[side].kind is RegularizerKind.TOPK:
+                k = topk_schedule(vocab_size, regs[side].k, setup.steps, step)
+                masks[side] = np.stack([topk_mask(w, k) for w in W[side]])
+                W[side] = W[side] * masks[side]
+        G = {side: np.zeros_like(W[side]) for side in W}
+        # Row views made once per step: `Gd[r] += x` adds in place without copying the row back.
+        Wq, Wd, Gq, Gd = list(W["q"]), list(W["d"]), list(G["q"]), list(G["d"])
         total_loss = 0.0
 
         if setup.loss_kind == "term_mse":
-            docs = [("d", t.positive.doc_id) for t in triples]
-            for key in docs:
-                labels = term_labels.get(key[1], {})
-                if not labels:
-                    continue
-                loss, grad = term_mse_loss(fwd[key][0], labels)
-                total_loss += loss / len(docs)
-                grads_w[key] += grad / len(docs)
+            for t in triples:
+                if labels := term_labels.get(t.positive.doc_id):
+                    r = row["d"][t.positive.doc_id]
+                    loss, grad = term_mse_loss(Wd[r], labels)
+                    total_loss += loss / len(triples)
+                    Gd[r] += grad / len(triples)
         else:
             for triple in triples:
-                qk = ("q", triple.query.doc_id)
-                pk = ("d", triple.positive.doc_id)
-                nks = [("d", n.doc_id) for n in triple.negatives]
-                wq = fwd[qk][0]
-                s_pos = float(wq @ fwd[pk][0])
-                s_negs = [float(wq @ fwd[nk][0]) for nk in nks]
+                qr = row["q"][triple.query.doc_id]
+                pr = row["d"][triple.positive.doc_id]
+                nrs = [row["d"][n.doc_id] for n in triple.negatives]
+                wq = Wq[qr]
+                s_pos = float(wq @ Wd[pr])
+                s_negs = [float(wq @ Wd[r]) for r in nrs]
                 if setup.loss_kind == "contrastive":
                     loss, (g_pos, g_negs) = contrastive_nll(s_pos, s_negs)
-                elif setup.loss_kind == "margin_mse":
+                else:
                     if triple.teacher_scores is None:
                         raise ValueError("margin_mse requires teacher scores")
                     t_pos, t_negs = triple.teacher_scores
@@ -253,41 +252,34 @@ def train_heads(
                     loss, g_margins = margin_mse_loss(margins, t_margins)
                     g_pos = sum(g_margins)
                     g_negs = [-g for g in g_margins]
-                else:
-                    raise ValueError(f"unknown loss kind {setup.loss_kind!r}")
                 scale = 1.0 / len(triples)
                 total_loss += loss * scale
-                grads_w[qk] += scale * (
-                    g_pos * fwd[pk][0]
-                    + sum((g * fwd[nk][0] for g, nk in zip(g_negs, nks)), np.zeros(vocab_size))
+                Gq[qr] += scale * (
+                    g_pos * Wd[pr] + sum((g * Wd[r] for g, r in zip(g_negs, nrs)), np.zeros(vocab_size))
                 )
-                grads_w[pk] += scale * g_pos * wq
-                for g, nk in zip(g_negs, nks):
-                    grads_w[nk] += scale * g * wq
+                Gd[pr] += scale * g_pos * wq
+                for g, r in zip(g_negs, nrs):
+                    Gd[r] += scale * g * wq
 
         # Batch regularizers (FLOPs / L1 / L2) with quadratic warm-up.
-        for side, cfg in (("q", setup.query_reg), ("d", setup.doc_reg)):
+        for side, cfg in regs.items():
             lam = _reg_lambda(cfg, step, setup.steps)
             if lam == 0.0:
                 continue
-            keys = sorted(k for k in fwd if k[0] == side)
-            batch = np.stack([fwd[k][0] for k in keys])
             if cfg.kind is RegularizerKind.FLOPS:
-                value, grad = flops_penalty(batch)
+                value, grad = flops_penalty(W[side])
             else:
-                value, grad = lp_penalty(batch, 1 if cfg.kind is RegularizerKind.L1 else 2)
+                value, grad = lp_penalty(W[side], 1 if cfg.kind is RegularizerKind.L1 else 2)
             total_loss += lam * value
-            grad = lam * grad
-            for k, g in zip(keys, grad):
-                grads_w[k] += g
+            G[side] += lam * grad
 
         q_grads = zero_grads()
         d_grads = q_grads if setup.shared_heads else zero_grads()
-        for key in sorted(fwd):
-            gw = grads_w[key]
-            if key in topk_masks:
-                gw = gw * topk_masks[key]
-            head_backward(fwd[key][1], gw, q_grads if key[0] == "q" else d_grads)
+        # Doc rows first, then query rows: with shared heads this fixes the summation order.
+        for side, grads in (("d", d_grads), ("q", q_grads)):
+            gw = G[side] * masks[side] if side in masks else G[side]
+            for cache, g in zip(caches[side], gw):
+                head_backward(cache, g, grads)
 
         if setup.train_query:
             apply(q_heads, q_grads)

@@ -25,6 +25,7 @@ from lsrkit.core import (
     read_vocabulary,
 )
 from lsrkit.encoders import (
+    backbone_table,
     Bm25Params,
     EncoderKind,
     encode_binary,
@@ -289,7 +290,8 @@ class TestCriterion5:
         task = make_synthetic_task(num_docs=200, num_queries=40, vocab_size=150, seed=7)
         V, D = task.vocab.size, 16
         triples = triples_of(task)
-        embed = lambda t: toy_backbone(t, V, D, 7)
+        table = backbone_table(V, D, 7)
+        embed = lambda t: toy_backbone(t, V, D, 7, table)
         nnz = []
         for lam in (0.0, 0.01, 0.1, 1.0):
             reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=lam)
@@ -316,7 +318,8 @@ class TestCriterion6:
         task = make_synthetic_task(num_docs=200, num_queries=40, vocab_size=150, seed=7)
         V, D = task.vocab.size, 24
         triples = triples_of(task)
-        embed = lambda t: toy_backbone(t, V, D, 7)
+        table = backbone_table(V, D, 7)
+        embed = lambda t: toy_backbone(t, V, D, 7, table)
         reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=0.1)
 
         base = train_heads(

@@ -94,6 +94,23 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "shared_heads" in err and option in err
 
+    @pytest.mark.parametrize("overrides", [
+        {"shared_heads": "false"},
+        {"query": {"log_normalize": "false"}},
+        {"doc": {"log_normalize": 0}},
+        {"doc": {"quality_heads": "true"}},
+        {"query": {"activation": "gelu"}},
+        {"supervision": {"loss": "contrastiv"}},
+    ], ids=["shared_heads", "query_log_normalize", "doc_log_normalize", "quality_heads", "activation", "loss"])
+    def test_values_checked_not_coerced(self, tmp_path, capsys, overrides):
+        """A flag must be a JSON boolean ("false" is not True) and an activation or
+        loss one the code knows: exit 1 naming the config, before any encoding."""
+        path, _ = make_workspace(tmp_path, **overrides)
+        assert main(_encode_doc_argv(path, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_missing_required_paths_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"name": "x", "query": {"encoder": "mlp"}, "doc": {"encoder": "mlp"}, "paths": {}}), encoding="utf-8")
@@ -250,10 +267,13 @@ class TestCliCommands:
         assert code == 1
         assert f"{vectors}:2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["nan_score", "inf_score", "run_duplicate", "qrels_duplicate"])
+    @pytest.mark.parametrize(
+        "case", ["nan_score", "inf_score", "run_duplicate", "qrels_duplicate", "rising_score", "negative_grade"]
+    )
     def test_bad_run_or_qrels_exits_1(self, tmp_path, capsys, case):
-        """A non-finite score, or a (qid, doc) twice in a run or in qrels, is exit 1 naming
-        path:line (a NaN top score compares as neither higher nor lower than the rest)."""
+        """A non-finite score, a score rising down a ranking, a (qid, doc) twice in a run or
+        in qrels, or a negative grade is exit 1 naming path:line (a NaN top score compares
+        as neither higher nor lower than the rest)."""
         run_path, qrels_path = tmp_path / "run.trec", tmp_path / "qrels.txt"
         run = ["q1 Q0 a 1 2.0 t", "q1 Q0 b 2 1.0 t", "q2 Q0 a 1 1.0 t"]
         qrels = ["q1 0 a 1", "q1 0 b 0", "q2 0 b 1"]
@@ -266,9 +286,15 @@ class TestCliCommands:
         elif case == "run_duplicate":
             run[1] = "q1 Q0 a 2 1.0 t"
             bad, line = run_path, 2
-        else:
+        elif case == "qrels_duplicate":
             qrels.append("q1 0 a 0")
             bad, line = qrels_path, 4
+        elif case == "rising_score":
+            run[1] = "q1 Q0 b 2 3.0 t"
+            bad, line = run_path, 2
+        else:
+            qrels[1] = "q1 0 b -1"
+            bad, line = qrels_path, 2
         run_path.write_text("".join(r + "\n" for r in run), encoding="utf-8")
         qrels_path.write_text("".join(q + "\n" for q in qrels), encoding="utf-8")
         code = main(["eval", "--run", str(run_path), "--qrels", str(qrels_path), "--output", str(tmp_path / "m.json")])
@@ -491,6 +517,19 @@ class TestHeadsFiles:
         else:
             assert code == 1
             assert err.startswith("error:") and heads.name in err
+
+    @pytest.mark.parametrize("command", ["encode", "train-head"])
+    def test_named_heads_file_must_exist(self, tmp_path, capsys, command):
+        """A mistyped paths.doc_heads is a missing input file like any other: exit 2
+        naming it, not an encode or a training run from seeded heads."""
+        config_path, _ = make_workspace(tmp_path, paths={"doc_heads": "no_such_heads.json"})
+        if command == "encode":
+            argv = _encode_doc_argv(config_path, tmp_path)
+        else:
+            argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "o.json")]
+        assert main(argv) == 2
+        assert "no_such_heads.json" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists() and not (tmp_path / "o.json").exists()
 
 
 class TestOnePath:

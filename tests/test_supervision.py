@@ -1,13 +1,14 @@
 """Labels, losses (with gradient checks), and the head-only trainer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import text
 
-from lsrkit.encoders import EncoderKind, head_forward, init_head_parameters, toy_backbone
+from lsrkit.encoders import EncoderKind, backbone_table, head_forward, init_head_parameters, toy_backbone
 from lsrkit.regularization import RegularizerConfig, RegularizerKind
 from lsrkit.supervision import (
     TrainSetup,
@@ -179,7 +180,8 @@ class TestTrainHeads:
     DIM = 8
 
     def _embed(self, vocab_size):
-        return lambda t: toy_backbone(t, vocab_size, self.DIM, seed=11)
+        table = backbone_table(vocab_size, self.DIM, 11)
+        return lambda t: toy_backbone(t, vocab_size, self.DIM, 11, table)
 
     def _heads(self, vocab_size, seed, **kwargs):
         """Seeded query and doc heads, seeds `seed` and `seed + 1`."""
@@ -306,7 +308,8 @@ class TestTrainerGradients:
     def _task(self):
         task, triples = small_task(num_docs=20, num_queries=8, vocab_size=24)
         v, dim = task.vocab.size, 6
-        return triples, (lambda t: toy_backbone(t, v, dim, seed=11)), v, dim
+        table = backbone_table(v, dim, 11)
+        return triples, (lambda t: toy_backbone(t, v, dim, 11, table)), v, dim
 
     @staticmethod
     def _seeded(v, dim, seed):
@@ -353,6 +356,60 @@ class TestTrainerGradients:
         for index in rng.choice(labeled, size=5, replace=False):
             self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index),
                                 side="doc", term_labels=labels)
+
+    HEADS = {
+        "mlm": (EncoderKind.MLM, lambda h: h.mlm_bias),
+        "mlp": (EncoderKind.MLP, lambda h: h.mlp_weight),
+    }
+
+    def _indices(self, head, v, dim, rng):
+        return [int(i) for i in rng.integers(0, v, size=5)] if head == "mlm" else range(dim)
+
+    @pytest.mark.parametrize("head", ["mlm", "mlp"])
+    @pytest.mark.parametrize("kind", [RegularizerKind.FLOPS, RegularizerKind.L1, RegularizerKind.L2])
+    def test_regularized_gradient_at_full_weight(self, rng, kind, head):
+        """The penalty weight ramps from 0 at step 0 to its full value at step 1 of two,
+        so the step-1 update (h1 - h2) / lr is the gradient of loss_history[1], which a
+        central difference reads at lr = 0 from h1."""
+        triples, embed, v, dim = self._task()
+        encoder, getter = self.HEADS[head]
+        reg = RegularizerConfig(kind=kind, weight=0.1)
+        setup = TrainSetup(encoder, encoder, shared_heads=True, query_reg=reg, doc_reg=reg, steps=2, lr=0.25)
+        start = self._seeded(v, dim, 5)
+        h1 = train_heads(replace(setup, steps=1), triples, embed, start["query"], start["doc"]).query_heads
+        h2 = train_heads(setup, triples, embed, start["query"], start["doc"]).query_heads
+
+        def loss_with(index, delta, probe=replace(setup, lr=0.0)):
+            heads = h1.copy()
+            getter(heads)[index] += delta
+            return train_heads(probe, triples, embed, heads, heads).loss_history[1]
+
+        def penalty(texts):  # naive: over the distinct texts of a side at h1
+            w = np.stack([head_forward(encoder, t, embed(t), h1)[0] for t in texts])
+            if kind is RegularizerKind.FLOPS:
+                return float((w.mean(axis=0) ** 2).sum())
+            return float(np.mean([np.linalg.norm(row, ord=1 if kind is RegularizerKind.L1 else 2) for row in w]))
+
+        queries = {t.query.doc_id: t.query for t in triples}.values()
+        docs = {d.doc_id: d for t in triples for d in (t.positive, *t.negatives)}.values()
+        unregularized = replace(setup, lr=0.0, query_reg=RegularizerConfig(), doc_reg=RegularizerConfig())
+        in_loss = loss_with(0, 0.0) - loss_with(0, 0.0, unregularized)
+        assert in_loss == pytest.approx(reg.weight * (penalty(queries) + penalty(docs)), rel=1e-9)
+        h = 1e-5
+        for index in self._indices(head, v, dim, rng):
+            grad = (getter(h1) - getter(h2))[index] / setup.lr
+            numeric = (loss_with(index, h) - loss_with(index, -h)) / (2 * h)
+            assert grad == pytest.approx(numeric, rel=1e-3, abs=1e-7)
+
+    @pytest.mark.parametrize("head, k", [("mlm", 5), ("mlp", 3)])
+    def test_topk_masked_gradient(self, rng, head, k):
+        # at steps=1 the k schedule is at its end value: the mask keeps k terms per text
+        triples, embed, v, dim = self._task()
+        encoder, getter = self.HEADS[head]
+        reg = RegularizerConfig(kind=RegularizerKind.TOPK, k=k)
+        setup = TrainSetup(encoder, encoder, shared_heads=True, query_reg=reg, doc_reg=reg, steps=1, lr=0.25)
+        for index in self._indices(head, v, dim, rng):
+            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), getter, index)
 
 
 class TestTriplesFile:

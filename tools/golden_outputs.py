@@ -8,7 +8,8 @@ for splade_max, deepimpact, epic and tilde it runs `run_pipeline` trained as
 well; it runs the CLI path `run_index` -> `run_search` on the untrained
 vectors; and it runs `run_train` at the config's backbone seed, digesting
 `repr(loss_history)` and the bytes of both heads.  Last, it runs a trained
-`run_ablation` of splade_max with four toggles and digests its
+`run_ablation` of splade_max with six toggles (the L1 and L2 ones are the
+only bundled runs of the trainer's L1/L2 penalty) and digests its
 `report_json`.  Then, on one shared `Resources`, it encodes splade_max's
 queries at seeds s, s + 1 and s again (s its backbone seed), so a per-seed
 cache that returned another seed's embeddings would change a digest.
@@ -26,7 +27,11 @@ import tempfile
 from pathlib import Path
 
 TRAINED = ("splade_max", "deepimpact", "epic", "tilde")
-ABLATION = ("splade_max", ["query_encoder=mlp", "doc_encoder=mlp", "regularizer=topk:50", "shared_heads=false"])
+ABLATION = (
+    "splade_max",
+    ["query_encoder=mlp", "doc_encoder=mlp", "regularizer=topk:50", "regularizer=l1:0.01",
+     "regularizer=l2:0.01", "shared_heads=false"],
+)
 
 
 def sha256(path: Path) -> str:
