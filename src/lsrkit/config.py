@@ -8,6 +8,7 @@ paths are resolved against the config file's directory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -93,6 +94,24 @@ def _choice(obj: dict, key: str, choices: tuple, what: str):
     return value
 
 
+def _integer(obj: dict, key: str, default: int, what: str, minimum: int | None = None) -> int:
+    """`obj[key]`, a JSON integer (2.7 and true are not) of at least `minimum`."""
+    value = obj.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def _number(obj: dict, key: str, default: float, what: str) -> float:
+    """`obj[key]`, a finite JSON number (true is not)."""
+    value = obj.get(key, default)
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _parse_side(config_obj: dict, side: str) -> SideConfig:
     name = config_obj["name"]
     obj = json_object(config_obj[side], side)
@@ -101,12 +120,10 @@ def _parse_side(config_obj: dict, side: str) -> SideConfig:
     except (KeyError, ValueError) as e:
         raise ValidationError(f"{name}: bad encoder kind: {e}") from e
     reg_obj = json_object(obj.get("regularizer", {}), f"{side}.regularizer")
+    weight = _number(reg_obj, "weight", 0.0, f"{side}.regularizer.weight")
+    k = _integer(reg_obj, "k", 0, f"{side}.regularizer.k")
     try:
-        reg = RegularizerConfig(
-            kind=RegularizerKind(reg_obj.get("kind", "none")),
-            weight=float(reg_obj.get("weight", 0.0)),
-            k=int(reg_obj.get("k", 0)),
-        )
+        reg = RegularizerConfig(kind=RegularizerKind(reg_obj.get("kind", "none")), weight=weight, k=k)
     except ValueError as e:
         raise ValidationError(f"{name}: bad regularizer: {e}") from e
     return SideConfig(
@@ -154,17 +171,19 @@ def load_config(path: str | Path) -> MethodConfig:
             shared_heads=_choice(obj, "shared_heads", (False, True), "shared_heads"),
             supervision=SupervisionConfig(
                 loss=_choice(sup, "loss", LOSS_KINDS, "supervision.loss"),
-                steps=int(sup.get("steps", 100)),
-                lr=float(sup.get("lr", 0.5)),
+                steps=_integer(sup, "steps", 100, "supervision.steps", minimum=1),
+                lr=_number(sup, "lr", 0.5, "supervision.lr"),
             ),
-            quantization=Quantization(mode=quant.get("mode", "exact"), bits=int(quant.get("bits", 8))),
-            top_k=int(obj.get("top_k", 100)),
+            quantization=Quantization(
+                mode=quant.get("mode", "exact"), bits=_integer(quant, "bits", 8, "quantization.bits")
+            ),
+            top_k=_integer(obj, "top_k", 100, "top_k"),
             bm25=Bm25Params(**obj.get("bm25", {})),
             paths=paths,
-            backbone_seed=int(backbone.get("seed", 0)),
-            backbone_dim=int(backbone.get("dim", 16)),
+            backbone_seed=_integer(backbone, "seed", 0, "backbone.seed"),
+            backbone_dim=_integer(backbone, "dim", 16, "backbone.dim"),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         if isinstance(e, ValidationError):
             raise
         raise ValidationError(f"{path}: {e}") from e

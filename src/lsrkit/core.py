@@ -142,10 +142,24 @@ def compute_corpus_stats(docs: list[TokenizedText]) -> CorpusStats:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    """Vocabulary file: one term per line, line number = id."""
+    """Vocabulary file: one term per line; the term on line n has id n - 1.
+
+    A blank line, a term containing whitespace (it could never match a
+    whitespace-split token) or a repeated term is a ValueError naming path:line.
+    """
     with open(path, encoding="utf-8") as f:
-        terms = [line.rstrip("\n") for line in f if line != "\n"]
-    return Vocabulary(terms=tuple(terms), term_to_id={t: i for i, t in enumerate(terms)})
+        terms = [line.rstrip("\n") for line in f]
+    term_to_id = {t: i for i, t in enumerate(terms)}
+    if len(term_to_id) < len(terms) or " ".join(terms).split() != terms:  # name the first bad line
+        first_line: dict[str, int] = {}
+        for lineno, term in enumerate(terms, start=1):
+            if term.split() != [term]:
+                problem = f"vocabulary term {term!r} contains whitespace" if term.strip() else "blank line in vocabulary"
+                raise ValueError(f"{path}:{lineno}: {problem}")
+            if term in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate vocabulary term {term!r} (first on line {first_line[term]})")
+            first_line[term] = lineno
+    return Vocabulary(terms=tuple(terms), term_to_id=term_to_id)
 
 
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:

@@ -1,9 +1,11 @@
 """Impact inverted index: build, term-at-a-time search, and an exhaustive oracle.
 
-Posting lists are doc-ordered and held in three columns, the same in memory
-and on disk: term t's postings sit at `offsets[t]:offsets[t+1]` of `ordinals`
-(doc ordinals, ascending within a term) and `impacts`.  Quantization is
-max-scaled linear with half-up rounding.  Search counts multiply-accumulate
+Posting lists are doc-ordered and held in three numpy columns, in memory as
+on disk and in the same dtypes (`DTYPES`): term t's postings sit at
+`offsets[t]:offsets[t+1]` of `ordinals` (doc ordinals, ascending within a
+term) and `impacts`.  Quantization is max-scaled linear with half-up
+rounding.  Build and search run in numpy over whole columns and posting
+slices, with no Python loop per posting.  Search counts multiply-accumulate
 operations (ops_count), the engine's deterministic latency proxy.
 """
 
@@ -13,6 +15,8 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -39,25 +43,34 @@ class Quantization:
 
 @dataclass
 class ImpactIndex:
-    offsets: list[int]  # term t's postings are [offsets[t], offsets[t+1])
-    ordinals: list[int]  # doc ordinals, ascending within a term
-    impacts: list  # float weights (exact) or int levels (bits)
+    offsets: np.ndarray  # term t's postings are [offsets[t], offsets[t+1])
+    ordinals: np.ndarray  # doc ordinals, ascending within a term
+    impacts: np.ndarray  # float weights (exact) or int levels (bits)
     doc_table: list[str]  # ordinal -> doc_id
     quantization: Quantization
     scale: float  # corpus max weight; 0 for an empty index
     vocab_id: dict | None = None  # identity of the vocabulary the term ids index, if recorded
-    weights: list[float] = field(init=False, repr=False)  # impacts dequantized
+    weights: np.ndarray = field(init=False, repr=False)  # impacts dequantized
 
     def __post_init__(self):
+        self.offsets, self.ordinals, self.impacts = (
+            np.asarray(c, d) for c, d in zip((self.offsets, self.ordinals, self.impacts), DTYPES[self.quantization.mode])
+        )
         if self.quantization.mode == "exact":
             self.weights = self.impacts
         else:
-            levels = 2**self.quantization.bits - 1
-            self.weights = [impact * self.scale / levels for impact in self.impacts]
+            self.weights = self.impacts * self.scale / (2**self.quantization.bits - 1)
 
     @property
     def total_postings(self) -> int:
         return len(self.ordinals)
+
+    @cached_property
+    def doc_rank(self) -> np.ndarray:
+        """ordinal -> rank of its doc_id in lexicographic order, the tie-break of a ranking."""
+        rank = np.empty(len(self.doc_table), np.int64)
+        rank[sorted(range(len(self.doc_table)), key=self.doc_table.__getitem__)] = np.arange(len(self.doc_table))
+        return rank
 
 
 def build_index(
@@ -66,46 +79,39 @@ def build_index(
     """Transcribe (doc, term, weight) nonzeros into doc-ordered posting lists.
 
     Quantized impact = round_half_up(w * (2^bits - 1) / max_w); impacts that
-    quantize to 0 are dropped.
+    quantize to 0 are dropped.  One stable sort by term keeps doc order within
+    each posting list.
     """
     doc_table: list[str] = []
+    entries: list[dict[int, float]] = []
     seen: set[str] = set()
-    raw: list[SparseVector] = []
-    max_w = 0.0
     for doc_id, vec in vectors:
         if doc_id in seen:
             raise ValueError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
-        for w in vec.entries.values():
-            if not 0 < w < math.inf:
-                raise ValueError(f"non-positive or non-finite weight in document {doc_id!r}")
-            max_w = max(max_w, w)
         doc_table.append(doc_id)
-        raw.append(vec)
+        entries.append(vec.entries)
+    lengths = np.fromiter(map(len, entries), np.int64, len(entries))
+    total = int(lengths.sum())
+    terms = np.fromiter(chain.from_iterable(entries), np.int64, total)
+    w = np.fromiter(chain.from_iterable(e.values() for e in entries), np.float64, total)
+    ordinals = np.repeat(np.arange(len(entries)), lengths)
+    bad = ordinals[~((w > 0) & (w < math.inf)) | (terms < 0)]
+    if len(bad):  # name the first bad document
+        problem = "negative term id" if (terms[ordinals == bad[0]] < 0).any() else "non-positive or non-finite weight"
+        raise ValueError(f"{problem} in document {doc_table[bad[0]]!r}")
 
-    levels = 2**quantization.bits - 1
-    per_term: dict[int, tuple[list[int], list]] = {}
-    for ordinal, vec in enumerate(raw):
-        for t, w in vec.entries.items():
-            if quantization.mode == "bits":
-                impact = math.floor(w * levels / max_w + 0.5)
-                if impact == 0:
-                    continue
-            else:
-                impact = w
-            ords, imps = per_term.setdefault(t, ([], []))
-            ords.append(ordinal)
-            imps.append(impact)
-
-    offsets = [0]
-    ordinals: list[int] = []
-    impacts: list = []
-    for t in range(max(per_term, default=-1) + 1):
-        ords, imps = per_term.get(t, ((), ()))
-        ordinals += ords
-        impacts += imps
-        offsets.append(len(ordinals))
-    return ImpactIndex(offsets, ordinals, impacts, doc_table, quantization, scale=max_w)
+    max_w = float(w.max()) if total else 0.0
+    if quantization.mode == "bits":
+        levels = 2**quantization.bits - 1
+        impacts = np.floor(w * levels / max_w + 0.5)
+        kept = impacts != 0
+        terms, ordinals, impacts = terms[kept], ordinals[kept], impacts[kept]
+    else:
+        impacts = w
+    order = np.argsort(terms, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(terms))))
+    return ImpactIndex(offsets, ordinals[order], impacts[order], doc_table, quantization, scale=max_w)
 
 
 def _ranked(scored: dict[str, float], k: int) -> list[tuple[str, float]]:
@@ -129,25 +135,33 @@ def exhaustive_search(
 def index_search(
     index: ImpactIndex, q: SparseVector, k: int
 ) -> tuple[list[tuple[str, float]], int]:
-    """Term-at-a-time accumulation over posting lists.
+    """Term-at-a-time accumulation over posting lists, in one `np.bincount`.
 
+    The query terms' posting slices are concatenated in ascending term order
+    and bincount adds them in that order, so each doc's score is the same
+    float sum as a term-by-term loop.  Docs scoring exactly 0 are left out;
+    the top k are ranked by score descending, ties by doc_id ascending.
     ops_count is the number of multiply-accumulate operations, i.e. the sum of
     posting-list lengths across query terms present in the index.
     """
     offsets, ordinals, weights = index.offsets, index.ordinals, index.weights
     num_terms = len(offsets) - 1
-    acc: dict[int, float] = {}
-    ops = 0
-    for t in sorted(q.entries):
-        if not 0 <= t < num_terms:
-            continue
-        wq = q.entries[t]
-        lo, hi = offsets[t], offsets[t + 1]
-        for o, w in zip(ordinals[lo:hi], weights[lo:hi]):
-            acc[o] = acc.get(o, 0.0) + wq * w
-        ops += hi - lo
-    scored = {index.doc_table[o]: s for o, s in acc.items() if s != 0.0}
-    return _ranked(scored, k), ops
+    spans = [(offsets[t], offsets[t + 1], wq) for t, wq in sorted(q.entries.items()) if 0 <= t < num_terms]
+    ops = int(sum(hi - lo for lo, hi, _ in spans))
+    if k <= 0 or not ops:
+        return [], ops
+    acc = np.bincount(
+        np.concatenate([ordinals[lo:hi] for lo, hi, _ in spans]),
+        np.concatenate([wq * weights[lo:hi] for lo, hi, wq in spans]),
+        minlength=len(index.doc_table),
+    )
+    hits = (acc != 0.0).nonzero()[0]
+    scores = acc[hits]
+    if len(hits) > k:
+        kept = scores >= np.partition(scores, len(hits) - k)[len(hits) - k]
+        hits, scores = hits[kept], scores[kept]
+    order = np.lexsort((index.doc_rank[hits], -scores))[:k]
+    return [(index.doc_table[o], s) for o, s in zip(hits[order].tolist(), scores[order].tolist())], ops
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +176,7 @@ def save_index(index: ImpactIndex, directory: str | Path) -> int:
     """Write header.json and postings.bin; returns the bytes written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    columns = (index.offsets, index.ordinals, index.impacts)
-    payload = b"".join(np.asarray(c, d).tobytes() for c, d in zip(columns, DTYPES[index.quantization.mode]))
+    payload = b"".join(c.tobytes() for c in (index.offsets, index.ordinals, index.impacts))
     header = json.dumps({
         "format": FORMAT,
         "quantization": {"mode": index.quantization.mode, "bits": index.quantization.bits},
@@ -210,7 +223,6 @@ def load_index(directory: str | Path) -> ImpactIndex:
     offsets, ordinals, impacts = (
         np.frombuffer(blob, d, n, int(pos)) for d, n, pos in zip(dtypes, counts, np.cumsum([0] + sizes))
     )
-    # checked as arrays, before the conversion to lists that search reads
     _require(len(offsets) and offsets[0] == 0 and offsets[-1] == total and (np.diff(offsets) >= 0).all(),
              directory, f"offsets must run from 0 to {total} without decreasing")
     _require(not total or (ordinals.min() >= 0 and ordinals.max() < len(doc_table)),
@@ -224,7 +236,7 @@ def load_index(directory: str | Path) -> ImpactIndex:
     else:
         levels = 2**quant.bits - 1
         _require(not total or (impacts.min() >= 1 and impacts.max() <= levels), directory, f"impacts outside 1..{levels}")
-    return ImpactIndex(offsets.tolist(), ordinals.tolist(), impacts.tolist(), doc_table, quant, scale, vocab_id)
+    return ImpactIndex(offsets, ordinals, impacts, doc_table, quant, scale, vocab_id)
 
 
 def _require(ok, directory: Path, problem: str) -> None:

@@ -111,6 +111,38 @@ class TestConfigLoading:
         assert err.startswith("error:") and str(path) in err
         assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"supervision": {"steps": 2.7}},
+        {"supervision": {"steps": 0}},
+        {"supervision": {"lr": True}},
+        {"supervision": {"lr": math.nan}},
+        {"supervision": {"lr": "0.3"}},
+        {"backbone": {"dim": 8.9}},
+        {"backbone": {"seed": True}},
+        {"top_k": "50"},
+        {"quantization": {"mode": "bits", "bits": 8.0}},
+        {"doc": {"regularizer": {"kind": "topk", "k": 2.5}}},
+        {"query": {"regularizer": {"kind": "flops", "weight": math.inf}}},
+        {"query": {"regularizer": {"kind": "flops", "weight": False}}},
+    ], ids=[
+        "steps_float", "steps_zero", "lr_bool", "lr_nan", "lr_string", "dim_float", "seed_bool", "top_k_string",
+        "bits_float", "regularizer_k_float", "regularizer_weight_inf", "regularizer_weight_bool",
+    ])
+    def test_numbers_checked_not_coerced(self, tmp_path, capsys, overrides):
+        """Counts must be JSON integers and rates finite JSON numbers, no bool: exit 1 naming the config."""
+        path, _ = make_workspace(tmp_path, **overrides)
+        assert main(_encode_doc_argv(path, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_integral_numbers_load(self, tmp_path):
+        """An integer is a fine rate, and the checked values load as written."""
+        path, _ = make_workspace(tmp_path, supervision={"steps": 3, "lr": 1}, top_k=7)
+        config = load_config(path)
+        assert (config.supervision.steps, config.supervision.lr, config.top_k) == (3, 1.0, 7)
+        assert type(config.supervision.lr) is float
+
     def test_missing_required_paths_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"name": "x", "query": {"encoder": "mlp"}, "doc": {"encoder": "mlp"}, "paths": {}}), encoding="utf-8")
@@ -463,6 +495,26 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and where in err
+
+
+def test_train_head_with_zero_steps_exits_1(tmp_path, capsys):
+    """No training step means no final loss: exit 1 naming the config, not a traceback."""
+    config_path, _ = make_workspace(tmp_path, supervision={"steps": 0})
+    argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "heads.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(config_path) in err and "supervision.steps" in err
+    assert not (tmp_path / "heads.json").exists()
+
+
+def test_bad_vocabulary_exits_1_naming_the_line(tmp_path, capsys):
+    config_path, _ = make_workspace(tmp_path)
+    vocab_path = tmp_path / "data" / "vocab.txt"
+    terms = vocab_path.read_text(encoding="utf-8").splitlines()
+    vocab_path.write_text("".join(t + "\n" for t in terms + [terms[4]]), encoding="utf-8")
+    assert main(_encode_doc_argv(config_path, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{vocab_path}:{len(terms) + 1}: duplicate vocabulary term" in err
 
 
 class TestHeadsFiles:

@@ -119,6 +119,28 @@ class TestFileFormats:
         loaded = read_vocabulary(path)
         assert loaded.terms == vocab.terms
 
+    @pytest.mark.parametrize("text, line, problem", [
+        ("a\nb\na\n", 3, "duplicate vocabulary term 'a' \\(first on line 1\\)"),
+        ("a\n\nb\n", 2, "blank line"),
+        ("a\nb\n\n", 3, "blank line"),
+        ("a\n \nb\n", 2, "blank line"),
+        ("a\nb c\n", 2, "vocabulary term .* contains whitespace"),
+        ("a\n b\n", 2, "vocabulary term .* contains whitespace"),
+        ("a\nb\xa0\n", 2, "vocabulary term .* contains whitespace"),
+    ], ids=["duplicate", "blank", "blank-at-end", "spaces-only", "inner-space", "leading-space", "nbsp"])
+    def test_bad_vocabulary_line_named(self, tmp_path, text, line, problem):
+        """Ids are line numbers, so a line that is no usable term is an error at that line."""
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError, match=f"vocab.txt:{line}: {problem}"):
+            read_vocabulary(path)
+
+    @pytest.mark.parametrize("text", [b"x\ny\nz\n", b"x\ny\nz", b"x\r\ny\r\nz\r\n"], ids=["lf", "no-final-newline", "crlf"])
+    def test_vocabulary_ids_are_line_numbers(self, tmp_path, text):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(text)
+        assert read_vocabulary(path).term_to_id == {"x": 0, "y": 1, "z": 2}
+
     def test_collection_round_trip(self, tmp_path):
         vocab = build_vocabulary(["a", "b", "c"])
         docs = [TokenizedText("d1", (0, 1, 0)), TokenizedText("d2", ())]

@@ -31,7 +31,7 @@ def postings(idx):
 
 
 def columns(idx):
-    return idx.offsets, idx.ordinals, idx.impacts
+    return idx.offsets.tolist(), idx.ordinals.tolist(), idx.impacts.tolist()
 
 
 def random_corpus(rng, num_docs=200, vocab_size=40, max_nnz=9):
@@ -102,7 +102,7 @@ class TestBuildIndex:
         idx = build_index(docs)
         assert idx.doc_table == ["a", "b"]
         assert postings(idx)[2] == [(0, 2.0), (1, 3.0)]
-        assert idx.offsets == [0, 1, 1, 3]
+        assert idx.offsets.tolist() == [0, 1, 1, 3]
         assert idx.total_postings == 3
 
 
@@ -267,8 +267,102 @@ class TestProperties:
         built = build_index(docs, Quantization(mode="bits", bits=bits))
         loaded = save_and_load(built)
         assert columns(loaded) == columns(built)
-        assert loaded.weights == built.weights
+        assert loaded.weights.tolist() == built.weights.tolist()
         assert (loaded.doc_table, loaded.scale, loaded.quantization) == (built.doc_table, built.scale, built.quantization)
+
+
+# few distinct weights, so that scores tie; doc ids d0..d13 sort apart from their ordinals (d10 < d2)
+tied_vectors = st.dictionaries(st.integers(0, 6), st.sampled_from([0.25, 0.5, 1.0, 2.0]), max_size=4).map(SparseVector)
+tied_corpora = st.lists(tied_vectors, min_size=1, max_size=14).map(lambda vs: [(f"d{i}", v) for i, v in enumerate(vs)])
+# term ids past the index's last term and negative ones included; the empty query too
+edge_queries = st.dictionaries(st.integers(-3, 9), st.sampled_from([0.5, 1.0, 1.5]), max_size=5).map(SparseVector)
+quantizations = st.one_of(st.just(Quantization()), st.integers(1, 16).map(lambda b: Quantization(mode="bits", bits=b)))
+
+
+def dequantized(docs, quant):
+    """The vectors search scores against: weights rounded to their impact level, zero levels dropped."""
+    if quant.mode == "exact":
+        return docs
+    levels = 2**quant.bits - 1
+    max_w = max((w for _, v in docs for w in v.entries.values()), default=0.0)
+    return [
+        (doc_id, SparseVector({t: math.floor(w * levels / max_w + 0.5) * max_w / levels for t, w in v.entries.items()}))
+        for doc_id, v in docs
+    ]
+
+
+class TestSearchEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(docs=tied_corpora, queries=st.lists(edge_queries, min_size=1, max_size=4), quant=quantizations)
+    def test_every_k_equals_oracle_bitwise(self, docs, queries, quant):
+        """Ties at the k-th place keep doc_id order, at every k from 0 past the number of hits."""
+        built = build_index(docs, quant)
+        loaded = save_and_load(built)
+        scored = dequantized(docs, quant)
+        for q in queries:
+            for k in range(len(docs) + 2):
+                expected = exhaustive_search(q, scored, k)
+                assert index_search(built, q, k)[0] == expected
+                assert index_search(loaded, q, k)[0] == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(docs=tied_corpora, q=edge_queries, quant=quantizations, k=st.integers(0, 3))
+    def test_ops_is_sum_of_query_posting_lengths(self, docs, q, quant, k):
+        """Out-of-range and negative term ids add nothing; k does not change ops."""
+        postings_of = {t: sum(t in v.entries for _, v in dequantized(docs, quant)) for t in q.entries}
+        assert index_search(build_index(docs, quant), q, k)[1] == sum(postings_of.values())
+
+    def test_tie_at_the_boundary_goes_to_the_smaller_doc_id(self):
+        docs = [(f"d{i}", SparseVector({0: 1.0} if i in (9, 10) else {1: 1.0})) for i in range(11)]
+        idx = build_index(docs)
+        assert index_search(idx, SparseVector({0: 2.0}), k=1) == ([("d10", 2.0)], 2)
+        assert index_search(idx, SparseVector({0: 2.0}), k=2) == ([("d10", 2.0), ("d9", 2.0)], 2)
+
+    def test_k_zero_and_empty_query(self):
+        idx = build_index([("a", SparseVector({0: 1.0}))])
+        assert index_search(idx, SparseVector({0: 1.0}), k=0) == ([], 1)
+        assert index_search(idx, SparseVector(), k=5) == ([], 0)
+        assert index_search(idx, SparseVector({-1: 1.0, 1: 1.0}), k=5) == ([], 0)
+
+    def test_scores_are_python_floats(self):
+        idx = build_index([("a", SparseVector({0: 1.5}))], Quantization(mode="bits", bits=8))
+        ((doc_id, score),) = index_search(idx, SparseVector({0: 1.0}), k=5)[0]
+        assert type(doc_id) is str and type(score) is float
+
+
+class TestBuildEdges:
+    def test_top_term_all_zero_impacts_gets_no_offsets_entry(self):
+        docs = [("a", SparseVector({0: 1000.0, 3: 0.001})), ("b", SparseVector({2: 1000.0, 5: 0.002}))]
+        idx = build_index(docs, Quantization(mode="bits", bits=4))
+        assert idx.offsets.tolist() == [0, 1, 1, 2]
+        assert idx.ordinals.tolist() == [0, 1]
+
+    def test_doc_without_entries_keeps_its_ordinal(self):
+        idx = build_index([("a", SparseVector()), ("b", SparseVector({1: 2.0})), ("c", SparseVector())])
+        assert idx.doc_table == ["a", "b", "c"]
+        assert (idx.offsets.tolist(), idx.ordinals.tolist()) == ([0, 0, 1], [1])
+        assert index_search(idx, SparseVector({1: 1.0}), k=3) == ([("b", 2.0)], 1)
+
+    def test_empty_corpus(self):
+        idx = save_and_load(build_index([], Quantization(mode="bits", bits=8)))
+        assert (idx.offsets.tolist(), idx.total_postings, idx.scale) == ([0], 0, 0.0)
+        assert index_search(idx, SparseVector({0: 1.0}), k=3) == ([], 0)
+
+    @pytest.mark.parametrize(
+        "docs, match",
+        [
+            ([("a", {0: 1.0}), ("b", {1: 1.0}), ("b", {2: 1.0})], "duplicate doc_id 'b'"),
+            ([("a", {0: 1.0}), ("b", {1: -1.0, 2: 1.0})], "non-positive or non-finite weight in document 'b'"),
+            ([("a", {0: 1.0}), ("b", {1: math.nan}), ("c", {2: -1.0})], "weight in document 'b'"),
+            ([("a", {0: 1.0}), ("b", {-2: 1.0}), ("c", {-2: 1.0})], "negative term id in document 'b'"),
+            ([("a", {0: 1.0}), ("b", {-2: 1.0, 1: 1.0}), ("c", {3: math.inf})], "negative term id in document 'b'"),
+        ],
+        ids=["duplicate", "negative-weight", "first-bad-weight", "first-negative-term", "negative-term-first"],
+    )
+    @pytest.mark.parametrize("quant", [Quantization(), Quantization(mode="bits", bits=8)], ids=["exact", "bits"])
+    def test_bad_input_names_the_doc(self, docs, match, quant):
+        with pytest.raises(ValueError, match=match):
+            build_index([(d, SparseVector(e)) for d, e in docs], quant)
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +433,7 @@ class TestCorruption:
 
     def test_ordinals_restart_at_term_boundary(self, tmp_path):
         save_index(ImpactIndex([0, 1, 1, 2], [1, 0], [1.0, 2.0], ["a", "b"], Quantization(), scale=2.0), tmp_path)
-        assert load_index(tmp_path).ordinals == [1, 0]
+        assert load_index(tmp_path).ordinals.tolist() == [1, 0]
 
     @pytest.mark.parametrize(
         "key, change",

@@ -7,12 +7,16 @@ used).  For every bundled config the script runs `run_pipeline` untrained;
 for splade_max, deepimpact, epic and tilde it runs `run_pipeline` trained as
 well; it runs the CLI path `run_index` -> `run_search` on the untrained
 vectors; and it runs `run_train` at the config's backbone seed, digesting
-`repr(loss_history)` and the bytes of both heads.  Last, it runs a trained
+`repr(loss_history)` and the bytes of both heads.  Next, it runs a trained
 `run_ablation` of splade_max with six toggles (the L1 and L2 ones are the
 only bundled runs of the trainer's L1/L2 penalty) and digests its
 `report_json`.  Then, on one shared `Resources`, it encodes splade_max's
 queries at seeds s, s + 1 and s again (s its backbone seed), so a per-seed
 cache that returned another seed's embeddings would change a digest.
+Last, for every bundled config it builds, saves and loads an index of the
+untrained doc vectors, in the config's quantization and in exact mode, and
+digests the `index_search` ranking and ops of every untrained query at
+k = 0, 1, 10 and the number of docs.
 OUT.json maps each output to its sha256.  Two checkouts give the same
 outputs exactly when their OUT.json files are byte-identical
 (`cmp A.json B.json`).  Only calls that older checkouts also have are used.
@@ -49,7 +53,7 @@ def heads_sha256(heads) -> str:
 
 def digests(src_dir: Path, work: Path) -> dict:
     sys.path.insert(0, str(src_dir / "src"))
-    from lsrkit import pipeline
+    from lsrkit import index, pipeline
     from lsrkit.config import load_config
 
     out: dict = {"untrained": {}, "trained": {}, "cli": {}, "train": {}}
@@ -82,6 +86,19 @@ def digests(src_dir: Path, work: Path) -> dict:
         vectors = pipeline.encode_side(config, "query", res.queries, res, seed)
         pipeline.write_vectors(vectors, res.vocab, work / "shared.jsonl")
         out["shared_resources"][f"{i}: {name} queries, seed {seed}"] = sha256(work / "shared.jsonl")
+    out["search"] = {}
+    for config_path in sorted((src_dir / "configs").glob("*.json")):
+        config = load_config(config_path)
+        run_dir = work / "untrained" / config_path.stem
+        vocab = pipeline.load_resources(config).vocab
+        docs = pipeline.read_vectors(run_dir / "docs.jsonl", vocab)
+        queries = pipeline.read_vectors(run_dir / "queries.jsonl", vocab)
+        for quant in (config.quantization, index.Quantization("exact")):
+            index.save_index(index.build_index(docs, quant), run_dir / "search_index")
+            loaded = index.load_index(run_dir / "search_index")
+            results = [index.index_search(loaded, q, k) for _, q in queries for k in (0, 1, 10, len(docs))]
+            key = f"{config_path.stem}, {quant.mode}"
+            out["search"][key] = hashlib.sha256(repr(results).encode()).hexdigest()
     return out
 
 
