@@ -38,6 +38,12 @@ class SupervisionConfig:
     steps: int = 100
     lr: float = 0.5
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"supervision.steps must be >= 1, got {self.steps}")
+        if not math.isfinite(self.lr):
+            raise ValueError(f"supervision.lr must be finite, got {self.lr}")
+
 
 @dataclass(frozen=True)
 class PathsConfig:
@@ -94,21 +100,19 @@ def _choice(obj: dict, key: str, choices: tuple, what: str):
     return value
 
 
-def _integer(obj: dict, key: str, default: int, what: str, minimum: int | None = None) -> int:
-    """`obj[key]`, a JSON integer (2.7 and true are not) of at least `minimum`."""
+def _integer(obj: dict, key: str, default: int, what: str) -> int:
+    """`obj[key]`, a JSON integer (2.7 and true are not)."""
     value = obj.get(key, default)
     if type(value) is not int:
         raise ValueError(f"{what} must be a JSON integer, got {json.dumps(value)}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{what} must be >= {minimum}, got {value}")
     return value
 
 
 def _number(obj: dict, key: str, default: float, what: str) -> float:
-    """`obj[key]`, a finite JSON number (true is not)."""
+    """`obj[key]`, a JSON number (true is not); the dataclass checks its range."""
     value = obj.get(key, default)
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite JSON number, got {json.dumps(value)}")
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a JSON number, got {json.dumps(value)}")
     return float(value)
 
 
@@ -125,7 +129,7 @@ def _parse_side(config_obj: dict, side: str) -> SideConfig:
     try:
         reg = RegularizerConfig(kind=RegularizerKind(reg_obj.get("kind", "none")), weight=weight, k=k)
     except ValueError as e:
-        raise ValidationError(f"{name}: bad regularizer: {e}") from e
+        raise ValueError(f"{side}.regularizer: {e}") from e
     return SideConfig(
         encoder=kind,
         activation=_choice(obj, "activation", ACTIVATIONS, f"{side}.activation"),
@@ -171,7 +175,7 @@ def load_config(path: str | Path) -> MethodConfig:
             shared_heads=_choice(obj, "shared_heads", (False, True), "shared_heads"),
             supervision=SupervisionConfig(
                 loss=_choice(sup, "loss", LOSS_KINDS, "supervision.loss"),
-                steps=_integer(sup, "steps", 100, "supervision.steps", minimum=1),
+                steps=_integer(sup, "steps", 100, "supervision.steps"),
                 lr=_number(sup, "lr", 0.5, "supervision.lr"),
             ),
             quantization=Quantization(

@@ -149,16 +149,14 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
     """
     with open(path, encoding="utf-8") as f:
         terms = [line.rstrip("\n") for line in f]
-    term_to_id = {t: i for i, t in enumerate(terms)}
-    if len(term_to_id) < len(terms) or " ".join(terms).split() != terms:  # name the first bad line
-        first_line: dict[str, int] = {}
-        for lineno, term in enumerate(terms, start=1):
-            if term.split() != [term]:
-                problem = f"vocabulary term {term!r} contains whitespace" if term.strip() else "blank line in vocabulary"
-                raise ValueError(f"{path}:{lineno}: {problem}")
-            if term in first_line:
-                raise ValueError(f"{path}:{lineno}: duplicate vocabulary term {term!r} (first on line {first_line[term]})")
-            first_line[term] = lineno
+    term_to_id: dict[str, int] = {}
+    for i, term in enumerate(terms):
+        if term.split() != [term]:
+            problem = f"vocabulary term {term!r} contains whitespace" if term.strip() else "blank line in vocabulary"
+            raise ValueError(f"{path}:{i + 1}: {problem}")
+        if term in term_to_id:
+            raise ValueError(f"{path}:{i + 1}: duplicate vocabulary term {term!r} (first on line {term_to_id[term] + 1})")
+        term_to_id[term] = i
     return Vocabulary(terms=tuple(terms), term_to_id=term_to_id)
 
 

@@ -157,7 +157,7 @@ def index_search(
     )
     hits = (acc != 0.0).nonzero()[0]
     scores = acc[hits]
-    if len(hits) > k:
+    if len(hits) > k:  # sort only the hits at or above the k-th score
         kept = scores >= np.partition(scores, len(hits) - k)[len(hits) - k]
         hits, scores = hits[kept], scores[kept]
     order = np.lexsort((index.doc_rank[hits], -scores))[:k]

@@ -9,6 +9,7 @@ pruning and the trainer's mask.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class RegularizerConfig:
     k: int = 0  # retained-term count, for topk
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("penalty coefficient must be >= 0")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError(f"penalty coefficient must be finite and >= 0, got {self.weight}")
         if self.k < 0:
             raise ValueError("k must be >= 0")
 

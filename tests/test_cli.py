@@ -177,6 +177,13 @@ class TestToggles:
         variant = apply_toggle(config, "regularizer=flops:0.1")
         assert variant.doc.regularizer.weight == 0.1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_regularizer_toggle_weight_must_be_finite(self, tmp_path, value):
+        """A toggle's weight meets the same finite, non-negative rule as a config's."""
+        config = self._config(tmp_path)
+        with pytest.raises(ValueError, match="penalty coefficient must be finite and >= 0"):
+            apply_toggle(config, f"regularizer=flops:{value}")
+
     def test_unknown_key_rejected(self, tmp_path):
         config = self._config(tmp_path)
         with pytest.raises(ValidationError, match="exactly one"):
