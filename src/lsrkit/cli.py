@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import ValidationError, load_config
 from .encoders import write_head_parameters
 from . import pipeline
 
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-head", help="train head parameters on the configured triples")
     _add_common(p)
-    p.add_argument("--doc-output", default=None, help="doc-side heads path (default: shared output)")
+    p.add_argument("--doc-output", default=None, help="doc-side heads path (required unless the config shares heads)")
 
     p = sub.add_parser("ablate", help="single-component ablation report")
     _add_common(p)
@@ -93,8 +93,12 @@ def main(argv=None) -> int:
             print(json.dumps(info))
         elif args.command == "train-head":
             result = pipeline.run_train(config, seed)
+            doc_output = Path(args.doc_output or args.output)
+            if not config.shared_heads and doc_output.resolve() == Path(args.output).resolve():
+                raise ValidationError(f"{args.config}: heads are not shared, so --doc-output must name a file "
+                                      "other than --output")
             write_head_parameters(result.query_heads, Path(args.output))
-            write_head_parameters(result.doc_heads, Path(args.doc_output or args.output))
+            write_head_parameters(result.doc_heads, doc_output)
             print(json.dumps({"steps": len(result.loss_history), "final_loss": result.loss_history[-1]}))
         elif args.command == "ablate":
             workdir = Path(args.workdir) if args.workdir else Path(args.output).parent / "ablate_work"

@@ -1,15 +1,22 @@
 """Method configuration: one JSON document per retrieval method.
 
 A config names the query/document encoder kinds, per-side head options and
-regularizers, the supervision recipe, quantization, and data paths.  Relative
-paths are resolved against the config file's directory.
+regularizers, the supervision recipe, quantization, the backbone and data
+paths.  The dataclasses below are its schema: `load_config` fills each one from
+its JSON object, so every key must be a field, every value must have its
+field's JSON type, and an absent key takes the field's default.  Relative
+paths are resolved against the config file's directory; `""` leaves an
+optional path unset.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .core import json_object
@@ -23,6 +30,12 @@ class ValidationError(ValueError):
     """Configuration or input invariant violation (CLI exit code 1)."""
 
 
+def _one_of(name: str, value, choices) -> None:
+    """`value` must be one of the string `choices`."""
+    if type(value) is not str or value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(map(json.dumps, choices))}, got {json.dumps(value)}")
+
+
 @dataclass(frozen=True)
 class SideConfig:
     encoder: EncoderKind
@@ -31,18 +44,36 @@ class SideConfig:
     quality_heads: bool = False
     regularizer: RegularizerConfig = field(default_factory=RegularizerConfig)
 
+    def __post_init__(self):
+        _one_of("activation", self.activation, ACTIVATIONS)
+
 
 @dataclass(frozen=True)
 class SupervisionConfig:
-    loss: str = "contrastive"  # contrastive | margin_mse | term_mse (term level)
+    loss: str = "contrastive"  # one of LOSS_KINDS
     steps: int = 100
     lr: float = 0.5
 
     def __post_init__(self):
+        _one_of("loss", self.loss, LOSS_KINDS)
         if self.steps < 1:
-            raise ValueError(f"supervision.steps must be >= 1, got {self.steps}")
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not math.isfinite(self.lr):
-            raise ValueError(f"supervision.lr must be finite, got {self.lr}")
+            raise ValueError(f"lr must be finite, got {self.lr}")
+
+
+@dataclass(frozen=True)
+class BackboneConfig:
+    """The frozen backbone whose embeddings the neural heads read; `toy` is the only kind."""
+
+    kind: str = "toy"
+    seed: int = 0
+    dim: int = 16
+
+    def __post_init__(self):
+        _one_of("kind", self.kind, ("toy",))
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -62,14 +93,21 @@ class MethodConfig:
     name: str
     query: SideConfig
     doc: SideConfig
-    shared_heads: bool
-    supervision: SupervisionConfig
-    quantization: Quantization
-    top_k: int
-    bm25: Bm25Params
     paths: PathsConfig
-    backbone_seed: int = 0
-    backbone_dim: int = 16
+    shared_heads: bool = False
+    supervision: SupervisionConfig = field(default_factory=SupervisionConfig)
+    quantization: Quantization = field(default_factory=Quantization)
+    top_k: int = 100
+    bm25: Bm25Params = field(default_factory=Bm25Params)
+    backbone: BackboneConfig = field(default_factory=BackboneConfig)
+
+    @property
+    def backbone_seed(self) -> int:
+        return self.backbone.seed
+
+    @property
+    def backbone_dim(self) -> int:
+        return self.backbone.dim
 
     def validate(self) -> None:
         sides = (("doc", self.doc, EncoderKind.BM25_QUERY), ("query", self.query, EncoderKind.BM25_DOC))
@@ -79,117 +117,73 @@ class MethodConfig:
             if cfg.encoder is wrong:
                 raise ValidationError(f"{self.name}: {side} encoder cannot be {wrong.value!r}")
         if self.shared_heads and self.query.encoder != self.doc.encoder:
-            raise ValidationError(
-                f"{self.name}: shared_heads requires identical query/doc encoder kinds"
-            )
+            raise ValidationError(f"{self.name}: shared_heads requires identical query/doc encoder kinds")
         for option in ("activation", "log_normalize", "quality_heads") if self.shared_heads else ():
             q, d = getattr(self.query, option), getattr(self.doc, option)
             if q != d:
-                raise ValidationError(
-                    f"{self.name}: shared_heads requires identical query/doc {option}, got {q!r} and {d!r}"
-                )
+                raise ValidationError(f"{self.name}: shared_heads requires identical query/doc {option}, got {q!r} and {d!r}")
         if self.top_k < 0:
             raise ValidationError(f"{self.name}: top_k must be >= 0")
 
 
-def _choice(obj: dict, key: str, choices: tuple, what: str):
-    """`obj[key]`, one of `choices` and of their type ("false" is no boolean); the first is the default."""
-    value = obj.get(key, choices[0])
-    if type(value) is not type(choices[0]) or value not in choices:
-        raise ValueError(f"{what} must be one of {', '.join(map(json.dumps, choices))}, got {json.dumps(value)}")
-    return value
+@functools.cache
+def _schema(cls) -> dict[str, tuple[object, bool]]:
+    """Field name -> (type, required) of a config dataclass; cached, as `get_type_hints` is slow."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)}
 
 
-def _integer(obj: dict, key: str, default: int, what: str) -> int:
-    """`obj[key]`, a JSON integer (2.7 and true are not)."""
-    value = obj.get(key, default)
-    if type(value) is not int:
-        raise ValueError(f"{what} must be a JSON integer, got {json.dumps(value)}")
-    return value
+def _read(cls, obj, where: str, base: Path):
+    """A `cls` filled from the JSON object `obj` found at `where` ("" or "section.").
 
-
-def _number(obj: dict, key: str, default: float, what: str) -> float:
-    """`obj[key]`, a JSON number (true is not); the dataclass checks its range."""
-    value = obj.get(key, default)
-    if type(value) not in (int, float):
-        raise ValueError(f"{what} must be a JSON number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _parse_side(config_obj: dict, side: str) -> SideConfig:
-    name = config_obj["name"]
-    obj = json_object(config_obj[side], side)
+    Every key must be a field and an absent key takes the field's default.  The
+    dataclass checks ranges; its errors start with the field's name, so
+    prefixing `where` names the offending key.
+    """
+    schema = _schema(cls)
+    values = {}
+    for key, value in json_object(obj, where.rstrip(".") or "config").items():
+        if key not in schema:
+            raise ValueError(f"unknown key {where}{key}")
+        values[key] = _value(schema[key][0], value, where + key, base)
+    for key, (_, required) in schema.items():
+        if required and key not in values:
+            raise ValueError(f"missing key {where}{key}")
     try:
-        kind = EncoderKind(obj["encoder"])
-    except (KeyError, ValueError) as e:
-        raise ValidationError(f"{name}: bad encoder kind: {e}") from e
-    reg_obj = json_object(obj.get("regularizer", {}), f"{side}.regularizer")
-    weight = _number(reg_obj, "weight", 0.0, f"{side}.regularizer.weight")
-    k = _integer(reg_obj, "k", 0, f"{side}.regularizer.k")
-    try:
-        reg = RegularizerConfig(kind=RegularizerKind(reg_obj.get("kind", "none")), weight=weight, k=k)
+        return cls(**values)
     except ValueError as e:
-        raise ValueError(f"{side}.regularizer: {e}") from e
-    return SideConfig(
-        encoder=kind,
-        activation=_choice(obj, "activation", ACTIVATIONS, f"{side}.activation"),
-        log_normalize=_choice(obj, "log_normalize", (True, False), f"{side}.log_normalize"),
-        quality_heads=_choice(obj, "quality_heads", (False, True), f"{side}.quality_heads"),
-        regularizer=reg,
-    )
+        raise ValueError(f"{where}{e}") from e
+
+
+def _value(tp, value, key: str, base: Path):
+    """`value` as a field of type `tp`, which it must match as a JSON type ("false" is no bool, 1.0 no int)."""
+    if is_dataclass(tp):
+        return _read(tp, value, key + ".", base)
+    optional = type(None) in typing.get_args(tp)  # `Path | None`: only the optional paths
+    if optional:
+        tp = Path
+    if issubclass(tp, enum.Enum):
+        _one_of(key, value, [m.value for m in tp])
+        return tp(value)
+    if type(value) is not (str if tp is Path else tp) and not (tp is float and type(value) is int):
+        kind = {bool: "boolean", int: "integer", float: "number"}.get(tp, "string")
+        raise ValueError(f"{key} must be a JSON {kind}, got {json.dumps(value)}")
+    if tp is float:
+        return float(value)
+    if tp is Path:
+        if not value and not optional:
+            raise ValueError(f"{key} must name a file")
+        return (base / value).resolve() if value else None
+    return value
 
 
 def load_config(path: str | Path) -> MethodConfig:
+    """The method config at `path`; a bad key or value is a ValidationError naming the path and the key."""
     path = Path(path)
-    base = path.parent
-
-    def section(key: str) -> dict:
-        return json_object(obj.get(key, {}), key)
-
-    def resolve(key: str) -> Path | None:
-        value = section("paths").get(key)
-        return (base / value).resolve() if value else None
-
     try:
         with open(path, encoding="utf-8") as f:
-            obj = json_object(json.load(f), "config")
-        paths = PathsConfig(
-            vocab=resolve("vocab"),
-            collection=resolve("collection"),
-            queries=resolve("queries"),
-            qrels=resolve("qrels"),
-            expansions=resolve("expansions"),
-            triples=resolve("triples"),
-            query_heads=resolve("query_heads"),
-            doc_heads=resolve("doc_heads"),
-        )
-        if paths.vocab is None or paths.collection is None or paths.queries is None:
-            raise ValidationError(f"{path}: paths.vocab/collection/queries are required")
-        sup = section("supervision")
-        quant = section("quantization")
-        backbone = section("backbone")
-        config = MethodConfig(
-            name=obj["name"],
-            query=_parse_side(obj, "query"),
-            doc=_parse_side(obj, "doc"),
-            shared_heads=_choice(obj, "shared_heads", (False, True), "shared_heads"),
-            supervision=SupervisionConfig(
-                loss=_choice(sup, "loss", LOSS_KINDS, "supervision.loss"),
-                steps=_integer(sup, "steps", 100, "supervision.steps"),
-                lr=_number(sup, "lr", 0.5, "supervision.lr"),
-            ),
-            quantization=Quantization(
-                mode=quant.get("mode", "exact"), bits=_integer(quant, "bits", 8, "quantization.bits")
-            ),
-            top_k=_integer(obj, "top_k", 100, "top_k"),
-            bm25=Bm25Params(**obj.get("bm25", {})),
-            paths=paths,
-            backbone_seed=_integer(backbone, "seed", 0, "backbone.seed"),
-            backbone_dim=_integer(backbone, "dim", 16, "backbone.dim"),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        if isinstance(e, ValidationError):
-            raise
+            config = _read(MethodConfig, json.load(f), "", path.parent)
+    except (ValueError, OverflowError) as e:
         raise ValidationError(f"{path}: {e}") from e
     config.validate()
     return config

@@ -55,8 +55,8 @@ class TokenizedText:
 class SparseVector:
     """Vocabulary-dimension vector stored as {term id: weight}; exact zeros are never stored.
 
-    Encoder outputs are guaranteed non-negative, but the container itself
-    admits signed values so that gradients can be carried in the same type.
+    Encoder outputs are non-negative.  Training keeps its gradients in dense
+    numpy arrays, never in this type.
     """
 
     __slots__ = ("entries",)
@@ -92,15 +92,6 @@ class SparseVector:
             if t in b:
                 total += a[t] * b[t]
         return total
-
-    def scale(self, c: float) -> "SparseVector":
-        return SparseVector({t: c * w for t, w in self.entries.items()})
-
-    def add(self, other: "SparseVector") -> "SparseVector":
-        out = dict(self.entries)
-        for t, w in other.entries.items():
-            out[t] = out.get(t, 0.0) + w
-        return SparseVector(out)
 
     def to_dense(self, size: int) -> list[float]:
         dense = [0.0] * size
@@ -167,7 +158,8 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_collection(path: str | Path, vocab: Vocabulary) -> Iterator[TokenizedText]:
-    """Collection file: `doc_id<TAB>token token token` per line, UTF-8."""
+    """Collection file: `doc_id<TAB>token token token` per line, UTF-8, each doc_id once."""
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -176,6 +168,8 @@ def read_collection(path: str | Path, vocab: Vocabulary) -> Iterator[TokenizedTe
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: missing tab separator")
             doc_id, _, body = line.partition("\t")
+            if first_line.setdefault(doc_id, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: repeated id {doc_id!r} (first on line {first_line[doc_id]})")
             try:
                 ids = tuple(vocab.term_to_id[tok] for tok in body.split())
             except KeyError as e:

@@ -100,8 +100,10 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self):
-        if self.k1 < 0 or not 0.0 <= self.b <= 1.0:
-            raise ValueError("require k1 >= 0 and 0 <= b <= 1")
+        if not 0 <= self.k1 < math.inf:  # false for NaN
+            raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
+        if not 0 <= self.b <= 1:
+            raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
 def softplus(x):
@@ -422,14 +424,18 @@ def read_head_parameters(path: str | Path) -> HeadParameters:
 
 
 def read_expansion_file(path: str | Path, term_to_id: Mapping[str, int]) -> dict[str, list[int]]:
-    """Expansion-terms file: `doc_id<TAB>term term term` per line."""
+    """Expansion-terms file: `doc_id<TAB>term term term` per line, each doc_id once."""
     out: dict[str, list[int]] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
+            if "\t" not in line:
+                raise ValueError(f"{path}:{lineno}: missing tab separator")
             doc_id, _, body = line.partition("\t")
+            if doc_id in out:
+                raise ValueError(f"{path}:{lineno}: repeated id {doc_id!r}")
             try:
                 out[doc_id] = [term_to_id[tok] for tok in body.split()]
             except KeyError as e:

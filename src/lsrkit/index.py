@@ -36,9 +36,9 @@ class Quantization:
 
     def __post_init__(self):
         if self.mode not in ("exact", "bits"):
-            raise ValueError(f"unknown quantization mode {self.mode!r}")
+            raise ValueError(f'mode must be "exact" or "bits", got {self.mode!r}')
         if self.mode == "bits" and not 1 <= self.bits <= 16:
-            raise ValueError("bits must be in 1..16")
+            raise ValueError(f"bits must be in 1..16, got {self.bits}")
 
 
 @dataclass

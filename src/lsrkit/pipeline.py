@@ -187,22 +187,24 @@ def write_vectors(
 
 
 def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseVector]]:
+    """Records written by `write_vectors`: string ids, each once, and finite non-negative JSON-number weights."""
     out = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json_object(json.loads(line), "record")
-                vec = SparseVector(
-                    {vocab.term_to_id[t]: float(w) for t, w in json_object(rec["vector"], "vector").items()}
-                )
-                if not all(0 <= w < math.inf for w in vec.entries.values()):
-                    raise ValueError("weights must be finite and non-negative")
-                if not isinstance(rec["id"], str):
+                vid, weights = rec["id"], json_object(rec["vector"], "vector")
+                if not isinstance(vid, str):
                     raise ValueError("id must be a string")
-                out.append((rec["id"], vec))
-            except (KeyError, TypeError, ValueError) as e:
+                if first_line.setdefault(vid, lineno) != lineno:
+                    raise ValueError(f"repeated id {vid!r}, first on line {first_line[vid]}")
+                if not all(type(w) in (int, float) and 0 <= w < math.inf for w in weights.values()):
+                    raise ValueError("weights must be finite, non-negative JSON numbers")
+                out.append((vid, SparseVector({vocab.term_to_id[t]: w for t, w in weights.items()})))
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise ValidationError(f"{path}:{lineno}: bad vector record ({e})") from e
     return out
 

@@ -33,9 +33,9 @@ class RegularizerConfig:
 
     def __post_init__(self):
         if not 0 <= self.weight < math.inf:
-            raise ValueError(f"penalty coefficient must be finite and >= 0, got {self.weight}")
+            raise ValueError(f"weight: penalty coefficient must be finite and >= 0, got {self.weight}")
         if self.k < 0:
-            raise ValueError("k must be >= 0")
+            raise ValueError(f"k must be >= 0, got {self.k}")
 
 
 def _batch_size(batch: np.ndarray) -> int:

@@ -1,22 +1,25 @@
 """Configuration loading, ablation toggles, and the CLI subcommands end to end."""
 
+import importlib.util
 import json
 import math
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
 from lsrkit import encoders, pipeline
 from lsrkit.cli import main
-from lsrkit.config import ValidationError, apply_toggle, load_config
+from lsrkit.config import BackboneConfig, SupervisionConfig, ValidationError, apply_toggle, load_config
 from lsrkit.core import read_collection, read_vocabulary, compute_corpus_stats
 from lsrkit.encoders import EncoderKind, encode_bm25_doc, encode_bm25_query, Bm25Params, read_head_parameters
-from lsrkit.index import build_index, exhaustive_search
+from lsrkit.index import Quantization, build_index, exhaustive_search
 from lsrkit.regularization import RegularizerKind
 from lsrkit.synthetic import make_synthetic_task, write_task
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def make_workspace(tmp_path, **config_overrides):
@@ -142,6 +145,66 @@ class TestConfigLoading:
         config = load_config(path)
         assert (config.supervision.steps, config.supervision.lr, config.top_k) == (3, 1.0, 7)
         assert type(config.supervision.lr) is float
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"regulariser": {"kind": "flops", "weight": 0.1}}, "regulariser"),
+        ({"query": {"regulariser": {"kind": "flops", "weight": 0.1}}}, "query.regulariser"),
+        ({"doc": {"regularizer": {"kind": "flops", "wieght": 0.1}}}, "doc.regularizer.wieght"),
+        ({"paths": {"colection": "data/collection.tsv"}}, "paths.colection"),
+    ], ids=["top_level", "side", "regularizer", "paths"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, overrides, key):
+        """A misspelled key would silently configure another method: exit 1 naming the config and the key."""
+        path, _ = make_workspace(tmp_path, **overrides)
+        assert main(_encode_doc_argv(path, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: unknown key {key}")
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"backbone": {"kind": "bert"}}, "backbone.kind"),
+        ({"backbone": {"dim": 0}}, "backbone.dim"),
+        ({"bm25": {"k1": True}}, "bm25.k1"),
+        ({"bm25": {"k1": "0.9"}}, "bm25.k1"),
+        ({"bm25": {"k1": math.nan}}, "bm25.k1"),
+        ({"bm25": {"b": 1.5}}, "bm25.b"),
+        ({"query": {"encoder": "spladee"}}, "query.encoder"),
+    ], ids=["backbone_kind", "backbone_dim", "k1_bool", "k1_string", "k1_nan", "b_range", "encoder"])
+    def test_bad_value_names_config_and_key(self, tmp_path, capsys, overrides, key):
+        """Only the toy backbone exists, it needs a dimension, and BM25's k1 and b are finite
+        JSON numbers: exit 1 naming the config file and the key, before any encoding."""
+        path, _ = make_workspace(tmp_path, **overrides)
+        assert main(_encode_doc_argv(path, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {key} must be")
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_absent_sections_take_the_dataclass_defaults(self, tmp_path):
+        path, _ = make_workspace(tmp_path)
+        config_obj = json.loads(path.read_text(encoding="utf-8"))
+        for key in ("shared_heads", "supervision", "quantization", "top_k", "backbone"):
+            del config_obj[key]
+        path.write_text(json.dumps(config_obj), encoding="utf-8")
+        config = load_config(path)
+        assert config.supervision == SupervisionConfig() and config.quantization == Quantization()
+        assert config.backbone == BackboneConfig() and config.bm25 == Bm25Params()
+        assert (config.shared_heads, config.top_k) == (False, 100)
+        assert (config.backbone_seed, config.backbone_dim) == (0, 16)
+
+    def test_perfbench_workload_configs_load(self, tmp_path, monkeypatch):
+        """Each benchmark workload's method body, as `workloads.prepare` writes it over
+        the bundled toy data, loads: a rejection there would fail every benchmark run."""
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        cache = tmp_path / "cache"
+        for workload in workloads.WORKLOADS.values():
+            task_dir = cache / f"{workload.shape.key}-s1"
+            shutil.copytree(ROOT / "data" / "toy", task_dir, dirs_exist_ok=True)
+            (task_dir / "done").write_text("", encoding="utf-8")
+            config = load_config(workloads.prepare(workload, 1, cache, tmp_path))
+            assert config.name == workload.method["name"]
+            assert config.backbone_seed == workload.method.get("backbone", {}).get("seed", 0)
 
     def test_missing_required_paths_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -296,7 +359,7 @@ class TestCliCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-1.5"])
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-1.5", '"0.5"', "true"])
     def test_bad_vector_weight_exits_1(self, tmp_path, capsys, weight):
         config_path, task = make_workspace(tmp_path)
         vectors = tmp_path / "docs.jsonl"
@@ -305,6 +368,63 @@ class TestCliCommands:
         code = main(["index", "--config", str(config_path), "--vectors", str(vectors), "--output", str(tmp_path / "index")])
         assert code == 1
         assert f"{vectors}:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["index", "search"])
+    def test_repeated_vector_id_exits_1(self, tmp_path, capsys, command):
+        """A doc id twice would break the index build, a query id twice would keep only
+        one ranking: exit 1 naming path:line, with nothing written."""
+        config_path, task = make_workspace(tmp_path)
+        term = task.vocab.terms[0]
+        record = f'{{"id": "a", "vector": {{"{term}": 1.0}}}}\n'
+        vectors, repeated = tmp_path / "docs.jsonl", tmp_path / "repeated.jsonl"
+        vectors.write_text(record, encoding="utf-8")
+        repeated.write_text(record * 2, encoding="utf-8")
+        index_dir, out = tmp_path / "index", tmp_path / "out"
+        assert main(["index", "--config", str(config_path), "--vectors", str(vectors), "--output", str(index_dir)]) == 0
+        capsys.readouterr()
+        if command == "index":
+            argv = ["index", "--config", str(config_path), "--vectors", str(repeated), "--output", str(out)]
+        else:
+            argv = ["search", "--config", str(config_path), "--index", str(index_dir), "--queries", str(repeated),
+                    "--output", str(out)]
+        assert main(argv) == 1
+        assert f"{repeated}:2: bad vector record (repeated id 'a', first on line 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("input_name", ["collection.tsv", "queries.tsv"])
+    def test_repeated_text_id_exits_1(self, tmp_path, capsys, input_name):
+        config_path, _ = make_workspace(tmp_path)
+        path = tmp_path / "data" / input_name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(line + "\n" for line in lines + [lines[2]]), encoding="utf-8")
+        assert main(_encode_doc_argv(config_path, tmp_path)) == 1
+        doc_id = lines[2].split("\t")[0]
+        err = capsys.readouterr().err
+        assert f"{path}:{len(lines) + 1}: repeated id {doc_id!r} (first on line 3)" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("case", ["no_doc_output", "same_path", "same_file_relative"])
+    def test_train_head_keeps_unshared_query_heads(self, tmp_path, capsys, monkeypatch, case):
+        """With separate heads, doc heads written to --output would replace the query
+        heads there: exit 1 after training, with no heads file written."""
+        config_path, _ = make_workspace(tmp_path)
+        q_out = tmp_path / "q_heads.json"
+        argv = ["train-head", "--config", str(config_path), "--output", str(q_out)]
+        if case == "same_path":
+            argv += ["--doc-output", str(q_out)]
+        elif case == "same_file_relative":
+            monkeypatch.chdir(tmp_path)
+            argv += ["--doc-output", q_out.name]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}:") and "--doc-output" in err
+        assert not q_out.exists()
+
+    def test_train_head_shared_heads_need_one_output(self, tmp_path):
+        config_path, _ = make_workspace(tmp_path, query={"encoder": "mlm"}, doc={"encoder": "mlm"}, shared_heads=True)
+        q_out = tmp_path / "heads.json"
+        assert main(["train-head", "--config", str(config_path), "--output", str(q_out)]) == 0
+        assert read_head_parameters(q_out).mlp_weight.shape == (8,)
 
     @pytest.mark.parametrize(
         "case", ["nan_score", "inf_score", "run_duplicate", "qrels_duplicate", "rising_score", "negative_grade"]

@@ -19,6 +19,7 @@ from lsrkit.encoders import (
     encode_mlp,
     expand_text,
     init_head_parameters,
+    read_expansion_file,
     read_head_parameters,
     score,
     softplus,
@@ -152,6 +153,21 @@ class TestExpandText:
     def test_missing_doc_warns_and_passes_through(self):
         got = expand_text(text("d", 0), {})
         assert got.token_ids == (0,)
+
+
+class TestExpansionFile:
+    def test_reads_terms_per_doc(self, tmp_path):
+        path = tmp_path / "exp.tsv"
+        path.write_text("d1\tb a\nd2\t\n\n", encoding="utf-8")
+        assert read_expansion_file(path, {"a": 0, "b": 1}) == {"d1": [1, 0], "d2": []}
+
+    @pytest.mark.parametrize("line", ["d2 a", "d1\tb"], ids=["no_tab", "repeated_id"])
+    def test_bad_line_names_path_and_line(self, tmp_path, line):
+        """`d2 a` is no doc `"d2 a"` without terms, and a second d1 line does not replace the first."""
+        path = tmp_path / "exp.tsv"
+        path.write_text(f"d1\ta\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"exp\.tsv:2: (missing tab|repeated id 'd1')"):
+            read_expansion_file(path, {"a": 0, "b": 1})
 
 
 class TestMlm:
@@ -296,6 +312,12 @@ class TestBm25:
         stats = compute_corpus_stats([TokenizedText("d1", ())])
         with pytest.raises(ValueError):
             encode_bm25_doc(TokenizedText("d1", (0,)), stats)
+
+
+@pytest.mark.parametrize("params", [{"k1": math.nan}, {"k1": math.inf}, {"k1": -0.1}, {"b": math.nan}, {"b": 1.1}])
+def test_bm25_params_must_be_finite_and_in_range(params):
+    with pytest.raises(ValueError, match=f"{next(iter(params))} must be"):
+        Bm25Params(**params)
 
 
 class TestScore:
