@@ -22,7 +22,7 @@ from pathlib import Path
 from .core import json_object
 from .encoders import ACTIVATIONS, Bm25Params, EncoderKind
 from .index import Quantization
-from .regularization import RegularizerConfig, RegularizerKind
+from .regularization import RegularizerConfig
 from .supervision import LOSS_KINDS
 
 
@@ -109,21 +109,22 @@ class MethodConfig:
     def backbone_dim(self) -> int:
         return self.backbone.dim
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Checks across sections; a failing check is a ValidationError naming the key."""
         sides = (("doc", self.doc, EncoderKind.BM25_QUERY), ("query", self.query, EncoderKind.BM25_DOC))
         for side, cfg, wrong in sides:
             if cfg.encoder is EncoderKind.EXP_MLP and self.paths.expansions is None:
-                raise ValidationError(f"{self.name}: {side} encoder 'exp_mlp' requires paths.expansions")
+                raise ValidationError(f"{side}.encoder 'exp_mlp' requires paths.expansions")
             if cfg.encoder is wrong:
-                raise ValidationError(f"{self.name}: {side} encoder cannot be {wrong.value!r}")
+                raise ValidationError(f"{side}.encoder cannot be {wrong.value!r}")
         if self.shared_heads and self.query.encoder != self.doc.encoder:
-            raise ValidationError(f"{self.name}: shared_heads requires identical query/doc encoder kinds")
+            raise ValidationError("shared_heads requires identical query/doc encoder kinds")
         for option in ("activation", "log_normalize", "quality_heads") if self.shared_heads else ():
             q, d = getattr(self.query, option), getattr(self.doc, option)
             if q != d:
-                raise ValidationError(f"{self.name}: shared_heads requires identical query/doc {option}, got {q!r} and {d!r}")
+                raise ValidationError(f"shared_heads requires identical query/doc {option}, got {q!r} and {d!r}")
         if self.top_k < 0:
-            raise ValidationError(f"{self.name}: top_k must be >= 0")
+            raise ValidationError(f"top_k must be >= 0, got {self.top_k}")
 
 
 @functools.cache
@@ -182,49 +183,50 @@ def load_config(path: str | Path) -> MethodConfig:
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as f:
-            config = _read(MethodConfig, json.load(f), "", path.parent)
+            return _read(MethodConfig, json.load(f), "", path.parent)
     except (ValueError, OverflowError) as e:
         raise ValidationError(f"{path}: {e}") from e
-    config.validate()
-    return config
 
 
 #: components a single ablation toggle may change
 TOGGLE_KEYS = ("query_encoder", "doc_encoder", "regularizer", "shared_heads")
 
 
+def _json_or_text(text: str):
+    """`text` read as JSON, or the string itself when it is not JSON."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
 def apply_toggle(config: MethodConfig, toggle: str) -> MethodConfig:
-    """Apply one single-component change, e.g. `query_encoder=mlp` or `regularizer=topk:50`."""
-    if toggle.count("=") != 1:
-        raise ValidationError(f"bad toggle {toggle!r}: expected key=value")
-    key, value = toggle.split("=")
+    """Apply one single-component change, e.g. `query_encoder=mlp` or `regularizer=topk:50`.
+
+    Each value is read as JSON, or else as the string itself, and meets the checks of
+    `load_config`; a failure is a ValidationError naming the toggle and its `section.key`.
+    """
+    key, _, value = toggle.partition("=")
     if key not in TOGGLE_KEYS:
-        raise ValidationError(
-            f"toggle {toggle!r} must change exactly one of {', '.join(TOGGLE_KEYS)}"
-        )
-    name = f"{config.name}+{toggle}"
-    if key == "query_encoder":
-        out = replace(config, name=name, query=replace(config.query, encoder=EncoderKind(value)))
-    elif key == "doc_encoder":
-        out = replace(config, name=name, doc=replace(config.doc, encoder=EncoderKind(value)))
-    elif key == "shared_heads":
-        if value not in ("true", "false"):
-            raise ValidationError(f"toggle {toggle!r}: value must be true or false")
-        out = replace(config, name=name, shared_heads=value == "true")
-    else:
-        kind, _, arg = value.partition(":")
-        reg_kind = RegularizerKind(kind)
-        if reg_kind is RegularizerKind.TOPK:
-            reg = RegularizerConfig(kind=reg_kind, k=int(arg or 0))
+        raise ValidationError(f"toggle {toggle!r} must be KEY=VALUE for exactly one KEY of {', '.join(TOGGLE_KEYS)}")
+    try:
+        if key == "regularizer":
+            kind, _, arg = value.partition(":")
+            fragment = {"kind": _json_or_text(kind)}
+            if arg:
+                fragment["k" if fragment["kind"] == "topk" else "weight"] = _json_or_text(arg)
+            reg = _value(RegularizerConfig, fragment, key, Path())
+            changes = {"query": replace(config.query, regularizer=reg), "doc": replace(config.doc, regularizer=reg)}
+        elif key == "shared_heads":
+            changes = {key: _value(bool, _json_or_text(value), key, Path())}
         else:
-            reg = RegularizerConfig(kind=reg_kind, weight=float(arg or 0.0))
-        out = replace(
-            config,
-            name=name,
-            query=replace(config.query, regularizer=reg),
-            doc=replace(config.doc, regularizer=reg),
-        )
-    if key in ("query_encoder", "doc_encoder") and out.shared_heads and out.query.encoder != out.doc.encoder:
-        out = replace(out, shared_heads=False)
-    out.validate()
-    return out
+            side, other = ("query", config.doc) if key == "query_encoder" else ("doc", config.query)
+            encoder = _value(EncoderKind, _json_or_text(value), f"{side}.encoder", Path())
+            # heads stay shared only while both sides keep one encoder kind
+            changes = {
+                side: replace(getattr(config, side), encoder=encoder),
+                "shared_heads": config.shared_heads and encoder is other.encoder,
+            }
+        return replace(config, name=f"{config.name}+{toggle}", **changes)
+    except ValueError as e:
+        raise ValidationError(f"toggle {toggle!r}: {e}") from e

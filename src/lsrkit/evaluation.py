@@ -13,11 +13,18 @@ class Qrels:
     """Relevance judgments: (query_id, doc_id) -> integer grade >= 0 (`read_qrels` checks it)."""
 
     judgments: Mapping[tuple[str, str], int]
+    _relevant: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        relevant: dict[str, dict[str, int]] = {}
+        for (qid, did), grade in self.judgments.items():
+            if grade >= 1:
+                relevant.setdefault(qid, {})[did] = grade
+        object.__setattr__(self, "_relevant", relevant)
 
     def relevant_docs(self, qid: str) -> dict[str, int]:
-        return {
-            did: g for (q, did), g in self.judgments.items() if q == qid and g >= 1
-        }
+        """doc_id -> grade of the docs judged relevant (grade >= 1) to `qid`; do not modify it."""
+        return self._relevant.get(qid, {})
 
 
 @dataclass
@@ -36,57 +43,58 @@ class RunFile:
                 raise ValueError(f"query {qid!r}: duplicate doc_id in ranking")
 
 
-def _scoreable_queries(run: RunFile, qrels: Qrels) -> list[str]:
+def check_cutoff(metric: str, k: int) -> None:
+    """A metric's cutoff must be at least 1; the error names it as `metric@k`."""
+    if k < 1:
+        raise ValueError(f"{metric}@{k}: k must be >= 1")
+
+
+def _mean_gain(run: RunFile, qrels: Qrels, metric: str, k: int, gain) -> float:
+    """Mean of `gain(top_k_ranking, relevant_docs)` over the run's queries with a judged-relevant doc."""
+    check_cutoff(metric, k)
     qids = [qid for qid in run.rankings if qrels.relevant_docs(qid)]
     if not qids:
         raise ValueError("no queries with judged-relevant documents")
-    return qids
+    total = 0.0
+    for qid in qids:  # not `sum`, which compensates float rounding from Python 3.12 on
+        total += gain(run.rankings[qid][:k], qrels.relevant_docs(qid))
+    return total / len(qids)
 
 
 def mrr_at_k(run: RunFile, qrels: Qrels, k: int) -> float:
     """Mean reciprocal rank of the first relevant doc within the top k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = 0.0
-    qids = _scoreable_queries(run, qrels)
-    for qid in qids:
-        relevant = qrels.relevant_docs(qid)
-        for rank, (did, _) in enumerate(run.rankings[qid][:k], start=1):
+
+    def gain(top: list[tuple[str, float]], relevant: dict[str, int]) -> float:
+        for rank, (did, _) in enumerate(top, start=1):
             if did in relevant:
-                total += 1.0 / rank
-                break
-    return total / len(qids)
+                return 1.0 / rank
+        return 0.0
+
+    return _mean_gain(run, qrels, "mrr", k, gain)
 
 
 def ndcg_at_k(run: RunFile, qrels: Qrels, k: int) -> float:
     """NDCG with gain 2^grade - 1 and log2(rank + 1) discount (trec_eval convention)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = 0.0
-    qids = _scoreable_queries(run, qrels)
-    for qid in qids:
-        relevant = qrels.relevant_docs(qid)
+
+    def gain(top: list[tuple[str, float]], relevant: dict[str, int]) -> float:
         ideal_grades = sorted(relevant.values(), reverse=True)[:k]
         ideal = sum((2**g - 1) / math.log2(r + 1) for r, g in enumerate(ideal_grades, start=1))
         dcg = sum(
             (2 ** relevant.get(did, 0) - 1) / math.log2(rank + 1)
-            for rank, (did, _) in enumerate(run.rankings[qid][:k], start=1)
+            for rank, (did, _) in enumerate(top, start=1)
         )
-        total += dcg / ideal
-    return total / len(qids)
+        return dcg / ideal
+
+    return _mean_gain(run, qrels, "ndcg", k, gain)
 
 
 def recall_at_k(run: RunFile, qrels: Qrels, k: int) -> float:
     """Mean fraction of judged-relevant docs retrieved within the top k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = 0.0
-    qids = _scoreable_queries(run, qrels)
-    for qid in qids:
-        relevant = qrels.relevant_docs(qid)
-        retrieved = {did for did, _ in run.rankings[qid][:k]}
-        total += len(relevant.keys() & retrieved) / len(relevant)
-    return total / len(qids)
+
+    def gain(top: list[tuple[str, float]], relevant: dict[str, int]) -> float:
+        return len(relevant.keys() & {did for did, _ in top}) / len(relevant)
+
+    return _mean_gain(run, qrels, "recall", k, gain)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .encoders import (
     read_head_parameters,
     toy_backbone,
 )
-from .evaluation import Qrels, RunFile, mrr_at_k, ndcg_at_k, read_qrels, read_run, recall_at_k, write_run
+from .evaluation import Qrels, RunFile, check_cutoff, mrr_at_k, ndcg_at_k, read_qrels, read_run, recall_at_k, write_run
 from .index import ImpactIndex, build_index, index_search, load_index, save_index
 from .regularization import RegularizerKind, topk_prune
 from .supervision import TrainResult, TrainSetup, compute_term_recall, read_triples, train_heads
@@ -379,14 +379,6 @@ def run_pipeline(
     )
 
 
-def _changed_side(config: MethodConfig, variant: MethodConfig) -> str | None:
-    if config.query.encoder != variant.query.encoder:
-        return "query"
-    if config.doc.encoder != variant.doc.encoder:
-        return "doc"
-    return None
-
-
 def run_ablation(
     config: MethodConfig,
     toggles: list[str],
@@ -397,10 +389,13 @@ def run_ablation(
 ) -> list[PipelineReport]:
     """Controlled single-change comparison: base row plus one row per toggle.
 
-    With training enabled, an encoder-kind toggle retrains only the changed
-    side and keeps the other side's trained heads fixed, so metric deltas are
-    attributable to that single change.
+    Every toggle and `recall_k` is checked before the first run.  With training
+    enabled, an encoder-kind toggle retrains only the changed side, from its
+    seeded heads, and keeps the other side's trained base heads fixed, so
+    metric deltas are attributable to that single change.
     """
+    check_cutoff("recall", recall_k)
+    variants = [apply_toggle(config, toggle) for toggle in toggles]
     workdir = Path(workdir)
     base_q = base_d = res = None
     if train:
@@ -413,23 +408,17 @@ def run_ablation(
             query_heads=base_q, doc_heads=base_d, recall_k=recall_k,
         )
     ]
-    for i, toggle in enumerate(toggles):
-        variant = apply_toggle(config, toggle)
-        vq, vd = None, None
+    for i, variant in enumerate(variants):
+        vq, vd = base_q, base_d
         if train:
-            side = _changed_side(config, variant)
-            if side == "query":
-                if variant.query.encoder in DIFFERENTIABLE:
-                    result = run_train(variant, seed, train_doc=False, doc_heads_init=base_d, res=res)
-                    vq = result.query_heads
-                vd = base_d
-            elif side == "doc":
-                if variant.doc.encoder in DIFFERENTIABLE:
-                    result = run_train(variant, seed, train_query=False, query_heads_init=base_q, res=res)
-                    vd = result.doc_heads
-                vq = base_q
-            else:
-                result = run_train(variant, seed, res=res)
+            changed = [s for s in ("query", "doc") if getattr(variant, s).encoder != getattr(config, s).encoder]
+            side = changed[0] if changed else None
+            if side is None or getattr(variant, side).encoder in DIFFERENTIABLE:
+                result = run_train(
+                    variant, seed, train_query=side != "doc", train_doc=side != "query",
+                    query_heads_init=base_q if side == "doc" else None,
+                    doc_heads_init=base_d if side == "query" else None, res=res,
+                )
                 vq, vd = result.query_heads, result.doc_heads
         reports.append(
             run_pipeline(

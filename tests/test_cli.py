@@ -240,11 +240,15 @@ class TestToggles:
         variant = apply_toggle(config, "regularizer=flops:0.1")
         assert variant.doc.regularizer.weight == 0.1
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "NaN", "Infinity"])
     def test_regularizer_toggle_weight_must_be_finite(self, tmp_path, value):
-        """A toggle's weight meets the same finite, non-negative rule as a config's."""
+        """A toggle's weight meets the same JSON-number, finite, non-negative rule as a config's."""
         config = self._config(tmp_path)
-        with pytest.raises(ValueError, match="penalty coefficient must be finite and >= 0"):
+        if value in ("nan", "inf"):  # not JSON, so read as a string
+            match = "regularizer.weight must be a JSON number"
+        else:
+            match = "regularizer.weight: penalty coefficient must be finite and >= 0"
+        with pytest.raises(ValidationError, match=match):
             apply_toggle(config, f"regularizer=flops:{value}")
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -559,12 +563,35 @@ class TestAblate:
         assert len(set(weights)) > 1 or weights[0] != 1.0
 
     def test_bad_toggle_exits_1(self, tmp_path, capsys):
+        """A bad toggle fails before the base row runs, naming the toggle and its config key."""
+        config_path, _ = make_workspace(tmp_path)
+        cases = [
+            ("query_encoder=mlp,doc_encoder=mlm", "query.encoder", []),
+            ("query_encoder=spladee", "query.encoder", []),
+            ("regularizer=topk:2.5", "regularizer.k", ["--train"]),
+            ("shared_heads=yes", "shared_heads", []),
+        ]
+        for toggle, key, extra in cases:
+            capsys.readouterr()
+            code = main([
+                "ablate", "--config", str(config_path), "--output", str(tmp_path / "r.json"),
+                "--workdir", str(tmp_path / "work"), "--toggle", "query_encoder=mlp", "--toggle", toggle, *extra,
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert toggle in err and key in err, err
+            assert not (tmp_path / "work").exists()
+            assert not (tmp_path / "r.json").exists()
+
+    def test_bad_recall_k_exits_1_before_any_run(self, tmp_path, capsys):
         config_path, _ = make_workspace(tmp_path)
         code = main([
             "ablate", "--config", str(config_path), "--output", str(tmp_path / "r.json"),
-            "--workdir", str(tmp_path / "work"), "--toggle", "query_encoder=mlp,doc_encoder=mlm",
+            "--workdir", str(tmp_path / "work"), "--recall-k", "0", "--train",
         ])
         assert code == 1
+        assert "recall@0" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
 
 
 def _encode_doc_argv(config_path, tmp_path):

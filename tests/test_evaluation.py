@@ -122,8 +122,8 @@ class TestMetricExamples:
     def test_k_validation(self):
         run = run_of({"q1": ["a"]})
         qrels = Qrels({("q1", "a"): 1})
-        for metric in (mrr_at_k, ndcg_at_k, recall_at_k):
-            with pytest.raises(ValueError):
+        for name, metric in (("mrr", mrr_at_k), ("ndcg", ndcg_at_k), ("recall", recall_at_k)):
+            with pytest.raises(ValueError, match=f"{name}@0"):
                 metric(run, qrels, 0)
 
 

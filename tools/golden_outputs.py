@@ -16,7 +16,10 @@ cache that returned another seed's embeddings would change a digest.
 Last, for every bundled config it builds, saves and loads an index of the
 untrained doc vectors, in the config's quantization and in exact mode, and
 digests the `index_search` ranking and ops of every untrained query at
-k = 0, 1, 10 and the number of docs.
+k = 0, 1, 10 and the number of docs.  Finally it digests `pipeline.evaluate`
+at several cutoffs on one seeded run and graded qrels (`graded_qrels`):
+several grades per query, zero grades, judged docs the run misses, and
+queries with no judgments or no ranking.
 OUT.json maps each output to its sha256.  Two checkouts give the same
 outputs exactly when their OUT.json files are byte-identical
 (`cmp A.json B.json`).  Only calls that older checkouts also have are used.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -49,6 +53,25 @@ def heads_sha256(heads) -> str:
         h.update(name.encode())
         h.update(value.tobytes() if hasattr(value, "tobytes") else repr(value).encode())
     return h.hexdigest()
+
+
+def graded_case(seed: int = 7, n_queries: int = 60, n_docs: int = 20):
+    """A seeded (RunFile, Qrels) pair whose qrels are graded 0-3, some queries judged and not ranked."""
+    from lsrkit.evaluation import Qrels, RunFile
+
+    rng = random.Random(seed)
+    docs = [f"d{i}" for i in range(n_docs)]
+    rankings, judgments = {}, {}
+    for q in range(n_queries):
+        qid = f"q{q}"
+        if q % 7 != 3:  # every seventh query is judged but not ranked
+            ranked = rng.sample(docs, rng.randint(1, 12))
+            scores = sorted((round(rng.uniform(0, 10), 2) for _ in ranked), reverse=True)
+            rankings[qid] = list(zip(ranked, scores))
+        if q % 5 != 0:  # every fifth query has no judgments
+            for did in rng.sample(docs, rng.randint(1, 10)):
+                judgments[(qid, did)] = rng.choice((0, 0, 1, 1, 2, 3))
+    return RunFile(rankings=rankings), Qrels(judgments)
 
 
 def digests(src_dir: Path, work: Path) -> dict:
@@ -99,6 +122,11 @@ def digests(src_dir: Path, work: Path) -> dict:
             results = [index.index_search(loaded, q, k) for _, q in queries for k in (0, 1, 10, len(docs))]
             key = f"{config_path.stem}, {quant.mode}"
             out["search"][key] = hashlib.sha256(repr(results).encode()).hexdigest()
+    run, qrels = graded_case()
+    out["graded_qrels"] = {}
+    for ks in ({"mrr": 10, "ndcg": 10, "recall": 1000}, {"mrr": 1, "ndcg": 3, "recall": 5}):
+        metrics = pipeline.evaluate(run, qrels, ks)
+        out["graded_qrels"][repr(ks)] = hashlib.sha256(repr(metrics).encode()).hexdigest()
     return out
 
 
