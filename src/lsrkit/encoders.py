@@ -186,26 +186,63 @@ def encode_cls_mlm(text: TokenizedText, emb: EmbeddingBundle, head: HeadParamete
 # ---------------------------------------------------------------------------
 
 
+def frozen_input(
+    kind: EncoderKind, text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters
+) -> np.ndarray | None:
+    """The |V|-row of a text's dense head that no trainable parameter reaches, or None if there is none.
+
+    Binary: the weights themselves.  CLS-MLM: the bias-free logits h_0 . e_i.
+    ReLU MLM without quality heads: the column max of the bias-free logits,
+    max_j h_j . e_i (-inf for an empty text).  Adding b_i rounds monotonically
+    and ReLU is monotone, so max_j relu(h_j . e_i + b_i) is relu(max_j h_j . e_i + b_i)
+    bit for bit.  MLP heads, and MLM with softplus or quality heads, have no
+    such row: their weight, or their per-token arg-max, moves with the parameters.
+    """
+    if kind is EncoderKind.BINARY:
+        w = np.zeros(emb.input_embeddings.shape[0])
+        w[list(text.token_ids)] = 1.0
+        return w
+    if kind is EncoderKind.CLS_MLM:
+        return emb.cls_embedding @ emb.input_embeddings.T
+    if kind is EncoderKind.MLM and head.activation == "relu" and not head.use_quality_heads:
+        _check_ctx(text, emb)
+        return (emb.ctx_embeddings @ emb.input_embeddings.T).max(axis=0, initial=-np.inf)
+    return None
+
+
+def frozen_forward(kind: EncoderKind, x: np.ndarray, head: HeadParameters) -> tuple[np.ndarray, dict | None]:
+    """Weights and `head_backward` cache from `frozen_input` rows: one |V|-row, or an N x |V| stack of them.
+
+    Elementwise, so each row gets the bits it would get alone.
+    """
+    if kind is EncoderKind.BINARY:
+        return x, None
+    z = x + head.mlm_bias
+    if kind is EncoderKind.CLS_MLM:
+        return activate(z, head.activation), {"kind": kind, "head": head, "z": z}
+    m = activate(z, "relu")
+    return np.log1p(m), {"kind": kind, "head": head, "m": m, "zstar": z, "gstar": 1.0, "q": 1.0}
+
+
 def head_forward(
     kind: EncoderKind, text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters
 ) -> tuple[np.ndarray, dict | None]:
     """Dense |V|-vector of weights plus the cache `head_backward` needs.
 
     The cache is None when the weights depend on no trainable parameter (the
-    binary encoder, or an empty text under a per-token head).
+    binary encoder, or an empty text under a per-token head).  Heads with a
+    `frozen_input` row are `frozen_forward` of it; MLM with softplus or quality
+    heads takes the first-max arg-max position per column.
     """
-    w = np.zeros(emb.input_embeddings.shape[0])
-    if kind is EncoderKind.BINARY:
-        w[list(text.token_ids)] = 1.0
-        return w, None
-    if kind is EncoderKind.CLS_MLM:
-        z = emb.cls_embedding @ emb.input_embeddings.T + head.mlm_bias
-        return activate(z, head.activation), {"kind": kind, "head": head, "z": z}
-    if kind not in (EncoderKind.MLP, EncoderKind.EXP_MLP, EncoderKind.MLM):
+    if kind in (EncoderKind.MLP, EncoderKind.EXP_MLP, EncoderKind.MLM):
+        _check_ctx(text, emb)
+        if len(text) == 0:
+            return np.zeros(emb.input_embeddings.shape[0]), None
+    elif kind not in (EncoderKind.BINARY, EncoderKind.CLS_MLM):
         raise ValueError(f"encoder kind {kind.value!r} has no dense head")
-    _check_ctx(text, emb)
-    if len(text) == 0:
-        return w, None
+    x = frozen_input(kind, text, emb, head)
+    if x is not None:
+        return frozen_forward(kind, x, head)
     if kind is EncoderKind.MLM:
         logits = emb.ctx_embeddings @ emb.input_embeddings.T + head.mlm_bias  # L x |V|
         a = activate(logits, head.activation)
@@ -214,12 +251,13 @@ def head_forward(
             a = a * g[:, None]
         else:
             q, g = 1.0, np.ones(len(text))
-        cols = np.arange(len(w))
+        cols = np.arange(a.shape[1])
         jstar = a.argmax(axis=0)  # first max wins ties
         m = a[jstar, cols]
         cache = {"kind": kind, "head": head, "m": m, "zstar": logits[jstar, cols], "gstar": g[jstar], "q": q}
         return q * np.log1p(m), cache
     ids = list(text.token_ids)
+    w = np.zeros(emb.input_embeddings.shape[0])
     z = emb.ctx_embeddings @ head.mlp_weight + head.mlp_bias
     a = activate(z, head.activation)
     np.add.at(w, ids, np.log1p(a) if head.mlp_log_normalize else a)  # in token order, like a loop
@@ -227,20 +265,24 @@ def head_forward(
 
 
 def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
-    """Accumulate head-parameter gradients given dLoss/dWeights for one text.
+    """Accumulate head-parameter gradients given dLoss/dWeights for one text, or for a `frozen_forward` stack.
 
-    Chain rule through log/softplus/ReLU/max; max routes its gradient to the
-    arg-max position, ties to the lowest.  `grads` holds "mlp_weight",
+    Chain rule through log/softplus/ReLU/max.  MLM's max routes its gradient to
+    the column's max logit zstar: in the max form of `frozen_input`, that is the
+    column max itself, with g = q = 1; otherwise it is the first-max arg-max
+    position's logit, times that token's importance g and the sequence quality q.
+    A stack's rows (a 2-D `grad_w`) are added one after another, in row order,
+    as a loop over its texts would add them.  `grads` holds "mlp_weight",
     "mlp_bias" and "mlm_bias", as zeros before the first text.
     """
     if cache is None:
         return
     kind, head = cache["kind"], cache["head"]
     if kind is EncoderKind.CLS_MLM:
-        grads["mlm_bias"] += grad_w * activate_grad(cache["z"], head.activation)
+        rows = grad_w * activate_grad(cache["z"], head.activation)
     elif kind is EncoderKind.MLM:
         fprime = activate_grad(cache["zstar"], head.activation)
-        grads["mlm_bias"] += grad_w * cache["q"] * cache["gstar"] * fprime / (1.0 + cache["m"])
+        rows = grad_w * cache["q"] * cache["gstar"] * fprime / (1.0 + cache["m"])
     else:
         fprime = activate_grad(cache["z"], head.activation)
         if head.mlp_log_normalize:
@@ -248,6 +290,12 @@ def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
         gz = grad_w[cache["ids"]] * fprime
         grads["mlp_weight"] += cache["ctx"].T @ gz
         grads["mlp_bias"] += float(gz.sum())
+        return
+    if rows.ndim == 1:
+        grads["mlm_bias"] += rows
+    else:  # ((total + row_0) + row_1) + ...: numpy sums pairwise only along the fast axis
+        rows[0] += grads["mlm_bias"]
+        np.add.reduce(rows, axis=0, out=grads["mlm_bias"])
 
 
 def idf(term_id: int, stats: CorpusStats) -> float:

@@ -346,11 +346,16 @@ def run_pipeline(
     query_heads: HeadParameters | None = None,
     doc_heads: HeadParameters | None = None,
     recall_k: int = 1000,
+    res: Resources | None = None,
 ) -> PipelineReport:
-    """encode -> index -> search -> eval on the configured data, in one call."""
+    """encode -> index -> search -> eval on the configured data, in one call.
+
+    `res` defaults to `load_resources(config)`.
+    """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    res = load_resources(config)
+    if res is None:
+        res = load_resources(config)
 
     if train and query_heads is None and doc_heads is None:
         result = run_train(config, seed, res=res)
@@ -389,23 +394,24 @@ def run_ablation(
 ) -> list[PipelineReport]:
     """Controlled single-change comparison: base row plus one row per toggle.
 
-    Every toggle and `recall_k` is checked before the first run.  With training
-    enabled, an encoder-kind toggle retrains only the changed side, from its
-    seeded heads, and keeps the other side's trained base heads fixed, so
-    metric deltas are attributable to that single change.
+    Every toggle and `recall_k` is checked before the first run.  Toggles change
+    no path, so every row reads the one `Resources` loaded for the base config.
+    With training enabled, an encoder-kind toggle retrains only the changed
+    side, from its seeded heads, and keeps the other side's trained base heads
+    fixed, so metric deltas are attributable to that single change.
     """
     check_cutoff("recall", recall_k)
     variants = [apply_toggle(config, toggle) for toggle in toggles]
     workdir = Path(workdir)
-    base_q = base_d = res = None
+    res = load_resources(config)
+    base_q = base_d = None
     if train:
-        res = load_resources(config)  # toggles change no path, so every variant shares it
         base_result = run_train(config, seed, res=res)
         base_q, base_d = base_result.query_heads, base_result.doc_heads
     reports = [
         run_pipeline(
             config, workdir / "base", seed,
-            query_heads=base_q, doc_heads=base_d, recall_k=recall_k,
+            query_heads=base_q, doc_heads=base_d, recall_k=recall_k, res=res,
         )
     ]
     for i, variant in enumerate(variants):
@@ -423,7 +429,7 @@ def run_ablation(
         reports.append(
             run_pipeline(
                 variant, workdir / f"variant_{i}", seed,
-                query_heads=vq, doc_heads=vd, recall_k=recall_k,
+                query_heads=vq, doc_heads=vd, recall_k=recall_k, res=res,
             )
         )
     return reports

@@ -5,6 +5,15 @@ encoders' own dense heads (`encoders.head_forward` / `head_backward`) and the
 regularizers of `regularization`, so the code that trains is the code that
 encodes and the code the finite-difference checks cover; no autodiff
 dependency is needed.
+
+The backbone and the vocabulary embeddings are frozen, so a head's input that
+no trained parameter reaches (`encoders.frozen_input`) is the same at every
+step: the binary rows, CLS-MLM's logits h_0 . e_i, and, for ReLU MLM without
+quality heads, the column max of the logits max_j h_j . e_i.  The trainer
+computes those once per call and runs `frozen_forward` on the stacked rows at
+each step.  MLP heads, whose weight trains, and MLM with softplus or quality
+heads, whose max is a first-max arg-max over the tokens, run `head_forward`
+per text at each step.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from .encoders import (
     EmbeddingBundle,
     EncoderKind,
     HeadParameters,
+    frozen_forward,
+    frozen_input,
     head_backward,
     head_forward,
 )
@@ -168,8 +179,14 @@ def train_heads(
 
     Starts from copies of the given heads (shared heads: the query heads serve
     both sides) and reads |V| and d off them.  Backbone embeddings are frozen
-    inputs supplied by `embed`.  Deterministic: iteration order and summation
-    order are fixed.
+    inputs supplied by `embed`, called once per distinct text.  Once per call,
+    a side whose head has `frozen_input` rows (binary; CLS-MLM; ReLU MLM without
+    quality heads, whose row is the column max of the bias-free logits) stacks
+    them, and each step runs one `frozen_forward` over the stack.  MLP heads,
+    and MLM with softplus or quality heads (the first-max arg-max token per
+    column), run `head_forward` per text at each step.  Deterministic:
+    iteration order and summation order are fixed, gradients adding doc rows
+    first, then query rows, text by text, so both forms give the same bits.
     """
     for side, kind, trains in (
         ("query", setup.query_encoder, setup.train_query),
@@ -199,7 +216,17 @@ def train_heads(
                     key=lambda text: text.doc_id),
     }
     row = {side: {text.doc_id: r for r, text in enumerate(texts[side])} for side in texts}
-    bundles = {side: [embed(text) for text in texts[side]] for side in texts}
+    kinds = {"q": setup.query_encoder, "d": setup.doc_encoder}
+    params = {"q": q_heads, "d": d_heads}
+    # Sides with `frozen_input` rows stack them once; the others keep their embeddings for `head_forward`.
+    frozen, bundles = {}, {}
+    for side in texts:
+        embedded = [embed(text) for text in texts[side]]
+        inputs = [frozen_input(kinds[side], t, e, params[side]) for t, e in zip(texts[side], embedded)]
+        if inputs[0] is None:
+            bundles[side] = embedded
+        else:
+            frozen[side] = np.stack(inputs)
     regs = {"q": setup.query_reg, "d": setup.doc_reg}
 
     def zero_grads() -> dict:
@@ -212,10 +239,14 @@ def train_heads(
     loss_history: list[float] = []
     for step in range(setup.steps):
         W, caches, masks = {}, {}, {}
-        for side, kind, params in (("q", setup.query_encoder, q_heads), ("d", setup.doc_encoder, d_heads)):
-            out = [head_forward(kind, t, e, params) for t, e in zip(texts[side], bundles[side])]
-            W[side] = np.stack([w for w, _ in out])
-            caches[side] = [cache for _, cache in out]
+        for side in ("q", "d"):
+            if side in frozen:
+                W[side], cache = frozen_forward(kinds[side], frozen[side], params[side])
+                caches[side] = [cache]
+            else:
+                out = [head_forward(kinds[side], t, e, params[side]) for t, e in zip(texts[side], bundles[side])]
+                W[side] = np.stack([w for w, _ in out])
+                caches[side] = [cache for _, cache in out]
             # Training-time top-k pruning with a linear k-decay schedule from |V|.
             if regs[side].kind is RegularizerKind.TOPK:
                 k = topk_schedule(vocab_size, regs[side].k, setup.steps, step)
@@ -278,7 +309,7 @@ def train_heads(
         # Doc rows first, then query rows: with shared heads this fixes the summation order.
         for side, grads in (("d", d_grads), ("q", q_grads)):
             gw = G[side] * masks[side] if side in masks else G[side]
-            for cache, g in zip(caches[side], gw):
+            for cache, g in zip(caches[side], [gw] if side in frozen else gw):
                 head_backward(cache, g, grads)
 
         if setup.train_query:

@@ -562,6 +562,20 @@ class TestAblate:
         weights = list(first["vector"].values())
         assert len(set(weights)) > 1 or weights[0] != 1.0
 
+    def test_rows_share_one_resources(self, tmp_path, monkeypatch):
+        """A trained ablation reads its data and builds its backbone table once for all its rows."""
+        config_path, _ = make_workspace(tmp_path, query={"encoder": "mlm"}, doc={"encoder": "mlm"}, shared_heads=True)
+        config = load_config(config_path)
+        loads, builds = [], []
+        load, table = pipeline.load_resources, pipeline.backbone_table
+        monkeypatch.setattr(pipeline, "load_resources", lambda *args: loads.append(args) or load(*args))
+        monkeypatch.setattr(pipeline, "backbone_table", lambda *args: builds.append(args) or table(*args))
+        toggles = ["query_encoder=mlp", "regularizer=l1:0.01", "shared_heads=false"]
+        reports = pipeline.run_ablation(config, toggles, tmp_path / "work", config.backbone_seed,
+                                        train=True, recall_k=50)
+        assert len(reports) == 4
+        assert len(loads) == 1 and len(builds) == 1
+
     def test_bad_toggle_exits_1(self, tmp_path, capsys):
         """A bad toggle fails before the base row runs, naming the toggle and its config key."""
         config_path, _ = make_workspace(tmp_path)

@@ -10,6 +10,7 @@ from conftest import make_bundle, make_heads, text
 from lsrkit.core import SparseVector, TokenizedText, compute_corpus_stats
 from lsrkit.encoders import (
     Bm25Params,
+    EncoderKind,
     backbone_table,
     encode_binary,
     encode_bm25_doc,
@@ -18,6 +19,10 @@ from lsrkit.encoders import (
     encode_mlm,
     encode_mlp,
     expand_text,
+    frozen_forward,
+    frozen_input,
+    head_backward,
+    head_forward,
     init_head_parameters,
     read_expansion_file,
     read_head_parameters,
@@ -190,6 +195,37 @@ class TestMlm:
         emb = make_bundle([], [[1.0]])
         assert encode_mlm(text("d"), emb, make_heads(1, 1)) == SparseVector()
 
+    @staticmethod
+    def _relu_head(ids, ctx, E, bias):
+        """ReLU `head_forward` on a hand-built bundle, its dense oracle, and the bias gradient of sum(w)."""
+        emb = make_bundle(ctx, E)
+        heads = make_heads(len(E), len(E[0]), mlm_bias=bias)
+        w, cache = head_forward(EncoderKind.MLM, TokenizedText("d", ids), emb, heads)
+        grads = {"mlp_weight": np.zeros(len(E[0])), "mlp_bias": 0.0, "mlm_bias": np.zeros(len(E))}
+        head_backward(cache, np.ones(len(E)), grads)
+        want = dense_mlm(ids, emb.ctx_embeddings, emb.input_embeddings, np.asarray(bias, dtype=np.float64))
+        return w, cache, want, grads["mlm_bias"]
+
+    def test_tied_max_logit(self):
+        # column 0: both positions give logit 1 + 0.5; column 1: 2 at position 0, -1 at position 1
+        w, _, want, grad = self._relu_head((0, 1), [[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [2.0, -1.0]], [0.5, 0.0])
+        assert want.tolist() == [math.log1p(1.5), math.log1p(2.0)]
+        assert w.tolist() == pytest.approx(want.tolist(), abs=1e-12)
+        # shifting the bias moves both tied logits alike: dw/db = 1 / (1 + m)
+        assert grad.tolist() == [1.0 / 2.5, 1.0 / 3.0]
+
+    def test_column_of_nonpositive_logits(self):
+        # column 0's logits are 0 and -1: weight 0 and no gradient (ReLU's kink counts as 0)
+        w, _, want, grad = self._relu_head((0, 1), [[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 1.0]], [0.0, 0.0])
+        assert want.tolist() == [0.0, math.log1p(1.0)]
+        assert w.tolist() == pytest.approx(want.tolist(), abs=1e-12)
+        assert grad.tolist() == [0.0, 0.5]
+
+    def test_empty_text_gives_zeros_and_no_cache(self):
+        w, cache, want, grad = self._relu_head((), [], [[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0])
+        assert w.tolist() == want.tolist() == [0.0, 0.0]
+        assert cache is None and grad.tolist() == [0.0, 0.0]
+
     def test_matches_dense_oracle_randomized(self, rng):
         vocab_size, dim = 10, 3
         for _ in range(50):
@@ -245,6 +281,42 @@ class TestMlm:
         g = softplus(ctx @ heads.importance_weight)
         want = dense_mlm(ids, ctx, E, np.zeros(vocab_size), q=q, g=g)
         assert got.to_dense(vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
+
+
+class TestFrozenStack:
+    """`frozen_forward` and `head_backward` over a stack of `frozen_input` rows give the bits of
+    `head_forward` and `head_backward` text by text, added onto a running total in text order."""
+
+    @pytest.mark.parametrize("kind, activation", [
+        (EncoderKind.MLM, "relu"), (EncoderKind.CLS_MLM, "relu"), (EncoderKind.CLS_MLM, "softplus"),
+        (EncoderKind.BINARY, "relu"),
+    ])
+    def test_stack_equals_per_text_loop(self, rng, kind, activation):
+        vocab_size, dim = 12, 4
+        E = rng.standard_normal((vocab_size, dim))
+        heads = make_heads(vocab_size, dim, mlm_bias=rng.standard_normal(vocab_size), activation=activation)
+        texts = [TokenizedText(f"d{i}", tuple(int(t) for t in rng.integers(0, vocab_size, size=n)))
+                 for i, n in enumerate((3, 0, 5, 1, 4))]
+        embs = [make_bundle(rng.standard_normal((len(t), dim)), E, cls=rng.standard_normal(dim)) for t in texts]
+        G = rng.standard_normal((len(texts), vocab_size))
+        start = rng.standard_normal(vocab_size)
+        W, cache = frozen_forward(kind, np.stack([frozen_input(kind, t, e, heads) for t, e in zip(texts, embs)]), heads)
+        stacked = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
+        head_backward(cache, G, stacked)
+        looped = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
+        for i, (t, e) in enumerate(zip(texts, embs)):
+            w, c = head_forward(kind, t, e, heads)
+            assert w.tobytes() == W[i].tobytes()
+            head_backward(c, G[i], looped)
+        assert stacked["mlm_bias"].tobytes() == looped["mlm_bias"].tobytes()
+
+    def test_no_frozen_input_where_a_parameter_reaches_inside(self):
+        emb = make_bundle([[1.0]], [[1.0], [2.0]])
+        for kind, options in [
+            (EncoderKind.MLP, {}), (EncoderKind.EXP_MLP, {}),
+            (EncoderKind.MLM, {"activation": "softplus"}), (EncoderKind.MLM, {"use_quality_heads": True}),
+        ]:
+            assert frozen_input(kind, text("d", 0), emb, make_heads(2, 1, **options)) is None
 
 
 class TestClsMlm:

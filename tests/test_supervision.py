@@ -357,6 +357,32 @@ class TestTrainerGradients:
             self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index),
                                 side="doc", term_labels=labels)
 
+    def test_sparta_mlm_doc_bias_gradient(self, rng):
+        # SPARTA: a frozen binary query side and a trained ReLU MLM doc head
+        triples, embed, v, dim = self._task()
+        setup = TrainSetup(EncoderKind.BINARY, EncoderKind.MLM, steps=1, lr=0.25, train_query=False)
+        for index in rng.integers(0, v, size=5):
+            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index),
+                                side="doc")
+
+    def test_shared_mlm_bias_gradient_with_empty_negative(self, rng):
+        """An empty negative scores 0 and adds no gradient; a start bias of -1 on the even
+        terms leaves those columns non-positive for some texts, so their max sits below ReLU's kink."""
+        triples, embed, v, dim = self._task()
+        first = triples[0]
+        triples = [replace(first, negatives=(text("d_empty"), *first.negatives[1:])), *triples[1:]]
+        start = self._seeded(v, dim, 5)
+        start["query"].mlm_bias = np.where(np.arange(v) % 2 == 0, -1.0, 0.0)
+
+        def max_logits(t):
+            emb = embed(t)
+            return (emb.ctx_embeddings @ emb.input_embeddings.T).max(axis=0) + start["query"].mlm_bias
+
+        assert all((max_logits(t) <= 0).any() for t in (first.query, first.positive))
+        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True, steps=1, lr=0.25)
+        for index in [0, 1, *rng.integers(0, v, size=4)]:
+            self._numeric_check(setup, triples, embed, start, lambda h: h.mlm_bias, int(index))
+
     HEADS = {
         "mlm": (EncoderKind.MLM, lambda h: h.mlm_bias),
         "mlp": (EncoderKind.MLP, lambda h: h.mlp_weight),

@@ -19,7 +19,10 @@ digests the `index_search` ranking and ops of every untrained query at
 k = 0, 1, 10 and the number of docs.  Finally it digests `pipeline.evaluate`
 at several cutoffs on one seeded run and graded qrels (`graded_qrels`):
 several grades per query, zero grades, judged docs the run misses, and
-queries with no judgments or no ranking.
+queries with no judgments or no ranking.  Then it digests `train_heads`
+(`repr(loss_history)` and both heads) on a small synthetic task with one doc
+and one query emptied, under three setups: shared ReLU MLM, binary/MLM and
+binary/CLS-MLM (`EDGE_SETUPS`).
 OUT.json maps each output to its sha256.  Two checkouts give the same
 outputs exactly when their OUT.json files are byte-identical
 (`cmp A.json B.json`).  Only calls that older checkouts also have are used.
@@ -34,11 +37,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 TRAINED = ("splade_max", "deepimpact", "epic", "tilde")
 ABLATION = (
     "splade_max",
     ["query_encoder=mlp", "doc_encoder=mlp", "regularizer=topk:50", "regularizer=l1:0.01",
      "regularizer=l2:0.01", "shared_heads=false"],
+)
+
+
+#: (name, query encoder, doc encoder, further TrainSetup options) of the edge-case training digests
+EDGE_SETUPS = (
+    ("shared relu mlm", "mlm", "mlm", {"shared_heads": True}),
+    ("binary/mlm", "binary", "mlm", {"train_query": False, "loss_kind": "margin_mse"}),
+    ("binary/cls_mlm", "binary", "cls_mlm", {"train_query": False}),
 )
 
 
@@ -72,6 +85,39 @@ def graded_case(seed: int = 7, n_queries: int = 60, n_docs: int = 20):
             for did in rng.sample(docs, rng.randint(1, 10)):
                 judgments[(qid, did)] = rng.choice((0, 0, 1, 1, 2, 3))
     return RunFile(rankings=rankings), Qrels(judgments)
+
+
+def edge_training() -> dict:
+    """`train_heads` digests on a small task whose first doc (a positive) and second query are empty."""
+    from lsrkit.core import TokenizedText
+    from lsrkit.encoders import EncoderKind, backbone_table, init_head_parameters, toy_backbone
+    from lsrkit.regularization import RegularizerConfig, RegularizerKind
+    from lsrkit.supervision import TrainingTriple, TrainSetup, train_heads
+    from lsrkit.synthetic import make_synthetic_task
+
+    task = make_synthetic_task(num_docs=24, num_queries=8, vocab_size=40, seed=3)
+    empty = {task.docs[0].doc_id, task.queries[1].doc_id}
+    texts = {t.doc_id: TokenizedText(t.doc_id, () if t.doc_id in empty else t.token_ids)
+             for t in task.docs + task.queries}
+    triples = [TrainingTriple(texts[r["q"]], texts[r["pos"]], tuple(texts[n] for n in r["negs"]),
+                              (r["teacher"]["pos"], tuple(r["teacher"]["negs"]))) for r in task.triples]
+    v, dim, seed = task.vocab.size, 6, 3
+    table = backbone_table(v, dim, seed)
+    out = {}
+    reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=0.1)
+    for name, query, doc, options in EDGE_SETUPS:
+        setup = TrainSetup(EncoderKind(query), EncoderKind(doc), query_reg=reg, doc_reg=reg,
+                           steps=6, lr=0.5, **options)
+        heads = [init_head_parameters(v, dim, s) for s in (seed, seed + 1)]
+        for h in heads:  # a third of the bias columns start at -0.5, the rest at 0.3
+            h.mlm_bias = np.where(np.arange(v) % 3 == 0, -0.5, 0.3)
+        result = train_heads(setup, triples, lambda t: toy_backbone(t, v, dim, seed, table), *heads)
+        out[name] = {
+            "loss_history": hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
+            "query_heads": heads_sha256(result.query_heads),
+            "doc_heads": heads_sha256(result.doc_heads),
+        }
+    return out
 
 
 def digests(src_dir: Path, work: Path) -> dict:
@@ -127,6 +173,7 @@ def digests(src_dir: Path, work: Path) -> dict:
     for ks in ({"mrr": 10, "ndcg": 10, "recall": 1000}, {"mrr": 1, "ndcg": 3, "recall": 5}):
         metrics = pipeline.evaluate(run, qrels, ks)
         out["graded_qrels"][repr(ks)] = hashlib.sha256(repr(metrics).encode()).hexdigest()
+    out["edge_training"] = edge_training()
     return out
 
 
