@@ -23,7 +23,6 @@ from .core import json_object
 from .encoders import ACTIVATIONS, Bm25Params, EncoderKind
 from .index import Quantization
 from .regularization import RegularizerConfig
-from .supervision import LOSS_KINDS
 
 
 class ValidationError(ValueError):
@@ -46,6 +45,10 @@ class SideConfig:
 
     def __post_init__(self):
         _one_of("activation", self.activation, ACTIVATIONS)
+
+
+#: the supervision losses the trainer knows
+LOSS_KINDS = ("contrastive", "margin_mse", "term_mse")
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,9 @@ class MethodConfig:
                 raise ValidationError(f"{side}.encoder cannot be {wrong.value!r}")
         if self.shared_heads and self.query.encoder != self.doc.encoder:
             raise ValidationError("shared_heads requires identical query/doc encoder kinds")
+        if self.shared_heads and self.paths.query_heads != self.paths.doc_heads:
+            raise ValidationError("shared_heads requires paths.query_heads and paths.doc_heads to name one file, "
+                                  f"got {self.paths.query_heads} and {self.paths.doc_heads}")
         for option in ("activation", "log_normalize", "quality_heads") if self.shared_heads else ():
             q, d = getattr(self.query, option), getattr(self.doc, option)
             if q != d:

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SparseVector
+from .core import SparseVector, json_list
 
 FORMAT = "lsrkit-impact-index-v2"
 
@@ -37,8 +37,8 @@ class Quantization:
     def __post_init__(self):
         if self.mode not in ("exact", "bits"):
             raise ValueError(f'mode must be "exact" or "bits", got {self.mode!r}')
-        if self.mode == "bits" and not 1 <= self.bits <= 16:
-            raise ValueError(f"bits must be in 1..16, got {self.bits}")
+        if type(self.bits) is not int or (self.mode == "bits" and not 1 <= self.bits <= 16):
+            raise ValueError(f"bits must be an integer in 1..16, got {self.bits!r}")
 
 
 @dataclass
@@ -201,17 +201,18 @@ def load_index(directory: str | Path) -> ImpactIndex:
         raise ValueError(f"unrecognized index format in {directory}; rebuild older indexes")
     try:
         quant = Quantization(**header["quantization"])
-        scale = float(header["scale"])
-        doc_table = list(header["doc_table"])
-        vocab_id = header["vocab"]
-        num_offsets = int(header["num_offsets"])
-        total = int(header["total_postings"])
-        payload_bytes = int(header["payload_bytes"])
-        crc = int(header["crc32"])
+        scale, doc_table, vocab_id = header["scale"], json_list(header["doc_table"], "doc_table"), header["vocab"]
+        "".join(doc_table)  # a TypeError at the first id that is no string, in one C loop (faster than isinstance)
+        num_offsets, total, payload_bytes, crc = (
+            header[key] for key in ("num_offsets", "total_postings", "payload_bytes", "crc32")
+        )
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"corrupt index in {directory}: bad header field ({e!r})") from e
-    _require(all(isinstance(d, str) for d in doc_table), directory, "doc ids must be strings")
-    _require(math.isfinite(scale) and scale >= 0, directory, "scale must be finite and non-negative")
+    _require(all(type(n) is int for n in (num_offsets, total, payload_bytes, crc)), directory,
+             "num_offsets, total_postings, payload_bytes and crc32 must be JSON integers")
+    _require(len(set(doc_table)) == len(doc_table), directory, "doc ids must be unique")
+    _require(type(scale) in (int, float) and math.isfinite(scale) and scale >= 0, directory,
+             "scale must be a finite, non-negative JSON number")
 
     blob = (directory / "postings.bin").read_bytes()
     _require(len(blob) == payload_bytes, directory, f"postings.bin is {len(blob)} bytes, header says {payload_bytes}")
@@ -232,11 +233,12 @@ def load_index(directory: str | Path) -> ImpactIndex:
     ascending[starts[(starts > 0) & (starts < total)] - 1] = True  # the next term starts over
     _require(ascending.all(), directory, "doc ordinals not strictly ascending within a term")
     if quant.mode == "exact":
-        _require((np.isfinite(impacts) & (impacts > 0)).all(), directory, "impacts must be finite and positive")
+        _require(not total or (impacts.min() > 0 and impacts.max() < math.inf), directory,
+                 "impacts must be finite and positive")  # min() propagates a NaN, which fails > 0
     else:
         levels = 2**quant.bits - 1
         _require(not total or (impacts.min() >= 1 and impacts.max() <= levels), directory, f"impacts outside 1..{levels}")
-    return ImpactIndex(offsets, ordinals, impacts, doc_table, quant, scale, vocab_id)
+    return ImpactIndex(offsets, ordinals, impacts, doc_table, quant, float(scale), vocab_id)
 
 
 def _require(ok, directory: Path, problem: str) -> None:

@@ -10,6 +10,7 @@ import statistics
 import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .encoders import (
 from .evaluation import Qrels, RunFile, check_cutoff, mrr_at_k, ndcg_at_k, read_qrels, read_run, recall_at_k, write_run
 from .index import ImpactIndex, build_index, index_search, load_index, save_index
 from .regularization import RegularizerKind, topk_prune
-from .supervision import TrainResult, TrainSetup, compute_term_recall, read_triples, train_heads
+from .supervision import TrainResult, read_triples, train_heads
 
 
 @dataclass
@@ -282,13 +283,14 @@ def run_eval(run_path: Path, qrels_path: Path, ks: dict[str, int] | None = None)
 def run_train(
     config: MethodConfig,
     seed: int,
-    train_query: bool = True,
-    train_doc: bool = True,
-    query_heads_init: HeadParameters | None = None,
-    doc_heads_init: HeadParameters | None = None,
     res: Resources | None = None,
+    keep: Mapping[str, HeadParameters] = {},
 ) -> TrainResult:
-    """Train the configured heads on the configured triples; `res` defaults to `load_resources(config)`."""
+    """Train the configured heads on the configured triples; `res` defaults to `load_resources(config)`.
+
+    A side ("query" or "doc") in `keep` starts from the heads given for it and keeps
+    them; any other side starts from `side_heads`.
+    """
     if config.paths.triples is None:
         raise ValidationError(f"{config.name}: training requires paths.triples")
     if res is None:
@@ -296,36 +298,14 @@ def run_train(
     queries = {q.doc_id: side_text(config.query.encoder, q, res) for q in res.queries}
     docs = {d.doc_id: side_text(config.doc.encoder, d, res) for d in res.docs}
     triples = read_triples(config.paths.triples, queries, docs)
-
-    term_labels = None
-    if config.supervision.loss == "term_mse":
-        relevant: dict[str, list[TokenizedText]] = {}
-        for t in triples:
-            relevant.setdefault(t.positive.doc_id, []).append(t.query)
-        term_labels = compute_term_recall(relevant)
-
-    train_query = train_query and config.query.encoder in DIFFERENTIABLE
-    train_doc = train_doc and config.doc.encoder in DIFFERENTIABLE
-    setup = TrainSetup(
-        query_encoder=config.query.encoder,
-        doc_encoder=config.doc.encoder,
-        shared_heads=config.shared_heads,
-        loss_kind=config.supervision.loss,
-        query_reg=config.query.regularizer,
-        doc_reg=config.doc.regularizer,
-        steps=config.supervision.steps,
-        lr=config.supervision.lr,
-        train_query=train_query,
-        train_doc=train_doc,
-    )
     table = res.embedding_table(config.backbone_dim, seed)
     return train_heads(
-        setup,
+        config,
         triples,
         embed=lambda text: toy_backbone(text, res.vocab.size, config.backbone_dim, seed, table),
-        query_heads=query_heads_init or side_heads(config, "query", seed, res.vocab.size),
-        doc_heads=doc_heads_init or side_heads(config, "doc", seed, res.vocab.size),
-        term_labels=term_labels,
+        query_heads=keep["query"] if "query" in keep else side_heads(config, "query", seed, res.vocab.size),
+        doc_heads=keep["doc"] if "doc" in keep else side_heads(config, "doc", seed, res.vocab.size),
+        keep=keep,
     )
 
 
@@ -420,11 +400,8 @@ def run_ablation(
             changed = [s for s in ("query", "doc") if getattr(variant, s).encoder != getattr(config, s).encoder]
             side = changed[0] if changed else None
             if side is None or getattr(variant, side).encoder in DIFFERENTIABLE:
-                result = run_train(
-                    variant, seed, train_query=side != "doc", train_doc=side != "query",
-                    query_heads_init=base_q if side == "doc" else None,
-                    doc_heads_init=base_d if side == "query" else None, res=res,
-                )
+                keep = {"query": base_q} if side == "doc" else {"doc": base_d} if side == "query" else {}
+                result = run_train(variant, seed, res=res, keep=keep)
                 vq, vd = result.query_heads, result.doc_heads
         reports.append(
             run_pipeline(

@@ -1,6 +1,9 @@
 """Labels, losses, and a head-only trainer over frozen backbone embeddings.
 
-Every loss returns its gradient next to its value.  The trainer runs the
+Every loss returns its gradient next to its value.  The trainer trains the
+heads of one `config.MethodConfig`: it reads the encoders, regularizers,
+`shared_heads` and supervision recipe from the config, builds term-recall
+labels from its own triples when the loss is `term_mse`, and runs the
 encoders' own dense heads (`encoders.head_forward` / `head_backward`) and the
 regularizers of `regularization`, so the code that trains is the code that
 encodes and the code the finite-difference checks cover; no autodiff
@@ -20,12 +23,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 import numpy as np
 
+from .config import MethodConfig
 from .core import TokenizedText, json_list, json_object
 from .encoders import (
     DIFFERENTIABLE,
@@ -131,25 +135,8 @@ def margin_mse_loss(
 # ---------------------------------------------------------------------------
 
 
-#: the supervision losses `train_heads` knows
-LOSS_KINDS = ("contrastive", "margin_mse", "term_mse")
-
 #: share of the steps over which the regularizer weight ramps up quadratically
 WARMUP_FRACTION = 1.0 / 3.0
-
-
-@dataclass
-class TrainSetup:
-    query_encoder: EncoderKind
-    doc_encoder: EncoderKind
-    shared_heads: bool = False
-    loss_kind: str = "contrastive"  # one of LOSS_KINDS
-    query_reg: RegularizerConfig = field(default_factory=RegularizerConfig)
-    doc_reg: RegularizerConfig = field(default_factory=RegularizerConfig)
-    steps: int = 100
-    lr: float = 0.5
-    train_query: bool = True
-    train_doc: bool = True
 
 
 @dataclass
@@ -168,14 +155,22 @@ def _reg_lambda(cfg: RegularizerConfig, step: int, steps: int) -> float:
 
 
 def train_heads(
-    setup: TrainSetup,
+    config: MethodConfig,
     triples: list[TrainingTriple],
     embed: Callable[[TokenizedText], EmbeddingBundle],
     query_heads: HeadParameters,
     doc_heads: HeadParameters,
-    term_labels: TermRecallLabels | None = None,
+    keep: Collection[str] = (),
 ) -> TrainResult:
     """Full-batch gradient descent on loss + lambda * regularizer; heads only.
+
+    Trains `config`'s heads: its encoders and regularizers per side,
+    `shared_heads`, and `supervision.{loss,steps,lr}`.  A side trains when its
+    encoder is differentiable and the side ("query" or "doc") is not in `keep`;
+    a binary side, or a kept one, comes back unchanged.  Shared heads train
+    both sides or neither.  `term_mse` labels each positive with the term
+    recall of the queries it answers in `triples`; `margin_mse` needs teacher
+    scores on every triple, checked before any text is embedded.
 
     Starts from copies of the given heads (shared heads: the query heads serve
     both sides) and reads |V| and d off them.  Backbone embeddings are frozen
@@ -188,25 +183,30 @@ def train_heads(
     iteration order and summation order are fixed, gradients adding doc rows
     first, then query rows, text by text, so both forms give the same bits.
     """
-    for side, kind, trains in (
-        ("query", setup.query_encoder, setup.train_query),
-        ("doc", setup.doc_encoder, setup.train_doc),
-    ):
-        if trains and kind not in DIFFERENTIABLE:
-            raise ValueError(f"{side} encoder {kind.value!r} has no trainable head")
-        if not trains and kind not in DIFFERENTIABLE | {EncoderKind.BINARY}:
-            raise ValueError(f"{side} encoder {kind.value!r} cannot appear in training")
-    if setup.shared_heads and setup.query_encoder != setup.doc_encoder:
-        raise ValueError("shared heads require identical encoder kinds")
+    trains = {}
+    for side, cfg in (("query", config.query), ("doc", config.doc)):
+        if cfg.encoder not in DIFFERENTIABLE | {EncoderKind.BINARY}:
+            raise ValueError(f"{side} encoder {cfg.encoder.value!r} has no trainable head and cannot appear "
+                             "in training")
+        trains[side[0]] = cfg.encoder in DIFFERENTIABLE and side not in keep
+    if config.shared_heads and trains["q"] != trains["d"]:
+        raise ValueError("shared heads train both sides or neither, so keep cannot name one side")
     if not triples:
         raise ValueError("no training triples")
-    if setup.loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {setup.loss_kind!r}")
-    if setup.loss_kind == "term_mse" and term_labels is None:
-        raise ValueError("term_mse supervision requires term labels")
+    loss_kind, steps, lr = config.supervision.loss, config.supervision.steps, config.supervision.lr
+    if loss_kind == "margin_mse":
+        for t in triples:
+            if t.teacher_scores is None:
+                raise ValueError(f"{config.paths.triples}: margin_mse requires teacher scores, and the triple with "
+                                 f"query {t.query.doc_id!r} and positive {t.positive.doc_id!r} has none")
+    if loss_kind == "term_mse":
+        relevant: dict[str, list[TokenizedText]] = {}
+        for t in triples:
+            relevant.setdefault(t.positive.doc_id, []).append(t.query)
+        doc_labels = compute_term_recall(relevant)
 
     q_heads = query_heads.copy()
-    d_heads = q_heads if setup.shared_heads else doc_heads.copy()
+    d_heads = q_heads if config.shared_heads else doc_heads.copy()
     vocab_size, dim = q_heads.mlm_bias.size, q_heads.mlp_weight.size
 
     # Per side: one row per distinct text, in doc_id order, embedded once.
@@ -216,7 +216,7 @@ def train_heads(
                     key=lambda text: text.doc_id),
     }
     row = {side: {text.doc_id: r for r, text in enumerate(texts[side])} for side in texts}
-    kinds = {"q": setup.query_encoder, "d": setup.doc_encoder}
+    kinds = {"q": config.query.encoder, "d": config.doc.encoder}
     params = {"q": q_heads, "d": d_heads}
     # Sides with `frozen_input` rows stack them once; the others keep their embeddings for `head_forward`.
     frozen, bundles = {}, {}
@@ -227,17 +227,17 @@ def train_heads(
             bundles[side] = embedded
         else:
             frozen[side] = np.stack(inputs)
-    regs = {"q": setup.query_reg, "d": setup.doc_reg}
+    regs = {"q": config.query.regularizer, "d": config.doc.regularizer}
 
     def zero_grads() -> dict:
         return {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": np.zeros(vocab_size)}
 
     def apply(params: HeadParameters, grads: dict) -> None:
         for name, g in grads.items():
-            setattr(params, name, getattr(params, name) - setup.lr * g)
+            setattr(params, name, getattr(params, name) - lr * g)
 
     loss_history: list[float] = []
-    for step in range(setup.steps):
+    for step in range(steps):
         W, caches, masks = {}, {}, {}
         for side in ("q", "d"):
             if side in frozen:
@@ -249,7 +249,7 @@ def train_heads(
                 caches[side] = [cache for _, cache in out]
             # Training-time top-k pruning with a linear k-decay schedule from |V|.
             if regs[side].kind is RegularizerKind.TOPK:
-                k = topk_schedule(vocab_size, regs[side].k, setup.steps, step)
+                k = topk_schedule(vocab_size, regs[side].k, steps, step)
                 masks[side] = np.stack([topk_mask(w, k) for w in W[side]])
                 W[side] = W[side] * masks[side]
         G = {side: np.zeros_like(W[side]) for side in W}
@@ -257,9 +257,9 @@ def train_heads(
         Wq, Wd, Gq, Gd = list(W["q"]), list(W["d"]), list(G["q"]), list(G["d"])
         total_loss = 0.0
 
-        if setup.loss_kind == "term_mse":
+        if loss_kind == "term_mse":
             for t in triples:
-                if labels := term_labels.get(t.positive.doc_id):
+                if labels := doc_labels.get(t.positive.doc_id):
                     r = row["d"][t.positive.doc_id]
                     loss, grad = term_mse_loss(Wd[r], labels)
                     total_loss += loss / len(triples)
@@ -272,11 +272,9 @@ def train_heads(
                 wq = Wq[qr]
                 s_pos = float(wq @ Wd[pr])
                 s_negs = [float(wq @ Wd[r]) for r in nrs]
-                if setup.loss_kind == "contrastive":
+                if loss_kind == "contrastive":
                     loss, (g_pos, g_negs) = contrastive_nll(s_pos, s_negs)
                 else:
-                    if triple.teacher_scores is None:
-                        raise ValueError("margin_mse requires teacher scores")
                     t_pos, t_negs = triple.teacher_scores
                     margins = [s_pos - s for s in s_negs]
                     t_margins = [t_pos - s for s in t_negs]
@@ -294,7 +292,7 @@ def train_heads(
 
         # Batch regularizers (FLOPs / L1 / L2) with quadratic warm-up.
         for side, cfg in regs.items():
-            lam = _reg_lambda(cfg, step, setup.steps)
+            lam = _reg_lambda(cfg, step, steps)
             if lam == 0.0:
                 continue
             if cfg.kind is RegularizerKind.FLOPS:
@@ -305,16 +303,16 @@ def train_heads(
             G[side] += lam * grad
 
         q_grads = zero_grads()
-        d_grads = q_grads if setup.shared_heads else zero_grads()
+        d_grads = q_grads if config.shared_heads else zero_grads()
         # Doc rows first, then query rows: with shared heads this fixes the summation order.
         for side, grads in (("d", d_grads), ("q", q_grads)):
             gw = G[side] * masks[side] if side in masks else G[side]
             for cache, g in zip(caches[side], [gw] if side in frozen else gw):
                 head_backward(cache, g, grads)
 
-        if setup.train_query:
+        if trains["q"]:
             apply(q_heads, q_grads)
-        if setup.train_doc and not (setup.shared_heads and setup.train_query):
+        if trains["d"] and not config.shared_heads:
             apply(d_heads, d_grads)
         loss_history.append(total_loss)
 

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lsrkit.config import MethodConfig, PathsConfig, SideConfig, SupervisionConfig
 from lsrkit.core import TokenizedText
-from lsrkit.encoders import EmbeddingBundle, HeadParameters
+from lsrkit.encoders import EmbeddingBundle, EncoderKind, HeadParameters
+from lsrkit.regularization import RegularizerConfig
 
 
 def make_bundle(ctx, input_emb, cls=None):
@@ -39,6 +43,26 @@ def make_heads(
         activation=activation,
         mlp_log_normalize=mlp_log_normalize,
         use_quality_heads=use_quality_heads,
+    )
+
+
+def heads_bytes(heads: HeadParameters) -> dict:
+    """Every field of `heads`: the bytes of the arrays, the other values as they are."""
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else value for name, value in vars(heads).items()}
+
+
+def method_config(query, doc, *, shared_heads=False, reg=RegularizerConfig(), loss="contrastive", steps=100, lr=0.5):
+    """A MethodConfig to train with: the encoder kinds, one regularizer on both sides and the supervision recipe.
+
+    Its paths name no real files; `paths.triples` is "triples.jsonl", for errors to name.
+    """
+    return MethodConfig(
+        name="test",
+        query=SideConfig(EncoderKind(query), regularizer=reg),
+        doc=SideConfig(EncoderKind(doc), regularizer=reg),
+        paths=PathsConfig(Path("vocab.txt"), Path("collection.tsv"), Path("queries.tsv"), triples=Path("triples.jsonl")),
+        shared_heads=shared_heads,
+        supervision=SupervisionConfig(loss, steps, lr),
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import make_bundle, make_heads, text
+from conftest import make_bundle, make_heads, method_config, text
 
 from lsrkit.config import load_config
 from lsrkit.core import (
@@ -46,7 +46,6 @@ from lsrkit.index import Quantization, build_index, exhaustive_search, index_sea
 from lsrkit.pipeline import format_report, run_pipeline
 from lsrkit.regularization import RegularizerConfig, RegularizerKind, flops_penalty, lp_penalty
 from lsrkit.supervision import (
-    TrainSetup,
     TrainingTriple,
     contrastive_nll,
     margin_mse_loss,
@@ -295,9 +294,8 @@ class TestCriterion5:
         nnz = []
         for lam in (0.0, 0.01, 0.1, 1.0):
             reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=lam)
-            setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
-                               query_reg=reg, doc_reg=reg, steps=150, lr=0.5)
-            result = train_heads(setup, triples, embed,
+            config = method_config("mlm", "mlm", shared_heads=True, reg=reg, steps=150, lr=0.5)
+            result = train_heads(config, triples, embed,
                                  init_head_parameters(V, D, 3), init_head_parameters(V, D, 4))
             counts = [
                 int((head_forward(EncoderKind.MLM, d, embed(d), result.doc_heads)[0] > 0).sum())
@@ -323,14 +321,12 @@ class TestCriterion6:
         reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=0.1)
 
         base = train_heads(
-            TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=False,
-                       query_reg=reg, doc_reg=reg, steps=150, lr=0.5),
+            method_config("mlm", "mlm", reg=reg, steps=150, lr=0.5),
             triples, embed, init_head_parameters(V, D, 3), init_head_parameters(V, D, 4),
         )
         variant = train_heads(
-            TrainSetup(EncoderKind.MLP, EncoderKind.MLM, shared_heads=False,
-                       query_reg=reg, doc_reg=reg, steps=150, lr=0.5, train_doc=False),
-            triples, embed, init_head_parameters(V, D, 3), base.doc_heads,
+            method_config("mlp", "mlm", reg=reg, steps=150, lr=0.5),
+            triples, embed, init_head_parameters(V, D, 3), base.doc_heads, keep=("doc",),
         )
 
         def encode_all(kind, texts, heads):

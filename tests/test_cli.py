@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import heads_bytes
 from lsrkit import encoders, pipeline
 from lsrkit.cli import main
 from lsrkit.config import BackboneConfig, SupervisionConfig, ValidationError, apply_toggle, load_config
@@ -424,6 +425,24 @@ class TestCliCommands:
         assert err.startswith(f"error: {config_path}:") and "--doc-output" in err
         assert not q_out.exists()
 
+    def test_missing_teacher_score_exits_1_before_embedding(self, tmp_path, capsys, monkeypatch):
+        """A margin_mse triple without teacher scores is exit 1 naming the triples file and the
+        triple's query and positive ids, before any text is embedded."""
+        config_path, _ = make_workspace(tmp_path, supervision={"loss": "margin_mse"})
+        triples = tmp_path / "data" / "triples.jsonl"
+        records = [json.loads(line) for line in triples.read_text(encoding="utf-8").splitlines()]
+        del records[2]["teacher"]
+        triples.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        embedded = []
+        backbone = pipeline.toy_backbone
+        monkeypatch.setattr(pipeline, "toy_backbone", lambda *args: embedded.append(args) or backbone(*args))
+        assert main(["train-head", "--config", str(config_path), "--output", str(tmp_path / "q.json"),
+                     "--doc-output", str(tmp_path / "d.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(triples.resolve()) in err and "margin_mse requires teacher scores" in err
+        assert repr(records[2]["q"]) in err and repr(records[2]["pos"]) in err
+        assert embedded == []
+
     def test_train_head_shared_heads_need_one_output(self, tmp_path):
         config_path, _ = make_workspace(tmp_path, query={"encoder": "mlm"}, doc={"encoder": "mlm"}, shared_heads=True)
         q_out = tmp_path / "heads.json"
@@ -575,6 +594,31 @@ class TestAblate:
                                         train=True, recall_k=50)
         assert len(reports) == 4
         assert len(loads) == 1 and len(builds) == 1
+
+    def test_trained_variant_keeps_the_unchanged_side(self, tmp_path, monkeypatch):
+        """With training, an encoder toggle retrains only the changed side: the heads the
+        variant row encodes its other side with are bitwise the base row's, and
+        `run_train(keep=...)` gives the variant's heads on its own."""
+        config_path, _ = make_workspace(tmp_path, query={"encoder": "mlm"}, doc={"encoder": "mlm"}, shared_heads=True)
+        config = load_config(config_path)
+        received = []
+        run_pipeline = pipeline.run_pipeline
+
+        def recording(config, workdir, seed, **kwargs):
+            received.append({"query": kwargs["query_heads"], "doc": kwargs["doc_heads"]})
+            return run_pipeline(config, workdir, seed, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", recording)
+        toggles = {"doc_encoder=mlp": "query", "query_encoder=mlp": "doc"}
+        pipeline.run_ablation(config, list(toggles), tmp_path / "work", config.backbone_seed, train=True, recall_k=50)
+        base = received[0]
+        for (toggle, kept), row in zip(toggles.items(), received[1:]):
+            changed = "doc" if kept == "query" else "query"
+            assert heads_bytes(row[kept]) == heads_bytes(base[kept]), toggle
+            assert heads_bytes(row[changed]) != heads_bytes(base[changed]), toggle
+            alone = pipeline.run_train(apply_toggle(config, toggle), config.backbone_seed, keep={kept: base[kept]})
+            for side in ("query", "doc"):
+                assert heads_bytes(getattr(alone, f"{side}_heads")) == heads_bytes(row[side]), (toggle, side)
 
     def test_bad_toggle_exits_1(self, tmp_path, capsys):
         """A bad toggle fails before the base row runs, naming the toggle and its config key."""
@@ -737,6 +781,26 @@ class TestHeadsFiles:
         else:
             assert code == 1
             assert err.startswith("error:") and heads.name in err
+
+    @pytest.mark.parametrize("named", [("query_heads",), ("doc_heads",), ("query_heads", "doc_heads")])
+    def test_shared_heads_name_one_file(self, tmp_path, capsys, named):
+        """Shared heads are one set of heads: naming a heads file for one side only, or two
+        different files, is exit 1 naming both keys, not an encode from seeded heads."""
+        config_path, _ = make_workspace(tmp_path, query={"encoder": "mlm"}, doc={"encoder": "mlm"}, shared_heads=True)
+        assert main(["train-head", "--config", str(config_path), "--output", str(tmp_path / "heads.json")]) == 0
+        shutil.copy(tmp_path / "heads.json", tmp_path / "other.json")
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        for key, name in zip(named, ("heads.json", "other.json")):
+            config["paths"][key] = name
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert main(_encode_doc_argv(config_path, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "paths.query_heads" in err and "paths.doc_heads" in err
+        assert not (tmp_path / "o.jsonl").exists()
+        config["paths"].update(query_heads="heads.json", doc_heads="heads.json")
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(_encode_doc_argv(config_path, tmp_path)) == 0
 
     @pytest.mark.parametrize("command", ["encode", "train-head"])
     def test_named_heads_file_must_exist(self, tmp_path, capsys, command):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -462,4 +463,20 @@ class TestCorruption:
             header[key] = change(header[key])
         (tmp_path / "header.json").write_text(json.dumps(header), encoding="utf-8")
         with pytest.raises(ValueError, match="corrupt index"):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("quantization", {"mode": "bits", "bits": 8.5}), ("doc_table", ["a", "a", "c"]), ("scale", "2.5")],
+        ids=["bits-not-an-integer", "doc-id-repeated", "scale-a-string"],
+    )
+    def test_ill_typed_header_field_rejected(self, tmp_path, key, value):
+        """`bits` is a JSON integer (8.5 bits would dequantize with 2**8.5 - 1 levels), doc ids are
+        unique (a repeated one would rank twice) and `scale` is a JSON number; each failure names the index."""
+        docs = [("a", SparseVector({0: 1.0})), ("b", SparseVector({0: 2.0})), ("c", SparseVector({0: 2.5}))]
+        save_index(build_index(docs, Quantization(mode="bits", bits=8)), tmp_path)
+        header = json.loads((tmp_path / "header.json").read_text(encoding="utf-8"))
+        header[key] = value
+        (tmp_path / "header.json").write_text(json.dumps(header), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"corrupt index in {re.escape(str(tmp_path))}"):
             load_index(tmp_path)

@@ -6,12 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import text
+from conftest import heads_bytes, method_config, text
 
 from lsrkit.encoders import EncoderKind, backbone_table, head_forward, init_head_parameters, toy_backbone
 from lsrkit.regularization import RegularizerConfig, RegularizerKind
 from lsrkit.supervision import (
-    TrainSetup,
     TrainingTriple,
     compute_term_recall,
     contrastive_nll,
@@ -193,8 +192,8 @@ class TestTrainHeads:
     def test_lr_zero_returns_initialization(self):
         task, triples = small_task()
         v = task.vocab.size
-        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True, steps=5, lr=0.0)
-        result = train_heads(setup, triples, self._embed(v), *self._heads(v, 2))
+        config = method_config("mlm", "mlm", shared_heads=True, steps=5, lr=0.0)
+        result = train_heads(config, triples, self._embed(v), *self._heads(v, 2))
         init = init_head_parameters(v, self.DIM, 2)
         assert np.array_equal(result.query_heads.mlm_bias, init.mlm_bias)
         assert np.array_equal(result.query_heads.mlp_weight, init.mlp_weight)
@@ -202,9 +201,9 @@ class TestTrainHeads:
     def test_deterministic_given_seed(self):
         task, triples = small_task()
         v = task.vocab.size
-        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLM, steps=10, lr=0.3)
-        a = train_heads(setup, triples, self._embed(v), *self._heads(v, 4))
-        b = train_heads(setup, triples, self._embed(v), *self._heads(v, 4))
+        config = method_config("mlp", "mlm", steps=10, lr=0.3)
+        a = train_heads(config, triples, self._embed(v), *self._heads(v, 4))
+        b = train_heads(config, triples, self._embed(v), *self._heads(v, 4))
         assert np.array_equal(a.query_heads.mlp_weight, b.query_heads.mlp_weight)
         assert np.array_equal(a.doc_heads.mlm_bias, b.doc_heads.mlm_bias)
         assert a.loss_history == b.loss_history
@@ -212,30 +211,41 @@ class TestTrainHeads:
     def test_contrastive_loss_decreases_on_separable_task(self):
         task, triples = small_task()
         v = task.vocab.size
-        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLP, steps=50, lr=0.3)
-        result = train_heads(setup, triples, self._embed(v), *self._heads(v, 4))
+        config = method_config("mlp", "mlp", steps=50, lr=0.3)
+        result = train_heads(config, triples, self._embed(v), *self._heads(v, 4))
         hist = result.loss_history[:50]
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
     def test_non_differentiable_encoder_rejected(self):
+        """A bm25_query side is rejected; a binary side is never trained, and its heads come back unchanged."""
         task, triples = small_task()
         v = task.vocab.size
         with pytest.raises(ValueError, match="no trainable head"):
-            train_heads(
-                TrainSetup(EncoderKind.BM25_QUERY, EncoderKind.MLM, steps=1),
-                triples, self._embed(v), *self._heads(v, 0),
-            )
-        with pytest.raises(ValueError, match="no trainable head"):
-            train_heads(
-                TrainSetup(EncoderKind.BINARY, EncoderKind.MLM, steps=1),
-                triples, self._embed(v), *self._heads(v, 0),
-            )
+            train_heads(method_config("bm25_query", "mlm", steps=1), triples, self._embed(v), *self._heads(v, 0))
+        heads = self._heads(v, 0)
+        result = train_heads(method_config("binary", "mlm", steps=1), triples, self._embed(v), *heads)
+        assert heads_bytes(result.query_heads) == heads_bytes(heads[0])
+        assert heads_bytes(result.doc_heads) != heads_bytes(heads[1])
+
+    def test_kept_side_comes_back_unchanged(self):
+        """A side in `keep` is not trained; shared heads cannot keep one side only."""
+        task, triples = small_task()
+        v = task.vocab.size
+        start = dict(zip(("query", "doc"), self._heads(v, 4)))
+        for kept, trained in (("query", "doc"), ("doc", "query")):
+            result = train_heads(method_config("mlp", "mlm", steps=3, lr=0.3), triples, self._embed(v),
+                                 start["query"], start["doc"], keep=(kept,))
+            assert heads_bytes(getattr(result, f"{kept}_heads")) == heads_bytes(start[kept])
+            assert heads_bytes(getattr(result, f"{trained}_heads")) != heads_bytes(start[trained])
+        with pytest.raises(ValueError, match="keep cannot name one side"):
+            train_heads(method_config("mlm", "mlm", shared_heads=True, steps=1), triples, self._embed(v),
+                        start["query"], start["doc"], keep=("doc",))
 
     def test_frozen_binary_query_side_allowed(self):
         task, triples = small_task()
         v = task.vocab.size
-        setup = TrainSetup(EncoderKind.BINARY, EncoderKind.MLM, steps=5, lr=0.3, train_query=False)
-        result = train_heads(setup, triples, self._embed(v), *self._heads(v, 0))
+        config = method_config("binary", "mlm", steps=5, lr=0.3)
+        result = train_heads(config, triples, self._embed(v), *self._heads(v, 0))
         assert len(result.loss_history) == 5
 
     def _mean_doc_nnz(self, task, heads):
@@ -252,11 +262,8 @@ class TestTrainHeads:
         nnz = []
         for lam in (0.0, 0.01, 0.1, 1.0):
             reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=lam)
-            setup = TrainSetup(
-                EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
-                query_reg=reg, doc_reg=reg, steps=80, lr=0.5,
-            )
-            result = train_heads(setup, triples, self._embed(v), *self._heads(v, 3))
+            config = method_config("mlm", "mlm", shared_heads=True, reg=reg, steps=80, lr=0.5)
+            result = train_heads(config, triples, self._embed(v), *self._heads(v, 3))
             nnz.append(self._mean_doc_nnz(task, result.doc_heads))
         assert all(a >= b for a, b in zip(nnz, nnz[1:])), nnz
         assert nnz[-1] < nnz[0]
@@ -264,32 +271,25 @@ class TestTrainHeads:
     def test_margin_mse_training_runs(self):
         task, triples = small_task()
         v = task.vocab.size
-        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
-                           loss_kind="margin_mse", steps=20, lr=0.05)
-        result = train_heads(setup, triples, self._embed(v), *self._heads(v, 3))
+        config = method_config("mlm", "mlm", shared_heads=True, loss="margin_mse", steps=20, lr=0.05)
+        result = train_heads(config, triples, self._embed(v), *self._heads(v, 3))
         assert result.loss_history[-1] < result.loss_history[0]
 
     def test_term_mse_training_reduces_loss(self):
         task, triples = small_task()
         v = task.vocab.size
-        relevant = {}
-        for t in triples:
-            relevant.setdefault(t.positive.doc_id, []).append(t.query)
-        labels = compute_term_recall(relevant)
-        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLP, loss_kind="term_mse",
-                           steps=40, lr=0.3)
-        result = train_heads(setup, triples, self._embed(v), *self._heads(v, 3, mlp_log_normalize=False),
-                             term_labels=labels)
+        config = method_config("mlp", "mlp", loss="term_mse", steps=40, lr=0.3)
+        result = train_heads(config, triples, self._embed(v), *self._heads(v, 3, mlp_log_normalize=False))
         assert result.loss_history[-1] < result.loss_history[0]
 
 
 class TestTrainerGradients:
     """End-to-end parameter gradients vs finite differences through one step."""
 
-    def _numeric_check(self, setup, triples, embed, start, getter, index, side="query", term_labels=None):
+    def _numeric_check(self, config, triples, embed, start, getter, index, side="query"):
         # one GD step with lr recovers the gradient: grad = (init - updated) / lr
-        lr = setup.lr
-        result = train_heads(setup, triples, embed, start["query"], start["doc"], term_labels=term_labels)
+        lr = config.supervision.lr
+        result = train_heads(config, triples, embed, start["query"], start["doc"])
         grad = (getter(start[side]) - getter(getattr(result, f"{side}_heads")))[index] / lr
 
         h = 1e-5
@@ -297,10 +297,9 @@ class TestTrainerGradients:
         def loss_with(delta):
             heads = start[side].copy()
             getter(heads)[index] += delta
-            probe = TrainSetup(**{**setup.__dict__, "steps": 1, "lr": 0.0})
+            probe = replace(config, supervision=replace(config.supervision, steps=1, lr=0.0))
             probe_heads = {**start, side: heads}
-            return train_heads(probe, triples, embed, probe_heads["query"], probe_heads["doc"],
-                               term_labels=term_labels).loss_history[0]
+            return train_heads(probe, triples, embed, probe_heads["query"], probe_heads["doc"]).loss_history[0]
 
         numeric = (loss_with(h) - loss_with(-h)) / (2 * h)
         assert grad == pytest.approx(numeric, rel=1e-3, abs=1e-7)
@@ -317,52 +316,46 @@ class TestTrainerGradients:
 
     def test_mlm_bias_gradient(self, rng):
         triples, embed, v, dim = self._task()
-        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True, steps=1, lr=0.25)
+        config = method_config("mlm", "mlm", shared_heads=True, steps=1, lr=0.25)
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index))
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index))
 
     def test_mlp_weight_gradient(self, rng):
         triples, embed, v, dim = self._task()
-        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLP, shared_heads=True, steps=1, lr=0.25)
+        config = method_config("mlp", "mlp", shared_heads=True, steps=1, lr=0.25)
         for index in range(dim):
-            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlp_weight, index)
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlp_weight, index)
 
     def test_mlm_bias_gradient_margin_mse(self, rng):
         triples, embed, v, dim = self._task()
-        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True,
-                           loss_kind="margin_mse", steps=1, lr=0.25)
+        config = method_config("mlm", "mlm", shared_heads=True, loss="margin_mse", steps=1, lr=0.25)
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index))
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index))
 
     def test_quality_mlm_softplus_doc_bias_gradient(self, rng):
         # EPIC's doc head: MLM with quality heads and softplus, MLP query head
         triples, embed, v, dim = self._task()
-        setup = TrainSetup(EncoderKind.MLP, EncoderKind.MLM, steps=1, lr=0.25)
+        config = method_config("mlp", "mlm", steps=1, lr=0.25)
         start = {"query": init_head_parameters(v, dim, 5),
                  "doc": init_head_parameters(v, dim, 6, activation="softplus", use_quality_heads=True)}
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(setup, triples, embed, start, lambda h: h.mlm_bias, int(index), side="doc")
+            self._numeric_check(config, triples, embed, start, lambda h: h.mlm_bias, int(index), side="doc")
 
     def test_cls_mlm_doc_bias_gradient_term_mse(self, rng):
         # TILDE's doc head: CLS-MLM trained on term recall under a frozen binary query side
         triples, embed, v, dim = self._task()
-        relevant = {}
-        for t in triples:
-            relevant.setdefault(t.positive.doc_id, []).append(t.query)
-        labels = compute_term_recall(relevant)
-        setup = TrainSetup(EncoderKind.BINARY, EncoderKind.CLS_MLM, loss_kind="term_mse",
-                           steps=1, lr=0.25, train_query=False)
-        labeled = sorted({t for terms in labels.values() for t in terms})
+        config = method_config("binary", "cls_mlm", loss="term_mse", steps=1, lr=0.25)
+        labeled = sorted({term for t in triples for term in t.query.token_ids})
         for index in rng.choice(labeled, size=5, replace=False):
-            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index),
-                                side="doc", term_labels=labels)
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index),
+                                side="doc")
 
     def test_sparta_mlm_doc_bias_gradient(self, rng):
         # SPARTA: a frozen binary query side and a trained ReLU MLM doc head
         triples, embed, v, dim = self._task()
-        setup = TrainSetup(EncoderKind.BINARY, EncoderKind.MLM, steps=1, lr=0.25, train_query=False)
+        config = method_config("binary", "mlm", steps=1, lr=0.25)
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index),
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index),
                                 side="doc")
 
     def test_shared_mlm_bias_gradient_with_empty_negative(self, rng):
@@ -379,9 +372,9 @@ class TestTrainerGradients:
             return (emb.ctx_embeddings @ emb.input_embeddings.T).max(axis=0) + start["query"].mlm_bias
 
         assert all((max_logits(t) <= 0).any() for t in (first.query, first.positive))
-        setup = TrainSetup(EncoderKind.MLM, EncoderKind.MLM, shared_heads=True, steps=1, lr=0.25)
+        config = method_config("mlm", "mlm", shared_heads=True, steps=1, lr=0.25)
         for index in [0, 1, *rng.integers(0, v, size=4)]:
-            self._numeric_check(setup, triples, embed, start, lambda h: h.mlm_bias, int(index))
+            self._numeric_check(config, triples, embed, start, lambda h: h.mlm_bias, int(index))
 
     HEADS = {
         "mlm": (EncoderKind.MLM, lambda h: h.mlm_bias),
@@ -400,12 +393,14 @@ class TestTrainerGradients:
         triples, embed, v, dim = self._task()
         encoder, getter = self.HEADS[head]
         reg = RegularizerConfig(kind=kind, weight=0.1)
-        setup = TrainSetup(encoder, encoder, shared_heads=True, query_reg=reg, doc_reg=reg, steps=2, lr=0.25)
+        options = {"shared_heads": True, "reg": reg, "steps": 2, "lr": 0.25}
         start = self._seeded(v, dim, 5)
-        h1 = train_heads(replace(setup, steps=1), triples, embed, start["query"], start["doc"]).query_heads
-        h2 = train_heads(setup, triples, embed, start["query"], start["doc"]).query_heads
+        h1 = train_heads(method_config(encoder, encoder, **{**options, "steps": 1}), triples, embed,
+                         start["query"], start["doc"]).query_heads
+        h2 = train_heads(method_config(encoder, encoder, **options), triples, embed,
+                         start["query"], start["doc"]).query_heads
 
-        def loss_with(index, delta, probe=replace(setup, lr=0.0)):
+        def loss_with(index, delta, probe=method_config(encoder, encoder, **{**options, "lr": 0.0})):
             heads = h1.copy()
             getter(heads)[index] += delta
             return train_heads(probe, triples, embed, heads, heads).loss_history[1]
@@ -418,12 +413,12 @@ class TestTrainerGradients:
 
         queries = {t.query.doc_id: t.query for t in triples}.values()
         docs = {d.doc_id: d for t in triples for d in (t.positive, *t.negatives)}.values()
-        unregularized = replace(setup, lr=0.0, query_reg=RegularizerConfig(), doc_reg=RegularizerConfig())
+        unregularized = method_config(encoder, encoder, **{**options, "lr": 0.0, "reg": RegularizerConfig()})
         in_loss = loss_with(0, 0.0) - loss_with(0, 0.0, unregularized)
         assert in_loss == pytest.approx(reg.weight * (penalty(queries) + penalty(docs)), rel=1e-9)
         h = 1e-5
         for index in self._indices(head, v, dim, rng):
-            grad = (getter(h1) - getter(h2))[index] / setup.lr
+            grad = (getter(h1) - getter(h2))[index] / options["lr"]
             numeric = (loss_with(index, h) - loss_with(index, -h)) / (2 * h)
             assert grad == pytest.approx(numeric, rel=1e-3, abs=1e-7)
 
@@ -433,9 +428,9 @@ class TestTrainerGradients:
         triples, embed, v, dim = self._task()
         encoder, getter = self.HEADS[head]
         reg = RegularizerConfig(kind=RegularizerKind.TOPK, k=k)
-        setup = TrainSetup(encoder, encoder, shared_heads=True, query_reg=reg, doc_reg=reg, steps=1, lr=0.25)
+        config = method_config(encoder, encoder, shared_heads=True, reg=reg, steps=1, lr=0.25)
         for index in self._indices(head, v, dim, rng):
-            self._numeric_check(setup, triples, embed, self._seeded(v, dim, 5), getter, index)
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), getter, index)
 
 
 class TestTriplesFile:

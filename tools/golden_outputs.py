@@ -19,10 +19,11 @@ digests the `index_search` ranking and ops of every untrained query at
 k = 0, 1, 10 and the number of docs.  Finally it digests `pipeline.evaluate`
 at several cutoffs on one seeded run and graded qrels (`graded_qrels`):
 several grades per query, zero grades, judged docs the run misses, and
-queries with no judgments or no ranking.  Then it digests `train_heads`
-(`repr(loss_history)` and both heads) on a small synthetic task with one doc
-and one query emptied, under three setups: shared ReLU MLM, binary/MLM and
-binary/CLS-MLM (`EDGE_SETUPS`).
+queries with no judgments or no ranking.  Then it writes a small synthetic
+task with one doc and one query emptied, heads whose bias columns start on
+both sides of ReLU's kink, and one config per entry of `EDGE_SETUPS` (shared
+ReLU MLM, binary/MLM under MarginMSE, binary/CLS-MLM), and digests
+`run_train` on each (`repr(loss_history)` and both heads).
 OUT.json maps each output to its sha256.  Two checkouts give the same
 outputs exactly when their OUT.json files are byte-identical
 (`cmp A.json B.json`).  Only calls that older checkouts also have are used.
@@ -47,11 +48,11 @@ ABLATION = (
 )
 
 
-#: (name, query encoder, doc encoder, further TrainSetup options) of the edge-case training digests
+#: (name, query encoder, doc encoder, shared_heads, supervision loss) of the edge-case training digests
 EDGE_SETUPS = (
-    ("shared relu mlm", "mlm", "mlm", {"shared_heads": True}),
-    ("binary/mlm", "binary", "mlm", {"train_query": False, "loss_kind": "margin_mse"}),
-    ("binary/cls_mlm", "binary", "cls_mlm", {"train_query": False}),
+    ("shared relu mlm", "mlm", "mlm", True, "contrastive"),
+    ("binary/mlm", "binary", "mlm", False, "margin_mse"),
+    ("binary/cls_mlm", "binary", "cls_mlm", False, "contrastive"),
 )
 
 
@@ -87,31 +88,49 @@ def graded_case(seed: int = 7, n_queries: int = 60, n_docs: int = 20):
     return RunFile(rankings=rankings), Qrels(judgments)
 
 
-def edge_training() -> dict:
-    """`train_heads` digests on a small task whose first doc (a positive) and second query are empty."""
-    from lsrkit.core import TokenizedText
-    from lsrkit.encoders import EncoderKind, backbone_table, init_head_parameters, toy_backbone
-    from lsrkit.regularization import RegularizerConfig, RegularizerKind
-    from lsrkit.supervision import TrainingTriple, TrainSetup, train_heads
+def edge_training(work: Path) -> dict:
+    """`run_train` digests on a small task whose first doc (a positive) and second query are empty."""
+    from lsrkit import pipeline
+    from lsrkit.config import load_config
+    from lsrkit.core import TokenizedText, write_collection, write_vocabulary
+    from lsrkit.encoders import init_head_parameters, write_head_parameters
     from lsrkit.synthetic import make_synthetic_task
 
     task = make_synthetic_task(num_docs=24, num_queries=8, vocab_size=40, seed=3)
     empty = {task.docs[0].doc_id, task.queries[1].doc_id}
-    texts = {t.doc_id: TokenizedText(t.doc_id, () if t.doc_id in empty else t.token_ids)
-             for t in task.docs + task.queries}
-    triples = [TrainingTriple(texts[r["q"]], texts[r["pos"]], tuple(texts[n] for n in r["negs"]),
-                              (r["teacher"]["pos"], tuple(r["teacher"]["negs"]))) for r in task.triples]
+
+    def emptied(texts):
+        return [TokenizedText(t.doc_id, () if t.doc_id in empty else t.token_ids) for t in texts]
+
+    work.mkdir()
+    write_vocabulary(task.vocab, work / "vocab.txt")
+    write_collection(emptied(task.docs), task.vocab, work / "collection.tsv")
+    write_collection(emptied(task.queries), task.vocab, work / "queries.tsv")
+    (work / "triples.jsonl").write_text("".join(json.dumps(r) + "\n" for r in task.triples), encoding="utf-8")
     v, dim, seed = task.vocab.size, 6, 3
-    table = backbone_table(v, dim, seed)
+    for s in (seed, seed + 1):  # a third of the bias columns start at -0.5, the rest at 0.3
+        heads = init_head_parameters(v, dim, s)
+        heads.mlm_bias = np.where(np.arange(v) % 3 == 0, -0.5, 0.3)
+        write_head_parameters(heads, work / f"heads_{s}.json")
     out = {}
-    reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=0.1)
-    for name, query, doc, options in EDGE_SETUPS:
-        setup = TrainSetup(EncoderKind(query), EncoderKind(doc), query_reg=reg, doc_reg=reg,
-                           steps=6, lr=0.5, **options)
-        heads = [init_head_parameters(v, dim, s) for s in (seed, seed + 1)]
-        for h in heads:  # a third of the bias columns start at -0.5, the rest at 0.3
-            h.mlm_bias = np.where(np.arange(v) % 3 == 0, -0.5, 0.3)
-        result = train_heads(setup, triples, lambda t: toy_backbone(t, v, dim, seed, table), *heads)
+    reg = {"kind": "flops", "weight": 0.1}
+    for i, (name, query, doc, shared, loss) in enumerate(EDGE_SETUPS):
+        config = {
+            "name": name,
+            "query": {"encoder": query, "regularizer": reg},
+            "doc": {"encoder": doc, "regularizer": reg},
+            "shared_heads": shared,
+            "supervision": {"loss": loss, "steps": 6, "lr": 0.5},
+            "backbone": {"seed": seed, "dim": dim},
+            "paths": {
+                "vocab": "vocab.txt", "collection": "collection.tsv", "queries": "queries.tsv",
+                "triples": "triples.jsonl", "query_heads": f"heads_{seed}.json",
+                "doc_heads": f"heads_{seed if shared else seed + 1}.json",
+            },
+        }
+        path = work / f"edge_{i}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        result = pipeline.run_train(load_config(path), seed)
         out[name] = {
             "loss_history": hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
             "query_heads": heads_sha256(result.query_heads),
@@ -173,7 +192,7 @@ def digests(src_dir: Path, work: Path) -> dict:
     for ks in ({"mrr": 10, "ndcg": 10, "recall": 1000}, {"mrr": 1, "ndcg": 3, "recall": 5}):
         metrics = pipeline.evaluate(run, qrels, ks)
         out["graded_qrels"][repr(ks)] = hashlib.sha256(repr(metrics).encode()).hexdigest()
-    out["edge_training"] = edge_training()
+    out["edge_training"] = edge_training(work / "edge")
     return out
 
 
