@@ -1,80 +1,7 @@
 """lsrkit: a learned-sparse-retrieval engine with an impact inverted index.
 
 Encoders, sparsity regularizers, and supervision are composable through
-method configs; retrieval cost is measured by counted multiply-accumulate
-operations instead of wall-clock time.
+method configs; retrieval cost is measured both by counted multiply-accumulate
+operations (`ops_count`) and by wall-clock time.  Every name is imported from
+its module, e.g. `from lsrkit.encoders import encode_mlm`.
 """
-
-from .core import (
-    CorpusStats,
-    SparseVector,
-    TokenizedText,
-    Vocabulary,
-    build_vocabulary,
-    compute_corpus_stats,
-)
-from .encoders import (
-    Bm25Params,
-    EmbeddingBundle,
-    EncoderKind,
-    HeadParameters,
-    encode_binary,
-    encode_bm25_doc,
-    encode_bm25_query,
-    encode_cls_mlm,
-    encode_mlm,
-    encode_mlp,
-    expand_text,
-    score,
-    toy_backbone,
-)
-from .index import ImpactIndex, Quantization, build_index, exhaustive_search, index_search
-from .regularization import RegularizerConfig, RegularizerKind, flops_penalty, lp_penalty, topk_prune
-from .supervision import (
-    TrainingTriple,
-    compute_term_recall,
-    contrastive_nll,
-    margin_mse_loss,
-    term_mse_loss,
-    train_heads,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Bm25Params",
-    "CorpusStats",
-    "EmbeddingBundle",
-    "EncoderKind",
-    "HeadParameters",
-    "ImpactIndex",
-    "Quantization",
-    "RegularizerConfig",
-    "RegularizerKind",
-    "SparseVector",
-    "TokenizedText",
-    "TrainingTriple",
-    "Vocabulary",
-    "build_index",
-    "build_vocabulary",
-    "compute_corpus_stats",
-    "compute_term_recall",
-    "contrastive_nll",
-    "encode_binary",
-    "encode_bm25_doc",
-    "encode_bm25_query",
-    "encode_cls_mlm",
-    "encode_mlm",
-    "encode_mlp",
-    "exhaustive_search",
-    "expand_text",
-    "flops_penalty",
-    "index_search",
-    "lp_penalty",
-    "margin_mse_loss",
-    "score",
-    "term_mse_loss",
-    "topk_prune",
-    "toy_backbone",
-    "train_heads",
-]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -196,3 +197,15 @@ def json_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON list, not {type(value).__name__}")
     return value
+
+
+def json_number(value, what: str) -> float:
+    """`value` as a float if it is a finite JSON number (an int or a float, never a bool), else a ValueError."""
+    try:
+        number = float(value) if type(value) in (int, float) else None
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if number is None or not math.isfinite(number):
+        problem = type(value).__name__ if number is None else number
+        raise ValueError(f"{what} must be a finite JSON number, not {problem}")
+    return number

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CorpusStats, SparseVector, TokenizedText, json_object
+from .core import CorpusStats, SparseVector, TokenizedText, json_list, json_number, json_object
 
 
 class EncoderKind(str, enum.Enum):
@@ -325,11 +325,6 @@ def encode_bm25_doc(
     )
 
 
-def score(q: SparseVector, d: SparseVector) -> float:
-    """Dot product between encoded query and document."""
-    return q.dot(d)
-
-
 # ---------------------------------------------------------------------------
 # Deterministic toy backbone (test-scale stand-in for a transformer encoder)
 # ---------------------------------------------------------------------------
@@ -438,7 +433,8 @@ def write_head_parameters(head: HeadParameters, path: str | Path) -> None:
 
 
 def read_head_parameters(path: str | Path) -> HeadParameters:
-    """Heads from a `write_head_parameters` file: finite tensors of their declared shapes, typed options.
+    """Heads from a `write_head_parameters` file: tensors of finite JSON numbers in their declared
+    shapes of JSON integers, and typed options.
 
     Anything else is a ValueError naming the file; `pipeline.side_heads` checks the fit to a config.
     """
@@ -449,12 +445,16 @@ def read_head_parameters(path: str | Path) -> HeadParameters:
         values = {}
         for name, ndim in HEAD_TENSORS.items():
             t = json_object(tensors[name], name)
-            a = np.asarray(t["data"], dtype=np.float64)
-            if a.ndim != ndim or list(a.shape) != t["shape"]:
-                raise ValueError(f"tensor {name} has shape {list(a.shape)}, declared {t['shape']}, needs {ndim} axes")
-            if not np.isfinite(a).all():
-                raise ValueError(f"tensor {name} has non-finite values")
-            values[name] = a if ndim else float(a)
+            shape = json_list(t["shape"], f"tensor {name} shape")
+            if len(shape) != ndim or any(type(n) is not int for n in shape):
+                raise ValueError(f"tensor {name} shape must list {ndim} JSON integers, not {shape}")
+            what = f"tensor {name} data"
+            if ndim:
+                values[name] = np.array([json_number(x, what) for x in json_list(t["data"], what)])
+            else:
+                values[name] = json_number(t["data"], what)
+            if list(np.shape(values[name])) != shape:
+                raise ValueError(f"tensor {name} has shape {list(np.shape(values[name]))}, declared {shape}")
         for flag in ("mlp_log_normalize", "use_quality_heads"):
             if not isinstance(record[flag], bool):
                 raise ValueError(f"{flag} must be true or false")

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SparseVector, json_list
+from .core import SparseVector, json_list, json_number
 
 FORMAT = "lsrkit-impact-index-v2"
 
@@ -201,7 +201,8 @@ def load_index(directory: str | Path) -> ImpactIndex:
         raise ValueError(f"unrecognized index format in {directory}; rebuild older indexes")
     try:
         quant = Quantization(**header["quantization"])
-        scale, doc_table, vocab_id = header["scale"], json_list(header["doc_table"], "doc_table"), header["vocab"]
+        scale = json_number(header["scale"], "scale")
+        doc_table, vocab_id = json_list(header["doc_table"], "doc_table"), header["vocab"]
         "".join(doc_table)  # a TypeError at the first id that is no string, in one C loop (faster than isinstance)
         num_offsets, total, payload_bytes, crc = (
             header[key] for key in ("num_offsets", "total_postings", "payload_bytes", "crc32")
@@ -211,8 +212,7 @@ def load_index(directory: str | Path) -> ImpactIndex:
     _require(all(type(n) is int for n in (num_offsets, total, payload_bytes, crc)), directory,
              "num_offsets, total_postings, payload_bytes and crc32 must be JSON integers")
     _require(len(set(doc_table)) == len(doc_table), directory, "doc ids must be unique")
-    _require(type(scale) in (int, float) and math.isfinite(scale) and scale >= 0, directory,
-             "scale must be a finite, non-negative JSON number")
+    _require(scale >= 0, directory, "scale must be non-negative")
 
     blob = (directory / "postings.bin").read_bytes()
     _require(len(blob) == payload_bytes, directory, f"postings.bin is {len(blob)} bytes, header says {payload_bytes}")
@@ -238,7 +238,7 @@ def load_index(directory: str | Path) -> ImpactIndex:
     else:
         levels = 2**quant.bits - 1
         _require(not total or (impacts.min() >= 1 and impacts.max() <= levels), directory, f"impacts outside 1..{levels}")
-    return ImpactIndex(offsets, ordinals, impacts, doc_table, quant, float(scale), vocab_id)
+    return ImpactIndex(offsets, ordinals, impacts, doc_table, quant, scale, vocab_id)
 
 
 def _require(ok, directory: Path, problem: str) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import statistics
 import tempfile
@@ -21,6 +20,7 @@ from .core import (
     TokenizedText,
     Vocabulary,
     compute_corpus_stats,
+    json_number,
     json_object,
     read_collection,
     read_vocabulary,
@@ -202,10 +202,11 @@ def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseV
                     raise ValueError("id must be a string")
                 if first_line.setdefault(vid, lineno) != lineno:
                     raise ValueError(f"repeated id {vid!r}, first on line {first_line[vid]}")
-                if not all(type(w) in (int, float) and 0 <= w < math.inf for w in weights.values()):
-                    raise ValueError("weights must be finite, non-negative JSON numbers")
-                out.append((vid, SparseVector({vocab.term_to_id[t]: w for t, w in weights.items()})))
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                vector = {vocab.term_to_id[t]: json_number(w, "weight") for t, w in weights.items()}
+                if min(vector.values(), default=0.0) < 0:
+                    raise ValueError("weights must be non-negative")
+                out.append((vid, SparseVector(vector)))
+            except (KeyError, TypeError, ValueError) as e:
                 raise ValidationError(f"{path}:{lineno}: bad vector record ({e})") from e
     return out
 
@@ -322,7 +323,6 @@ def run_pipeline(
     config: MethodConfig,
     workdir: Path,
     seed: int,
-    train: bool = False,
     query_heads: HeadParameters | None = None,
     doc_heads: HeadParameters | None = None,
     recall_k: int = 1000,
@@ -330,16 +330,13 @@ def run_pipeline(
 ) -> PipelineReport:
     """encode -> index -> search -> eval on the configured data, in one call.
 
-    `res` defaults to `load_resources(config)`.
+    A side without heads given encodes with `side_heads`; trained heads come
+    from `run_train`.  `res` defaults to `load_resources(config)`.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     if res is None:
         res = load_resources(config)
-
-    if train and query_heads is None and doc_heads is None:
-        result = run_train(config, seed, res=res)
-        query_heads, doc_heads = result.query_heads, result.doc_heads
 
     doc_vectors = encode_side(config, "doc", res.docs, res, seed, heads=doc_heads)
     query_vectors = encode_side(config, "query", res.queries, res, seed, heads=query_heads)

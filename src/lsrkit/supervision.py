@@ -30,7 +30,7 @@ from typing import Callable, Collection, Mapping
 import numpy as np
 
 from .config import MethodConfig
-from .core import TokenizedText, json_list, json_object
+from .core import TokenizedText, json_list, json_number, json_object
 from .encoders import (
     DIFFERENTIABLE,
     EmbeddingBundle,
@@ -169,8 +169,9 @@ def train_heads(
     encoder is differentiable and the side ("query" or "doc") is not in `keep`;
     a binary side, or a kept one, comes back unchanged.  Shared heads train
     both sides or neither.  `term_mse` labels each positive with the term
-    recall of the queries it answers in `triples`; `margin_mse` needs teacher
-    scores on every triple, checked before any text is embedded.
+    recall of the queries it answers in `triples`; `contrastive` and
+    `margin_mse` need negatives on every triple, and `margin_mse` teacher
+    scores too, both checked before any text is embedded.
 
     Starts from copies of the given heads (shared heads: the query heads serve
     both sides) and reads |V| and d off them.  Backbone embeddings are frozen
@@ -194,16 +195,22 @@ def train_heads(
     if not triples:
         raise ValueError("no training triples")
     loss_kind, steps, lr = config.supervision.loss, config.supervision.steps, config.supervision.lr
-    if loss_kind == "margin_mse":
-        for t in triples:
-            if t.teacher_scores is None:
-                raise ValueError(f"{config.paths.triples}: margin_mse requires teacher scores, and the triple with "
-                                 f"query {t.query.doc_id!r} and positive {t.positive.doc_id!r} has none")
+
+    def lacking(t: TrainingTriple, need: str) -> ValueError:
+        return ValueError(f"{config.paths.triples}: {loss_kind} requires {need}, and the triple with "
+                          f"query {t.query.doc_id!r} and positive {t.positive.doc_id!r} has none")
+
     if loss_kind == "term_mse":
         relevant: dict[str, list[TokenizedText]] = {}
         for t in triples:
             relevant.setdefault(t.positive.doc_id, []).append(t.query)
         doc_labels = compute_term_recall(relevant)
+    else:
+        for t in triples:
+            if not t.negatives:
+                raise lacking(t, "negatives")
+            if loss_kind == "margin_mse" and t.teacher_scores is None:
+                raise lacking(t, "teacher scores")
 
     q_heads = query_heads.copy()
     d_heads = q_heads if config.shared_heads else doc_heads.copy()
@@ -341,7 +348,8 @@ def read_triples(
                 if rec.get("teacher") is not None:
                     scores = json_object(rec["teacher"], "teacher")
                     teacher_negs = json_list(scores["negs"], "teacher.negs")
-                    teacher = (float(scores["pos"]), tuple(float(s) for s in teacher_negs))
+                    teacher = (json_number(scores["pos"], "teacher.pos"),
+                               tuple(json_number(s, "teacher.negs") for s in teacher_negs))
                 out.append(
                     TrainingTriple(
                         query=queries[rec["q"]],

@@ -23,7 +23,7 @@ from .core import (
     write_collection,
     write_vocabulary,
 )
-from .encoders import Bm25Params, encode_bm25_doc, encode_bm25_query, score
+from .encoders import Bm25Params, encode_bm25_doc, encode_bm25_query
 from .evaluation import Qrels, write_qrels
 
 
@@ -83,8 +83,8 @@ def make_synthetic_task(
         neg_pool = [d for d in docs if d.doc_id != target.doc_id]
         negs = [neg_pool[int(j)] for j in rng.choice(len(neg_pool), size=negatives_per_query, replace=False)]
         qv = encode_bm25_query(query, stats)
-        teacher_pos = score(qv, encode_bm25_doc(target, stats, params))
-        teacher_negs = [score(qv, encode_bm25_doc(n, stats, params)) for n in negs]
+        teacher_pos = qv.dot(encode_bm25_doc(target, stats, params))
+        teacher_negs = [qv.dot(encode_bm25_doc(n, stats, params)) for n in negs]
         triples.append(
             {
                 "q": query.doc_id,

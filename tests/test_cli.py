@@ -443,6 +443,46 @@ class TestCliCommands:
         assert repr(records[2]["q"]) in err and repr(records[2]["pos"]) in err
         assert embedded == []
 
+    @pytest.mark.parametrize("field, value", [
+        ("pos", "nan"), ("pos", math.nan), ("negs", True), ("negs", "1e1"), ("negs", 10**400),
+    ], ids=["pos_string", "pos_nan", "neg_bool", "neg_string", "neg_overflows_float"])
+    def test_bad_teacher_score_exits_1(self, tmp_path, capsys, field, value):
+        """A teacher score is a finite JSON number: anything else is exit 1 naming
+        path:line and the field, not a training run that ends in a NaN loss."""
+        config_path, _ = make_workspace(tmp_path, supervision={"loss": "margin_mse", "steps": 2})
+        triples = tmp_path / "data" / "triples.jsonl"
+        records = [json.loads(line) for line in triples.read_text(encoding="utf-8").splitlines()]
+        if field == "pos":
+            records[1]["teacher"]["pos"] = value
+        else:
+            records[1]["teacher"]["negs"][-1] = value
+        triples.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        q_out = tmp_path / "q.json"
+        assert main(["train-head", "--config", str(config_path), "--output", str(q_out),
+                     "--doc-output", str(tmp_path / "d.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{triples.resolve()}:2:" in err and f"teacher.{field}" in err
+        assert not q_out.exists()
+
+    @pytest.mark.parametrize("loss", ["contrastive", "margin_mse"])
+    def test_triple_without_negatives_exits_1_before_embedding(self, tmp_path, capsys, monkeypatch, loss):
+        """Both losses compare the positive with the negatives, so a triple with none is exit 1
+        naming the triples file and the triple's query and positive ids, before any text is embedded."""
+        config_path, _ = make_workspace(tmp_path, supervision={"loss": loss})
+        triples = tmp_path / "data" / "triples.jsonl"
+        records = [json.loads(line) for line in triples.read_text(encoding="utf-8").splitlines()]
+        records[2]["negs"] = records[2]["teacher"]["negs"] = []
+        triples.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        embedded = []
+        backbone = pipeline.toy_backbone
+        monkeypatch.setattr(pipeline, "toy_backbone", lambda *args: embedded.append(args) or backbone(*args))
+        assert main(["train-head", "--config", str(config_path), "--output", str(tmp_path / "q.json"),
+                     "--doc-output", str(tmp_path / "d.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(triples.resolve()) in err and f"{loss} requires negatives" in err
+        assert repr(records[2]["q"]) in err and repr(records[2]["pos"]) in err
+        assert embedded == []
+
     def test_train_head_shared_heads_need_one_output(self, tmp_path):
         config_path, _ = make_workspace(tmp_path, query={"encoder": "mlm"}, doc={"encoder": "mlm"}, shared_heads=True)
         q_out = tmp_path / "heads.json"
@@ -744,6 +784,12 @@ class TestHeadsFiles:
             tensors["mlp_bias"]["data"] = "x"
         elif case == "non_finite":
             tensors["mlm_bias"]["data"][3] = math.nan
+        elif case == "strings_in_tensor":
+            tensors["mlm_bias"]["data"][:5] = ["0.5", True, 0, 0, "1e1"]
+        elif case == "string_scalar":
+            tensors["mlp_bias"]["data"] = "2.5"
+        elif case == "float_shape":
+            tensors["mlp_weight"]["shape"] = [float(n) for n in tensors["mlp_weight"]["shape"]]
         elif case == "short_mlm_bias":
             tensors["mlm_bias"]["data"].pop()
             tensors["mlm_bias"]["shape"][0] -= 1
@@ -758,9 +804,13 @@ class TestHeadsFiles:
         elif case == "quality_heads":
             rec["use_quality_heads"] = True
 
+    #: damage that `np.asarray` would coerce, so the file would load: the tensor it names
+    NOT_JSON_NUMBERS = {"strings_in_tensor": "mlm_bias", "string_scalar": "mlp_bias", "float_shape": "mlp_weight"}
+
     @pytest.mark.parametrize("case", [
-        "fits", "missing_field", "ill_typed_flag", "ill_typed_tensor", "non_finite",
-        "short_mlm_bias", "short_d_vectors", "activation", "log_normalize", "quality_heads",
+        "fits", "missing_field", "ill_typed_flag", "ill_typed_tensor", "non_finite", "strings_in_tensor",
+        "string_scalar", "float_shape", "short_mlm_bias", "short_d_vectors", "activation", "log_normalize",
+        "quality_heads",
     ])
     def test_heads_file_must_fit_config_side(self, tmp_path, capsys, case):
         config_path, _ = make_workspace(tmp_path)
@@ -781,6 +831,8 @@ class TestHeadsFiles:
         else:
             assert code == 1
             assert err.startswith("error:") and heads.name in err
+            if case in self.NOT_JSON_NUMBERS:
+                assert f"tensor {self.NOT_JSON_NUMBERS[case]}" in err
 
     @pytest.mark.parametrize("named", [("query_heads",), ("doc_heads",), ("query_heads", "doc_heads")])
     def test_shared_heads_name_one_file(self, tmp_path, capsys, named):

@@ -26,7 +26,6 @@ from lsrkit.encoders import (
     init_head_parameters,
     read_expansion_file,
     read_head_parameters,
-    score,
     softplus,
     toy_backbone,
     write_head_parameters,
@@ -393,12 +392,6 @@ def test_bm25_params_must_be_finite_and_in_range(params):
 
 
 class TestScore:
-    def test_shared_support(self):
-        assert score(SparseVector({0: 2.0}), SparseVector({0: 3.0, 1: 1.0})) == 6.0
-
-    def test_disjoint_supports(self):
-        assert score(SparseVector({0: 1.0}), SparseVector({1: 1.0})) == 0.0
-
     def test_bm25_composition_equals_textbook_oracle(self, rng):
         docs = [
             TokenizedText(f"d{i}", tuple(rng.integers(0, 50, size=rng.integers(3, 30))))
@@ -412,7 +405,7 @@ class TestScore:
             qv = encode_bm25_query(TokenizedText("q", q_ids), stats)
             for d, dv in zip(docs, doc_vecs):
                 want = textbook_bm25(q_ids, d.token_ids, stats)
-                assert score(qv, dv) == pytest.approx(want, abs=1e-9)
+                assert qv.dot(dv) == pytest.approx(want, abs=1e-9)
 
 
 class TestToyBackbone:

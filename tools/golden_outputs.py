@@ -3,13 +3,13 @@
     python tools/golden_outputs.py SRC_DIR OUT.json
 
 SRC_DIR is the root of a checkout (its `src/`, `configs/` and `data/` are
-used).  For every bundled config the script runs `run_pipeline` untrained;
-for splade_max, deepimpact, epic and tilde it runs `run_pipeline` trained as
-well; it runs the CLI path `run_index` -> `run_search` on the untrained
-vectors; and it runs `run_train` at the config's backbone seed, digesting
-`repr(loss_history)` and the bytes of both heads.  Next, it runs a trained
-`run_ablation` of splade_max with six toggles (the L1 and L2 ones are the
-only bundled runs of the trainer's L1/L2 penalty) and digests its
+used).  For every bundled config the script runs `run_train` at the config's
+backbone seed, digesting `repr(loss_history)` and the bytes of both heads; it
+runs `run_pipeline` untrained and, for splade_max, deepimpact, epic and tilde,
+also with the trained heads as `query_heads` and `doc_heads`; and it runs the
+CLI path `run_index` -> `run_search` on the untrained vectors.  Next, it
+runs a trained `run_ablation` of splade_max with six toggles (the L1 and L2
+ones are the only bundled runs of the trainer's L1/L2 penalty) and digests its
 `report_json`.  Then, on one shared `Resources`, it encodes splade_max's
 queries at seeds s, s + 1 and s again (s its backbone seed), so a per-seed
 cache that returned another seed's embeddings would change a digest.
@@ -148,15 +148,16 @@ def digests(src_dir: Path, work: Path) -> dict:
     for config_path in sorted((src_dir / "configs").glob("*.json")):
         config = load_config(config_path)
         name = config_path.stem
+        result = pipeline.run_train(config, config.backbone_seed)
         for kind in ("untrained", "trained") if name in TRAINED else ("untrained",):
             run_dir = work / kind / name
-            pipeline.run_pipeline(config, run_dir, config.backbone_seed, train=kind == "trained")
+            heads = {"query_heads": result.query_heads, "doc_heads": result.doc_heads} if kind == "trained" else {}
+            pipeline.run_pipeline(config, run_dir, config.backbone_seed, **heads)
             out[kind][name] = {f: sha256(run_dir / f) for f in ("docs.jsonl", "queries.jsonl", "run.trec")}
         run_dir = work / "untrained" / name
         pipeline.run_index(config, run_dir / "docs.jsonl", run_dir / "index")
         pipeline.run_search(config, run_dir / "index", run_dir / "queries.jsonl", run_dir / "cli.trec")
         out["cli"][name] = sha256(run_dir / "cli.trec")
-        result = pipeline.run_train(config, config.backbone_seed)
         out["train"][name] = {
             "loss_history": hashlib.sha256(repr(result.loss_history).encode()).hexdigest(),
             "query_heads": heads_sha256(result.query_heads),
