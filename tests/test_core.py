@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsrkit.core import (
@@ -96,8 +96,6 @@ class TestSparseVector:
         assert v.nnz == 1
 
     @given(sparse_entries, sparse_entries)
-    @example({0: 2.0}, {0: 3.0, 1: 1.0})  # shared support
-    @example({0: 1.0}, {1: 1.0})  # disjoint supports
     @settings(max_examples=200)
     def test_arithmetic_matches_dense_oracle(self, a, b):
         va, vb = SparseVector(a), SparseVector(b)

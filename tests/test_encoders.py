@@ -392,6 +392,12 @@ def test_bm25_params_must_be_finite_and_in_range(params):
 
 
 class TestScore:
+    def test_shared_support(self):
+        assert SparseVector({0: 2.0}).dot(SparseVector({0: 3.0, 1: 1.0})) == 6.0
+
+    def test_disjoint_supports(self):
+        assert SparseVector({0: 1.0}).dot(SparseVector({1: 1.0})) == 0.0
+
     def test_bm25_composition_equals_textbook_oracle(self, rng):
         docs = [
             TokenizedText(f"d{i}", tuple(rng.integers(0, 50, size=rng.integers(3, 30))))
