@@ -92,11 +92,11 @@ def main(argv=None) -> int:
             info = pipeline.run_search(config, Path(args.index), Path(args.queries), Path(args.output))
             print(json.dumps(info))
         elif args.command == "train-head":
-            result = pipeline.run_train(config, seed)
             doc_output = Path(args.doc_output or args.output)
             if not config.shared_heads and doc_output.resolve() == Path(args.output).resolve():
                 raise ValidationError(f"{args.config}: heads are not shared, so --doc-output must name a file "
                                       "other than --output")
+            result = pipeline.run_train(config, seed)
             write_head_parameters(result.query_heads, Path(args.output))
             write_head_parameters(result.doc_heads, doc_output)
             print(json.dumps({"steps": len(result.loss_history), "final_loss": result.loss_history[-1]}))

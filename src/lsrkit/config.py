@@ -114,6 +114,8 @@ class MethodConfig:
 
     def __post_init__(self):
         """Checks across sections; a failing check is a ValidationError naming the key."""
+        if self.name.split() != [self.name]:  # the run file's tag field
+            raise ValidationError(f"name must be nonempty with no whitespace, got {self.name!r}")
         sides = (("doc", self.doc, EncoderKind.BM25_QUERY), ("query", self.query, EncoderKind.BM25_DOC))
         for side, cfg, wrong in sides:
             if cfg.encoder is EncoderKind.EXP_MLP and self.paths.expansions is None:

@@ -159,7 +159,7 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_collection(path: str | Path, vocab: Vocabulary) -> Iterator[TokenizedText]:
-    """Collection file: `doc_id<TAB>token token token` per line, UTF-8, each doc_id once."""
+    """Collection file: `doc_id<TAB>token token token` per line, UTF-8; each doc_id once, with no whitespace."""
     first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -169,6 +169,8 @@ def read_collection(path: str | Path, vocab: Vocabulary) -> Iterator[TokenizedTe
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: missing tab separator")
             doc_id, _, body = line.partition("\t")
+            if doc_id.split() != [doc_id]:
+                raise ValueError(f"{path}:{lineno}: id {doc_id!r} is empty or contains whitespace")
             if first_line.setdefault(doc_id, lineno) != lineno:
                 raise ValueError(f"{path}:{lineno}: repeated id {doc_id!r} (first on line {first_line[doc_id]})")
             try:

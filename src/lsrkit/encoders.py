@@ -50,16 +50,15 @@ class EmbeddingBundle:
     ctx_embeddings: np.ndarray
     cls_embedding: np.ndarray
     input_embeddings: np.ndarray
-    embedding_dim: int
 
     def __post_init__(self):
-        d = self.embedding_dim
+        if self.input_embeddings.ndim != 2:
+            raise ValueError("input_embeddings must be |V| x d")
+        d = self.input_embeddings.shape[1]
         if self.ctx_embeddings.ndim != 2 or self.ctx_embeddings.shape[1] != d:
             raise ValueError("ctx_embeddings must be L x d")
         if self.cls_embedding.shape != (d,):
             raise ValueError("cls_embedding must be a d-vector")
-        if self.input_embeddings.ndim != 2 or self.input_embeddings.shape[1] != d:
-            raise ValueError("input_embeddings must be |V| x d")
 
 
 ACTIVATIONS = ("relu", "softplus")
@@ -271,9 +270,10 @@ def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
     the column's max logit zstar: in the max form of `frozen_input`, that is the
     column max itself, with g = q = 1; otherwise it is the first-max arg-max
     position's logit, times that token's importance g and the sequence quality q.
-    A stack's rows (a 2-D `grad_w`) are added one after another, in row order,
-    as a loop over its texts would add them.  `grads` holds "mlp_weight",
-    "mlp_bias" and "mlm_bias", as zeros before the first text.
+    A stack's rows (a 2-D `grad_w`; one text's 1-D `grad_w` is a 1-row stack)
+    are added one after another, in row order, as a loop over its texts would
+    add them.  `grads` holds "mlp_weight", "mlp_bias" and "mlm_bias", as zeros
+    before the first text.
     """
     if cache is None:
         return
@@ -291,11 +291,10 @@ def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
         grads["mlp_weight"] += cache["ctx"].T @ gz
         grads["mlp_bias"] += float(gz.sum())
         return
-    if rows.ndim == 1:
-        grads["mlm_bias"] += rows
-    else:  # ((total + row_0) + row_1) + ...: numpy sums pairwise only along the fast axis
-        rows[0] += grads["mlm_bias"]
-        np.add.reduce(rows, axis=0, out=grads["mlm_bias"])
+    rows = np.atleast_2d(rows)
+    # ((total + row_0) + row_1) + ...: numpy sums pairwise only along the fast axis
+    rows[0] += grads["mlm_bias"]
+    np.add.reduce(rows, axis=0, out=grads["mlm_bias"])
 
 
 def idf(term_id: int, stats: CorpusStats) -> float:
@@ -375,12 +374,7 @@ def toy_backbone(
         noise = _toy_vector(dim, "ctx", seed, prev_t, t, next_t, j % 2)
         ctx[j] = (input_emb[t] + noise) / math.sqrt(2.0)
     cls = ctx.mean(axis=0) if len(ids) else np.zeros(dim)
-    return EmbeddingBundle(
-        ctx_embeddings=ctx,
-        cls_embedding=cls,
-        input_embeddings=input_emb,
-        embedding_dim=dim,
-    )
+    return EmbeddingBundle(ctx_embeddings=ctx, cls_embedding=cls, input_embeddings=input_emb)
 
 
 def init_head_parameters(

@@ -188,7 +188,7 @@ def write_vectors(
 
 
 def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseVector]]:
-    """Records written by `write_vectors`: string ids, each once, and finite non-negative JSON-number weights."""
+    """Records written by `write_vectors`: whitespace-free string ids, each once, finite non-negative weights."""
     out = []
     first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
@@ -198,8 +198,8 @@ def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseV
             try:
                 rec = json_object(json.loads(line), "record")
                 vid, weights = rec["id"], json_object(rec["vector"], "vector")
-                if not isinstance(vid, str):
-                    raise ValueError("id must be a string")
+                if not isinstance(vid, str) or vid.split() != [vid]:
+                    raise ValueError(f"id must be a nonempty string with no whitespace, got {json.dumps(vid)}")
                 if first_line.setdefault(vid, lineno) != lineno:
                     raise ValueError(f"repeated id {vid!r}, first on line {first_line[vid]}")
                 vector = {vocab.term_to_id[t]: json_number(w, "weight") for t, w in weights.items()}

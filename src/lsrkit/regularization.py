@@ -1,14 +1,15 @@
 """Sparsity control: batch FLOPs penalty, Lp norms, and top-k pruning.
 
 The penalties take a dense N x |V| batch of encoder outputs and return the
-value with its gradient; the trainer calls them directly.  One top-k rule
-(largest weight first, then the smaller term id) serves both inference-time
-pruning and the trainer's mask.
+value with its gradient; the trainer looks them up by kind in `PENALTIES`.
+One top-k rule (largest weight first, then the smaller term id) serves both
+inference-time pruning and the trainer's mask.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +68,14 @@ def lp_penalty(batch: np.ndarray, p: int) -> tuple[float, np.ndarray]:
         safe = np.where(norms > 0, norms, 1.0)
         return float(norms.sum()) / n, batch / (safe[:, None] * n)
     raise ValueError("p must be 1 or 2")
+
+
+#: batch penalties by kind: N x |V| batch -> (value, N x |V| gradient)
+PENALTIES = {
+    RegularizerKind.FLOPS: flops_penalty,
+    RegularizerKind.L1: functools.partial(lp_penalty, p=1),
+    RegularizerKind.L2: functools.partial(lp_penalty, p=2),
+}
 
 
 def topk_positions(weights: np.ndarray, term_ids: np.ndarray, k: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Labels, losses, and a head-only trainer over frozen backbone embeddings.
 
-Every loss returns its gradient next to its value.  The trainer trains the
-heads of one `config.MethodConfig`: it reads the encoders, regularizers,
-`shared_heads` and supervision recipe from the config, builds term-recall
-labels from its own triples when the loss is `term_mse`, and runs the
-encoders' own dense heads (`encoders.head_forward` / `head_backward`) and the
-regularizers of `regularization`, so the code that trains is the code that
-encodes and the code the finite-difference checks cover; no autodiff
+Every loss returns its gradient next to its value; a pairwise loss of
+`LOSSES` maps a triple's candidate scores `[positive, negatives...]` and its
+teacher scores to the loss and its gradient wrt those scores.  The trainer
+trains the heads of one `config.MethodConfig`: it reads the encoders,
+regularizers, `shared_heads` and supervision recipe from the config, builds
+term-recall labels from its own triples when the loss is `term_mse`, and runs
+the encoders' own dense heads (`encoders.head_forward` / `head_backward`),
+`LOSSES` and `regularization.PENALTIES`, so the code that trains is the code
+that encodes and the code the finite-difference checks cover; no autodiff
 dependency is needed.
 
 The backbone and the vocabulary embeddings are frozen, so a head's input that
@@ -41,14 +43,11 @@ from .encoders import (
     head_backward,
     head_forward,
 )
-from .regularization import (
-    RegularizerConfig,
-    RegularizerKind,
-    flops_penalty,
-    lp_penalty,
-    topk_mask,
-    topk_schedule,
-)
+from .regularization import PENALTIES, RegularizerConfig, RegularizerKind, topk_mask, topk_schedule
+
+
+#: a triple's teacher scores: (positive, negatives)
+TeacherScores = tuple[float, tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class TrainingTriple:
     query: TokenizedText
     positive: TokenizedText
     negatives: tuple[TokenizedText, ...]
-    teacher_scores: tuple[float, tuple[float, ...]] | None = None
+    teacher_scores: TeacherScores | None = None
 
     def __post_init__(self):
         if self.teacher_scores is not None:
@@ -95,39 +94,42 @@ def term_mse_loss(pred: np.ndarray, labels: Mapping[int, float]) -> tuple[float,
     return float(diff @ diff) / n, grad
 
 
-def contrastive_nll(
-    q_score_pos: float, q_score_negs: list[float]
-) -> tuple[float, tuple[float, list[float]]]:
-    """Softmax negative log-likelihood of the positive among the candidates.
+def contrastive_nll(scores: np.ndarray, teacher: TeacherScores | None = None) -> tuple[float, np.ndarray]:
+    """Softmax negative log-likelihood of the positive among a triple's candidate scores.
 
-    Computed with max-shift stabilization; returns gradients wrt the positive
-    score and each negative score.
+    `scores` is `[positive, negatives...]`; the teacher is not used.  Computed
+    with max-shift stabilization; returns the gradient wrt every score.
     """
-    if not q_score_negs:
+    if len(scores) < 2:
         raise ValueError("contrastive_nll requires at least one negative")
-    scores = np.asarray([q_score_pos] + list(q_score_negs), dtype=np.float64)
     shifted = scores - scores.max()
     exp = np.exp(shifted)
-    probs = exp / exp.sum()
+    grad = exp / exp.sum()
     loss = -float(shifted[0] - math.log(exp.sum()))
-    grad_pos = float(probs[0] - 1.0)
-    grad_negs = [float(p) for p in probs[1:]]
-    return loss, (grad_pos, grad_negs)
+    grad[0] -= 1.0
+    return loss, grad
 
 
-def margin_mse_loss(
-    student_margins: list[float], teacher_margins: list[float]
-) -> tuple[float, list[float]]:
-    """Mean squared difference of student vs teacher (positive - negative) margins."""
-    if len(student_margins) != len(teacher_margins):
-        raise ValueError("margin lists must have equal length")
-    if not student_margins:
-        raise ValueError("margin lists must be nonempty")
-    n = len(student_margins)
-    diffs = [s - t for s, t in zip(student_margins, teacher_margins)]
-    loss = sum(d * d for d in diffs) / n
-    grads = [2.0 * d / n for d in diffs]
-    return loss, grads
+def margin_mse_loss(scores: np.ndarray, teacher: TeacherScores) -> tuple[float, np.ndarray]:
+    """Mean squared difference of student vs teacher (positive - negative) margins.
+
+    `scores` is the student's `[positive, negatives...]` and `teacher` its
+    `(positive, negatives)`; returns the gradient wrt every student score.
+    """
+    t_pos, t_negs = teacher
+    s_pos, *s_negs = scores.tolist()
+    if len(s_negs) != len(t_negs):
+        raise ValueError("student and teacher must score the same negatives")
+    if not s_negs:
+        raise ValueError("margin_mse_loss requires at least one negative")
+    n = len(s_negs)
+    diffs = [(s_pos - s) - (t_pos - t) for s, t in zip(s_negs, t_negs)]
+    margin_grads = [2.0 * d / n for d in diffs]
+    return sum(d * d for d in diffs) / n, np.array([sum(margin_grads), *(-g for g in margin_grads)])
+
+
+#: pairwise losses: (candidate scores, teacher scores) -> (loss, gradient wrt the scores)
+LOSSES = {"contrastive": contrastive_nll, "margin_mse": margin_mse_loss}
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ class TrainResult:
 
 
 def _reg_lambda(cfg: RegularizerConfig, step: int, steps: int) -> float:
-    if cfg.kind not in (RegularizerKind.FLOPS, RegularizerKind.L1, RegularizerKind.L2):
+    if cfg.kind not in PENALTIES:
         return 0.0
     warm = max(1, int(steps * WARMUP_FRACTION))
     ramp = min(1.0, (step / warm) ** 2)
@@ -171,7 +173,9 @@ def train_heads(
     both sides or neither.  `term_mse` labels each positive with the term
     recall of the queries it answers in `triples`; `contrastive` and
     `margin_mse` need negatives on every triple, and `margin_mse` teacher
-    scores too, both checked before any text is embedded.
+    scores too, both checked before any text is embedded.  Each triple's rows
+    are resolved once per call; at each step, its `LOSSES` entry maps its
+    per-pair scores to score gradients, scattered back into its rows.
 
     Starts from copies of the given heads (shared heads: the query heads serve
     both sides) and reads |V| and d off them.  Backbone embeddings are frozen
@@ -223,6 +227,15 @@ def train_heads(
                     key=lambda text: text.doc_id),
     }
     row = {side: {text.doc_id: r for r, text in enumerate(texts[side])} for side in texts}
+    # Each triple's rows, resolved once: for term_mse the positive's row and its labels; for a pairwise
+    # loss the query's row, the candidates' rows ([positive, negatives...]) and the teacher's scores.
+    if loss_kind == "term_mse":
+        labeled = [(row["d"][t.positive.doc_id], labels) for t in triples
+                   if (labels := doc_labels.get(t.positive.doc_id))]
+    else:
+        pairwise = LOSSES[loss_kind]
+        candidates = [(row["q"][t.query.doc_id], [row["d"][d.doc_id] for d in (t.positive, *t.negatives)],
+                       t.teacher_scores) for t in triples]
     kinds = {"q": config.query.encoder, "d": config.doc.encoder}
     params = {"q": q_heads, "d": d_heads}
     # Sides with `frozen_input` rows stack them once; the others keep their embeddings for `head_forward`.
@@ -265,49 +278,28 @@ def train_heads(
         total_loss = 0.0
 
         if loss_kind == "term_mse":
-            for t in triples:
-                if labels := doc_labels.get(t.positive.doc_id):
-                    r = row["d"][t.positive.doc_id]
-                    loss, grad = term_mse_loss(Wd[r], labels)
-                    total_loss += loss / len(triples)
-                    Gd[r] += grad / len(triples)
+            for r, labels in labeled:
+                loss, grad = term_mse_loss(Wd[r], labels)
+                total_loss += loss / len(triples)
+                Gd[r] += grad / len(triples)
         else:
-            for triple in triples:
-                qr = row["q"][triple.query.doc_id]
-                pr = row["d"][triple.positive.doc_id]
-                nrs = [row["d"][n.doc_id] for n in triple.negatives]
+            scale = 1.0 / len(triples)
+            for qr, rows, teacher in candidates:
                 wq = Wq[qr]
-                s_pos = float(wq @ Wd[pr])
-                s_negs = [float(wq @ Wd[r]) for r in nrs]
-                if loss_kind == "contrastive":
-                    loss, (g_pos, g_negs) = contrastive_nll(s_pos, s_negs)
-                else:
-                    t_pos, t_negs = triple.teacher_scores
-                    margins = [s_pos - s for s in s_negs]
-                    t_margins = [t_pos - s for s in t_negs]
-                    loss, g_margins = margin_mse_loss(margins, t_margins)
-                    g_pos = sum(g_margins)
-                    g_negs = [-g for g in g_margins]
-                scale = 1.0 / len(triples)
+                loss, g = pairwise(np.array([wq @ Wd[r] for r in rows]), teacher)
                 total_loss += loss * scale
                 Gq[qr] += scale * (
-                    g_pos * Wd[pr] + sum((g * Wd[r] for g, r in zip(g_negs, nrs)), np.zeros(vocab_size))
+                    g[0] * Wd[rows[0]] + sum((gi * Wd[r] for gi, r in zip(g[1:], rows[1:])), np.zeros(vocab_size))
                 )
-                Gd[pr] += scale * g_pos * wq
-                for g, r in zip(g_negs, nrs):
-                    Gd[r] += scale * g * wq
+                for gi, r in zip(g, rows):
+                    Gd[r] += scale * gi * wq
 
-        # Batch regularizers (FLOPs / L1 / L2) with quadratic warm-up.
+        # Batch penalties (FLOPs / L1 / L2) with quadratic warm-up.
         for side, cfg in regs.items():
-            lam = _reg_lambda(cfg, step, steps)
-            if lam == 0.0:
-                continue
-            if cfg.kind is RegularizerKind.FLOPS:
-                value, grad = flops_penalty(W[side])
-            else:
-                value, grad = lp_penalty(W[side], 1 if cfg.kind is RegularizerKind.L1 else 2)
-            total_loss += lam * value
-            G[side] += lam * grad
+            if lam := _reg_lambda(cfg, step, steps):
+                value, grad = PENALTIES[cfg.kind](W[side])
+                total_loss += lam * value
+                G[side] += lam * grad
 
         q_grads = zero_grads()
         d_grads = q_grads if config.shared_heads else zero_grads()

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    CorpusStats,
     TokenizedText,
     Vocabulary,
     build_vocabulary,
@@ -35,30 +34,28 @@ class SyntheticTask:
     qrels: Qrels
     triples: list[dict]  # JSON-ready records
     expansions: dict[str, list[int]]
-    stats: CorpusStats
+
+
+NUM_TOPICS = 20
+DOC_LEN = (8, 16)  # shortest and longest document, in tokens
+NEGATIVES_PER_QUERY = 4
 
 
 def make_synthetic_task(
-    num_docs: int = 400,
-    num_queries: int = 60,
-    vocab_size: int = 300,
-    num_topics: int = 20,
-    doc_len: tuple[int, int] = (8, 16),
-    negatives_per_query: int = 4,
-    seed: int = 7,
+    num_docs: int = 400, num_queries: int = 60, vocab_size: int = 300, seed: int = 7
 ) -> SyntheticTask:
     rng = np.random.default_rng(seed)
     vocab = build_vocabulary(f"t{i:04d}" for i in range(vocab_size))
 
     topic_terms = [
-        sorted(rng.choice(vocab_size, size=max(6, vocab_size // num_topics), replace=False).tolist())
-        for _ in range(num_topics)
+        sorted(rng.choice(vocab_size, size=max(6, vocab_size // NUM_TOPICS), replace=False).tolist())
+        for _ in range(NUM_TOPICS)
     ]
     docs: list[TokenizedText] = []
     doc_topic: list[int] = []
     for i in range(num_docs):
-        topic = int(rng.integers(num_topics))
-        length = int(rng.integers(doc_len[0], doc_len[1] + 1))
+        topic = int(rng.integers(NUM_TOPICS))
+        length = int(rng.integers(DOC_LEN[0], DOC_LEN[1] + 1))
         n_topic = max(1, int(round(length * 0.7)))
         tokens = list(rng.choice(topic_terms[topic], size=n_topic, replace=True))
         tokens += list(rng.integers(0, vocab_size, size=length - n_topic))
@@ -81,7 +78,7 @@ def make_synthetic_task(
         judgments[(query.doc_id, target.doc_id)] = 1
 
         neg_pool = [d for d in docs if d.doc_id != target.doc_id]
-        negs = [neg_pool[int(j)] for j in rng.choice(len(neg_pool), size=negatives_per_query, replace=False)]
+        negs = [neg_pool[int(j)] for j in rng.choice(len(neg_pool), size=NEGATIVES_PER_QUERY, replace=False)]
         qv = encode_bm25_query(query, stats)
         teacher_pos = qv.dot(encode_bm25_doc(target, stats, params))
         teacher_negs = [qv.dot(encode_bm25_doc(n, stats, params)) for n in negs]
@@ -107,7 +104,6 @@ def make_synthetic_task(
         qrels=Qrels(judgments=judgments),
         triples=triples,
         expansions=expansions,
-        stats=stats,
     )
 
 
@@ -121,10 +117,8 @@ def write_task(task: SyntheticTask, directory: str | Path) -> None:
     with open(directory / "triples.jsonl", "w", encoding="utf-8") as f:
         for rec in task.triples:
             f.write(json.dumps(rec) + "\n")
-    with open(directory / "expansions.tsv", "w", encoding="utf-8") as f:
-        for doc_id, terms in task.expansions.items():
-            body = " ".join(task.vocab.terms[t] for t in terms)
-            f.write(f"{doc_id}\t{body}\n")
+    expansions = [TokenizedText(doc_id=doc_id, token_ids=tuple(terms)) for doc_id, terms in task.expansions.items()]
+    write_collection(expansions, task.vocab, directory / "expansions.tsv")
 
 
 def main(argv=None) -> int:

@@ -17,9 +17,7 @@ def make_bundle(ctx, input_emb, cls=None):
         ctx = ctx.reshape(0, input_emb.shape[1])
     d = input_emb.shape[1]
     cls = np.zeros(d) if cls is None else np.asarray(cls, dtype=np.float64)
-    return EmbeddingBundle(
-        ctx_embeddings=ctx, cls_embedding=cls, input_embeddings=input_emb, embedding_dim=d
-    )
+    return EmbeddingBundle(ctx_embeddings=ctx, cls_embedding=cls, input_embeddings=input_emb)
 
 
 def make_heads(

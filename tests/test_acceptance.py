@@ -264,17 +264,17 @@ class TestCriterion4:
 
             pos = float(rng.normal())
             negs = rng.normal(size=3).tolist()
-            _, (g_pos, g_negs) = contrastive_nll(pos, negs)
-            num = (contrastive_nll(pos + h, negs)[0] - contrastive_nll(pos - h, negs)[0]) / (2 * h)
-            worst["contrastive"] = max(worst["contrastive"], rel_err(g_pos, num))
+            scores = np.array([pos, *negs])
+            _, grad = contrastive_nll(scores)
+            num = (contrastive_nll(bumped(scores, 0, h))[0] - contrastive_nll(bumped(scores, 0, -h))[0]) / (2 * h)
+            worst["contrastive"] = max(worst["contrastive"], rel_err(grad[0], num))
 
-            student = rng.normal(size=3).tolist()
-            teacher = rng.normal(size=3).tolist()
-            _, grads_m = margin_mse_loss(student, teacher)
-            up = list(student); up[0] += h
-            dn = list(student); dn[0] -= h
-            num = (margin_mse_loss(up, teacher)[0] - margin_mse_loss(dn, teacher)[0]) / (2 * h)
-            worst["margin_mse"] = max(worst["margin_mse"], rel_err(grads_m[0], num))
+            scores = rng.normal(size=4)
+            teacher = (float(rng.normal()), tuple(rng.normal(size=3).tolist()))
+            _, grad = margin_mse_loss(scores, teacher)
+            num = (margin_mse_loss(bumped(scores, 0, h), teacher)[0]
+                   - margin_mse_loss(bumped(scores, 0, -h), teacher)[0]) / (2 * h)
+            worst["margin_mse"] = max(worst["margin_mse"], rel_err(grad[0], num))
 
         top = max(worst.values())
         record(4, "regularizer and loss gradients match finite differences within 1e-4",

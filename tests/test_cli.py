@@ -169,10 +169,15 @@ class TestConfigLoading:
         ({"bm25": {"k1": math.nan}}, "bm25.k1"),
         ({"bm25": {"b": 1.5}}, "bm25.b"),
         ({"query": {"encoder": "spladee"}}, "query.encoder"),
-    ], ids=["backbone_kind", "backbone_dim", "k1_bool", "k1_string", "k1_nan", "b_range", "encoder"])
+        ({"name": "uni coil"}, "name"),
+        ({"name": "unicoil\t"}, "name"),
+        ({"name": ""}, "name"),
+    ], ids=["backbone_kind", "backbone_dim", "k1_bool", "k1_string", "k1_nan", "b_range", "encoder",
+            "name_space", "name_tab", "name_empty"])
     def test_bad_value_names_config_and_key(self, tmp_path, capsys, overrides, key):
-        """Only the toy backbone exists, it needs a dimension, and BM25's k1 and b are finite
-        JSON numbers: exit 1 naming the config file and the key, before any encoding."""
+        """Only the toy backbone exists, it needs a dimension, BM25's k1 and b are finite JSON
+        numbers, and the name is one run file field (with whitespace, `search` would write lines
+        that `eval` rejects): exit 1 naming the config file and the key, before any encoding."""
         path, _ = make_workspace(tmp_path, **overrides)
         assert main(_encode_doc_argv(path, tmp_path)) == 1
         err = capsys.readouterr().err
@@ -396,6 +401,41 @@ class TestCliCommands:
         assert f"{repeated}:2: bad vector record (repeated id 'a', first on line 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("vid", ["d 1", "", "d1\n"])
+    @pytest.mark.parametrize("command", ["index", "search"])
+    def test_vector_id_with_whitespace_exits_1(self, tmp_path, capsys, command, vid):
+        """Such an id would give a run line that `eval` rejects: exit 1 naming path:line, with nothing written."""
+        config_path, task = make_workspace(tmp_path)
+        term = task.vocab.terms[0]
+        vectors, bad = tmp_path / "docs.jsonl", tmp_path / "bad.jsonl"
+        vectors.write_text(json.dumps({"id": "a", "vector": {term: 1.0}}) + "\n", encoding="utf-8")
+        bad.write_text(vectors.read_text(encoding="utf-8") + json.dumps({"id": vid, "vector": {term: 1.0}}) + "\n",
+                       encoding="utf-8")
+        index_dir, out = tmp_path / "index", tmp_path / "out"
+        assert main(["index", "--config", str(config_path), "--vectors", str(vectors), "--output", str(index_dir)]) == 0
+        capsys.readouterr()
+        if command == "index":
+            argv = ["index", "--config", str(config_path), "--vectors", str(bad), "--output", str(out)]
+        else:
+            argv = ["search", "--config", str(config_path), "--index", str(index_dir), "--queries", str(bad),
+                    "--output", str(out)]
+        assert main(argv) == 1
+        assert f"{bad}:2: bad vector record (id must be a nonempty string with no whitespace" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc_id", ["d 1", "", " d1"])
+    @pytest.mark.parametrize("input_name", ["collection.tsv", "queries.tsv"])
+    def test_text_id_with_whitespace_exits_1(self, tmp_path, capsys, input_name, doc_id):
+        """Such an id would give a run line that `eval` rejects: exit 1 naming path:line."""
+        config_path, task = make_workspace(tmp_path)
+        path = tmp_path / "data" / input_name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.insert(2, f"{doc_id}\t{task.vocab.terms[0]}")
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert main(_encode_doc_argv(config_path, tmp_path)) == 1
+        assert f"{path}:3: id {doc_id!r} is empty or contains whitespace" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
     @pytest.mark.parametrize("input_name", ["collection.tsv", "queries.tsv"])
     def test_repeated_text_id_exits_1(self, tmp_path, capsys, input_name):
         config_path, _ = make_workspace(tmp_path)
@@ -411,8 +451,13 @@ class TestCliCommands:
     @pytest.mark.parametrize("case", ["no_doc_output", "same_path", "same_file_relative"])
     def test_train_head_keeps_unshared_query_heads(self, tmp_path, capsys, monkeypatch, case):
         """With separate heads, doc heads written to --output would replace the query
-        heads there: exit 1 after training, with no heads file written."""
+        heads there: exit 1 before training, with no heads file written."""
         config_path, _ = make_workspace(tmp_path)
+
+        def run_train(*args, **kwargs):
+            raise AssertionError("trained before checking --doc-output")
+
+        monkeypatch.setattr(pipeline, "run_train", run_train)
         q_out = tmp_path / "q_heads.json"
         argv = ["train-head", "--config", str(config_path), "--output", str(q_out)]
         if case == "same_path":
@@ -668,6 +713,8 @@ class TestAblate:
             ("query_encoder=spladee", "query.encoder", []),
             ("regularizer=topk:2.5", "regularizer.k", ["--train"]),
             ("shared_heads=yes", "shared_heads", []),
+            ("regularizer=flops: 0.1", "name", []),  # a toggle joins its row's name, one run file field
+            ("shared_heads= true", "name", []),
         ]
         for toggle, key, extra in cases:
             capsys.readouterr()
@@ -716,7 +763,8 @@ class TestMalformedJson:
             where = f"{bad}:1"
         elif case == "triple_not_object":
             (tmp_path / "data" / "triples.jsonl").write_text("[1]\n", encoding="utf-8")
-            argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "heads.json")]
+            argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "heads.json"),
+                    "--doc-output", str(tmp_path / "d_heads.json")]
             where = "triples.jsonl:1"
         elif case in ("negs_not_list", "teacher_negs_not_list"):
             triples = tmp_path / "data" / "triples.jsonl"
@@ -728,7 +776,8 @@ class TestMalformedJson:
                 rec["teacher"]["negs"] = {str(i): x for i, x in enumerate(rec["teacher"]["negs"])}
             lines[1] = json.dumps(rec)
             triples.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "heads.json")]
+            argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "heads.json"),
+                    "--doc-output", str(tmp_path / "d_heads.json")]
             where = "triples.jsonl:2"
         else:
             if case == "regularizer_not_object":
@@ -862,7 +911,8 @@ class TestHeadsFiles:
         if command == "encode":
             argv = _encode_doc_argv(config_path, tmp_path)
         else:
-            argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "o.json")]
+            argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "o.json"),
+                    "--doc-output", str(tmp_path / "d.json")]
         assert main(argv) == 2
         assert "no_such_heads.json" in capsys.readouterr().err
         assert not (tmp_path / "o.jsonl").exists() and not (tmp_path / "o.json").exists()

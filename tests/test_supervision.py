@@ -60,53 +60,57 @@ class TestTermMseLoss:
 
 class TestContrastiveNll:
     def test_uniform_scores(self):
-        loss, _ = contrastive_nll(1.0, [1.0, 1.0, 1.0])
+        loss, _ = contrastive_nll(np.array([1.0, 1.0, 1.0, 1.0]))
         assert loss == pytest.approx(math.log(4.0))
 
     def test_dominant_positive(self):
-        loss, _ = contrastive_nll(40.0, [0.0, 0.0])
+        loss, _ = contrastive_nll(np.array([40.0, 0.0, 0.0]))
         assert loss < 1e-6
 
     def test_closed_form(self):
-        loss, _ = contrastive_nll(1.0, [0.0])
+        loss, _ = contrastive_nll(np.array([1.0, 0.0]))
         assert loss == pytest.approx(math.log(1.0 + math.exp(-1.0)))
 
     def test_no_negatives_rejected(self):
         with pytest.raises(ValueError):
-            contrastive_nll(1.0, [])
+            contrastive_nll(np.array([1.0]))
 
     def test_shift_invariance(self, rng):
         for _ in range(30):
             pos = float(rng.normal())
             negs = rng.normal(size=4).tolist()
             c = float(rng.normal()) * 10
-            base, _ = contrastive_nll(pos, negs)
-            shifted, _ = contrastive_nll(pos + c, [s + c for s in negs])
+            scores = np.array([pos, *negs])
+            base, _ = contrastive_nll(scores)
+            shifted, _ = contrastive_nll(scores + c)
             assert shifted == pytest.approx(base, abs=1e-9)
 
 
 class TestMarginMse:
     def test_matching_margins(self):
-        assert margin_mse_loss([1.0, 2.0], [1.0, 2.0])[0] == 0.0
+        # margins 1 and 2 on both sides
+        assert margin_mse_loss(np.array([3.0, 2.0, 1.0]), (3.0, (2.0, 1.0)))[0] == 0.0
 
     def test_single_pair(self):
-        assert margin_mse_loss([1.0], [3.0])[0] == pytest.approx(4.0)
+        # student margin 1, teacher margin 3
+        assert margin_mse_loss(np.array([1.0, 0.0]), (3.0, (0.0,)))[0] == pytest.approx(4.0)
 
     def test_hand_evaluation(self):
-        assert margin_mse_loss([1.0, 2.0], [0.0, 0.0])[0] == pytest.approx(2.5)
+        # student margins 1 and 2, teacher margins 0 and 0
+        assert margin_mse_loss(np.array([2.0, 1.0, 0.0]), (0.0, (0.0, 0.0)))[0] == pytest.approx(2.5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            margin_mse_loss([1.0], [1.0, 2.0])
+            margin_mse_loss(np.array([1.0, 0.0]), (0.0, (1.0, 2.0)))
 
     def test_margin_form_invariant_to_score_shift(self, rng):
         # adding a constant to both scores of a pair leaves the margin unchanged
         for _ in range(20):
             s_pos, s_neg = rng.normal(size=2)
-            t_margins = rng.normal(size=1).tolist()
+            teacher = (float(rng.normal(size=1)[0]), (0.0,))
             c = float(rng.normal()) * 5
-            base = margin_mse_loss([s_pos - s_neg], t_margins)[0]
-            shifted = margin_mse_loss([(s_pos + c) - (s_neg + c)], t_margins)[0]
+            base = margin_mse_loss(np.array([s_pos, s_neg]), teacher)[0]
+            shifted = margin_mse_loss(np.array([s_pos + c, s_neg + c]), teacher)[0]
             assert shifted == pytest.approx(base, abs=1e-9)
 
 
@@ -133,28 +137,31 @@ class TestLossGradients:
         for _ in range(100):
             pos = float(rng.normal())
             negs = rng.normal(size=int(rng.integers(1, 5))).tolist()
-            _, (g_pos, g_negs) = contrastive_nll(pos, negs)
+            scores = np.array([pos, *negs])
+            _, grad = contrastive_nll(scores)
             h = 1e-5
-            num_pos = (contrastive_nll(pos + h, negs)[0] - contrastive_nll(pos - h, negs)[0]) / (2 * h)
-            assert g_pos == pytest.approx(num_pos, rel=1e-4, abs=1e-8)
+            up = scores.copy(); up[0] += h
+            dn = scores.copy(); dn[0] -= h
+            num_pos = (contrastive_nll(up)[0] - contrastive_nll(dn)[0]) / (2 * h)
+            assert grad[0] == pytest.approx(num_pos, rel=1e-4, abs=1e-8)
             k = int(rng.integers(len(negs)))
-            up = list(negs); up[k] += h
-            dn = list(negs); dn[k] -= h
-            num_neg = (contrastive_nll(pos, up)[0] - contrastive_nll(pos, dn)[0]) / (2 * h)
-            assert g_negs[k] == pytest.approx(num_neg, rel=1e-4, abs=1e-8)
+            up = scores.copy(); up[1 + k] += h
+            dn = scores.copy(); dn[1 + k] -= h
+            num_neg = (contrastive_nll(up)[0] - contrastive_nll(dn)[0]) / (2 * h)
+            assert grad[1 + k] == pytest.approx(num_neg, rel=1e-4, abs=1e-8)
 
     def test_margin_mse(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 5))
-            student = rng.normal(size=n).tolist()
-            teacher = rng.normal(size=n).tolist()
-            _, grads = margin_mse_loss(student, teacher)
-            k = int(rng.integers(n))
+            scores = rng.normal(size=n + 1)
+            teacher = (float(rng.normal()), tuple(rng.normal(size=n).tolist()))
+            _, grad = margin_mse_loss(scores, teacher)
             h = 1e-5
-            up = list(student); up[k] += h
-            dn = list(student); dn[k] -= h
-            num = (margin_mse_loss(up, teacher)[0] - margin_mse_loss(dn, teacher)[0]) / (2 * h)
-            assert grads[k] == pytest.approx(num, rel=1e-4, abs=1e-8)
+            for k in range(n + 1):  # the positive's score and every negative's
+                up = scores.copy(); up[k] += h
+                dn = scores.copy(); dn[k] -= h
+                num = (margin_mse_loss(up, teacher)[0] - margin_mse_loss(dn, teacher)[0]) / (2 * h)
+                assert grad[k] == pytest.approx(num, rel=1e-4, abs=1e-8)
 
 
 def small_task(**kwargs):

@@ -116,7 +116,7 @@ def edge_training(work: Path) -> dict:
     reg = {"kind": "flops", "weight": 0.1}
     for i, (name, query, doc, shared, loss) in enumerate(EDGE_SETUPS):
         config = {
-            "name": name,
+            "name": f"edge_{i}",  # a config name has no whitespace; `name` keys the digests
             "query": {"encoder": query, "regularizer": reg},
             "doc": {"encoder": doc, "regularizer": reg},
             "shared_heads": shared,
