@@ -19,7 +19,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .core import json_object
+from .core import json_object, parse_json
 from .encoders import ACTIVATIONS, Bm25Params, EncoderKind
 from .index import Quantization
 from .regularization import RegularizerConfig
@@ -189,9 +189,10 @@ def _value(tp, value, key: str, base: Path):
 def load_config(path: str | Path) -> MethodConfig:
     """The method config at `path`; a bad key or value is a ValidationError naming the path and the key."""
     path = Path(path)
+    with open(path, encoding="utf-8") as f:
+        obj = parse_json(f.read(), path)
     try:
-        with open(path, encoding="utf-8") as f:
-            return _read(MethodConfig, json.load(f), "", path.parent)
+        return _read(MethodConfig, obj, "", path.parent)
     except (ValueError, OverflowError) as e:
         raise ValidationError(f"{path}: {e}") from e
 
@@ -203,7 +204,7 @@ TOGGLE_KEYS = ("query_encoder", "doc_encoder", "regularizer", "shared_heads")
 def _json_or_text(text: str):
     """`text` read as JSON, or the string itself when it is not JSON."""
     try:
-        return json.loads(text)
+        return parse_json(text, "toggle")
     except ValueError:
         return text
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,6 +186,20 @@ def write_collection(docs: Iterable[TokenizedText], vocab: Vocabulary, path: str
         for doc in docs:
             body = " ".join(vocab.terms[t] for t in doc.token_ids)
             f.write(f"{doc.doc_id}\t{body}\n")
+
+
+def parse_json(text: str, path: str | Path, lineno: int | None = None):
+    """`json.loads(text)` of the file `path`, or of its line `lineno` in a JSONL file.
+
+    Text that is no JSON, or JSON nested deeper than the parser can recurse (a
+    RecursionError), is a ValueError naming `path`, or `path:lineno`.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        where = path if lineno is None else f"{path}:{lineno}"
+        problem = "JSON nested too deeply to parse" if isinstance(e, RecursionError) else f"not JSON ({e})"
+        raise ValueError(f"{where}: {problem}") from e
 
 
 def json_object(value, what: str) -> dict:

@@ -4,22 +4,33 @@ Every encoder is a pure function TokenizedText -> SparseVector.  Query-document
 similarity is the dot product of the two encoded vectors.  The neural heads
 (MLP, expansion-MLP, MLM, CLS-MLM) and the binary encoder also have a dense
 form, `head_forward`, with its gradient `head_backward`; the sparse encoders
-wrap the former and the trainer calls both.
+wrap the former.  The trainer runs the same kernels over stacks of texts
+(`mlp_forward` over a `token_stack`, `frozen_forward` over `frozen_input`
+rows), which give each text the bits it gets alone.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Container, Mapping
 
 import numpy as np
 
-from .core import CorpusStats, SparseVector, TokenizedText, json_list, json_number, json_object
+from .core import (
+    CorpusStats,
+    SparseVector,
+    TokenizedText,
+    json_list,
+    json_number,
+    json_object,
+    parse_json,
+)
 
 
 class EncoderKind(str, enum.Enum):
@@ -223,15 +234,56 @@ def frozen_forward(kind: EncoderKind, x: np.ndarray, head: HeadParameters) -> tu
     return np.log1p(m), {"kind": kind, "head": head, "m": m, "zstar": z, "gstar": 1.0, "q": 1.0}
 
 
+#: the per-token heads, whose weights `mlp_forward` computes over a token stack
+MLP_HEADS = frozenset({EncoderKind.MLP, EncoderKind.EXP_MLP})
+#: the `starts` of a one-text stack
+_ONE_TEXT = np.zeros(1, dtype=np.intp)
+
+
+def token_stack(texts: list[TokenizedText], embs: list[EmbeddingBundle], vocab_size: int) -> dict:
+    """The input of `mlp_forward` for N texts: their ctx rows, one text after another (T x d),
+    each token's slot `row * |V| + term id` in the N x |V| weights, and each non-empty text's start offset."""
+    for t, e in zip(texts, embs):
+        _check_ctx(t, e)
+    lengths = np.fromiter((len(t) for t in texts), np.intp, len(texts))
+    ids = np.fromiter(itertools.chain.from_iterable(t.token_ids for t in texts), np.intp, int(lengths.sum()))
+    return {
+        "ctx": np.concatenate([e.ctx_embeddings for e in embs]),
+        "slots": np.repeat(np.arange(len(texts)) * vocab_size, lengths) + ids,
+        "starts": (np.cumsum(lengths) - lengths)[lengths > 0],
+        "shape": (len(texts), vocab_size),
+    }
+
+
+def mlp_forward(stack: dict, head: HeadParameters) -> tuple[np.ndarray, dict | None]:
+    """MLP/expansion-MLP weights of a `token_stack`, an array of the stack's `shape`, and the `head_backward` cache.
+
+    Batch-invariant: each text's row has the bits it has in a one-text stack.
+    The logits are one einsum, whose bits per token, unlike those of a BLAS
+    GEMV (`ctx @ w`), do not depend on the number of rows; each token's
+    activation (log(1 + a) with log normalization) is added in token order,
+    so repeated terms sum as in a loop.  The cache is None for a stack
+    without tokens.
+    """
+    w = np.zeros(stack["shape"])
+    if not len(stack["ctx"]):
+        return w, None
+    z = np.einsum("ij,j->i", stack["ctx"], head.mlp_weight) + head.mlp_bias
+    a = activate(z, head.activation)
+    np.add.at(w.reshape(-1), stack["slots"], np.log1p(a) if head.mlp_log_normalize else a)
+    return w, {"kind": EncoderKind.MLP, "head": head, "z": z, "a": a, **stack}
+
+
 def head_forward(
     kind: EncoderKind, text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters
 ) -> tuple[np.ndarray, dict | None]:
     """Dense |V|-vector of weights plus the cache `head_backward` needs.
 
     The cache is None when the weights depend on no trainable parameter (the
-    binary encoder, or an empty text under a per-token head).  Heads with a
-    `frozen_input` row are `frozen_forward` of it; MLM with softplus or quality
-    heads takes the first-max arg-max position per column.
+    binary encoder, or an empty text under a per-token head).  MLP heads are
+    `mlp_forward` of a one-text stack; heads with a `frozen_input` row are
+    `frozen_forward` of it; MLM with softplus or quality heads takes the
+    first-max arg-max position per column.
     """
     if kind in (EncoderKind.MLP, EncoderKind.EXP_MLP, EncoderKind.MLM):
         _check_ctx(text, emb)
@@ -239,41 +291,39 @@ def head_forward(
             return np.zeros(emb.input_embeddings.shape[0]), None
     elif kind not in (EncoderKind.BINARY, EncoderKind.CLS_MLM):
         raise ValueError(f"encoder kind {kind.value!r} has no dense head")
+    if kind in MLP_HEADS:
+        return mlp_forward({"ctx": emb.ctx_embeddings, "slots": list(text.token_ids), "starts": _ONE_TEXT,
+                            "shape": emb.input_embeddings.shape[:1]}, head)
     x = frozen_input(kind, text, emb, head)
     if x is not None:
         return frozen_forward(kind, x, head)
-    if kind is EncoderKind.MLM:
-        logits = emb.ctx_embeddings @ emb.input_embeddings.T + head.mlm_bias  # L x |V|
-        a = activate(logits, head.activation)
-        if head.use_quality_heads:
-            q, g = _quality_scores(emb, head)
-            a = a * g[:, None]
-        else:
-            q, g = 1.0, np.ones(len(text))
-        cols = np.arange(a.shape[1])
-        jstar = a.argmax(axis=0)  # first max wins ties
-        m = a[jstar, cols]
-        cache = {"kind": kind, "head": head, "m": m, "zstar": logits[jstar, cols], "gstar": g[jstar], "q": q}
-        return q * np.log1p(m), cache
-    ids = list(text.token_ids)
-    w = np.zeros(emb.input_embeddings.shape[0])
-    z = emb.ctx_embeddings @ head.mlp_weight + head.mlp_bias
-    a = activate(z, head.activation)
-    np.add.at(w, ids, np.log1p(a) if head.mlp_log_normalize else a)  # in token order, like a loop
-    return w, {"kind": kind, "head": head, "ids": ids, "ctx": emb.ctx_embeddings, "z": z, "a": a}
+    logits = emb.ctx_embeddings @ emb.input_embeddings.T + head.mlm_bias  # L x |V|
+    a = activate(logits, head.activation)
+    if head.use_quality_heads:
+        q, g = _quality_scores(emb, head)
+        a = a * g[:, None]
+    else:
+        q, g = 1.0, np.ones(len(text))
+    cols = np.arange(a.shape[1])
+    jstar = a.argmax(axis=0)  # first max wins ties
+    m = a[jstar, cols]
+    cache = {"kind": kind, "head": head, "m": m, "zstar": logits[jstar, cols], "gstar": g[jstar], "q": q}
+    return q * np.log1p(m), cache
 
 
 def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
-    """Accumulate head-parameter gradients given dLoss/dWeights for one text, or for a `frozen_forward` stack.
+    """Accumulate head-parameter gradients given dLoss/dWeights for one text, or for the N x |V| weights
+    of an `mlp_forward` or `frozen_forward` stack.
 
     Chain rule through log/softplus/ReLU/max.  MLM's max routes its gradient to
     the column's max logit zstar: in the max form of `frozen_input`, that is the
     column max itself, with g = q = 1; otherwise it is the first-max arg-max
     position's logit, times that token's importance g and the sequence quality q.
-    A stack's rows (a 2-D `grad_w`; one text's 1-D `grad_w` is a 1-row stack)
-    are added one after another, in row order, as a loop over its texts would
-    add them.  `grads` holds "mlp_weight", "mlp_bias" and "mlm_bias", as zeros
-    before the first text.
+    MLP heads sum each text's token gradients with `np.add.reduceat`, whose bits
+    depend only on that text's tokens.  A stack's per-text rows (a 2-D `grad_w`;
+    one text's 1-D `grad_w` is a 1-row stack) are added one after another, in
+    row order, as a loop over its texts would add them.  `grads` holds
+    "mlp_weight", "mlp_bias" and "mlm_bias", as zeros before the first text.
     """
     if cache is None:
         return
@@ -287,14 +337,21 @@ def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
         fprime = activate_grad(cache["z"], head.activation)
         if head.mlp_log_normalize:
             fprime = fprime / (1.0 + cache["a"])
-        gz = grad_w[cache["ids"]] * fprime
-        grads["mlp_weight"] += cache["ctx"].T @ gz
-        grads["mlp_bias"] += float(gz.sum())
+        gz = grad_w.reshape(-1)[cache["slots"]] * fprime
+        _add_rows(np.add.reduceat(cache["ctx"] * gz[:, None], cache["starts"], axis=0), grads["mlp_weight"])
+        for s in np.add.reduceat(gz, cache["starts"]).tolist():
+            grads["mlp_bias"] += s
         return
-    rows = np.atleast_2d(rows)
-    # ((total + row_0) + row_1) + ...: numpy sums pairwise only along the fast axis
-    rows[0] += grads["mlm_bias"]
-    np.add.reduce(rows, axis=0, out=grads["mlm_bias"])
+    _add_rows(np.atleast_2d(rows), grads["mlm_bias"])
+
+
+def _add_rows(rows: np.ndarray, total: np.ndarray) -> None:
+    """total += rows[0] + rows[1] + ..., in place and row after row: ((total + row_0) + row_1) + ...
+
+    numpy sums pairwise only along the fast axis, so this is a loop's order when rows are 2 or more wide.
+    """
+    rows[0] += total
+    np.add.reduce(rows, axis=0, out=total)
 
 
 def idf(term_id: int, stats: CorpusStats) -> float:
@@ -432,9 +489,10 @@ def read_head_parameters(path: str | Path) -> HeadParameters:
 
     Anything else is a ValueError naming the file; `pipeline.side_heads` checks the fit to a config.
     """
+    with open(path, encoding="utf-8") as f:
+        record = parse_json(f.read(), path)
     try:
-        with open(path, encoding="utf-8") as f:
-            record = json_object(json.load(f), "heads file")
+        record = json_object(record, "heads file")
         tensors = json_object(record["tensors"], "tensors")
         values = {}
         for name, ndim in HEAD_TENSORS.items():
@@ -465,8 +523,15 @@ def read_head_parameters(path: str | Path) -> HeadParameters:
     return heads
 
 
-def read_expansion_file(path: str | Path, term_to_id: Mapping[str, int]) -> dict[str, list[int]]:
-    """Expansion-terms file: `doc_id<TAB>term term term` per line, each doc_id once."""
+def read_expansion_file(
+    path: str | Path, term_to_id: Mapping[str, int], text_ids: Container[str]
+) -> dict[str, list[int]]:
+    """Expansion-terms file: `doc_id<TAB>term term term` per line, each doc_id once, under
+    `core.read_collection`'s id rule.
+
+    An id outside `text_ids` (the docs and queries), which `expand_text` would
+    never use, is a ValueError naming path:line, as an unknown term is.
+    """
     out: dict[str, list[int]] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -476,8 +541,12 @@ def read_expansion_file(path: str | Path, term_to_id: Mapping[str, int]) -> dict
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: missing tab separator")
             doc_id, _, body = line.partition("\t")
+            if doc_id.split() != [doc_id]:
+                raise ValueError(f"{path}:{lineno}: id {doc_id!r} is empty or contains whitespace")
             if doc_id in out:
                 raise ValueError(f"{path}:{lineno}: repeated id {doc_id!r}")
+            if doc_id not in text_ids:
+                raise ValueError(f"{path}:{lineno}: id {doc_id!r} names no doc or query")
             try:
                 out[doc_id] = [term_to_id[tok] for tok in body.split()]
             except KeyError as e:

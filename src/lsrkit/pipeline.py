@@ -22,6 +22,7 @@ from .core import (
     compute_corpus_stats,
     json_number,
     json_object,
+    parse_json,
     read_collection,
     read_vocabulary,
 )
@@ -73,7 +74,7 @@ def load_resources(config: MethodConfig) -> Resources:
     docs = list(read_collection(config.paths.collection, vocab))
     queries = list(read_collection(config.paths.queries, vocab))
     expansions = (
-        read_expansion_file(config.paths.expansions, vocab.term_to_id)
+        read_expansion_file(config.paths.expansions, vocab.term_to_id, {t.doc_id for t in docs + queries})
         if config.paths.expansions
         else {}
     )
@@ -195,8 +196,9 @@ def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseV
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            rec = parse_json(line, path, lineno)
             try:
-                rec = json_object(json.loads(line), "record")
+                rec = json_object(rec, "record")
                 vid, weights = rec["id"], json_object(rec["vector"], "vector")
                 if not isinstance(vid, str) or vid.split() != [vid]:
                     raise ValueError(f"id must be a nonempty string with no whitespace, got {json.dumps(vid)}")

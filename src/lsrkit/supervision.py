@@ -16,14 +16,17 @@ no trained parameter reaches (`encoders.frozen_input`) is the same at every
 step: the binary rows, CLS-MLM's logits h_0 . e_i, and, for ReLU MLM without
 quality heads, the column max of the logits max_j h_j . e_i.  The trainer
 computes those once per call and runs `frozen_forward` on the stacked rows at
-each step.  MLP heads, whose weight trains, and MLM with softplus or quality
-heads, whose max is a first-max arg-max over the tokens, run `head_forward`
-per text at each step.
+each step.  An MLP or expansion-MLP side, whose weight trains, stacks its
+texts' tokens once per call (`encoders.token_stack`) and runs one
+`mlp_forward` over them at each step.  Both kernels give each text the bits
+it gets alone.  Only MLM with softplus or quality heads (EPIC's doc side),
+whose max is a first-max arg-max over the tokens, runs `head_forward` per
+text at each step.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,9 +35,10 @@ from typing import Callable, Collection, Mapping
 import numpy as np
 
 from .config import MethodConfig
-from .core import TokenizedText, json_list, json_number, json_object
+from .core import TokenizedText, json_list, json_number, json_object, parse_json
 from .encoders import (
     DIFFERENTIABLE,
+    MLP_HEADS,
     EmbeddingBundle,
     EncoderKind,
     HeadParameters,
@@ -42,6 +46,8 @@ from .encoders import (
     frozen_input,
     head_backward,
     head_forward,
+    mlp_forward,
+    token_stack,
 )
 from .regularization import PENALTIES, RegularizerConfig, RegularizerKind, topk_mask, topk_schedule
 
@@ -180,13 +186,15 @@ def train_heads(
     Starts from copies of the given heads (shared heads: the query heads serve
     both sides) and reads |V| and d off them.  Backbone embeddings are frozen
     inputs supplied by `embed`, called once per distinct text.  Once per call,
-    a side whose head has `frozen_input` rows (binary; CLS-MLM; ReLU MLM without
+    an MLP or expansion-MLP side stacks its texts' tokens (`token_stack`), and a
+    side whose head has `frozen_input` rows (binary; CLS-MLM; ReLU MLM without
     quality heads, whose row is the column max of the bias-free logits) stacks
-    them, and each step runs one `frozen_forward` over the stack.  MLP heads,
-    and MLM with softplus or quality heads (the first-max arg-max token per
-    column), run `head_forward` per text at each step.  Deterministic:
-    iteration order and summation order are fixed, gradients adding doc rows
-    first, then query rows, text by text, so both forms give the same bits.
+    those rows; each step runs one `mlp_forward` or `frozen_forward` over the
+    stack and one `head_backward` of it.  MLM with softplus or quality heads
+    (the first-max arg-max token per column) runs `head_forward` per text at
+    each step.  Deterministic: iteration order and summation order are fixed,
+    gradients adding doc rows first, then query rows, text by text, so the
+    stacked and per-text forms give the same bits.
     """
     trains = {}
     for side, cfg in (("query", config.query), ("doc", config.doc)):
@@ -238,15 +246,19 @@ def train_heads(
                        t.teacher_scores) for t in triples]
     kinds = {"q": config.query.encoder, "d": config.doc.encoder}
     params = {"q": q_heads, "d": d_heads}
-    # Sides with `frozen_input` rows stack them once; the others keep their embeddings for `head_forward`.
-    frozen, bundles = {}, {}
+    # MLP sides stack their tokens once, sides with `frozen_input` rows stack those rows once: each step runs
+    # one forward over the stack.  The others keep their embeddings for `head_forward`.
+    forwards, bundles = {}, {}
     for side in texts:
         embedded = [embed(text) for text in texts[side]]
+        if kinds[side] in MLP_HEADS:
+            forwards[side] = functools.partial(mlp_forward, token_stack(texts[side], embedded, vocab_size))
+            continue
         inputs = [frozen_input(kinds[side], t, e, params[side]) for t, e in zip(texts[side], embedded)]
         if inputs[0] is None:
             bundles[side] = embedded
         else:
-            frozen[side] = np.stack(inputs)
+            forwards[side] = functools.partial(frozen_forward, kinds[side], np.stack(inputs))
     regs = {"q": config.query.regularizer, "d": config.doc.regularizer}
 
     def zero_grads() -> dict:
@@ -260,8 +272,8 @@ def train_heads(
     for step in range(steps):
         W, caches, masks = {}, {}, {}
         for side in ("q", "d"):
-            if side in frozen:
-                W[side], cache = frozen_forward(kinds[side], frozen[side], params[side])
+            if side in forwards:
+                W[side], cache = forwards[side](params[side])
                 caches[side] = [cache]
             else:
                 out = [head_forward(kinds[side], t, e, params[side]) for t, e in zip(texts[side], bundles[side])]
@@ -306,7 +318,7 @@ def train_heads(
         # Doc rows first, then query rows: with shared heads this fixes the summation order.
         for side, grads in (("d", d_grads), ("q", q_grads)):
             gw = G[side] * masks[side] if side in masks else G[side]
-            for cache, g in zip(caches[side], [gw] if side in frozen else gw):
+            for cache, g in zip(caches[side], [gw] if side in forwards else gw):
                 head_backward(cache, g, grads)
 
         if trains["q"]:
@@ -334,8 +346,9 @@ def read_triples(
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            rec = parse_json(line, path, lineno)
             try:
-                rec = json_object(json.loads(line), "record")
+                rec = json_object(rec, "record")
                 teacher = None
                 if rec.get("teacher") is not None:
                     scores = json_object(rec["teacher"], "teacher")

@@ -52,13 +52,15 @@ def heads_bytes(heads: HeadParameters) -> dict:
 def method_config(query, doc, *, shared_heads=False, reg=RegularizerConfig(), loss="contrastive", steps=100, lr=0.5):
     """A MethodConfig to train with: the encoder kinds, one regularizer on both sides and the supervision recipe.
 
-    Its paths name no real files; `paths.triples` is "triples.jsonl", for errors to name.
+    Its paths name no real files; `paths.triples` is "triples.jsonl", for errors to name, and
+    `paths.expansions` is set, so either side may be exp_mlp.
     """
     return MethodConfig(
         name="test",
         query=SideConfig(EncoderKind(query), regularizer=reg),
         doc=SideConfig(EncoderKind(doc), regularizer=reg),
-        paths=PathsConfig(Path("vocab.txt"), Path("collection.tsv"), Path("queries.tsv"), triples=Path("triples.jsonl")),
+        paths=PathsConfig(Path("vocab.txt"), Path("collection.tsv"), Path("queries.tsv"), triples=Path("triples.jsonl"),
+                          expansions=Path("expansions.tsv")),
         shared_heads=shared_heads,
         supervision=SupervisionConfig(loss, steps, lr),
     )

@@ -257,6 +257,13 @@ class TestToggles:
         with pytest.raises(ValidationError, match=match):
             apply_toggle(config, f"regularizer=flops:{value}")
 
+    def test_value_nested_too_deeply_is_read_as_text(self, tmp_path):
+        """A value nested deeper than the JSON parser can recurse is no JSON, so it is read as the
+        string itself and fails the key's type check, not with a RecursionError."""
+        config = self._config(tmp_path)
+        with pytest.raises(ValidationError, match="shared_heads must be a JSON boolean"):
+            apply_toggle(config, "shared_heads=" + "[" * 3000 + "]" * 3000)
+
     def test_unknown_key_rejected(self, tmp_path):
         config = self._config(tmp_path)
         with pytest.raises(ValidationError, match="exactly one"):
@@ -796,6 +803,62 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and where in err
+
+
+class TestDeepJson:
+    """JSON nested deeper than the parser can recurse is exit 1 naming the file (and the line
+    of a JSONL file), never a RecursionError traceback."""
+
+    DEEP = "[" * 3000 + "]" * 3000
+
+    @pytest.mark.parametrize("case", ["config", "heads", "index_header", "vectors", "triples"])
+    def test_exits_1_naming_the_file(self, tmp_path, capsys, case):
+        config_path, _ = make_workspace(tmp_path)
+        deep = tmp_path / "deep.json"
+        deep.write_text(self.DEEP + "\n", encoding="utf-8")
+        argv = _encode_doc_argv(config_path, tmp_path)
+        if case == "config":
+            text = config_path.read_text(encoding="utf-8")
+            config_path.write_text(text.replace('"top_k": 50', f'"top_k": {self.DEEP}'), encoding="utf-8")
+            where = str(config_path)
+        elif case == "heads":
+            config = json.loads(config_path.read_text(encoding="utf-8"))
+            config["paths"]["doc_heads"] = deep.name
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            where = str(deep)
+        elif case == "index_header":
+            (tmp_path / "index").mkdir()
+            (tmp_path / "index" / "header.json").write_text(self.DEEP, encoding="utf-8")
+            argv = ["search", "--config", str(config_path), "--index", str(tmp_path / "index"),
+                    "--queries", str(deep), "--output", str(tmp_path / "run.trec")]
+            where = str(tmp_path / "index" / "header.json")
+        elif case == "vectors":
+            argv = ["index", "--config", str(config_path), "--vectors", str(deep), "--output", str(tmp_path / "index")]
+            where = f"{deep}:1"
+        else:
+            triples = tmp_path / "data" / "triples.jsonl"
+            lines = triples.read_text(encoding="utf-8").splitlines()
+            lines[1] = self.DEEP
+            triples.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            argv = ["train-head", "--config", str(config_path), "--output", str(tmp_path / "heads.json"),
+                    "--doc-output", str(tmp_path / "d_heads.json")]
+            where = f"{triples}:2"
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and f"{where}: JSON nested too deeply" in err
+
+
+def test_expansion_id_naming_no_text_exits_1(tmp_path, capsys):
+    """An expansions line whose id names no doc or query would never be used: exit 1 naming path:line."""
+    config_path, _ = make_workspace(tmp_path)
+    expansions = tmp_path / "data" / "expansions.tsv"
+    lines = expansions.read_text(encoding="utf-8").splitlines()
+    term = lines[0].split("\t")[1].split()[0]
+    expansions.write_text("".join(line + "\n" for line in [*lines, f"nodoc\t{term}"]), encoding="utf-8")
+    assert main(_encode_doc_argv(config_path, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{expansions}:{len(lines) + 1}: id 'nodoc' names no doc or query" in err
 
 
 def test_train_head_with_zero_steps_exits_1(tmp_path, capsys):

@@ -24,9 +24,11 @@ from lsrkit.encoders import (
     head_backward,
     head_forward,
     init_head_parameters,
+    mlp_forward,
     read_expansion_file,
     read_head_parameters,
     softplus,
+    token_stack,
     toy_backbone,
     write_head_parameters,
 )
@@ -163,15 +165,23 @@ class TestExpansionFile:
     def test_reads_terms_per_doc(self, tmp_path):
         path = tmp_path / "exp.tsv"
         path.write_text("d1\tb a\nd2\t\n\n", encoding="utf-8")
-        assert read_expansion_file(path, {"a": 0, "b": 1}) == {"d1": [1, 0], "d2": []}
+        assert read_expansion_file(path, {"a": 0, "b": 1}, {"d1", "d2", "q1"}) == {"d1": [1, 0], "d2": []}
 
-    @pytest.mark.parametrize("line", ["d2 a", "d1\tb"], ids=["no_tab", "repeated_id"])
+    @pytest.mark.parametrize("line", ["d2 a", "d1\tb", "d 2\ta", "\tb"],
+                             ids=["no_tab", "repeated_id", "id_with_space", "empty_id"])
     def test_bad_line_names_path_and_line(self, tmp_path, line):
-        """`d2 a` is no doc `"d2 a"` without terms, and a second d1 line does not replace the first."""
+        """`d2 a` is no doc `"d2 a"` without terms, a second d1 line does not replace the first, and
+        an id no collection line can have (`read_collection`'s rule) is no id either."""
         path = tmp_path / "exp.tsv"
         path.write_text(f"d1\ta\n{line}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"exp\.tsv:2: (missing tab|repeated id 'd1')"):
-            read_expansion_file(path, {"a": 0, "b": 1})
+        with pytest.raises(ValueError, match=r"exp\.tsv:2: (missing tab|repeated id 'd1'|id '(d 2)?' is empty)"):
+            read_expansion_file(path, {"a": 0, "b": 1}, {"d1", "d2", "d 2", ""})
+
+    def test_id_outside_the_texts_names_path_and_line(self, tmp_path):
+        path = tmp_path / "exp.tsv"
+        path.write_text("d1\ta\nq1\tb\nnodoc\ta\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"exp\.tsv:3: id 'nodoc' names no doc or query"):
+            read_expansion_file(path, {"a": 0, "b": 1}, {"d1", "q1"})
 
 
 class TestMlm:
@@ -316,6 +326,49 @@ class TestFrozenStack:
             (EncoderKind.MLM, {"activation": "softplus"}), (EncoderKind.MLM, {"use_quality_heads": True}),
         ]:
             assert frozen_input(kind, text("d", 0), emb, make_heads(2, 1, **options)) is None
+
+
+class TestMlpStack:
+    """`mlp_forward` over a `token_stack` and `head_backward` of its cache give the bits of
+    `head_forward` and `head_backward` text by text, added onto a running total in text order.
+
+    The stack is large enough that a BLAS form (`ctx @ w` for the logits, `ctx.T @ gz` for
+    the weight gradient) gives some rows other bits than it gives the texts alone."""
+
+    @pytest.mark.parametrize("kind", [EncoderKind.MLP, EncoderKind.EXP_MLP])
+    @pytest.mark.parametrize("activation", ["relu", "softplus"])
+    @pytest.mark.parametrize("log_normalize", [True, False])
+    def test_stack_equals_per_text_loop(self, rng, kind, activation, log_normalize):
+        vocab_size, dim = 12, 16
+        E = rng.standard_normal((vocab_size, dim))
+        heads = make_heads(vocab_size, dim, mlp_weight=rng.standard_normal(dim), mlp_bias=0.1,
+                           activation=activation, mlp_log_normalize=log_normalize)
+        lengths = [3, 0, 5, 1, *rng.integers(0, 12, size=56)]
+        texts = [TokenizedText(f"d{i}", tuple(int(t) for t in rng.integers(0, vocab_size, size=n)))
+                 for i, n in enumerate(lengths)]
+        texts[2] = text("d2", 7, 3, 7, 7, 3)  # repeated tokens sum over their positions
+        embs = [make_bundle(rng.standard_normal((len(t), dim)), E) for t in texts]
+        G = rng.standard_normal((len(texts), vocab_size))
+        start = rng.standard_normal(dim)
+
+        def totals():
+            return {"mlp_weight": start.copy(), "mlp_bias": 0.25, "mlm_bias": np.zeros(vocab_size)}
+
+        W, cache = mlp_forward(token_stack(texts, embs, vocab_size), heads)
+        stacked = totals()
+        head_backward(cache, G, stacked)
+        looped = totals()
+        for i, (t, e) in enumerate(zip(texts, embs)):
+            w, c = head_forward(kind, t, e, heads)
+            assert w.tobytes() == W[i].tobytes(), t.doc_id
+            head_backward(c, G[i], looped)
+        assert stacked["mlp_weight"].tobytes() == looped["mlp_weight"].tobytes()
+        assert stacked["mlp_bias"] == looped["mlp_bias"]
+        assert not W[1].any()
+
+    def test_stack_without_tokens(self):
+        W, cache = mlp_forward(token_stack([text("a"), text("b")], [make_bundle([], [[1.0]])] * 2, 1), make_heads(1, 1))
+        assert W.shape == (2, 1) and not W.any() and cache is None
 
 
 class TestClsMlm:

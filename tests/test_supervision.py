@@ -293,17 +293,25 @@ class TestTrainHeads:
 class TestTrainerGradients:
     """End-to-end parameter gradients vs finite differences through one step."""
 
-    def _numeric_check(self, config, triples, embed, start, getter, index, side="query"):
+    def _numeric_check(self, config, triples, embed, start, name, index=None, side="query"):
+        """Checks the gradient of the `side` heads' field `name` at `index`, or of the scalar field `name`."""
+        def at(heads):
+            value = getattr(heads, name)
+            return value if index is None else value[index]
+
         # one GD step with lr recovers the gradient: grad = (init - updated) / lr
         lr = config.supervision.lr
         result = train_heads(config, triples, embed, start["query"], start["doc"])
-        grad = (getter(start[side]) - getter(getattr(result, f"{side}_heads")))[index] / lr
+        grad = (at(start[side]) - at(getattr(result, f"{side}_heads"))) / lr
 
         h = 1e-5
 
         def loss_with(delta):
             heads = start[side].copy()
-            getter(heads)[index] += delta
+            if index is None:
+                setattr(heads, name, at(heads) + delta)
+            else:
+                getattr(heads, name)[index] += delta
             probe = replace(config, supervision=replace(config.supervision, steps=1, lr=0.0))
             probe_heads = {**start, side: heads}
             return train_heads(probe, triples, embed, probe_heads["query"], probe_heads["doc"]).loss_history[0]
@@ -325,19 +333,19 @@ class TestTrainerGradients:
         triples, embed, v, dim = self._task()
         config = method_config("mlm", "mlm", shared_heads=True, steps=1, lr=0.25)
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index))
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), "mlm_bias", int(index))
 
     def test_mlp_weight_gradient(self, rng):
         triples, embed, v, dim = self._task()
         config = method_config("mlp", "mlp", shared_heads=True, steps=1, lr=0.25)
         for index in range(dim):
-            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlp_weight, index)
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), "mlp_weight", index)
 
     def test_mlm_bias_gradient_margin_mse(self, rng):
         triples, embed, v, dim = self._task()
         config = method_config("mlm", "mlm", shared_heads=True, loss="margin_mse", steps=1, lr=0.25)
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index))
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), "mlm_bias", int(index))
 
     def test_quality_mlm_softplus_doc_bias_gradient(self, rng):
         # EPIC's doc head: MLM with quality heads and softplus, MLP query head
@@ -346,7 +354,7 @@ class TestTrainerGradients:
         start = {"query": init_head_parameters(v, dim, 5),
                  "doc": init_head_parameters(v, dim, 6, activation="softplus", use_quality_heads=True)}
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(config, triples, embed, start, lambda h: h.mlm_bias, int(index), side="doc")
+            self._numeric_check(config, triples, embed, start, "mlm_bias", int(index), side="doc")
 
     def test_cls_mlm_doc_bias_gradient_term_mse(self, rng):
         # TILDE's doc head: CLS-MLM trained on term recall under a frozen binary query side
@@ -354,7 +362,7 @@ class TestTrainerGradients:
         config = method_config("binary", "cls_mlm", loss="term_mse", steps=1, lr=0.25)
         labeled = sorted({term for t in triples for term in t.query.token_ids})
         for index in rng.choice(labeled, size=5, replace=False):
-            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index),
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), "mlm_bias", int(index),
                                 side="doc")
 
     def test_sparta_mlm_doc_bias_gradient(self, rng):
@@ -362,7 +370,7 @@ class TestTrainerGradients:
         triples, embed, v, dim = self._task()
         config = method_config("binary", "mlm", steps=1, lr=0.25)
         for index in rng.integers(0, v, size=5):
-            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), lambda h: h.mlm_bias, int(index),
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), "mlm_bias", int(index),
                                 side="doc")
 
     def test_shared_mlm_bias_gradient_with_empty_negative(self, rng):
@@ -381,11 +389,25 @@ class TestTrainerGradients:
         assert all((max_logits(t) <= 0).any() for t in (first.query, first.positive))
         config = method_config("mlm", "mlm", shared_heads=True, steps=1, lr=0.25)
         for index in [0, 1, *rng.integers(0, v, size=4)]:
-            self._numeric_check(config, triples, embed, start, lambda h: h.mlm_bias, int(index))
+            self._numeric_check(config, triples, embed, start, "mlm_bias", int(index))
+
+    def test_exp_mlp_doc_gradient_with_empty_and_repeated_docs(self):
+        """DeepImpact's doc side: an expansion-MLP head under a frozen binary query side, trained as one
+        token stack.  The first triple gains an empty negative (no tokens, no gradient) and, next to
+        it in the stack, a negative that repeats two of the query's terms, each occurrence above
+        ReLU's kink, so its gradient sums over their positions."""
+        triples, embed, v, dim = self._task()
+        first = triples[0]
+        extra = (text("d_empty"), text("d_repeated", 15, 15, 14, 14))
+        triples = [replace(first, negatives=(*extra, *first.negatives), teacher_scores=None), *triples[1:]]
+        config = method_config("binary", "exp_mlp", steps=1, lr=0.25)
+        for index in range(dim):
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), "mlp_weight", index, side="doc")
+        self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), "mlp_bias", side="doc")
 
     HEADS = {
-        "mlm": (EncoderKind.MLM, lambda h: h.mlm_bias),
-        "mlp": (EncoderKind.MLP, lambda h: h.mlp_weight),
+        "mlm": (EncoderKind.MLM, "mlm_bias"),
+        "mlp": (EncoderKind.MLP, "mlp_weight"),
     }
 
     def _indices(self, head, v, dim, rng):
@@ -398,7 +420,7 @@ class TestTrainerGradients:
         so the step-1 update (h1 - h2) / lr is the gradient of loss_history[1], which a
         central difference reads at lr = 0 from h1."""
         triples, embed, v, dim = self._task()
-        encoder, getter = self.HEADS[head]
+        encoder, name = self.HEADS[head]
         reg = RegularizerConfig(kind=kind, weight=0.1)
         options = {"shared_heads": True, "reg": reg, "steps": 2, "lr": 0.25}
         start = self._seeded(v, dim, 5)
@@ -409,7 +431,7 @@ class TestTrainerGradients:
 
         def loss_with(index, delta, probe=method_config(encoder, encoder, **{**options, "lr": 0.0})):
             heads = h1.copy()
-            getter(heads)[index] += delta
+            getattr(heads, name)[index] += delta
             return train_heads(probe, triples, embed, heads, heads).loss_history[1]
 
         def penalty(texts):  # naive: over the distinct texts of a side at h1
@@ -425,7 +447,7 @@ class TestTrainerGradients:
         assert in_loss == pytest.approx(reg.weight * (penalty(queries) + penalty(docs)), rel=1e-9)
         h = 1e-5
         for index in self._indices(head, v, dim, rng):
-            grad = (getter(h1) - getter(h2))[index] / options["lr"]
+            grad = (getattr(h1, name) - getattr(h2, name))[index] / options["lr"]
             numeric = (loss_with(index, h) - loss_with(index, -h)) / (2 * h)
             assert grad == pytest.approx(numeric, rel=1e-3, abs=1e-7)
 
@@ -433,11 +455,11 @@ class TestTrainerGradients:
     def test_topk_masked_gradient(self, rng, head, k):
         # at steps=1 the k schedule is at its end value: the mask keeps k terms per text
         triples, embed, v, dim = self._task()
-        encoder, getter = self.HEADS[head]
+        encoder, name = self.HEADS[head]
         reg = RegularizerConfig(kind=RegularizerKind.TOPK, k=k)
         config = method_config(encoder, encoder, shared_heads=True, reg=reg, steps=1, lr=0.25)
         for index in self._indices(head, v, dim, rng):
-            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), getter, index)
+            self._numeric_check(config, triples, embed, self._seeded(v, dim, 5), name, index)
 
 
 class TestTriplesFile:

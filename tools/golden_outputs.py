@@ -1,6 +1,7 @@
 """Digest the outputs of one lsrkit checkout, to show that a change leaves them unchanged.
 
     python tools/golden_outputs.py SRC_DIR OUT.json
+    python tools/golden_outputs.py --diff A.json B.json
 
 SRC_DIR is the root of a checkout (its `src/`, `configs/` and `data/` are
 used).  For every bundled config the script runs `run_train` at the config's
@@ -27,6 +28,9 @@ ReLU MLM, binary/MLM under MarginMSE, binary/CLS-MLM), and digests
 OUT.json maps each output to its sha256.  Two checkouts give the same
 outputs exactly when their OUT.json files are byte-identical
 (`cmp A.json B.json`).  Only calls that older checkouts also have are used.
+`--diff A.json B.json` prints the nested key of every digest that differs
+between two OUT.json files, or that only one of them has, one per line as
+`train / deepimpact / doc_heads`, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -197,7 +201,19 @@ def digests(src_dir: Path, work: Path) -> dict:
     return out
 
 
+def changed_keys(a, b, path: tuple[str, ...] = ()) -> list[str]:
+    """The nested keys, joined by " / ", whose digests differ between OUT.json objects `a` and `b`."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [key for k in sorted(a.keys() | b.keys()) for key in changed_keys(a.get(k), b.get(k), (*path, k))]
+    return [] if a == b else [" / ".join(path)]
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--diff":
+        a, b = (json.loads(Path(name).read_text(encoding="utf-8")) for name in argv[1:])
+        changed = changed_keys(a, b)
+        print("\n".join(changed) if changed else "no digest differs")
+        return 1 if changed else 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
