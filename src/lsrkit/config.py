@@ -19,7 +19,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .core import json_object, parse_json
+from .core import json_object, parse_json, read_json
 from .encoders import ACTIVATIONS, Bm25Params, EncoderKind
 from .index import Quantization
 from .regularization import RegularizerConfig
@@ -189,8 +189,7 @@ def _value(tp, value, key: str, base: Path):
 def load_config(path: str | Path) -> MethodConfig:
     """The method config at `path`; a bad key or value is a ValidationError naming the path and the key."""
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        obj = parse_json(f.read(), path)
+    obj = read_json(path)
     try:
         return _read(MethodConfig, obj, "", path.parent)
     except (ValueError, OverflowError) as e:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,12 @@ class SparseVector:
 
     @classmethod
     def from_dense(cls, values) -> "SparseVector":
-        return cls({i: float(v) for i, v in enumerate(values) if v != 0.0})
+        """The nonzero entries of a 1-D array or list, in index order, as Python ints and floats."""
+        values = np.asarray(values, dtype=np.float64)
+        idx = np.flatnonzero(values)
+        vec = cls.__new__(cls)
+        vec.entries = dict(zip(idx.tolist(), values[idx].tolist()))
+        return vec
 
 
 @dataclass(frozen=True)
@@ -134,13 +142,39 @@ def compute_corpus_stats(docs: list[TokenizedText]) -> CorpusStats:
     )
 
 
+@contextlib.contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """`path` opened to read as UTF-8; bytes that are not UTF-8 are a ValueError naming `path:line`.
+
+    Text mode decodes in chunks, so a reader's line count is off when decoding
+    fails: the failing line is found by reading the file once more, which only
+    a bad file pays.
+    """
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path) from e
+
+
+def _not_utf8(path: str | Path) -> ValueError:
+    """The error naming the first line of `path` that is not UTF-8, lines counted as text mode counts them."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.encode("utf-8")  # an undecodable byte was read as a lone surrogate, which fails here
+            except UnicodeEncodeError:
+                return ValueError(f"{path}:{lineno}: not UTF-8")
+    return ValueError(f"{path}: not UTF-8")  # the file changed after the failed read
+
+
 def read_vocabulary(path: str | Path) -> Vocabulary:
     """Vocabulary file: one term per line; the term on line n has id n - 1.
 
     A blank line, a term containing whitespace (it could never match a
     whitespace-split token) or a repeated term is a ValueError naming path:line.
     """
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         terms = [line.rstrip("\n") for line in f]
     term_to_id: dict[str, int] = {}
     for i, term in enumerate(terms):
@@ -162,7 +196,7 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 def read_collection(path: str | Path, vocab: Vocabulary) -> Iterator[TokenizedText]:
     """Collection file: `doc_id<TAB>token token token` per line, UTF-8; each doc_id once, with no whitespace."""
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -200,6 +234,12 @@ def parse_json(text: str, path: str | Path, lineno: int | None = None):
         where = path if lineno is None else f"{path}:{lineno}"
         problem = "JSON nested too deeply to parse" if isinstance(e, RecursionError) else f"not JSON ({e})"
         raise ValueError(f"{where}: {problem}") from e
+
+
+def read_json(path: str | Path):
+    """The JSON document in the UTF-8 file `path`, read by `parse_json`."""
+    with open_text(path) as f:
+        return parse_json(f.read(), path)
 
 
 def json_object(value, what: str) -> dict:

@@ -29,7 +29,8 @@ from .core import (
     json_list,
     json_number,
     json_object,
-    parse_json,
+    open_text,
+    read_json,
 )
 
 
@@ -386,24 +387,48 @@ def encode_bm25_doc(
 # ---------------------------------------------------------------------------
 
 
+def _hash_key(parts: tuple) -> np.ndarray:
+    """The 128-bit Philox key of `parts`: a blake2b digest of their repr, as two little-endian words."""
+    return np.frombuffer(hashlib.blake2b(repr(parts).encode(), digest_size=16).digest(), "<u8")
+
+
 def _hash_rng(*parts) -> np.random.Generator:
-    digest = hashlib.blake2b(repr(parts).encode(), digest_size=16).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+    return np.random.Generator(np.random.Philox(key=_hash_key(parts)))
 
 
-def _toy_vector(dim: int, *parts) -> np.ndarray:
-    return _hash_rng(*parts).standard_normal(dim) / math.sqrt(dim)
+def _hashed_normals(rows: list[tuple], dim: int) -> np.ndarray:
+    """len(rows) x dim standard normals; row r is the first `dim` draws of `_hash_rng(*rows[r])`.
+
+    Philox's key and counter are its whole state (Salmon et al., SC 2011), so
+    one generator re-keyed before each row, with the counter at 0 and the
+    buffers empty, draws the bits of a new generator per row at a fraction of
+    its cost.  The generator is local, so no call depends on another.
+    """
+    bit_generator = np.random.Philox(key=0)
+    gen = np.random.Generator(bit_generator)
+    zeros = np.zeros(4, np.uint64)
+    out = np.empty((len(rows), dim))
+    for r, parts in enumerate(rows):
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": _hash_key(parts)},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=out[r])
+    return out
 
 
 def backbone_table(vocab_size: int, dim: int, seed: int) -> np.ndarray:
     """The toy backbone's |V| x d input-embedding table, read-only: e_i depends on (i, seed).
 
-    Building it dominates `toy_backbone`, so callers that embed many texts
-    build it once and pass it in.
+    Row i is hashed normals of ("emb", seed, i) over sqrt(d).  Building it
+    dominates `toy_backbone`, so callers that embed many texts build it once
+    and pass it in.
     """
-    table = np.vstack(
-        [_toy_vector(dim, "emb", seed, i) for i in range(vocab_size)]
-    ) if vocab_size else np.zeros((0, dim))
+    table = _hashed_normals([("emb", seed, i) for i in range(vocab_size)], dim) / math.sqrt(dim)
     table.flags.writeable = False
     return table
 
@@ -416,21 +441,23 @@ def toy_backbone(
     h_j depends on (previous token, token, next token, position parity, seed),
     so the same token gets different embeddings in different contexts.  Half of
     h_j's variance comes from the token's own input embedding e_{t_j}, mimicking
-    a real backbone where h_j . e_i is largest for the input term itself.
-    e_i is row i of `table`, which must be `backbone_table(vocab_size, dim, seed)`
-    and is built here when not given.  h_0 is the mean of the h_j (zero for empty text).
+    a real backbone where h_j . e_i is largest for the input term itself:
+    h_j = (e_{t_j} + n_j / sqrt(d)) / sqrt(2), where n_j is hashed normals of
+    that context, drawn by one generator per call that is re-keyed per token
+    (`_hashed_normals`).  e_i is row i of `table`, which must be
+    `backbone_table(vocab_size, dim, seed)` and is built here when not given.
+    h_0 is the mean of the h_j (zero for empty text).
     """
     ids = text.token_ids
     input_emb = backbone_table(vocab_size, dim, seed) if table is None else table
     if input_emb.shape != (vocab_size, dim):
         raise ValueError(f"backbone table is {input_emb.shape}, expected {(vocab_size, dim)}")
-    ctx = np.zeros((len(ids), dim))
-    for j, t in enumerate(ids):
-        prev_t = ids[j - 1] if j > 0 else -1
-        next_t = ids[j + 1] if j + 1 < len(ids) else -1
-        noise = _toy_vector(dim, "ctx", seed, prev_t, t, next_t, j % 2)
-        ctx[j] = (input_emb[t] + noise) / math.sqrt(2.0)
-    cls = ctx.mean(axis=0) if len(ids) else np.zeros(dim)
+    n = len(ids)
+    contexts = [("ctx", seed, ids[j - 1] if j > 0 else -1, t, ids[j + 1] if j + 1 < n else -1, j % 2)
+                for j, t in enumerate(ids)]
+    noise = _hashed_normals(contexts, dim)
+    ctx = (input_emb[np.array(ids, dtype=np.intp)] + noise / math.sqrt(dim)) / math.sqrt(2.0)
+    cls = ctx.mean(axis=0) if n else np.zeros(dim)
     return EmbeddingBundle(ctx_embeddings=ctx, cls_embedding=cls, input_embeddings=input_emb)
 
 
@@ -489,8 +516,7 @@ def read_head_parameters(path: str | Path) -> HeadParameters:
 
     Anything else is a ValueError naming the file; `pipeline.side_heads` checks the fit to a config.
     """
-    with open(path, encoding="utf-8") as f:
-        record = parse_json(f.read(), path)
+    record = read_json(path)
     try:
         record = json_object(record, "heads file")
         tensors = json_object(record["tensors"], "tensors")
@@ -533,7 +559,7 @@ def read_expansion_file(
     never use, is a ValueError naming path:line, as an unknown term is.
     """
     out: dict[str, list[int]] = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .core import open_text
+
 
 @dataclass(frozen=True)
 class Qrels:
@@ -116,7 +118,7 @@ def read_run(path: str | Path) -> RunFile:
     naming path:line."""
     rankings: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -155,7 +157,7 @@ def read_qrels(path: str | Path) -> Qrels:
     """Read a qrels file; a bad line, a bad or negative grade or a repeated
     (qid, docid) is a ValueError naming path:line."""
     judgments: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SparseVector, json_list, json_number, parse_json
+from .core import SparseVector, json_list, json_number, read_json
 
 FORMAT = "lsrkit-impact-index-v2"
 
@@ -196,7 +196,7 @@ def save_index(index: ImpactIndex, directory: str | Path) -> int:
 def load_index(directory: str | Path) -> ImpactIndex:
     """Read an index written by `save_index`; any inconsistency raises ValueError."""
     directory = Path(directory)
-    header = parse_json((directory / "header.json").read_text(encoding="utf-8"), directory / "header.json")
+    header = read_json(directory / "header.json")
     if not isinstance(header, dict) or header.get("format") != FORMAT:
         raise ValueError(f"unrecognized index format in {directory}; rebuild older indexes")
     try:

@@ -22,6 +22,7 @@ from .core import (
     compute_corpus_stats,
     json_number,
     json_object,
+    open_text,
     parse_json,
     read_collection,
     read_vocabulary,
@@ -192,7 +193,7 @@ def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseV
     """Records written by `write_vectors`: whitespace-free string ids, each once, finite non-negative weights."""
     out = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -244,7 +245,7 @@ def run_search(config: MethodConfig, index_dir: Path, query_vectors_path: Path, 
     vocab = read_vocabulary(config.paths.vocab)
     index = load_index(index_dir)
     if index.vocab_id != vocab_identity(vocab):
-        raise ValidationError(f"index was built with vocab {index.vocab_id}; {config.paths.vocab} differs")
+        raise ValidationError(f"index {index_dir} was built with vocab {index.vocab_id}; {config.paths.vocab} differs")
     queries = read_vectors(query_vectors_path, vocab)
     run, total_ops = search_all(index, queries, config.top_k)
     write_run(run, run_path, tag=config.name)

@@ -35,7 +35,7 @@ from typing import Callable, Collection, Mapping
 import numpy as np
 
 from .config import MethodConfig
-from .core import TokenizedText, json_list, json_number, json_object, parse_json
+from .core import TokenizedText, json_list, json_number, json_object, open_text, parse_json
 from .encoders import (
     DIFFERENTIABLE,
     MLP_HEADS,
@@ -342,7 +342,7 @@ def read_triples(
 ) -> list[TrainingTriple]:
     """Triples file: one JSON object per line with q/pos/negs ids and optional teacher scores."""
     out: list[TrainingTriple] = []
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue

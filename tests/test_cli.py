@@ -345,7 +345,8 @@ class TestCliCommands:
         vocab_path.write_text("".join(t + "\n" for t in terms), encoding="utf-8")
         code = main(["search", "--config", str(other_config), "--index", str(index_dir), "--queries", str(queries_out), "--output", str(tmp_path / "r.trec")])
         assert code == 1
-        assert "vocab" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"index {index_dir} was built with vocab" in err and f"{vocab_path} differs" in err
 
     def test_moved_workspace_searches(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -847,6 +848,64 @@ class TestDeepJson:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and f"{where}: JSON nested too deeply" in err
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is exit 1 naming path:line in every text reader.  Text mode
+    decodes whole chunks ahead of the line a reader is on, so the line is found by a second pass."""
+
+    READERS = {  # the file a case damages, and the command that reads it
+        "vocab": ("data/vocab.txt", "encode"), "collection": ("data/collection.tsv", "encode"),
+        "queries": ("data/queries.tsv", "encode"), "expansions": ("data/expansions.tsv", "encode"),
+        "config": ("config.json", "encode"), "heads": ("heads.json", "encode"),
+        "triples": ("data/triples.jsonl", "train-head"), "qrels": ("data/qrels.txt", "eval"),
+        "run": ("run.trec", "eval"), "vectors": ("docs.jsonl", "index"),
+        "query_vectors": ("queries.jsonl", "search"), "index_header": ("index/header.json", "search"),
+    }
+
+    @pytest.mark.parametrize("case", list(READERS))
+    def test_exits_1_naming_the_line(self, tmp_path, capsys, case):
+        config_path, _ = make_workspace(tmp_path)
+        common = ["--config", str(config_path)]
+        for side, name, out in (("doc", "collection.tsv", "docs.jsonl"), ("query", "queries.tsv", "queries.jsonl")):
+            assert main(["encode", *common, "--side", side, "--input", str(tmp_path / "data" / name),
+                         "--output", str(tmp_path / out)]) == 0
+        assert main(["index", *common, "--vectors", str(tmp_path / "docs.jsonl"),
+                     "--output", str(tmp_path / "index")]) == 0
+        search = ["search", *common, "--index", str(tmp_path / "index"),
+                  "--queries", str(tmp_path / "queries.jsonl"), "--output", str(tmp_path / "run.trec")]
+        assert main(search) == 0
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        if case == "heads":
+            encoders.write_head_parameters(encoders.init_head_parameters(60, 8, 5), tmp_path / "heads.json")
+            config["paths"]["doc_heads"] = "heads.json"
+        config_path.write_text(json.dumps(config, indent=1), encoding="utf-8")  # a JSON file over several lines
+        name, command = self.READERS[case]
+        path = tmp_path / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        bad = len(lines) // 2  # an inner line of a multi-line file
+        lines[bad] = lines[bad].replace(b" ", b" \xff", 1) if b" " in lines[bad] else b"\xff" + lines[bad]
+        path.write_bytes(b"".join(lines))
+        argv = {
+            "encode": _encode_doc_argv(config_path, tmp_path),
+            "train-head": ["train-head", *common, "--output", str(tmp_path / "q.json"),
+                           "--doc-output", str(tmp_path / "d.json")],
+            "eval": ["eval", "--run", str(tmp_path / "run.trec"), "--qrels", str(tmp_path / "data" / "qrels.txt"),
+                     "--output", "-"],
+            "index": ["index", *common, "--vectors", str(path), "--output", str(tmp_path / "index2")],
+            "search": search,
+        }[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {path}:{bad + 1}: not UTF-8\n"
+
+    def test_lines_counted_as_text_mode_counts_them(self, tmp_path):
+        """A lone CR ends a line in text mode, so it ends one in the reported line number too."""
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"a\rb\r\nc\nd\xff\n")
+        with pytest.raises(ValueError, match=r"vocab\.txt:4: not UTF-8"):
+            read_vocabulary(path)
 
 
 def test_expansion_id_naming_no_text_exits_1(tmp_path, capsys):

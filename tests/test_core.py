@@ -1,5 +1,7 @@
 """Core types: vocabulary, tokenized text, sparse vectors, corpus statistics."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,39 @@ class TestSparseVector:
     def test_dense_round_trip(self, a):
         v = SparseVector(a)
         assert SparseVector.from_dense(v.to_dense(64)) == v
+
+
+class TestFromDense:
+    """`from_dense` keeps what the comprehension `{i: float(v) for i, v in enumerate(values) if v != 0.0}`
+    keeps: the same keys in the same order, the same value bits, Python ints and floats."""
+
+    @staticmethod
+    def _check(values):
+        want = {i: float(v) for i, v in enumerate(values) if v != 0.0}
+        got = SparseVector.from_dense(values).entries
+        assert list(got) == list(want)
+        assert [struct.pack("<d", w) for w in got.values()] == [struct.pack("<d", w) for w in want.values()]
+        assert all(type(k) is int for k in got) and all(type(w) is float for w in got.values())
+
+    @pytest.mark.parametrize("values", [
+        np.array([0.0, 1.5, -0.0, 0.0, 5e-324, -3.25, 1e308]),
+        [0, 1.5, -0.0, 0.0, 2, -7],
+        np.zeros(6),
+        [0.0, -0.0],
+        [],
+        np.array([]),
+        np.array([3, 0, -1, 0, 2**40]),
+        [0, 5, 0, 7],
+        np.array([0.1, 0.0, 0.3], dtype=np.float32),
+    ], ids=["array", "list", "zeros", "signed_zeros", "empty_list", "empty_array", "int_array", "int_list",
+            "float32"])
+    def test_equals_the_comprehension(self, values):
+        self._check(values)
+
+    @given(st.lists(st.floats(allow_nan=False) | st.integers(-3, 3) | st.just(-0.0), max_size=30))
+    def test_equals_the_comprehension_on_lists(self, values):
+        self._check(values)
+        self._check(np.array(values, dtype=np.float64))
 
 
 class TestFileFormats:

@@ -1,5 +1,7 @@
 """Encoder architectures, checked against independent dense evaluations."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -504,6 +506,59 @@ class TestToyBackbone:
             table[0, 0] = 1.0
         with pytest.raises(ValueError, match="backbone table"):
             toy_backbone(t, 11, 8, 5, table)
+
+
+def naive_normals(dim, *parts):
+    """The first `dim` normals of a fresh Philox generator keyed by the blake2b digest of repr(parts)."""
+    digest = hashlib.blake2b(repr(parts).encode(), digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little"))).standard_normal(dim)
+
+
+def naive_backbone(ids, vocab_size, dim, seed):
+    """The toy backbone's table, context rows and sequence slot, one fresh generator per row."""
+    table = np.zeros((vocab_size, dim))
+    for i in range(vocab_size):
+        table[i] = naive_normals(dim, "emb", seed, i) / math.sqrt(dim)
+    ctx = np.zeros((len(ids), dim))
+    for j, t in enumerate(ids):
+        prev_t = ids[j - 1] if j > 0 else -1
+        next_t = ids[j + 1] if j + 1 < len(ids) else -1
+        noise = naive_normals(dim, "ctx", seed, prev_t, t, next_t, j % 2) / math.sqrt(dim)
+        ctx[j] = (table[t] + noise) / math.sqrt(2.0)
+    return table, ctx, ctx.mean(axis=0) if len(ids) else np.zeros(dim)
+
+
+class TestBackboneBits:
+    """`toy_backbone` and `backbone_table` draw the bits of a fresh generator per row
+    from one generator that is re-keyed per row."""
+
+    TEXTS = {
+        "empty": (),
+        "one_token": (7,),
+        "repeated": (3, 3, 3, 5, 3, 5, 5),
+        "forty": tuple((i * 17 + 5) % 30 for i in range(40)),
+    }
+
+    def test_equal_to_a_generator_per_row(self):
+        # consecutive calls change the dim, so state left over from the last row or call would show
+        for seed, name, dim in itertools.product((0, 11), self.TEXTS, (1, 3, 24)):
+            ids = self.TEXTS[name]
+            table, ctx, cls = naive_backbone(ids, 30, dim, seed)
+            assert backbone_table(30, dim, seed).tobytes() == table.tobytes(), (seed, name, dim)
+            emb = toy_backbone(text("d", *ids), 30, dim, seed)
+            assert emb.ctx_embeddings.shape == (len(ids), dim)
+            assert emb.ctx_embeddings.tobytes() == ctx.tobytes(), (seed, name, dim)
+            assert emb.cls_embedding.tobytes() == cls.tobytes(), (seed, name, dim)
+            assert emb.input_embeddings.tobytes() == table.tobytes(), (seed, name, dim)
+
+    def test_pinned_digests(self):
+        """Digests of the bits before the generator was re-keyed, so numpy drift in the state API fails here."""
+        table = backbone_table(300, 24, 7)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == (
+            "362935d2ce6781755387a89c881df30376631227815e53eccbd7fd960b77c135")
+        emb = toy_backbone(text("d", 5, 17, 5, 299, 0, 17), 300, 24, 7, table)
+        assert hashlib.sha256(emb.ctx_embeddings.tobytes() + emb.cls_embedding.tobytes()).hexdigest() == (
+            "418ada90be0e7c4cc5e7f92fe09c791b3daf280ff18bb481e5497f801a9c8338")
 
 
 class TestEncoderProperties:
