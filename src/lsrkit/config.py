@@ -182,6 +182,8 @@ def _value(tp, value, key: str, base: Path):
     if tp is Path:
         if not value and not optional:
             raise ValueError(f"{key} must name a file")
+        if "\0" in value:  # `resolve` would fail with an "embedded null byte" that names no key
+            raise ValueError(f"{key} must not contain a NUL byte")
         return (base / value).resolve() if value else None
     return value
 

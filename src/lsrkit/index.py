@@ -109,7 +109,8 @@ def build_index(
         terms, ordinals, impacts = terms[kept], ordinals[kept], impacts[kept]
     else:
         impacts = w
-    order = np.argsort(terms, kind="stable")
+    # The same order as sorting the int64 ids, but numpy radix-sorts 8- and 16-bit keys.
+    order = np.argsort(terms.astype(np.min_scalar_type(terms.max(initial=0))), kind="stable")
     offsets = np.concatenate(([0], np.cumsum(np.bincount(terms))))
     return ImpactIndex(offsets, ordinals[order], impacts[order], doc_table, quantization, scale=max_w)
 

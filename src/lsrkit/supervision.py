@@ -1,11 +1,13 @@
 """Labels, losses, and a head-only trainer over frozen backbone embeddings.
 
 Every loss returns its gradient next to its value; a pairwise loss of
-`LOSSES` maps a triple's candidate scores `[positive, negatives...]` and its
-teacher scores to the loss and its gradient wrt those scores.  The trainer
-trains the heads of one `config.MethodConfig`: it reads the encoders,
-regularizers, `shared_heads` and supervision recipe from the config, builds
-term-recall labels from its own triples when the loss is `term_mse`, and runs
+`LOSSES` maps an N×C matrix of candidate scores, one triple's
+`[positive, negatives...]` per row, and the teacher's scores in the same
+layout to the N losses and the gradient wrt every score, each row with the
+bits it has alone.  The trainer trains the heads of one
+`config.MethodConfig`: it reads the encoders, regularizers, `shared_heads`
+and supervision recipe from the config, builds term-recall labels from its
+own triples when the loss is `term_mse`, and runs
 the encoders' own dense heads (`encoders.head_forward` / `head_backward`),
 `LOSSES` and `regularization.PENALTIES`, so the code that trains is the code
 that encodes and the code the finite-difference checks cover; no autodiff
@@ -22,6 +24,11 @@ texts' tokens once per call (`encoders.token_stack`) and runs one
 it gets alone.  Only MLM with softplus or quality heads (EPIC's doc side),
 whose max is a first-max arg-max over the tokens, runs `head_forward` per
 text at each step.
+
+The pairwise loss runs over all triples at once, with the bits of a loop
+over them: one `ddot` per (query, candidate) pair, one loss call per
+candidate count, and the gradient rows summed in triple order by occurrence
+rounds (`_TripleBatch`).
 """
 
 from __future__ import annotations
@@ -100,42 +107,138 @@ def term_mse_loss(pred: np.ndarray, labels: Mapping[int, float]) -> tuple[float,
     return float(diff @ diff) / n, grad
 
 
-def contrastive_nll(scores: np.ndarray, teacher: TeacherScores | None = None) -> tuple[float, np.ndarray]:
-    """Softmax negative log-likelihood of the positive among a triple's candidate scores.
+def contrastive_nll(scores: np.ndarray, teacher: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax negative log-likelihood of the positive among each row's candidate scores.
 
-    `scores` is `[positive, negatives...]`; the teacher is not used.  Computed
-    with max-shift stabilization; returns the gradient wrt every score.
+    `scores` is N×C, one triple's `[positive, negatives...]` per row; the teacher
+    is not used.  Computed with max-shift stabilization; returns the N losses
+    and the gradient wrt every score.  Each row has the bits it has alone: its
+    sum runs along the fast axis of a C-contiguous array, and its log is
+    `math.log` (`np.log` may differ in the last bit).
     """
-    if len(scores) < 2:
+    if scores.shape[1] < 2:
         raise ValueError("contrastive_nll requires at least one negative")
-    shifted = scores - scores.max()
+    shifted = np.ascontiguousarray(scores - scores.max(axis=1, keepdims=True))
     exp = np.exp(shifted)
-    grad = exp / exp.sum()
-    loss = -float(shifted[0] - math.log(exp.sum()))
-    grad[0] -= 1.0
+    sums = exp.sum(axis=1)
+    grad = exp / sums[:, None]
+    loss = -(shifted[:, 0] - np.fromiter(map(math.log, sums.tolist()), np.float64, len(sums)))
+    grad[:, 0] -= 1.0
     return loss, grad
 
 
-def margin_mse_loss(scores: np.ndarray, teacher: TeacherScores) -> tuple[float, np.ndarray]:
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row of `x` summed left to right from 0.0, as a Python loop adds (and `sum` before Python 3.12)."""
+    # Prefix sums run in order; `+ 0.0` gives the zero start's sign (a sum of -0.0s is 0.0).
+    return np.add.accumulate(x, axis=1)[:, -1] + 0.0
+
+
+def margin_mse_loss(scores: np.ndarray, teacher: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean squared difference of student vs teacher (positive - negative) margins.
 
-    `scores` is the student's `[positive, negatives...]` and `teacher` its
-    `(positive, negatives)`; returns the gradient wrt every student score.
+    `scores` is the student's N×C `[positive, negatives...]` rows and `teacher`
+    the teacher's, in the same layout; returns the N losses and the gradient wrt
+    every student score.
     """
-    t_pos, t_negs = teacher
-    s_pos, *s_negs = scores.tolist()
-    if len(s_negs) != len(t_negs):
+    if teacher.shape != scores.shape:
         raise ValueError("student and teacher must score the same negatives")
-    if not s_negs:
+    if scores.shape[1] < 2:
         raise ValueError("margin_mse_loss requires at least one negative")
-    n = len(s_negs)
-    diffs = [(s_pos - s) - (t_pos - t) for s, t in zip(s_negs, t_negs)]
-    margin_grads = [2.0 * d / n for d in diffs]
-    return sum(d * d for d in diffs) / n, np.array([sum(margin_grads), *(-g for g in margin_grads)])
+    n = scores.shape[1] - 1
+    diffs = (scores[:, :1] - scores[:, 1:]) - (teacher[:, :1] - teacher[:, 1:])
+    margin_grads = 2.0 * diffs / n
+    return _row_sums(diffs * diffs) / n, np.concatenate((_row_sums(margin_grads)[:, None], -margin_grads), axis=1)
 
 
-#: pairwise losses: (candidate scores, teacher scores) -> (loss, gradient wrt the scores)
+#: pairwise losses: (N×C candidate scores, N×C teacher scores or None) -> (N losses, N×C score gradients)
 LOSSES = {"contrastive": contrastive_nll, "margin_mse": margin_mse_loss}
+
+
+def _occurrence_rounds(targets: np.ndarray, sources: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Contributions, listed in adding order as (target row, source row), split into rounds.
+
+    `targets` names every row 0..n-1 at least once.  Round k holds, sorted by
+    target, every target's k-th contribution, so round 0 holds each row once,
+    and no target repeats within a round.
+    """
+    rank, seen = np.empty(len(targets), np.int64), {}
+    for i, t in enumerate(targets.tolist()):
+        rank[i] = seen[t] = seen.get(t, -1) + 1
+    if sorted(seen) != list(range(len(seen))):
+        raise ValueError("every row must receive a contribution")
+    by_round = np.lexsort((targets, rank))
+    return [(targets[kth], sources[kth]) for kth in np.split(by_round, np.flatnonzero(np.diff(rank[by_round])) + 1)]
+
+
+def _scatter(rounds: list[tuple[np.ndarray, np.ndarray]], contributions: Callable) -> np.ndarray:
+    """Each row's contributions (`contributions(sources)`, one per source) summed from 0 in listed order:
+    round 0 writes every row, and each later round adds to its rows with one fancy-index `+=`."""
+    (_, first), *later = rounds
+    G = contributions(first)
+    G += 0.0  # as the first addend of a zero row: 0.0 + -0.0 is 0.0
+    for rows, sources in later:
+        G[rows] += contributions(sources)
+    return G
+
+
+class _TripleBatch:
+    """The pairwise loss of every triple as whole-batch array ops, with the bits of a loop over triples.
+
+    Built once per `train_heads` call from each triple's query row, candidate
+    rows (`[positive, negatives...]`) and teacher scores.  Triples are grouped
+    by candidate count, each group in triple order, and a loss runs on one N×C
+    score matrix per count: padding rows to one length would regroup numpy's
+    pairwise row sums.  Each score is one `ddot` per (query, candidate) pair,
+    the bits of `@`, which no batched product (`einsum`, GEMM) keeps.  A query
+    row's gradient is `scale·(g0·d0 + ((0 + g1·d1) + g2·d2)…)` and a candidate
+    row's `(scale·g)·wq`; both are summed per row in triple order by occurrence
+    rounds (`_scatter`).  `np.add.at` on rows costs more than the loop it
+    replaces, and `np.add.reduceat` does not add a segment's rows in order.
+    """
+
+    def __init__(self, loss: Callable, candidates: list[tuple[int, list[int], TeacherScores | None]]):
+        self.loss, self.scale = loss, 1.0 / len(candidates)
+        counts = np.array([len(rows) for _, rows, _ in candidates])
+        order = np.argsort(counts, kind="stable")
+        self.unsort = np.argsort(order)  # each triple's place in the grouped order
+        grouped = [candidates[i] for i in order]
+        d_rows = np.array([r for _, rows, _ in grouped for r in rows], dtype=np.int64)
+        self.pair_q = np.repeat([q for q, _, _ in grouped], counts[order])
+        self.pairs = list(zip(self.pair_q.tolist(), d_rows.tolist()))
+        # Per count: the slice of its pairs, its candidate rows (N×C) and its teacher scores (N×C or None).
+        pair_start = np.r_[0, np.cumsum(counts[order])]
+        self.groups, first = [], 0
+        for count, size in zip(*np.unique(counts, return_counts=True)):
+            pairs = slice(pair_start[first], pair_start[first + size])
+            teachers = [t for _, _, t in grouped[first:first + size]]
+            teacher = None if None in teachers else np.array([[pos, *negs] for pos, negs in teachers])
+            self.groups.append((pairs, d_rows[pairs].reshape(size, count), teacher))
+            first += size
+        # Contributions in triple order: a query row's is its triple's (in the grouped order), a
+        # candidate row's is its pair's.
+        self.q_rounds = _occurrence_rounds(np.array([q for q, _, _ in candidates]), self.unsort)
+        pair_of = [pair_start[t] + c for t, count in zip(self.unsort.tolist(), counts.tolist()) for c in range(count)]
+        self.d_rounds = _occurrence_rounds(np.array([r for _, rows, _ in candidates for r in rows]), np.array(pair_of))
+
+    def __call__(self, Wq: np.ndarray, Wd: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The loss, the mean over triples summed in triple order, and its gradients wrt the query rows
+        `Wq` and the doc rows `Wd`."""
+        q_views, d_views = list(Wq), list(Wd)
+        scores = np.fromiter((q_views[q].dot(d_views[d]) for q, d in self.pairs), np.float64, len(self.pairs))
+        losses, score_grads, q_grads = [], [], []
+        for pairs, d_rows, teacher in self.groups:
+            loss, g = self.loss(scores[pairs].reshape(d_rows.shape), teacher)
+            rest = np.zeros((len(d_rows), Wd.shape[1]))
+            for c in range(1, d_rows.shape[1]):
+                rest += g[:, c, None] * Wd[d_rows[:, c]]
+            q_grads.append(self.scale * (g[:, :1] * Wd[d_rows[:, 0]] + rest))
+            losses.append(loss)
+            score_grads.append(g.ravel())
+        q_grad = np.concatenate(q_grads)
+        scaled = self.scale * np.concatenate(score_grads)
+        total = _row_sums((np.concatenate(losses)[self.unsort] * self.scale)[None])[0]
+        return (float(total), _scatter(self.q_rounds, lambda sources: q_grad[sources]),
+                _scatter(self.d_rounds, lambda sources: scaled[sources, None] * Wq[self.pair_q[sources]]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +282,11 @@ def train_heads(
     both sides or neither.  `term_mse` labels each positive with the term
     recall of the queries it answers in `triples`; `contrastive` and
     `margin_mse` need negatives on every triple, and `margin_mse` teacher
-    scores too, both checked before any text is embedded.  Each triple's rows
-    are resolved once per call; at each step, its `LOSSES` entry maps its
-    per-pair scores to score gradients, scattered back into its rows.
+    scores too, both checked before any text is embedded.  A pairwise loss
+    groups the triples by candidate count once per call; at each step, one
+    `LOSSES` call per count maps the per-pair `ddot` scores to score gradients,
+    and each query or doc row sums its gradients in triple order, one
+    occurrence round at a time (`_TripleBatch`).
 
     Starts from copies of the given heads (shared heads: the query heads serve
     both sides) and reads |V| and d off them.  Backbone embeddings are frozen
@@ -241,9 +346,9 @@ def train_heads(
         labeled = [(row["d"][t.positive.doc_id], labels) for t in triples
                    if (labels := doc_labels.get(t.positive.doc_id))]
     else:
-        pairwise = LOSSES[loss_kind]
-        candidates = [(row["q"][t.query.doc_id], [row["d"][d.doc_id] for d in (t.positive, *t.negatives)],
-                       t.teacher_scores) for t in triples]
+        pairwise = _TripleBatch(LOSSES[loss_kind], [
+            (row["q"][t.query.doc_id], [row["d"][d.doc_id] for d in (t.positive, *t.negatives)], t.teacher_scores)
+            for t in triples])
     kinds = {"q": config.query.encoder, "d": config.doc.encoder}
     params = {"q": q_heads, "d": d_heads}
     # MLP sides stack their tokens once, sides with `frozen_input` rows stack those rows once: each step runs
@@ -284,27 +389,16 @@ def train_heads(
                 k = topk_schedule(vocab_size, regs[side].k, steps, step)
                 masks[side] = np.stack([topk_mask(w, k) for w in W[side]])
                 W[side] = W[side] * masks[side]
-        G = {side: np.zeros_like(W[side]) for side in W}
-        # Row views made once per step: `Gd[r] += x` adds in place without copying the row back.
-        Wq, Wd, Gq, Gd = list(W["q"]), list(W["d"]), list(G["q"]), list(G["d"])
-        total_loss = 0.0
-
         if loss_kind == "term_mse":
+            G = {side: np.zeros_like(W[side]) for side in W}
+            total_loss = 0.0
             for r, labels in labeled:
-                loss, grad = term_mse_loss(Wd[r], labels)
+                loss, grad = term_mse_loss(W["d"][r], labels)
                 total_loss += loss / len(triples)
-                Gd[r] += grad / len(triples)
+                G["d"][r] += grad / len(triples)
         else:
-            scale = 1.0 / len(triples)
-            for qr, rows, teacher in candidates:
-                wq = Wq[qr]
-                loss, g = pairwise(np.array([wq @ Wd[r] for r in rows]), teacher)
-                total_loss += loss * scale
-                Gq[qr] += scale * (
-                    g[0] * Wd[rows[0]] + sum((gi * Wd[r] for gi, r in zip(g[1:], rows[1:])), np.zeros(vocab_size))
-                )
-                for gi, r in zip(g, rows):
-                    Gd[r] += scale * gi * wq
+            total_loss, Gq, Gd = pairwise(W["q"], W["d"])
+            G = {"q": Gq, "d": Gd}
 
         # Batch penalties (FLOPs / L1 / L2) with quadratic warm-up.
         for side, cfg in regs.items():

@@ -264,17 +264,18 @@ class TestCriterion4:
 
             pos = float(rng.normal())
             negs = rng.normal(size=3).tolist()
-            scores = np.array([pos, *negs])
+            scores = np.array([[pos, *negs]])  # the pairwise losses take a batch of triples: here one row
             _, grad = contrastive_nll(scores)
-            num = (contrastive_nll(bumped(scores, 0, h))[0] - contrastive_nll(bumped(scores, 0, -h))[0]) / (2 * h)
-            worst["contrastive"] = max(worst["contrastive"], rel_err(grad[0], num))
+            num = (contrastive_nll(bumped(scores, (0, 0), h))[0][0]
+                   - contrastive_nll(bumped(scores, (0, 0), -h))[0][0]) / (2 * h)
+            worst["contrastive"] = max(worst["contrastive"], rel_err(grad[0, 0], num))
 
-            scores = rng.normal(size=4)
-            teacher = (float(rng.normal()), tuple(rng.normal(size=3).tolist()))
+            scores = rng.normal(size=(1, 4))
+            teacher = np.array([[float(rng.normal()), *rng.normal(size=3).tolist()]])
             _, grad = margin_mse_loss(scores, teacher)
-            num = (margin_mse_loss(bumped(scores, 0, h), teacher)[0]
-                   - margin_mse_loss(bumped(scores, 0, -h), teacher)[0]) / (2 * h)
-            worst["margin_mse"] = max(worst["margin_mse"], rel_err(grad[0], num))
+            num = (margin_mse_loss(bumped(scores, (0, 0), h), teacher)[0][0]
+                   - margin_mse_loss(bumped(scores, (0, 0), -h), teacher)[0][0]) / (2 * h)
+            worst["margin_mse"] = max(worst["margin_mse"], rel_err(grad[0, 0], num))
 
         top = max(worst.values())
         record(4, "regularizer and loss gradients match finite differences within 1e-4",

@@ -184,6 +184,13 @@ class TestConfigLoading:
         assert err.startswith(f"error: {path}: {key} must be")
         assert not (tmp_path / "o.jsonl").exists()
 
+    def test_nul_byte_in_path_names_the_key(self, tmp_path, capsys):
+        """A path with a NUL byte cannot be opened: exit 1 naming the key, not the OS's "embedded null byte"."""
+        path, _ = make_workspace(tmp_path, paths={"vocab": "data/vo\u0000cab.txt"})
+        assert main(_encode_doc_argv(path, tmp_path)) == 1
+        assert capsys.readouterr().err == f"error: {path}: paths.vocab must not contain a NUL byte\n"
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_absent_sections_take_the_dataclass_defaults(self, tmp_path):
         path, _ = make_workspace(tmp_path)
         config_obj = json.loads(path.read_text(encoding="utf-8"))

@@ -107,6 +107,20 @@ class TestBuildIndex:
         assert idx.total_postings == 3
 
 
+    @pytest.mark.parametrize("base", [0, 1_000, 65_520], ids=["uint8-keys", "uint16-keys", "uint32-keys"])
+    def test_narrow_sort_keys_keep_the_int64_order(self, rng, base):
+        """The posting sort runs on the narrowest unsigned type that holds the largest term id (here
+        |V| < 256, ids past 256, and ids past 65,536); its columns equal a stable sort of the int64 ids."""
+        docs = [(d, SparseVector({base + t: w for t, w in v.entries.items()})) for d, v in random_corpus(rng)]
+        idx = build_index(docs)
+        entries = [(t, i, w) for i, (_, v) in enumerate(docs) for t, w in v.entries.items()]
+        terms = np.array([t for t, _, _ in entries], np.int64)
+        order = np.argsort(terms, kind="stable")
+        assert idx.offsets.tolist() == [0, *np.cumsum(np.bincount(terms)).tolist()]
+        assert idx.ordinals.tolist() == [entries[j][1] for j in order]
+        assert idx.impacts.tolist() == [entries[j][2] for j in order]
+
+
 class TestExhaustiveSearch:
     def test_hand_example(self):
         docs = [("a", SparseVector({0: 2.0})), ("b", SparseVector({0: 1.0, 1: 5.0}))]

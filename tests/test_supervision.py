@@ -1,6 +1,8 @@
 """Labels, losses (with gradient checks), and the head-only trainer."""
 
+import functools
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from conftest import heads_bytes, method_config, text
 
+from lsrkit import supervision
 from lsrkit.encoders import EncoderKind, backbone_table, head_forward, init_head_parameters, toy_backbone
 from lsrkit.regularization import RegularizerConfig, RegularizerKind
 from lsrkit.supervision import (
@@ -20,6 +23,13 @@ from lsrkit.supervision import (
     train_heads,
 )
 from lsrkit.synthetic import make_synthetic_task
+
+
+def one_row(loss, scores, teacher=None):
+    """`loss` on a one-row batch of `scores` and `teacher` (positive, negatives): the row's loss and gradient."""
+    teacher = None if teacher is None else np.array([[teacher[0], *teacher[1]]], dtype=float)
+    losses, grads = loss(np.array([scores], dtype=float), teacher)
+    return losses[0], grads[0]
 
 
 class TestTermRecall:
@@ -60,20 +70,20 @@ class TestTermMseLoss:
 
 class TestContrastiveNll:
     def test_uniform_scores(self):
-        loss, _ = contrastive_nll(np.array([1.0, 1.0, 1.0, 1.0]))
+        loss, _ = one_row(contrastive_nll, np.array([1.0, 1.0, 1.0, 1.0]))
         assert loss == pytest.approx(math.log(4.0))
 
     def test_dominant_positive(self):
-        loss, _ = contrastive_nll(np.array([40.0, 0.0, 0.0]))
+        loss, _ = one_row(contrastive_nll, np.array([40.0, 0.0, 0.0]))
         assert loss < 1e-6
 
     def test_closed_form(self):
-        loss, _ = contrastive_nll(np.array([1.0, 0.0]))
+        loss, _ = one_row(contrastive_nll, np.array([1.0, 0.0]))
         assert loss == pytest.approx(math.log(1.0 + math.exp(-1.0)))
 
     def test_no_negatives_rejected(self):
         with pytest.raises(ValueError):
-            contrastive_nll(np.array([1.0]))
+            one_row(contrastive_nll, np.array([1.0]))
 
     def test_shift_invariance(self, rng):
         for _ in range(30):
@@ -81,27 +91,27 @@ class TestContrastiveNll:
             negs = rng.normal(size=4).tolist()
             c = float(rng.normal()) * 10
             scores = np.array([pos, *negs])
-            base, _ = contrastive_nll(scores)
-            shifted, _ = contrastive_nll(scores + c)
+            base, _ = one_row(contrastive_nll, scores)
+            shifted, _ = one_row(contrastive_nll, scores + c)
             assert shifted == pytest.approx(base, abs=1e-9)
 
 
 class TestMarginMse:
     def test_matching_margins(self):
         # margins 1 and 2 on both sides
-        assert margin_mse_loss(np.array([3.0, 2.0, 1.0]), (3.0, (2.0, 1.0)))[0] == 0.0
+        assert one_row(margin_mse_loss, np.array([3.0, 2.0, 1.0]), (3.0, (2.0, 1.0)))[0] == 0.0
 
     def test_single_pair(self):
         # student margin 1, teacher margin 3
-        assert margin_mse_loss(np.array([1.0, 0.0]), (3.0, (0.0,)))[0] == pytest.approx(4.0)
+        assert one_row(margin_mse_loss, np.array([1.0, 0.0]), (3.0, (0.0,)))[0] == pytest.approx(4.0)
 
     def test_hand_evaluation(self):
         # student margins 1 and 2, teacher margins 0 and 0
-        assert margin_mse_loss(np.array([2.0, 1.0, 0.0]), (0.0, (0.0, 0.0)))[0] == pytest.approx(2.5)
+        assert one_row(margin_mse_loss, np.array([2.0, 1.0, 0.0]), (0.0, (0.0, 0.0)))[0] == pytest.approx(2.5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            margin_mse_loss(np.array([1.0, 0.0]), (0.0, (1.0, 2.0)))
+            one_row(margin_mse_loss, np.array([1.0, 0.0]), (0.0, (1.0, 2.0)))
 
     def test_margin_form_invariant_to_score_shift(self, rng):
         # adding a constant to both scores of a pair leaves the margin unchanged
@@ -109,9 +119,97 @@ class TestMarginMse:
             s_pos, s_neg = rng.normal(size=2)
             teacher = (float(rng.normal(size=1)[0]), (0.0,))
             c = float(rng.normal()) * 5
-            base = margin_mse_loss(np.array([s_pos, s_neg]), teacher)[0]
-            shifted = margin_mse_loss(np.array([s_pos + c, s_neg + c]), teacher)[0]
+            base = one_row(margin_mse_loss, np.array([s_pos, s_neg]), teacher)[0]
+            shifted = one_row(margin_mse_loss, np.array([s_pos + c, s_neg + c]), teacher)[0]
             assert shifted == pytest.approx(base, abs=1e-9)
+
+
+# The per-triple forms the batched losses and trainer replaced, kept as oracles: every row of a batch,
+# and every step of `train_heads`, must have their bits.
+
+
+def one_triple_contrastive(scores, teacher=None):
+    shifted = scores - scores.max()
+    exp = np.exp(shifted)
+    grad = exp / exp.sum()
+    loss = -float(shifted[0] - math.log(exp.sum()))
+    grad[0] -= 1.0
+    return loss, grad
+
+
+def left_sum(values):
+    """Floats added left to right from 0, as `sum` adds them before Python 3.12 (which compensates)."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def one_triple_margin_mse(scores, teacher):
+    t_pos, t_negs = teacher
+    s_pos, *s_negs = scores.tolist()
+    n = len(s_negs)
+    diffs = [(s_pos - s) - (t_pos - t) for s, t in zip(s_negs, t_negs)]
+    margin_grads = [2.0 * d / n for d in diffs]
+    return left_sum(d * d for d in diffs) / n, np.array([left_sum(margin_grads), *(-g for g in margin_grads)])
+
+
+ONE_TRIPLE = {contrastive_nll: one_triple_contrastive, margin_mse_loss: one_triple_margin_mse}
+
+
+class PerTripleLoop:
+    """The trainer's pairwise step as a loop over triples, each adding into its rows' views in place."""
+
+    def __init__(self, loss, candidates):
+        self.loss, self.candidates = ONE_TRIPLE[loss], candidates
+
+    def __call__(self, Wq, Wd):
+        Gq, Gd = np.zeros_like(Wq), np.zeros_like(Wd)
+        q_rows, d_rows, q_grads, d_grads = list(Wq), list(Wd), list(Gq), list(Gd)
+        total_loss, scale = 0.0, 1.0 / len(self.candidates)
+        for qr, rows, teacher in self.candidates:
+            wq = q_rows[qr]
+            loss, g = self.loss(np.array([wq @ d_rows[r] for r in rows]), teacher)
+            total_loss += loss * scale
+            q_grads[qr] += scale * (g[0] * d_rows[rows[0]] + sum((gi * d_rows[r] for gi, r in zip(g[1:], rows[1:])),
+                                                                 np.zeros(Wd.shape[1])))
+            for gi, r in zip(g, rows):
+                d_grads[r] += scale * gi * wq
+        return total_loss, Gq, Gd
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestBatchedLosses:
+    """A batch row has the bits of its one-row batch and of the per-triple form, at every candidate count
+    around numpy's pairwise-sum blocks (8 and 128 elements)."""
+
+    COUNTS = (2, 3, 8, 9, 10, 17, 128, 129, 131, 200)
+
+    def _batch(self, rng, count):
+        scores = rng.normal(scale=3.0, size=(7, count))
+        scores[1] = 0.0  # equal scores: every shifted score is 0
+        scores[2, 1:] = -800.0  # negatives whose exp underflows to 0
+        teacher = rng.normal(scale=3.0, size=(7, count))
+        teacher[3] = scores[3]  # matching margins: every diff is 0
+        return scores, teacher
+
+    @pytest.mark.parametrize("loss", [contrastive_nll, margin_mse_loss], ids=["contrastive", "margin_mse"])
+    def test_every_row_has_its_own_bits(self, rng, loss):
+        for count in self.COUNTS:
+            scores, teacher = self._batch(rng, count)
+            losses, grads = loss(scores, teacher)
+            assert losses.shape == (7,) and grads.shape == (7, count)
+            for i in range(7):
+                alone = loss(scores[i:i + 1], teacher[i:i + 1])
+                oracle = ONE_TRIPLE[loss](scores[i], (teacher[i, 0], tuple(teacher[i, 1:])))
+                assert bits(losses[i]) == bits(alone[0][0]) == bits(oracle[0]), (count, i)
+                assert bits(grads[i]) == bits(alone[1][0]) == bits(oracle[1]), (count, i)
+
+    def test_batch_of_another_layout_keeps_the_bits(self, rng):
+        """A Fortran-ordered batch gets the bits of its C-ordered copy."""
+        scores, _ = self._batch(rng, 131)
+        ordered = contrastive_nll(scores)
+        assert all(bits(a) == bits(b) for a, b in zip(contrastive_nll(np.asfortranarray(scores)), ordered))
 
 
 class TestLossGradients:
@@ -138,16 +236,16 @@ class TestLossGradients:
             pos = float(rng.normal())
             negs = rng.normal(size=int(rng.integers(1, 5))).tolist()
             scores = np.array([pos, *negs])
-            _, grad = contrastive_nll(scores)
+            _, grad = one_row(contrastive_nll, scores)
             h = 1e-5
             up = scores.copy(); up[0] += h
             dn = scores.copy(); dn[0] -= h
-            num_pos = (contrastive_nll(up)[0] - contrastive_nll(dn)[0]) / (2 * h)
+            num_pos = (one_row(contrastive_nll, up)[0] - one_row(contrastive_nll, dn)[0]) / (2 * h)
             assert grad[0] == pytest.approx(num_pos, rel=1e-4, abs=1e-8)
             k = int(rng.integers(len(negs)))
             up = scores.copy(); up[1 + k] += h
             dn = scores.copy(); dn[1 + k] -= h
-            num_neg = (contrastive_nll(up)[0] - contrastive_nll(dn)[0]) / (2 * h)
+            num_neg = (one_row(contrastive_nll, up)[0] - one_row(contrastive_nll, dn)[0]) / (2 * h)
             assert grad[1 + k] == pytest.approx(num_neg, rel=1e-4, abs=1e-8)
 
     def test_margin_mse(self, rng):
@@ -155,12 +253,12 @@ class TestLossGradients:
             n = int(rng.integers(1, 5))
             scores = rng.normal(size=n + 1)
             teacher = (float(rng.normal()), tuple(rng.normal(size=n).tolist()))
-            _, grad = margin_mse_loss(scores, teacher)
+            _, grad = one_row(margin_mse_loss, scores, teacher)
             h = 1e-5
             for k in range(n + 1):  # the positive's score and every negative's
                 up = scores.copy(); up[k] += h
                 dn = scores.copy(); dn[k] -= h
-                num = (margin_mse_loss(up, teacher)[0] - margin_mse_loss(dn, teacher)[0]) / (2 * h)
+                num = (one_row(margin_mse_loss, up, teacher)[0] - one_row(margin_mse_loss, dn, teacher)[0]) / (2 * h)
                 assert grad[k] == pytest.approx(num, rel=1e-4, abs=1e-8)
 
 
@@ -288,6 +386,52 @@ class TestTrainHeads:
         config = method_config("mlp", "mlp", loss="term_mse", steps=40, lr=0.3)
         result = train_heads(config, triples, self._embed(v), *self._heads(v, 3, mlp_log_normalize=False))
         assert result.loss_history[-1] < result.loss_history[0]
+
+
+class TestBatchedTrainer:
+    """`train_heads` gives the bytes of the per-triple loop (`PerTripleLoop`): heads and `repr(loss_history)`."""
+
+    DIM = 6
+
+    def _triples(self):
+        """Triples with 1, 4, 9 and 130 negatives, two of each count and interleaved, so the counts form
+        groups out of triple order; a query in two triples, a doc in four (twice among one triple's
+        negatives, and positive and negative of another), an empty negative, and teacher scores on all."""
+        task, _ = small_task(num_docs=160, num_queries=8, vocab_size=40, seed=5)
+        docs, queries = task.docs, task.queries
+        rng = np.random.default_rng(3)
+        negatives = {
+            1: [(docs[2],), (docs[7],)],
+            4: [(docs[2], docs[9], docs[2], text("d_empty")), (docs[3], docs[4], docs[5], docs[6])],
+            9: [tuple(docs[10:19]), (docs[2], *docs[20:28])],
+            130: [tuple(docs[30:160]), (*docs[28:30], *docs[32:160])],
+        }
+        layout = [(9, 0), (1, 0), (130, 0), (4, 0), (1, 1), (9, 1), (4, 1), (130, 1)]
+        triples = []
+        for i, (count, k) in enumerate(layout):
+            negs = negatives[count][k]
+            teacher = (float(rng.normal()), tuple(rng.normal(size=len(negs)).tolist()))
+            triples.append(TrainingTriple(queries[i % 6], docs[i % 3], negs, teacher))
+        return task, triples
+
+    @pytest.mark.parametrize("loss", ["contrastive", "margin_mse"])
+    @pytest.mark.parametrize("query, doc, shared", [
+        ("mlm", "mlm", True), ("mlp", "mlp", True), ("mlp", "mlm", False), ("mlm", "mlp", False),
+    ], ids=["mlm-shared", "mlp-shared", "mlp-mlm", "mlm-mlp"])
+    def test_bytes_equal_the_per_triple_loop(self, monkeypatch, loss, query, doc, shared):
+        task, triples = self._triples()
+        v = task.vocab.size
+        table = backbone_table(v, self.DIM, 11)
+        config = method_config(query, doc, shared_heads=shared, loss=loss, steps=4, lr=0.3)
+
+        def train():
+            heads = (init_head_parameters(v, self.DIM, 4), init_head_parameters(v, self.DIM, 5))
+            result = train_heads(config, triples, lambda t: toy_backbone(t, v, self.DIM, 11, table), *heads)
+            return heads_bytes(result.query_heads), heads_bytes(result.doc_heads), repr(result.loss_history)
+
+        batched = train()
+        monkeypatch.setattr(supervision, "_TripleBatch", PerTripleLoop)
+        assert batched == train()
 
 
 class TestTrainerGradients:
