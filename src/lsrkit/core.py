@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
@@ -126,17 +128,11 @@ class CorpusStats:
 
 def compute_corpus_stats(docs: list[TokenizedText]) -> CorpusStats:
     """Presence-based document frequencies and the mean document length."""
-    doc_freq: dict[int, int] = {}
-    total_len = 0
-    for doc in docs:
-        total_len += len(doc)
-        for t in set(doc.token_ids):
-            doc_freq[t] = doc_freq.get(t, 0) + 1
     n = len(docs)
-    avgdl = total_len / n if n else 0.0
+    avgdl = sum(map(len, docs)) / n if n else 0.0
     return CorpusStats(
         num_docs=n,
-        doc_freq=doc_freq,
+        doc_freq=dict(Counter(itertools.chain.from_iterable(map(set, (doc.token_ids for doc in docs))))),
         avg_doc_len=avgdl,
         degenerate=(n == 0 or avgdl == 0.0),
     )

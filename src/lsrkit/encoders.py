@@ -1,6 +1,7 @@
 """Sparse encoders: binary, MLP, expansion-MLP, MLM, CLS-MLM, and the BM25 pair.
 
-Every encoder is a pure function TokenizedText -> SparseVector.  Query-document
+Every encoder is a pure function TokenizedText -> SparseVector, except the BM25
+doc encoder, which maps a batch of texts to one vector each.  Query-document
 similarity is the dot product of the two encoded vectors.  The neural heads
 (MLP, expansion-MLP, MLM, CLS-MLM) and the binary encoder also have a dense
 form, `head_forward`, with its gradient `head_backward`; the sparse encoders
@@ -365,21 +366,55 @@ def encode_bm25_query(text: TokenizedText, stats: CorpusStats) -> SparseVector:
     return SparseVector({t: idf(t, stats) for t in set(text.token_ids)})
 
 
+#: entry i is the int i: the one key object for term i in every vector `encode_bm25_doc` emits, so keys
+#: cost one int per term, not one per posting.  A grow-only cache of immutable values.
+_term_keys = np.array([], dtype=object)
+
+
+def _shared_term_keys(size: int) -> np.ndarray:
+    """An object array whose entry i is the int i, the same object on every call."""
+    global _term_keys
+    if len(_term_keys) < size:
+        _term_keys = np.concatenate([_term_keys, np.array(range(len(_term_keys), size), dtype=object)])
+    return _term_keys
+
+
 def encode_bm25_doc(
-    text: TokenizedText, stats: CorpusStats, params: Bm25Params = Bm25Params()
-) -> SparseVector:
-    """Saturated term frequency with document-length normalization."""
-    if len(text) == 0:
-        return SparseVector()
+    texts: list[TokenizedText], stats: CorpusStats, params: Bm25Params = Bm25Params()
+) -> list[SparseVector]:
+    """Saturated term frequency with document-length normalization, one vector per text.
+
+    One pass over the batch's (doc, term, tf) columns: every token is keyed
+    `row * |V| + term id` (|V| one past the batch's largest id) and
+    `np.unique` counts each key.  A weight is tf * (k1 + 1) / (tf + norm),
+    norm = k1 * (1 - b + b * length / avg_doc_len): the IEEE operations, in
+    order, of the per-text formula, so each weight has the bits it has alone.
+    Entries are in ascending term-id order, and every vector's key for a term
+    is the same int object.  An empty text gives an empty vector; a non-empty
+    one on degenerate stats is a ValueError.
+    """
+    token_ids = [t.token_ids for t in texts]
+    lengths = np.fromiter(map(len, token_ids), np.intp, len(texts))
+    total = int(lengths.sum())
+    if not total:
+        return [SparseVector() for _ in texts]
     if stats.degenerate:
         raise ValueError("degenerate corpus stats: avg_doc_len undefined")
-    tf: dict[int, int] = {}
-    for t in text.token_ids:
-        tf[t] = tf.get(t, 0) + 1
-    norm = params.k1 * (1.0 - params.b + params.b * len(text) / stats.avg_doc_len)
-    return SparseVector(
-        {t: f * (params.k1 + 1.0) / (f + norm) for t, f in tf.items()}
-    )
+    terms = np.fromiter(itertools.chain.from_iterable(token_ids), np.intp, total)
+    size = int(terms.max()) + 1
+    keys, tf = np.unique(np.repeat(np.arange(len(texts)) * size, lengths) + terms, return_counts=True)
+    rows = keys // size
+    with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow to inf silently too
+        norm = params.k1 * (1.0 - params.b + params.b * lengths / stats.avg_doc_len)
+        weights = tf * (params.k1 + 1.0) / (tf + norm[rows])
+    kept = np.flatnonzero(weights)  # a k1 so large that norm overflows to inf weighs a term 0.0
+    if len(kept) < len(keys):
+        keys, rows, weights = keys[kept], rows[kept], weights[kept]
+    entries = zip(_shared_term_keys(size)[keys - rows * size].tolist(), weights.tolist())
+    out = list(map(SparseVector.__new__, itertools.repeat(SparseVector, len(texts))))
+    for vec, nnz in zip(out, np.bincount(rows, minlength=len(texts)).tolist()):
+        vec.entries = dict(itertools.islice(entries, nnz))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -119,9 +119,11 @@ def side_heads(config: MethodConfig, side: str, seed: int, vocab_size: int) -> H
     )
 
 
-def side_text(kind: EncoderKind, text: TokenizedText, res: Resources) -> TokenizedText:
-    """The text a side's encoder sees, in encoding and in training: expanded for exp_mlp."""
-    return expand_text(text, res.expansions) if kind is EncoderKind.EXP_MLP else text
+def side_texts(kind: EncoderKind, texts: list[TokenizedText], res: Resources) -> list[TokenizedText]:
+    """The texts a side's encoder sees, in encoding and in training: expanded for exp_mlp."""
+    if kind is EncoderKind.EXP_MLP:
+        return [expand_text(text, res.expansions) for text in texts]
+    return texts
 
 
 def encode_side(
@@ -134,8 +136,10 @@ def encode_side(
 ) -> list[tuple[str, SparseVector]]:
     """Encode a batch of texts with the configured encoder for one side.
 
-    Applies inference-time top-k pruning when the side's regularizer is topk,
-    and audits the support constraint for non-expanding encoders.
+    BM25 doc weights come from one (doc, term, tf) column pass over the whole
+    batch; every other encoder encodes one text at a time.  Applies
+    inference-time top-k pruning when the side's regularizer is topk, and
+    audits the support constraint for non-expanding encoders.
     """
     cfg = config.query if side == "query" else config.doc
     kind = cfg.encoder
@@ -144,15 +148,21 @@ def encode_side(
         if heads is None:
             heads = side_heads(config, side, seed, res.vocab.size)
 
+    texts = side_texts(kind, texts, res)
+    batch = None
+    if kind is EncoderKind.BM25_DOC:
+        if res.stats.degenerate and any(map(len, texts)):
+            raise ValidationError(f"{config.paths.collection}: every document is empty, so BM25 doc weights "
+                                  "are undefined (no average doc length)")
+        batch = iter(encode_bm25_doc(texts, res.stats, config.bm25))
     out: list[tuple[str, SparseVector]] = []
-    for raw in texts:
-        text = side_text(kind, raw, res)
-        if kind is EncoderKind.BINARY:
+    for text in texts:
+        if batch is not None:
+            vec = next(batch)
+        elif kind is EncoderKind.BINARY:
             vec = encode_binary(text)
         elif kind is EncoderKind.BM25_QUERY:
             vec = encode_bm25_query(text, res.stats)
-        elif kind is EncoderKind.BM25_DOC:
-            vec = encode_bm25_doc(text, res.stats, config.bm25)
         else:
             emb = toy_backbone(text, res.vocab.size, config.backbone_dim, seed, table)
             if kind is EncoderKind.MLM:
@@ -299,8 +309,8 @@ def run_train(
         raise ValidationError(f"{config.name}: training requires paths.triples")
     if res is None:
         res = load_resources(config)
-    queries = {q.doc_id: side_text(config.query.encoder, q, res) for q in res.queries}
-    docs = {d.doc_id: side_text(config.doc.encoder, d, res) for d in res.docs}
+    queries = {q.doc_id: q for q in side_texts(config.query.encoder, res.queries, res)}
+    docs = {d.doc_id: d for d in side_texts(config.doc.encoder, res.docs, res)}
     triples = read_triples(config.paths.triples, queries, docs)
     table = res.embedding_table(config.backbone_dim, seed)
     return train_heads(

@@ -80,8 +80,7 @@ def make_synthetic_task(
         neg_pool = [d for d in docs if d.doc_id != target.doc_id]
         negs = [neg_pool[int(j)] for j in rng.choice(len(neg_pool), size=NEGATIVES_PER_QUERY, replace=False)]
         qv = encode_bm25_query(query, stats)
-        teacher_pos = qv.dot(encode_bm25_doc(target, stats, params))
-        teacher_negs = [qv.dot(encode_bm25_doc(n, stats, params)) for n in negs]
+        teacher_pos, *teacher_negs = (qv.dot(v) for v in encode_bm25_doc([target, *negs], stats, params))
         triples.append(
             {
                 "q": query.doc_id,

@@ -103,7 +103,7 @@ class TestCriterion1:
                 total += idf * tf[t] * (params.k1 + 1.0) / denom
             return total
 
-        doc_vecs = [encode_bm25_doc(d, stats, params) for d in task.docs]
+        doc_vecs = encode_bm25_doc(task.docs, stats, params)
         worst = 0.0
         for q in task.queries:
             qv = encode_bm25_query(q, stats)
@@ -457,7 +457,7 @@ class TestCriterion9:
         docs = list(read_collection(PKG_ROOT / "data" / "toy" / "collection.tsv", vocab))
         queries = list(read_collection(PKG_ROOT / "data" / "toy" / "queries.tsv", vocab))
         stats = compute_corpus_stats(docs)
-        doc_vecs = [(d.doc_id, encode_bm25_doc(d, stats)) for d in docs]
+        doc_vecs = [(d.doc_id, v) for d, v in zip(docs, encode_bm25_doc(docs, stats))]
         query_vecs = [encode_bm25_query(q, stats) for q in queries]
         truth = [dict(exhaustive_search(q, doc_vecs, k=len(docs))) for q in query_vecs]
 

@@ -617,7 +617,7 @@ class TestCliCommands:
         queries = list(read_collection(tmp_path / "data" / "queries.tsv", vocab))
         stats = compute_corpus_stats(docs)
         params = Bm25Params()
-        doc_vecs = [(d.doc_id, encode_bm25_doc(d, stats, params)) for d in docs]
+        doc_vecs = [(d.doc_id, v) for d, v in zip(docs, encode_bm25_doc(docs, stats, params))]
         from lsrkit.evaluation import read_run
 
         run = read_run(run_path)
@@ -627,6 +627,18 @@ class TestCliCommands:
             assert [d for d, _ in got] == [d for d, _ in expected]
             for (_, a), (_, b) in zip(got, expected):
                 assert a == pytest.approx(b, rel=5e-6)  # run file stores 6 significant digits
+
+    def test_bm25_doc_on_a_collection_of_empty_docs_names_the_file(self, tmp_path, capsys):
+        config_path, task = make_workspace(tmp_path, query={"encoder": "bm25_query"}, doc={"encoder": "bm25_doc"})
+        collection = tmp_path / "data" / "collection.tsv"
+        collection.write_text("".join(f"{d.doc_id}\t\n" for d in task.docs), encoding="utf-8")
+        code = main([
+            "encode", "--config", str(config_path), "--side", "doc",
+            "--input", str(tmp_path / "data" / "queries.tsv"), "--output", str(tmp_path / "o.jsonl"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {collection.resolve()}: every document is empty, so BM25 doc "
+                                           "weights are undefined (no average doc length)\n")
 
 
 class TestAblate:

@@ -420,30 +420,120 @@ class TestBm25:
 
     def test_doc_weight_at_length_parity(self):
         stats = compute_corpus_stats([TokenizedText("d1", (0, 1))])
-        got = encode_bm25_doc(TokenizedText("d1", (0, 1)), stats, Bm25Params(k1=0.9, b=0.4))
+        (got,) = encode_bm25_doc([TokenizedText("d1", (0, 1))], stats, Bm25Params(k1=0.9, b=0.4))
         assert got.get(0) == pytest.approx(1.0)
 
     def test_saturation_bound(self):
         stats = compute_corpus_stats(
             [TokenizedText("d1", tuple([0] * 10**6)), TokenizedText("d2", tuple([1] * 10**6))]
         )
-        got = encode_bm25_doc(TokenizedText("d1", tuple([0] * 10**6)), stats)
+        (got,) = encode_bm25_doc([TokenizedText("d1", tuple([0] * 10**6))], stats)
         assert got.get(0) == pytest.approx(1.9, abs=1e-3)
 
     def test_empty_doc(self):
         stats = compute_corpus_stats([TokenizedText("d1", (0,))])
-        assert encode_bm25_doc(TokenizedText("d2", ()), stats) == SparseVector()
+        assert encode_bm25_doc([TokenizedText("d2", ())], stats) == [SparseVector()]
 
     def test_degenerate_stats_rejected(self):
         stats = compute_corpus_stats([TokenizedText("d1", ())])
         with pytest.raises(ValueError):
-            encode_bm25_doc(TokenizedText("d1", (0,)), stats)
+            encode_bm25_doc([TokenizedText("d1", (0,))], stats)
 
 
 @pytest.mark.parametrize("params", [{"k1": math.nan}, {"k1": math.inf}, {"k1": -0.1}, {"b": math.nan}, {"b": 1.1}])
 def test_bm25_params_must_be_finite_and_in_range(params):
     with pytest.raises(ValueError, match=f"{next(iter(params))} must be"):
         Bm25Params(**params)
+
+
+def bm25_doc_oracle(text: TokenizedText, stats, params: Bm25Params = Bm25Params()) -> SparseVector:
+    """The per-text BM25 doc encoder the batch replaced, kept as a naive oracle."""
+    if len(text) == 0:
+        return SparseVector()
+    if stats.degenerate:
+        raise ValueError("degenerate corpus stats: avg_doc_len undefined")
+    tf: dict[int, int] = {}
+    for t in text.token_ids:
+        tf[t] = tf.get(t, 0) + 1
+    norm = params.k1 * (1.0 - params.b + params.b * len(text) / stats.avg_doc_len)
+    return SparseVector({t: f * (params.k1 + 1.0) / (f + norm) for t, f in tf.items()})
+
+
+def hex_entries(vectors: list[SparseVector]) -> list[dict[int, str]]:
+    """Each vector's entries with the weights as `float.hex`: equal exactly when keys and bits are."""
+    return [{t: w.hex() for t, w in v.entries.items()} for v in vectors]
+
+
+BATCH_VOCAB = 1000
+
+
+@pytest.fixture(scope="module")
+def bm25_batch():
+    """40 docs over ids up to 999: two empty ones mid-batch, heavy repeats, ids 0 and |V|-1, a 10**6-token doc."""
+    rng = np.random.default_rng(19)
+    texts = [TokenizedText(f"d{i}", rng.integers(0, BATCH_VOCAB, size=rng.integers(1, 30)).tolist())
+             for i in range(40)]
+    texts[5] = TokenizedText("d5", ())
+    texts[17] = TokenizedText("d17", ())
+    texts[9] = TokenizedText("d9", (BATCH_VOCAB - 1, 0, BATCH_VOCAB - 1, 300, 300, 300, 0))
+    texts[12] = TokenizedText("d12", rng.integers(400, 410, size=25).tolist())
+    texts[23] = TokenizedText("d23", rng.integers(0, BATCH_VOCAB, size=10**6).tolist())
+    return texts, compute_corpus_stats(texts)
+
+
+class TestBm25DocBatch:
+    """`encode_bm25_doc` over a batch has the keys and bits of the per-text oracle."""
+
+    @pytest.mark.parametrize("corpus", ["batch", "short docs"])
+    @pytest.mark.parametrize("k1, b", [(0.9, 0.4), (0.0, 0.4), (0.9, 0.0), (0.9, 1.0), (1.2, 0.75), (1e308, 1.0)])
+    def test_matches_per_text_oracle_bit_for_bit(self, bm25_batch, corpus, k1, b):
+        """Stats of the short docs (mean length near 15) round b * length / avg_doc_len differently from
+        b * (length / avg_doc_len); at k1=1e308 their longer docs overflow norm to inf and weigh 0.0."""
+        texts, stats = bm25_batch
+        if corpus == "short docs":
+            stats = compute_corpus_stats([t for t in texts if len(t) < 100])
+        params = Bm25Params(k1=k1, b=b)
+        got = encode_bm25_doc(texts, stats, params)
+        assert hex_entries(got) == hex_entries([bm25_doc_oracle(t, stats, params) for t in texts])
+        for v in got:
+            assert list(v.entries) == sorted(v.entries)
+            assert 0.0 not in v.entries.values()
+            assert all(type(t) is int and type(w) is float for t, w in v.entries.items())
+
+    def test_ends_of_the_vocabulary_and_repeats(self, bm25_batch):
+        texts, stats = bm25_batch
+        got = encode_bm25_doc(texts, stats)
+        assert set(got[9].entries) == {0, 300, BATCH_VOCAB - 1}
+        assert got[5] == got[17] == SparseVector()
+        assert len(got[23]) == len(set(texts[23].token_ids))
+
+    @pytest.mark.parametrize("n_chunks", [1, 3, 8])
+    def test_chunks_match_one_batch(self, bm25_batch, n_chunks):
+        texts, stats = bm25_batch
+        size = -(-len(texts) // n_chunks)
+        chunked = [v for i in range(0, len(texts), size) for v in encode_bm25_doc(texts[i:i + size], stats)]
+        assert hex_entries(chunked) == hex_entries(encode_bm25_doc(texts, stats))
+
+    def test_one_key_object_per_term(self, bm25_batch):
+        """Keys are shared int objects, not one per posting: ids above 256 are not cached by CPython."""
+        texts, stats = bm25_batch
+        first: dict[int, int] = {}
+        for v in encode_bm25_doc(texts, stats):
+            for t in v.entries:
+                assert first.setdefault(t, t) is t
+        assert max(first) > 256
+
+    @pytest.mark.parametrize("corpus", [[], [TokenizedText("d0", ()), TokenizedText("d1", ())]])
+    def test_degenerate_stats(self, corpus):
+        stats = compute_corpus_stats(corpus)
+        empty = [TokenizedText("a", ()), TokenizedText("b", ())]
+        assert encode_bm25_doc(empty, stats) == [SparseVector(), SparseVector()]
+        assert encode_bm25_doc([], stats) == []
+        for batch in ([TokenizedText("c", (3,))], [*empty, TokenizedText("c", (3,))]):
+            with pytest.raises(ValueError, match="degenerate corpus stats"):
+                encode_bm25_doc(batch, stats)
+            with pytest.raises(ValueError, match="degenerate corpus stats"):
+                bm25_doc_oracle(batch[-1], stats)
 
 
 class TestScore:
@@ -461,7 +551,7 @@ class TestScore:
         queries = [tuple(rng.integers(0, 50, size=rng.integers(1, 5))) for _ in range(100)]
         stats = compute_corpus_stats(docs)
         params = Bm25Params(k1=0.9, b=0.4)
-        doc_vecs = [encode_bm25_doc(d, stats, params) for d in docs]
+        doc_vecs = encode_bm25_doc(docs, stats, params)
         for q_ids in queries:
             qv = encode_bm25_query(TokenizedText("q", q_ids), stats)
             for d, dv in zip(docs, doc_vecs):
@@ -583,7 +673,7 @@ class TestEncoderProperties:
                 encode_mlm(t, emb, heads),
                 encode_cls_mlm(t, emb, heads),
                 encode_bm25_query(t, stats),
-                encode_bm25_doc(t, stats),
+                *encode_bm25_doc([t], stats),
             ]
             for v in outputs:
                 assert all(w > 0 for w in v.entries.values())

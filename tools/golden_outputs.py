@@ -24,7 +24,9 @@ queries with no judgments or no ranking.  Then it writes a small synthetic
 task with one doc and one query emptied, heads whose bias columns start on
 both sides of ReLU's kink, and one config per entry of `EDGE_SETUPS` (shared
 ReLU MLM, binary/MLM under MarginMSE, binary/CLS-MLM), and digests
-`run_train` on each (`repr(loss_history)` and both heads).
+`run_train` on each (`repr(loss_history)` and both heads).  Last of all,
+it encodes the toy data with BM25, which no bundled config uses, and
+digests the vector files and the exact-index rankings (`bm25`).
 OUT.json maps each output to its sha256.  Two checkouts give the same
 outputs exactly when their OUT.json files are byte-identical
 (`cmp A.json B.json`).  Only calls that older checkouts also have are used.
@@ -143,6 +145,46 @@ def edge_training(work: Path) -> dict:
     return out
 
 
+def bm25(data: Path, work: Path) -> dict:
+    """Digests of BM25 on `data` (a toy task), which no bundled config encodes with.
+
+    Encodes the docs (in one call, and in calls of 7 docs) and the queries with
+    `bm25_doc`/`bm25_query` through `encode_side` and `write_vectors`, then
+    builds, saves and loads an exact index and digests the `index_search`
+    ranking and ops of every query at k = 10 and the number of docs.
+    """
+    from lsrkit import index, pipeline
+    from lsrkit.config import load_config
+
+    work.mkdir()
+    config_path = work / "bm25.json"
+    files = {"vocab": "vocab.txt", "collection": "collection.tsv", "queries": "queries.tsv", "qrels": "qrels.txt"}
+    config_path.write_text(json.dumps({
+        "name": "bm25",
+        "query": {"encoder": "bm25_query"},
+        "doc": {"encoder": "bm25_doc"},
+        "quantization": {"mode": "exact"},
+        "bm25": {"k1": 0.9, "b": 0.4},
+        "paths": {key: str(data / name) for key, name in files.items()},
+    }), encoding="utf-8")
+    config = load_config(config_path)
+    res = pipeline.load_resources(config)
+    seed = config.backbone_seed
+    docs = pipeline.encode_side(config, "doc", res.docs, res, seed)
+    chunked = [v for i in range(0, len(res.docs), 7)
+               for v in pipeline.encode_side(config, "doc", res.docs[i:i + 7], res, seed)]
+    queries = pipeline.encode_side(config, "query", res.queries, res, seed)
+    out = {}
+    for name, vectors in (("docs.jsonl", docs), ("docs.jsonl, 7 per call", chunked), ("queries.jsonl", queries)):
+        pipeline.write_vectors(vectors, res.vocab, work / "vectors.jsonl")
+        out[name] = sha256(work / "vectors.jsonl")
+    index.save_index(index.build_index(docs, config.quantization), work / "index")
+    loaded = index.load_index(work / "index")
+    results = [index.index_search(loaded, q, k) for _, q in queries for k in (10, len(docs))]
+    out["search"] = hashlib.sha256(repr(results).encode()).hexdigest()
+    return out
+
+
 def digests(src_dir: Path, work: Path) -> dict:
     sys.path.insert(0, str(src_dir / "src"))
     from lsrkit import index, pipeline
@@ -198,6 +240,7 @@ def digests(src_dir: Path, work: Path) -> dict:
         metrics = pipeline.evaluate(run, qrels, ks)
         out["graded_qrels"][repr(ks)] = hashlib.sha256(repr(metrics).encode()).hexdigest()
     out["edge_training"] = edge_training(work / "edge")
+    out["bm25"] = bm25(src_dir / "data" / "toy", work / "bm25")
     return out
 
 
