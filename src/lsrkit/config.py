@@ -205,7 +205,7 @@ TOGGLE_KEYS = ("query_encoder", "doc_encoder", "regularizer", "shared_heads")
 def _json_or_text(text: str):
     """`text` read as JSON, or the string itself when it is not JSON."""
     try:
-        return parse_json(text, "toggle")
+        return parse_json(text)
     except ValueError:
         return text
 

@@ -6,6 +6,8 @@ import contextlib
 import itertools
 import json
 import math
+import os
+import secrets
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -164,6 +166,44 @@ def _not_utf8(path: str | Path) -> ValueError:
     return ValueError(f"{path}: not UTF-8")  # the file changed after the failed read
 
 
+@contextlib.contextmanager
+def numbered_lines(path: str | Path) -> Iterator[Iterator[tuple[int, str]]]:
+    """(line number, line), newline kept, of each line of the UTF-8 file `path` that is not blank
+    (empty or only whitespace); blank lines are counted.  A ValueError raised in the block is
+    re-raised naming the line read last, `path:line: ...`, except a byte that is not UTF-8."""
+    lineno = 0
+
+    def nonblank(f):
+        nonlocal lineno
+        for lineno, line in enumerate(f, start=1):
+            if not line.isspace():
+                yield lineno, line
+
+    with open_text(path) as f:
+        try:
+            yield nonblank(f)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from e
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Replace the file `path` by `lines`, each ended by "\n", in UTF-8, through a new file in its
+    directory renamed over it: a line that raises or a write that fails (a full disk) leaves
+    the file at `path` as it was, and no new file."""
+    text = "\n".join([*lines, ""])
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    f = open(tmp, "x", encoding="utf-8", newline="\n")  # the umask's mode, as a plain open gives
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def read_vocabulary(path: str | Path) -> Vocabulary:
     """Vocabulary file: one term per line; the term on line n has id n - 1.
 
@@ -184,52 +224,49 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
 
 
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for term in vocab.terms:
-            f.write(term + "\n")
+    write_lines(path, vocab.terms)
+
+
+def parse_collection(
+    lines: Iterable[tuple[int, str]], term_to_id: Mapping[str, int]
+) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(doc_id, token ids) of each of one collection file's `numbered_lines`, under the collection
+    line rule: `doc_id<TAB>token token token`, each doc_id once, nonempty and with no whitespace,
+    every token in `term_to_id`.  A line that breaks it is a ValueError."""
+    first_line: dict[str, int] = {}
+    for lineno, line in lines:
+        doc_id, tab, body = line.partition("\t")
+        if not tab:
+            raise ValueError("missing tab separator")
+        if doc_id.split() != [doc_id]:
+            raise ValueError(f"id {doc_id!r} is empty or contains whitespace")
+        if first_line.setdefault(doc_id, lineno) != lineno:
+            raise ValueError(f"repeated id {doc_id!r} (first on line {first_line[doc_id]})")
+        try:
+            token_ids = tuple(map(term_to_id.__getitem__, body.split()))
+        except KeyError as e:
+            raise ValueError(f"unknown token {e.args[0]!r}") from e
+        yield doc_id, token_ids
 
 
 def read_collection(path: str | Path, vocab: Vocabulary) -> Iterator[TokenizedText]:
-    """Collection file: `doc_id<TAB>token token token` per line, UTF-8; each doc_id once, with no whitespace."""
-    first_line: dict[str, int] = {}
-    with open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: missing tab separator")
-            doc_id, _, body = line.partition("\t")
-            if doc_id.split() != [doc_id]:
-                raise ValueError(f"{path}:{lineno}: id {doc_id!r} is empty or contains whitespace")
-            if first_line.setdefault(doc_id, lineno) != lineno:
-                raise ValueError(f"{path}:{lineno}: repeated id {doc_id!r} (first on line {first_line[doc_id]})")
-            try:
-                ids = tuple(vocab.term_to_id[tok] for tok in body.split())
-            except KeyError as e:
-                raise ValueError(f"{path}:{lineno}: unknown token {e.args[0]!r}") from e
-            yield TokenizedText(doc_id=doc_id, token_ids=ids)
+    """Collection file: the texts `parse_collection` reads from its lines, one by one."""
+    with numbered_lines(path) as lines:
+        yield from itertools.starmap(TokenizedText, parse_collection(lines, vocab.term_to_id))
 
 
 def write_collection(docs: Iterable[TokenizedText], vocab: Vocabulary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in docs:
-            body = " ".join(vocab.terms[t] for t in doc.token_ids)
-            f.write(f"{doc.doc_id}\t{body}\n")
+    write_lines(path, (f"{doc.doc_id}\t{' '.join(vocab.terms[t] for t in doc.token_ids)}" for doc in docs))
 
 
-def parse_json(text: str, path: str | Path, lineno: int | None = None):
-    """`json.loads(text)` of the file `path`, or of its line `lineno` in a JSONL file.
-
-    Text that is no JSON, or JSON nested deeper than the parser can recurse (a
-    RecursionError), is a ValueError naming `path`, or `path:lineno`.
-    """
+def parse_json(text: str, path: str | Path | None = None):
+    """`json.loads(text)` of the file `path`, or of a line that `numbered_lines` names.  Text that is
+    no JSON, or JSON nested deeper than the parser can recurse (a RecursionError), is a ValueError."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as e:
-        where = path if lineno is None else f"{path}:{lineno}"
         problem = "JSON nested too deeply to parse" if isinstance(e, RecursionError) else f"not JSON ({e})"
-        raise ValueError(f"{where}: {problem}") from e
+        raise ValueError(problem if path is None else f"{path}: {problem}") from e
 
 
 def read_json(path: str | Path):

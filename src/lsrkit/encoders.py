@@ -30,7 +30,8 @@ from .core import (
     json_list,
     json_number,
     json_object,
-    open_text,
+    numbered_lines,
+    parse_collection,
     read_json,
 )
 
@@ -587,29 +588,13 @@ def read_head_parameters(path: str | Path) -> HeadParameters:
 def read_expansion_file(
     path: str | Path, term_to_id: Mapping[str, int], text_ids: Container[str]
 ) -> dict[str, list[int]]:
-    """Expansion-terms file: `doc_id<TAB>term term term` per line, each doc_id once, under
-    `core.read_collection`'s id rule.
-
-    An id outside `text_ids` (the docs and queries), which `expand_text` would
-    never use, is a ValueError naming path:line, as an unknown term is.
-    """
+    """Expansion-terms file: a collection file (`core.parse_collection`) of each text's expansion terms.
+    An id outside `text_ids` (the docs and queries), which `expand_text` would never use, is a
+    ValueError naming path:line, as an unknown term is."""
     out: dict[str, list[int]] = {}
-    with open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: missing tab separator")
-            doc_id, _, body = line.partition("\t")
-            if doc_id.split() != [doc_id]:
-                raise ValueError(f"{path}:{lineno}: id {doc_id!r} is empty or contains whitespace")
-            if doc_id in out:
-                raise ValueError(f"{path}:{lineno}: repeated id {doc_id!r}")
+    with numbered_lines(path) as lines:
+        for doc_id, token_ids in parse_collection(lines, term_to_id):
             if doc_id not in text_ids:
-                raise ValueError(f"{path}:{lineno}: id {doc_id!r} names no doc or query")
-            try:
-                out[doc_id] = [term_to_id[tok] for tok in body.split()]
-            except KeyError as e:
-                raise ValueError(f"{path}:{lineno}: unknown token {e.args[0]!r}") from e
+                raise ValueError(f"id {doc_id!r} names no doc or query")
+            out[doc_id] = list(token_ids)
     return out

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .core import open_text
+from .core import numbered_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,9 @@ def recall_at_k(run: RunFile, qrels: Qrels, k: int) -> float:
 
 def write_run(run: RunFile, path: str | Path, tag: str = "lsrkit") -> None:
     """Run line format: `qid Q0 docid rank score tag`, space-separated."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for qid in run.rankings:
-            for rank, (did, score) in enumerate(run.rankings[qid], start=1):
-                f.write(f"{qid} Q0 {did} {rank} {score:.6g} {tag}\n")
+    write_lines(path, (f"{qid} Q0 {did} {rank} {score:.6g} {tag}"
+                       for qid, ranking in run.rankings.items()
+                       for rank, (did, score) in enumerate(ranking, start=1)))
 
 
 def read_run(path: str | Path) -> RunFile:
@@ -118,29 +117,22 @@ def read_run(path: str | Path) -> RunFile:
     naming path:line."""
     rankings: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
-    with open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+    with numbered_lines(path) as lines:
+        for _, line in lines:
             parts = line.split()
             if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+                raise ValueError(f"expected 6 fields, got {len(parts)}")
             qid, _, did, rank_s, score_s, _tag = parts
-            try:
-                rank, score = int(rank_s), float(score_s)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: bad rank or score") from e
+            rank, score = int(rank_s), float(score_s)  # numbered_lines names the line of a bad number
             if not math.isfinite(score):
-                raise ValueError(f"{path}:{lineno}: score {score_s} is not finite")
+                raise ValueError(f"score {score_s} is not finite")
             ranking = rankings.setdefault(qid, [])
             if rank != len(ranking) + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: rank {rank} is not contiguous for query {qid!r}"
-                )
+                raise ValueError(f"rank {rank} is not contiguous for query {qid!r}")
             if (qid, did) in seen:
-                raise ValueError(f"{path}:{lineno}: doc {did!r} is ranked twice for query {qid!r}")
+                raise ValueError(f"doc {did!r} is ranked twice for query {qid!r}")
             if ranking and score > ranking[-1][1]:
-                raise ValueError(f"{path}:{lineno}: score {score_s} rises down the ranking of query {qid!r}")
+                raise ValueError(f"score {score_s} rises down the ranking of query {qid!r}")
             seen.add((qid, did))
             ranking.append((did, score))
     return RunFile(rankings=rankings)
@@ -148,30 +140,23 @@ def read_run(path: str | Path) -> RunFile:
 
 def write_qrels(qrels: Qrels, path: str | Path) -> None:
     """Qrels line format: `qid 0 docid grade`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for (qid, did), grade in qrels.judgments.items():
-            f.write(f"{qid} 0 {did} {grade}\n")
+    write_lines(path, (f"{qid} 0 {did} {grade}" for (qid, did), grade in qrels.judgments.items()))
 
 
 def read_qrels(path: str | Path) -> Qrels:
     """Read a qrels file; a bad line, a bad or negative grade or a repeated
     (qid, docid) is a ValueError naming path:line."""
     judgments: dict[tuple[str, str], int] = {}
-    with open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+    with numbered_lines(path) as lines:
+        for _, line in lines:
             parts = line.split()
             if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+                raise ValueError(f"expected 4 fields, got {len(parts)}")
             qid, _, did, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: bad grade") from e
+            grade = int(grade_s)
             if grade < 0:
-                raise ValueError(f"{path}:{lineno}: grade {grade} is negative")
+                raise ValueError(f"grade {grade} is negative")
             if (qid, did) in judgments:
-                raise ValueError(f"{path}:{lineno}: ({qid}, {did}) is judged twice")
+                raise ValueError(f"({qid}, {did}) is judged twice")
             judgments[(qid, did)] = grade
     return Qrels(judgments=judgments)

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import statistics
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -22,10 +20,11 @@ from .core import (
     compute_corpus_stats,
     json_number,
     json_object,
-    open_text,
+    numbered_lines,
     parse_json,
     read_collection,
     read_vocabulary,
+    write_lines,
 )
 from .encoders import (
     DIFFERENTIABLE,
@@ -181,33 +180,29 @@ def encode_side(
     return out
 
 
-def _atomic_write(path: Path, payload: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name)
-    with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-        f.write(payload)
-    os.replace(tmp, path)
-
-
 def write_vectors(
     vectors: list[tuple[str, SparseVector]], vocab: Vocabulary, path: str | Path
 ) -> None:
-    """Encoded-vector file: one JSON object per line, {"id": ..., "vector": {term: weight}}."""
+    """Encoded-vector file: one JSON object per line, {"id": ..., "vector": {term: weight}}; a
+    weight that is not finite has no JSON form, and is a ValueError naming `path` and the id."""
+    encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps' output, NaN and infinities refused
     lines = []
     for vid, vec in vectors:
         terms = {vocab.terms[t]: vec.entries[t] for t in sorted(vec.entries)}
-        lines.append(json.dumps({"id": vid, "vector": terms}))
-    _atomic_write(Path(path), "".join(line + "\n" for line in lines))
+        try:
+            lines.append(encode({"id": vid, "vector": terms}))
+        except ValueError as e:
+            raise ValueError(f"{path}: vector {vid!r} has a weight that is not finite") from e
+    write_lines(path, lines)
 
 
 def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseVector]]:
     """Records written by `write_vectors`: whitespace-free string ids, each once, finite non-negative weights."""
     out = []
     first_line: dict[str, int] = {}
-    with open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            rec = parse_json(line, path, lineno)
+    with numbered_lines(path) as lines:
+        for lineno, line in lines:
+            rec = parse_json(line)
             try:
                 rec = json_object(rec, "record")
                 vid, weights = rec["id"], json_object(rec["vector"], "vector")
@@ -220,7 +215,7 @@ def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseV
                     raise ValueError("weights must be non-negative")
                 out.append((vid, SparseVector(vector)))
             except (KeyError, TypeError, ValueError) as e:
-                raise ValidationError(f"{path}:{lineno}: bad vector record ({e})") from e
+                raise ValueError(f"bad vector record ({e})") from e
     return out
 
 

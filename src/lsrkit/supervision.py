@@ -42,7 +42,7 @@ from typing import Callable, Collection, Mapping
 import numpy as np
 
 from .config import MethodConfig
-from .core import TokenizedText, json_list, json_number, json_object, open_text, parse_json
+from .core import TokenizedText, json_list, json_number, json_object, numbered_lines, parse_json
 from .encoders import (
     DIFFERENTIABLE,
     MLP_HEADS,
@@ -436,11 +436,9 @@ def read_triples(
 ) -> list[TrainingTriple]:
     """Triples file: one JSON object per line with q/pos/negs ids and optional teacher scores."""
     out: list[TrainingTriple] = []
-    with open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            rec = parse_json(line, path, lineno)
+    with numbered_lines(path) as lines:
+        for _, line in lines:
+            rec = parse_json(line)
             try:
                 rec = json_object(rec, "record")
                 teacher = None
@@ -458,5 +456,5 @@ def read_triples(
                     )
                 )
             except (KeyError, ValueError, TypeError) as e:
-                raise ValueError(f"{path}:{lineno}: bad triple record ({e})") from e
+                raise ValueError(f"bad triple record ({e})") from e
     return out

@@ -20,6 +20,7 @@ from .core import (
     build_vocabulary,
     compute_corpus_stats,
     write_collection,
+    write_lines,
     write_vocabulary,
 )
 from .encoders import Bm25Params, encode_bm25_doc, encode_bm25_query
@@ -113,9 +114,7 @@ def write_task(task: SyntheticTask, directory: str | Path) -> None:
     write_collection(task.docs, task.vocab, directory / "collection.tsv")
     write_collection(task.queries, task.vocab, directory / "queries.tsv")
     write_qrels(task.qrels, directory / "qrels.txt")
-    with open(directory / "triples.jsonl", "w", encoding="utf-8") as f:
-        for rec in task.triples:
-            f.write(json.dumps(rec) + "\n")
+    write_lines(directory / "triples.jsonl", map(json.dumps, task.triples))
     expansions = [TokenizedText(doc_id=doc_id, token_ids=tuple(terms)) for doc_id, terms in task.expansions.items()]
     write_collection(expansions, task.vocab, directory / "expansions.tsv")
 

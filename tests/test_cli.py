@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -639,6 +640,21 @@ class TestCliCommands:
         assert code == 1
         assert capsys.readouterr().err == (f"error: {collection.resolve()}: every document is empty, so BM25 doc "
                                            "weights are undefined (no average doc length)\n")
+
+    def test_weight_beyond_the_float_range_exits_1_keeping_the_output(self, tmp_path, capsys):
+        """k1 = 1e308 overflows BM25 doc weights to infinity, which JSON cannot hold: exit 1 naming the
+        output and the vector, with the file already at the output path left byte for byte."""
+        config_path, task = make_workspace(tmp_path, query={"encoder": "bm25_query"}, doc={"encoder": "bm25_doc"},
+                                           bm25={"k1": 1e308, "b": 1.0})
+        out = tmp_path / "o.jsonl"
+        out.write_bytes(b"earlier\n")
+        assert main(["encode", "--config", str(config_path), "--side", "doc",
+                     "--input", str(tmp_path / "data" / "collection.tsv"), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        named = re.fullmatch(rf"error: {re.escape(str(out))}: vector '(\S+)' has a weight that is not finite\n", err)
+        assert named and named.group(1) in {d.doc_id for d in task.docs}
+        assert out.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data", "o.jsonl"]
 
 
 class TestAblate:

@@ -1,5 +1,7 @@
-"""Core types: vocabulary, tokenized text, sparse vectors, corpus statistics."""
+"""Core types: vocabulary, tokenized text, sparse vectors, corpus statistics, and the line-file contract."""
 
+import os
+import re
 import struct
 
 import numpy as np
@@ -17,8 +19,13 @@ from lsrkit.core import (
     read_collection,
     read_vocabulary,
     write_collection,
+    write_lines,
     write_vocabulary,
 )
+from lsrkit.encoders import read_expansion_file
+from lsrkit.evaluation import read_qrels, read_run
+from lsrkit.pipeline import read_vectors
+from lsrkit.supervision import read_triples
 
 
 class TestBuildVocabulary:
@@ -202,3 +209,65 @@ class TestFileFormats:
         path.write_text("justonefield\n", encoding="utf-8")
         with pytest.raises(ValueError, match="tab"):
             list(read_collection(path, build_vocabulary([])))
+
+
+A_TEXT = TokenizedText("q1", (0,))
+#: Per line reader: how to call it on a path, a good line and a bad line.
+LINE_READERS = {
+    "collection": (lambda path: list(read_collection(path, build_vocabulary(["a"]))), "d1\ta", "d2 a"),
+    "expansions": (lambda path: read_expansion_file(path, {"a": 0}, {"d1", "d2"}), "d1\ta", "d2 a"),
+    "vectors": (lambda path: read_vectors(path, build_vocabulary(["a"])), '{"id": "d1", "vector": {"a": 1.0}}',
+                '{"id": "d2"}'),
+    "triples": (lambda path: read_triples(path, {"q1": A_TEXT}, {"d1": A_TEXT}), '{"q": "q1", "pos": "d1", "negs": []}',
+                "[1]"),
+    "run": (read_run, "q1 Q0 d1 1 2.0 t", "q1 Q0 d2 2"),
+    "qrels": (read_qrels, "q1 0 d1 1", "q1 0 d2"),
+}
+
+
+class TestLineFiles:
+    """Every line reader goes through `core.numbered_lines`, every line writer through `core.write_lines`."""
+
+    @pytest.mark.parametrize("reader", sorted(LINE_READERS))
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path, reader):
+        """Empty lines and lines of only whitespace (a TAB too) are no records, yet they keep their numbers."""
+        read, good, bad = LINE_READERS[reader]
+        plain, path = tmp_path / "plain", tmp_path / "file"
+        plain.write_text(f"{good}\n", encoding="utf-8")
+        blanks = "\n   \n\t\n \t \n"  # lines 2 to 5
+        path.write_text(f"{good}\n{blanks}\t", encoding="utf-8")  # line 6: a TAB and no newline
+        assert read(path) == read(plain)
+        path.write_text(f"{good}\n{blanks}{bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6: "):
+            read(path)
+
+    def test_write_lines_ends_every_line(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_lines(path, ["a", "", "b c"])
+        assert path.read_bytes() == b"a\n\nb c\n"
+        write_lines(path, [])
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("failure", ["raises", "unencodable"])
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, failure):
+        """A line that raises, or one that fails only when written (a lone surrogate is no UTF-8),
+        leaves the earlier file byte-identical and no temporary file beside it."""
+        path = tmp_path / "run.trec"
+        path.write_bytes(b"earlier\n")
+
+        def lines():
+            yield "q1 Q0 d1 1 2 t"
+            if failure == "raises":
+                raise ValueError("line 2 failed")
+            yield "q1 Q0 \ud800 2 1 t"
+
+        with pytest.raises(ValueError):
+            write_lines(path, lines())
+        assert path.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.trec"]
+
+    def test_written_file_has_the_mode_a_plain_open_gives(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x\n", encoding="utf-8")
+        write_lines(tmp_path / "atomic.txt", ["x"])
+        assert os.stat(tmp_path / "atomic.txt").st_mode == os.stat(plain).st_mode
