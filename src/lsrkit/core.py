@@ -118,6 +118,23 @@ class SparseVector:
         return vec
 
 
+def vector_columns(
+    vectors: Iterable[tuple[str, SparseVector]],
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, nnz per vector, term ids, weights) of `vectors`: every vector's entries, in its dict's
+    order, one vector after another in an int64 and a float64 column."""
+    ids: list[str] = []
+    entries: list[dict[int, float]] = []
+    for vid, vec in vectors:
+        ids.append(vid)
+        entries.append(vec.entries)
+    lengths = np.fromiter(map(len, entries), np.int64, len(entries))
+    total = int(lengths.sum())
+    terms = np.fromiter(itertools.chain.from_iterable(entries), np.int64, total)
+    weights = np.fromiter(itertools.chain.from_iterable(e.values() for e in entries), np.float64, total)
+    return ids, lengths, terms, weights
+
+
 @dataclass(frozen=True)
 class CorpusStats:
     """Document frequencies and length statistics over a tokenized corpus."""
@@ -259,13 +276,33 @@ def write_collection(docs: Iterable[TokenizedText], vocab: Vocabulary, path: str
     write_lines(path, (f"{doc.doc_id}\t{' '.join(vocab.terms[t] for t in doc.token_ids)}" for doc in docs))
 
 
+class _RepeatedKeyError(ValueError):
+    """A JSON object that gives one key twice, which `json.loads` would read as its last value."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict, for `json.loads`' object_pairs_hook."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise _RepeatedKeyError(f"repeated key {key!r} in a JSON object")
+    return obj
+
+
 def parse_json(text: str, path: str | Path | None = None):
     """`json.loads(text)` of the file `path`, or of a line that `numbered_lines` names.  Text that is
-    no JSON, or JSON nested deeper than the parser can recurse (a RecursionError), is a ValueError."""
+    no JSON, JSON nested deeper than the parser can recurse (a RecursionError) or an object that
+    gives a key twice is a ValueError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:
-        problem = "JSON nested too deeply to parse" if isinstance(e, RecursionError) else f"not JSON ({e})"
+        if isinstance(e, RecursionError):
+            problem = "JSON nested too deeply to parse"
+        elif isinstance(e, _RepeatedKeyError):
+            problem = str(e)
+        else:
+            problem = f"not JSON ({e})"
         raise ValueError(problem if path is None else f"{path}: {problem}") from e
 
 

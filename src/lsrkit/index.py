@@ -16,13 +16,12 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .core import SparseVector, json_list, json_number, read_json
+from .core import SparseVector, json_list, json_number, read_json, vector_columns
 
 FORMAT = "lsrkit-impact-index-v2"
 
@@ -82,26 +81,19 @@ def build_index(
     quantize to 0 are dropped.  One stable sort by term keeps doc order within
     each posting list.
     """
-    doc_table: list[str] = []
-    entries: list[dict[int, float]] = []
+    doc_table, lengths, terms, w = vector_columns(vectors)
     seen: set[str] = set()
-    for doc_id, vec in vectors:
+    for doc_id in doc_table:
         if doc_id in seen:
             raise ValueError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
-        doc_table.append(doc_id)
-        entries.append(vec.entries)
-    lengths = np.fromiter(map(len, entries), np.int64, len(entries))
-    total = int(lengths.sum())
-    terms = np.fromiter(chain.from_iterable(entries), np.int64, total)
-    w = np.fromiter(chain.from_iterable(e.values() for e in entries), np.float64, total)
-    ordinals = np.repeat(np.arange(len(entries)), lengths)
+    ordinals = np.repeat(np.arange(len(doc_table)), lengths)
     bad = ordinals[~((w > 0) & (w < math.inf)) | (terms < 0)]
     if len(bad):  # name the first bad document
         problem = "negative term id" if (terms[ordinals == bad[0]] < 0).any() else "non-positive or non-finite weight"
         raise ValueError(f"{problem} in document {doc_table[bad[0]]!r}")
 
-    max_w = float(w.max()) if total else 0.0
+    max_w = float(w.max()) if len(w) else 0.0
     if quantization.mode == "bits":
         levels = 2**quantization.bits - 1
         impacts = np.floor(w * levels / max_w + 0.5)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import statistics
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping
 
@@ -24,6 +25,7 @@ from .core import (
     parse_json,
     read_collection,
     read_vocabulary,
+    vector_columns,
     write_lines,
 )
 from .encoders import (
@@ -180,20 +182,66 @@ def encode_side(
     return out
 
 
+#: The largest share of distinct weights in a batch that `write_vectors` writes as columns.
+#: The column form calls `float.__repr__` once per distinct weight instead of once per weight,
+#: but assembles its lines at about a third of a repr's cost per weight more than the C
+#: encoder builds its dicts (measured on 250-term MLM doc vectors).  It breaks even at a
+#: share of about 0.7; at most half keeps a margin.
+COLUMN_MAX_DISTINCT_SHARE = 0.5
+
+
 def write_vectors(
     vectors: list[tuple[str, SparseVector]], vocab: Vocabulary, path: str | Path
 ) -> None:
-    """Encoded-vector file: one JSON object per line, {"id": ..., "vector": {term: weight}}; a
-    weight that is not finite has no JSON form, and is a ValueError naming `path` and the id."""
-    encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps' output, NaN and infinities refused
-    lines = []
-    for vid, vec in vectors:
-        terms = {vocab.terms[t]: vec.entries[t] for t in sorted(vec.entries)}
-        try:
-            lines.append(encode({"id": vid, "vector": terms}))
-        except ValueError as e:
-            raise ValueError(f"{path}: vector {vid!r} has a weight that is not finite") from e
+    """Encoded-vector file: one JSON object per line, the bytes of json.dumps({"id": ..., "vector":
+    {term: weight, ...}}) with the terms in ascending id order.  A weight that is not finite has no
+    JSON form, and is a ValueError naming `path` and the first vector holding one.
+
+    A batch with few distinct weights (BM25 weights depend only on tf and doc length, binary ones
+    are all 1) is written as columns, each distinct weight formatted once; any other batch goes
+    through the C encoder record by record."""
+    ids, lengths, terms, weights = vector_columns(vectors)
+    finite = np.isfinite(weights)
+    if not finite.all():
+        row = np.searchsorted(np.cumsum(lengths), finite.argmin(), side="right")
+        raise ValueError(f"{path}: vector {ids[row]!r} has a weight that is not finite")
+    ordered = np.sort(weights)  # np.unique's values, without the 1.7 MB import of numpy.ma that np.unique makes
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    if len(distinct) > COLUMN_MAX_DISTINCT_SHARE * len(weights):
+        encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps' output
+        lines = [encode({"id": vid, "vector": {vocab.terms[t]: vec.entries[t] for t in sorted(vec.entries)}})
+                 for vid, vec in vectors]
+    else:
+        lines = _column_lines(ids, lengths, terms, weights, distinct, vocab)
+    del ids, lengths, terms, weights, finite, ordered, distinct  # free the columns before write_lines copies the lines
     write_lines(path, lines)
+
+
+def _column_lines(
+    ids: list[str], lengths: np.ndarray, terms: np.ndarray, weights: np.ndarray, distinct: np.ndarray,
+    vocab: Vocabulary,
+) -> list[str]:
+    """`write_vectors`' lines from its columns: each term the batch uses escaped once as a key,
+    each of the sorted `distinct` weights formatted once, and one join per line."""
+    ends = np.cumsum(lengths)
+    descents = np.flatnonzero(terms[1:] < terms[:-1]) + 1  # term ids below the one before them
+    if not np.isin(descents, ends).all():  # one that starts no vector: a vector out of term order
+        order = np.lexsort((terms, np.repeat(np.arange(len(ids)), lengths)))
+        terms, weights = terms[order], weights[order]
+    used = np.flatnonzero(np.bincount(terms, minlength=vocab.size)).tolist()
+    first, later = np.empty(vocab.size, dtype=object), np.empty(vocab.size, dtype=object)
+    first[used] = keys = [encode_basestring_ascii(vocab.terms[t]) + ": " for t in used]
+    later[used] = [", " + key for key in keys]
+    reprs = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    parts = np.empty(2 * len(terms), dtype=object)  # key, weight, key, weight, ...
+    parts[0::2] = later[terms]
+    parts[1::2] = reprs[np.searchsorted(distinct, weights)]
+    starts = (ends - lengths)[lengths > 0]
+    parts[2 * starts] = first[terms[starts]]  # a vector's first key has no ", " before it
+    parts = parts.tolist()
+    ends = (2 * ends).tolist()
+    return [f'{{"id": {encode_basestring_ascii(vid)}, "vector": {{{"".join(parts[start:end])}}}}}'
+            for vid, start, end in zip(ids, [0, *ends], ends)]
 
 
 def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseVector]]:

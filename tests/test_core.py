@@ -1,12 +1,14 @@
 """Core types: vocabulary, tokenized text, sparse vectors, corpus statistics, and the line-file contract."""
 
+import json
+import math
 import os
 import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lsrkit.core import (
@@ -17,6 +19,7 @@ from lsrkit.core import (
     build_vocabulary,
     compute_corpus_stats,
     read_collection,
+    read_json,
     read_vocabulary,
     write_collection,
     write_lines,
@@ -24,7 +27,7 @@ from lsrkit.core import (
 )
 from lsrkit.encoders import read_expansion_file
 from lsrkit.evaluation import read_qrels, read_run
-from lsrkit.pipeline import read_vectors
+from lsrkit.pipeline import COLUMN_MAX_DISTINCT_SHARE, read_vectors, write_vectors
 from lsrkit.supervision import read_triples
 
 
@@ -241,6 +244,21 @@ class TestLineFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6: "):
             read(path)
 
+    @pytest.mark.parametrize("reader, line, key", [
+        ("vectors", '{"id": "d2", "vector": {"a": 1.0, "a": 2.0}}', "a"),
+        ("triples", '{"q": "q1", "pos": "d1", "negs": [], "pos": "d2"}', "pos"),
+    ])
+    def test_repeated_json_key_is_named(self, tmp_path, reader, line, key):
+        """json.loads keeps the last value of a repeated key; every JSON input refuses the object."""
+        read, good, _ = LINE_READERS[reader]
+        path = tmp_path / "file"
+        path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: repeated key '{key}' in a JSON object$"):
+            read(path)
+        path.write_text('{"top_k": 10, "paths": {}, "top_k": 5}', encoding="utf-8")  # a whole-file JSON input
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: repeated key 'top_k' in a JSON object$"):
+            read_json(path)
+
     def test_write_lines_ends_every_line(self, tmp_path):
         path = tmp_path / "out.txt"
         write_lines(path, ["a", "", "b c"])
@@ -271,3 +289,71 @@ class TestLineFiles:
         plain.write_text("x\n", encoding="utf-8")
         write_lines(tmp_path / "atomic.txt", ["x"])
         assert os.stat(tmp_path / "atomic.txt").st_mode == os.stat(plain).st_mode
+
+
+#: Weights at the edges of repr's forms: the least subnormal, exponent forms on both sides, the largest float.
+EDGE_WEIGHTS = (5e-324, 1e-05, 1e16, 1.7976931348623157e308)
+#: Terms hold any character but lone surrogates (quotes, backslashes, controls and non-ASCII too);
+#: ids hold none that `str.split` splits on, since `read_vectors` refuses such an id.
+JSON_TERMS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)
+JSON_IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z")), min_size=1, max_size=5)
+
+
+def json_dumps_lines(vectors, vocab) -> bytes:
+    """The oracle of `write_vectors`: one json.dumps record per vector, terms in ascending id order."""
+    return "".join(
+        json.dumps({"id": vid, "vector": {vocab.terms[t]: w for t, w in sorted(vec.entries.items())}}) + "\n"
+        for vid, vec in vectors
+    ).encode("utf-8")
+
+
+@st.composite
+def vector_batches(draw, few_distinct: bool):
+    """(vocab, vectors) with each vector's terms in any order, empty vectors and empty batches
+    included, whose share of distinct weights is on one side of `write_vectors`' selection."""
+    vocab = build_vocabulary(draw(st.lists(JSON_TERMS, min_size=1, max_size=10, unique=True)))
+    if few_distinct:
+        weight = st.sampled_from(draw(st.lists(st.sampled_from(EDGE_WEIGHTS + (1.0,)), min_size=1, max_size=3)))
+    else:
+        weight = st.one_of(st.sampled_from(EDGE_WEIGHTS), st.floats(min_value=5e-324, allow_infinity=False))
+    vectors = [
+        (vid, SparseVector({t: draw(weight) for t in draw(st.lists(st.integers(0, vocab.size - 1), unique=True))}))
+        for vid in draw(st.lists(JSON_IDS, max_size=8, unique=True))
+    ]
+    weights = [w for _, vec in vectors for w in vec.entries.values()]
+    assume((len(set(weights)) <= COLUMN_MAX_DISTINCT_SHARE * len(weights)) == few_distinct)
+    return vocab, vectors
+
+
+class TestVectorFiles:
+    """`write_vectors` writes columns or records by the batch's share of distinct weights;
+    either way its bytes are json.dumps' and `read_vectors` reads the vectors back."""
+
+    @pytest.mark.parametrize("few_distinct", [True, False], ids=["columns", "records"])
+    def test_bytes_are_json_dumps_and_read_back(self, tmp_path_factory, few_distinct):
+        path = tmp_path_factory.mktemp("vectors") / "v.jsonl"
+
+        @settings(max_examples=150, deadline=None)
+        @given(vector_batches(few_distinct))
+        def check(batch):
+            vocab, vectors = batch
+            write_vectors(vectors, vocab, path)
+            assert path.read_bytes() == json_dumps_lines(vectors, vocab)
+            assert read_vectors(path, vocab) == vectors
+
+        check()
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("few_distinct", [True, False], ids=["columns", "records"])
+    def test_weight_not_finite_names_the_first_bad_vector_keeping_the_file(self, tmp_path, few_distinct, bad):
+        vocab = build_vocabulary(["a", "b", "c"])
+        weight = (lambda i: 1.0) if few_distinct else (lambda i: 1.0 + i / 7)
+        vectors = [(f"d{i}", SparseVector({t: weight(3 * i + t) for t in (2, 0, 1)})) for i in range(6)]
+        vectors[2] = ("d2", SparseVector({2: bad, 1: weight(7)}))  # bad first in its entries
+        vectors[4] = ("d4", SparseVector({0: bad}))
+        path = tmp_path / "v.jsonl"
+        path.write_bytes(b"earlier\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: vector 'd2' has a weight that is not finite$"):
+            write_vectors(vectors, vocab, path)
+        assert path.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.jsonl"]

@@ -26,7 +26,9 @@ both sides of ReLU's kink, and one config per entry of `EDGE_SETUPS` (shared
 ReLU MLM, binary/MLM under MarginMSE, binary/CLS-MLM), and digests
 `run_train` on each (`repr(loss_history)` and both heads).  Last of all,
 it encodes the toy data with BM25, which no bundled config uses, and
-digests the vector files and the exact-index rankings (`bm25`).
+digests the vector files and the exact-index rankings (`bm25`), and it
+digests `write_vectors` on hand-built batches whose terms, ids and weights
+no bundled vocabulary or encoder gives (`vectors`).
 OUT.json maps each output to its sha256.  Two checkouts give the same
 outputs exactly when their OUT.json files are byte-identical
 (`cmp A.json B.json`).  Only calls that older checkouts also have are used.
@@ -185,6 +187,44 @@ def bm25(data: Path, work: Path) -> dict:
     return out
 
 
+#: Weights at the edges of repr's forms: the least subnormal, exponent forms on both sides, the largest float.
+EDGE_WEIGHTS = (5e-324, 1e-05, 1e16, 1.7976931348623157e308)
+
+
+def edge_vectors(work: Path) -> dict:
+    """Digests of `write_vectors` on a hand-built batch and on the empty batch.
+
+    The bundled vocabularies are ASCII (`t0000`...), so no config reaches the
+    escaping of a term or an id: here they hold quotes, backslashes, control
+    characters and non-ASCII characters, one outside the BMP.  The vectors hold
+    their terms out of id order, two of them none, and the weights include
+    EDGE_WEIGHTS.  The batch is written twice: with the four edge weights only
+    (few distinct) and with every weight distinct.
+    """
+    from lsrkit import pipeline
+    from lsrkit.core import SparseVector, build_vocabulary
+
+    vocab = build_vocabulary(
+        ["plain", 'quo"te', "back\\slash", "caf\u00e9", "\u65e5\u672c", "\U0001f600", "tab\tnl\n", "\x00"])
+    ids = ["d0", 'q"1', "b\\2", "\u00e93", "\u65e54", "\U0001f6005", "e6"]
+    orders = [(0, 1, 2), (7, 3, 0, 5), (), (6, 4, 2, 1, 0), (3,), (), (5, 6, 7, 0, 1, 2, 3, 4)]
+    slots = [(vid, order, sum(map(len, orders[:i]))) for i, (vid, order) in enumerate(zip(ids, orders))]
+    weights = {
+        "few distinct": lambda j: EDGE_WEIGHTS[j % 4],
+        "all distinct": lambda j: EDGE_WEIGHTS[j] if j < 4 else j / 3,
+    }
+    work.mkdir()
+    out = {}
+    for name, weight in weights.items():
+        batch = [(vid, SparseVector({t: weight(first + k) for k, t in enumerate(order)}))
+                 for vid, order, first in slots]
+        pipeline.write_vectors(batch, vocab, work / "vectors.jsonl")
+        out[name] = sha256(work / "vectors.jsonl")
+    pipeline.write_vectors([], vocab, work / "vectors.jsonl")
+    out["empty batch"] = sha256(work / "vectors.jsonl")
+    return out
+
+
 def digests(src_dir: Path, work: Path) -> dict:
     sys.path.insert(0, str(src_dir / "src"))
     from lsrkit import index, pipeline
@@ -241,6 +281,7 @@ def digests(src_dir: Path, work: Path) -> dict:
         out["graded_qrels"][repr(ks)] = hashlib.sha256(repr(metrics).encode()).hexdigest()
     out["edge_training"] = edge_training(work / "edge")
     out["bm25"] = bm25(src_dir / "data" / "toy", work / "bm25")
+    out["vectors"] = edge_vectors(work / "vectors")
     return out
 
 
