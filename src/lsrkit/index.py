@@ -5,8 +5,12 @@ on disk and in the same dtypes (`DTYPES`): term t's postings sit at
 `offsets[t]:offsets[t+1]` of `ordinals` (doc ordinals, ascending within a
 term) and `impacts`.  Quantization is max-scaled linear with half-up
 rounding.  Build and search run in numpy over whole columns and posting
-slices, with no Python loop per posting.  Search counts multiply-accumulate
-operations (ops_count), the engine's deterministic latency proxy.
+slices, with no Python loop per posting.  An index whose postings fill at
+least `TABLE_FILL` of its term x doc grid is also searched from a dense
+term-major table of its weights, built on its first search; both forms add
+each doc's products in ascending term order, so they give the same bits.
+Search counts multiply-accumulate operations (ops_count), the engine's
+deterministic latency proxy, from the posting lists in either form.
 """
 
 from __future__ import annotations
@@ -24,6 +28,16 @@ import numpy as np
 from .core import SparseVector, json_list, json_number, read_json, vector_columns
 
 FORMAT = "lsrkit-impact-index-v2"
+
+#: The share of the term x doc grid the postings must fill for search to use a dense term table,
+#: which costs 8 bytes a cell: at most 8 / TABLE_FILL = 32 bytes a posting.  Measured on a 2-vCPU VM
+#: (numpy 2.4) over data/toy's splade_max docs, pruned by topk_prune to fills from 0.027 to 0.999:
+#: splade_max's queries (263 terms at the median) took 0.24-0.30 ms on the table against 0.57-1.46 ms
+#: on posting slices at every fill, while deepimpact's 3-term binary queries lost 0-8 us a query on
+#: the table (0.041 against 0.035 ms at fill 0.027).  bm25-scaled's index (fill 0.0024) would need
+#: a 2 GB table.  0.25 keeps the sparse indexes of short queries (deepimpact-toy's fill is 0.047) on
+#: slices.
+TABLE_FILL = 0.25
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,18 @@ class ImpactIndex:
         rank = np.empty(len(self.doc_table), np.int64)
         rank[sorted(range(len(self.doc_table)), key=self.doc_table.__getitem__)] = np.arange(len(self.doc_table))
         return rank
+
+    @cached_property
+    def term_table(self) -> np.ndarray | None:
+        """table[t, ordinal] = the weight of doc ordinal's posting for term t, 0.0 where it has none;
+        None unless the postings fill `TABLE_FILL` of the grid and the index has 2 docs or more (numpy
+        reduces a 1-wide table pairwise, not row after row)."""
+        num_terms, num_docs = len(self.offsets) - 1, len(self.doc_table)
+        if num_terms == 0 or num_docs < 2 or self.total_postings < TABLE_FILL * num_terms * num_docs:
+            return None
+        table = np.zeros((num_terms, num_docs))
+        table[np.repeat(np.arange(num_terms), np.diff(self.offsets)), self.ordinals] = self.weights
+        return table
 
 
 def build_index(
@@ -128,26 +154,42 @@ def exhaustive_search(
 def index_search(
     index: ImpactIndex, q: SparseVector, k: int
 ) -> tuple[list[tuple[str, float]], int]:
-    """Term-at-a-time accumulation over posting lists, in one `np.bincount`.
+    """Term-at-a-time accumulation over the query's terms in ascending term order.
 
-    The query terms' posting slices are concatenated in ascending term order
-    and bincount adds them in that order, so each doc's score is the same
-    float sum as a term-by-term loop.  Docs scoring exactly 0 are left out;
-    the top k are ranked by score descending, ties by doc_id ascending.
-    ops_count is the number of multiply-accumulate operations, i.e. the sum of
-    posting-list lengths across query terms present in the index.
+    On posting slices, the query terms' slices are concatenated in ascending
+    term order and one `np.bincount` adds them in that order, so each doc's
+    score is the same float sum as a term-by-term loop.  On the dense term
+    table (`ImpactIndex.term_table`), the query's rows are scaled and reduced
+    along axis 0, which numpy adds row after row for a table 2 or more docs
+    wide: the same sum, plus ±0.0 for each term a doc lacks, which changes no
+    nonzero sum and leaves a zero sum zero.  A query weight that is not finite
+    would make those products NaN, so such a query takes the slices.
+    Docs scoring exactly 0 are left out; the top k are ranked by score
+    descending, ties by doc_id ascending.  ops_count is the number of
+    multiply-accumulate operations, i.e. the sum of posting-list lengths
+    across query terms present in the index.
     """
-    offsets, ordinals, weights = index.offsets, index.ordinals, index.weights
-    num_terms = len(offsets) - 1
-    spans = [(offsets[t], offsets[t + 1], wq) for t, wq in sorted(q.entries.items()) if 0 <= t < num_terms]
-    ops = int(sum(hi - lo for lo, hi, _ in spans))
-    if k <= 0 or not ops:
-        return [], ops
-    acc = np.bincount(
-        np.concatenate([ordinals[lo:hi] for lo, hi, _ in spans]),
-        np.concatenate([wq * weights[lo:hi] for lo, hi, wq in spans]),
-        minlength=len(index.doc_table),
-    )
+    offsets = index.offsets
+    dense = _table_rows(index, q)
+    if dense is not None:
+        terms, wq = dense
+        ops = int((offsets[terms + 1] - offsets[terms]).sum())
+        if k <= 0 or not ops:
+            return [], ops
+        rows = index.term_table[terms]
+        rows *= wq[:, None]  # in place: a second m x N array costs more than the arithmetic
+        acc = np.add.reduce(rows, axis=0)
+    else:
+        ordinals, weights, num_terms = index.ordinals, index.weights, len(offsets) - 1
+        spans = [(offsets[t], offsets[t + 1], wq) for t, wq in sorted(q.entries.items()) if 0 <= t < num_terms]
+        ops = int(sum(hi - lo for lo, hi, _ in spans))
+        if k <= 0 or not ops:
+            return [], ops
+        acc = np.bincount(
+            np.concatenate([ordinals[lo:hi] for lo, hi, _ in spans]),
+            np.concatenate([wq * weights[lo:hi] for lo, hi, wq in spans]),
+            minlength=len(index.doc_table),
+        )
     hits = (acc != 0.0).nonzero()[0]
     scores = acc[hits]
     if len(hits) > k:  # sort only the hits at or above the k-th score
@@ -155,6 +197,27 @@ def index_search(
         hits, scores = hits[kept], scores[kept]
     order = np.lexsort((index.doc_rank[hits], -scores))[:k]
     return [(index.doc_table[o], s) for o, s in zip(hits[order].tolist(), scores[order].tolist())], ops
+
+
+def _table_rows(index: ImpactIndex, q: SparseVector) -> tuple[np.ndarray, np.ndarray] | None:
+    """(term ids, weights) of q's terms in the index, ascending, if `index` is searched from its term
+    table; None if it has none or a weight of q is not finite."""
+    if index.term_table is None:
+        return None
+    try:
+        terms = np.fromiter(q.entries, np.int64, len(q.entries))
+    except OverflowError:  # a term id past int64 is in no index
+        return None
+    wq = np.fromiter(q.entries.values(), np.float64, len(q.entries))
+    if not np.isfinite(wq).all():
+        return None
+    order = np.argsort(terms)
+    terms, wq = terms[order], wq[order]
+    num_terms = len(index.offsets) - 1
+    if len(terms) and (terms[0] < 0 or terms[-1] >= num_terms):
+        kept = (terms >= 0) & (terms < num_terms)
+        terms, wq = terms[kept], wq[kept]
+    return terms, wq
 
 
 # ---------------------------------------------------------------------------

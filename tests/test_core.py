@@ -1,10 +1,12 @@
 """Core types: vocabulary, tokenized text, sparse vectors, corpus statistics, and the line-file contract."""
 
+import dataclasses
 import json
 import math
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lsrkit.core import (
+    WRITE_SLICE,
     CorpusStats,
     SparseVector,
     TokenizedText,
@@ -51,6 +54,23 @@ class TestBuildVocabulary:
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ValueError):
             Vocabulary(terms=("a", "a"), term_to_id={"a": 0})
+
+
+class TestTokenizedText:
+    def test_token_ids_become_a_tuple(self):
+        text = TokenizedText("d1", [3, 1, 3])
+        assert text.token_ids == (3, 1, 3) and type(text.token_ids) is tuple
+        assert text == TokenizedText(doc_id="d1", token_ids=(3, 1, 3))
+        assert hash(text) == hash(TokenizedText("d1", (3, 1, 3)))
+        assert repr(text) == "TokenizedText(doc_id='d1', token_ids=(3, 1, 3))"
+        assert not hasattr(text, "__dict__")  # slots: built once per text of every collection read
+
+    @pytest.mark.parametrize("field", ["doc_id", "token_ids", "other"])
+    def test_assignment_raises(self, field):
+        text = TokenizedText("d1", (0,))
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError)):
+            setattr(text, field, ())
+        assert text == TokenizedText("d1", (0,))
 
 
 class TestCorpusStats:
@@ -266,16 +286,31 @@ class TestLineFiles:
         write_lines(path, [])
         assert path.read_bytes() == b""
 
-    @pytest.mark.parametrize("failure", ["raises", "unencodable"])
+    def test_write_lines_holds_one_slice_not_the_file(self, tmp_path):
+        """The lines are joined and encoded a slice at a time: the peak is under half the text's size."""
+        lines = [f"q{i:06d} Q0 d{i:06d} 1 {i / 7!r} run" for i in range(20 * WRITE_SLICE)]
+        text = "".join(f"{line}\n" for line in lines).encode()
+        tracemalloc.start()
+        try:
+            write_lines(tmp_path / "big.txt", lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.txt").read_bytes() == text
+        assert peak < len(text) / 2, (peak, len(text))
+
+    @pytest.mark.parametrize("failure", ["raises", "unencodable", "raises-after-a-slice", "unencodable-after-a-slice"])
     def test_failed_write_keeps_the_earlier_file(self, tmp_path, failure):
         """A line that raises, or one that fails only when written (a lone surrogate is no UTF-8),
-        leaves the earlier file byte-identical and no temporary file beside it."""
+        leaves the earlier file byte-identical and no temporary file beside it, also after whole
+        slices of lines were written."""
         path = tmp_path / "run.trec"
         path.write_bytes(b"earlier\n")
 
         def lines():
-            yield "q1 Q0 d1 1 2 t"
-            if failure == "raises":
+            for _ in range(2 * WRITE_SLICE + 1 if failure.endswith("-after-a-slice") else 1):
+                yield "q1 Q0 d1 1 2 t"
+            if failure.startswith("raises"):
                 raise ValueError("line 2 failed")
             yield "q1 Q0 \ud800 2 1 t"
 

@@ -1,4 +1,4 @@
-"""Impact index: quantization, term-at-a-time search vs. the exhaustive oracle."""
+"""Impact index: quantization, term-at-a-time search (posting slices and term table) vs. the exhaustive oracle."""
 
 import json
 import math
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lsrkit.core import SparseVector
 from lsrkit.index import (
+    TABLE_FILL,
     ImpactIndex,
     Quantization,
     build_index,
@@ -343,6 +344,119 @@ class TestSearchEdges:
         idx = build_index([("a", SparseVector({0: 1.5}))], Quantization(mode="bits", bits=8))
         ((doc_id, score),) = index_search(idx, SparseVector({0: 1.0}), k=5)[0]
         assert type(doc_id) is str and type(score) is float
+
+
+def slice_reference(idx, q, k):
+    """The posting-slice arithmetic, written out: one bincount of every query term's products in
+    ascending term order, nonzero scores ranked by score descending, then doc id."""
+    terms = [t for t in sorted(q.entries) if 0 <= t < len(idx.offsets) - 1]
+    spans = [slice(idx.offsets[t], idx.offsets[t + 1]) for t in terms]
+    acc = np.bincount(
+        np.concatenate([idx.ordinals[s] for s in spans]),
+        np.concatenate([q.entries[t] * idx.weights[s] for t, s in zip(terms, spans)]),
+        minlength=len(idx.doc_table),
+    )
+    hits = np.flatnonzero(acc)
+    rank = np.argsort(np.argsort(np.array(idx.doc_table)[hits]))
+    order = np.lexsort((rank, -acc[hits]))[:k]
+    return [(idx.doc_table[o], float(acc[o])) for o in hits[order]]
+
+
+def as_bits(ranked):
+    """A ranking with each score as its hex string, so that NaN scores compare equal."""
+    return [(doc_id, score.hex()) for doc_id, score in ranked]
+
+
+@st.composite
+def grid_corpora(draw, dense: bool):
+    """Docs over a grid `num_terms` terms wide whose postings fill at least half of it (dense) or less
+    than TABLE_FILL of it (sparse; doc 0 holds the last term, which pins the grid's width)."""
+    num_terms = draw(st.integers(8, 48))
+    num_docs = draw(st.integers(1, 12))
+    low, high = (num_terms // 2, num_terms) if dense else (0, num_terms // 8)
+    vectors = [
+        draw(st.dictionaries(st.integers(0, num_terms - 1), weights, min_size=low, max_size=high))
+        for _ in range(num_docs)
+    ]
+    vectors[0][num_terms - 1] = draw(weights)
+    return [(f"d{i}", SparseVector(v)) for i, v in enumerate(vectors)]
+
+
+#: up to 40 terms, past numpy's 8-wide pairwise block; both signs, so that absent cells add -0.0 too
+long_queries = st.dictionaries(
+    st.integers(-3, 52), st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), max_size=40
+).map(SparseVector)
+
+
+class TestTermTable:
+    """An index that fills TABLE_FILL of its term x doc grid is searched from a dense term table,
+    with the bits and ops of the posting slices."""
+
+    def test_table_holds_the_dequantized_weights(self, rng):
+        docs = random_corpus(rng, num_docs=30, vocab_size=12, max_nnz=9)
+        idx = build_index(docs, Quantization(mode="bits", bits=8))
+        expected = np.zeros((len(idx.offsets) - 1, len(docs)))
+        for t, plist in postings(idx).items():
+            for ordinal, impact in plist:
+                expected[t, ordinal] = impact * idx.scale / 255
+        assert idx.term_table.tobytes() == expected.tobytes()
+
+    def test_one_doc_index_sums_row_after_row(self, rng):
+        """numpy sums a 1-wide table pairwise, whose bits differ from a loop's over 150 terms of mixed
+        magnitudes; a 1-doc index keeps to its posting slices."""
+        terms = rng.permutation(150)
+        doc = SparseVector({int(t): float(w) for t, w in zip(terms, 10.0 ** rng.uniform(-6, 6, 150))})
+        q = SparseVector({int(t): float(w) for t, w in zip(terms, rng.uniform(-1, 1, 150))})
+        idx = build_index([("a", doc)])
+        assert idx.term_table is None
+        assert index_search(idx, q, k=1) == (exhaustive_search(q, [("a", doc)], k=1), 150)
+
+    @pytest.mark.parametrize("w", [math.inf, -math.inf])
+    def test_infinite_query_weight_matches_the_oracle(self, rng, w):
+        """inf x 0.0 would make every doc without the term NaN; such a query takes the slices."""
+        docs = random_corpus(rng, num_docs=30, vocab_size=12, max_nnz=9)
+        idx = build_index(docs)
+        assert idx.term_table is not None
+        q = SparseVector({0: 0.5, 3: w, 7: 1.5})
+        got = index_search(idx, q, k=30)
+        assert got == (exhaustive_search(q, docs, k=30), sum(len(postings(idx).get(t, ())) for t in (0, 3, 7)))
+        assert any(score in (math.inf, -math.inf) for _, score in got[0])
+
+    def test_term_ids_outside_the_table_add_nothing(self, rng):
+        docs = random_corpus(rng, num_docs=30, vocab_size=12, max_nnz=9)
+        idx = build_index(docs)
+        assert idx.term_table is not None
+        q = SparseVector({-(2**70): 1.0, -1: 1.0, 2: 0.5, 12: 1.0, 2**70: 1.0})
+        assert index_search(idx, q, k=30) == (exhaustive_search(q, docs, k=30), len(postings(idx)[2]))
+
+    def test_nan_query_weight_takes_the_slices(self, rng):
+        docs = random_corpus(rng, num_docs=30, vocab_size=12, max_nnz=9)
+        idx = build_index(docs)
+        assert idx.term_table is not None
+        q = SparseVector({1: 2.0, 4: math.nan, 9: 0.25})
+        ranked, _ = index_search(idx, q, k=30)
+        assert as_bits(ranked) == as_bits(slice_reference(idx, q, 30))
+        assert sum(math.isnan(score) for _, score in ranked) == len(postings(idx).get(4, ()))
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), queries=st.lists(long_queries, min_size=1, max_size=4), quant=quantizations)
+    def test_either_form_equals_oracle_bitwise(self, dense, data, queries, quant):
+        docs = data.draw(grid_corpora(dense))
+        built = build_index(docs, quant)
+        loaded = save_and_load(built)
+        num_terms, num_docs = len(built.offsets) - 1, len(docs)
+        fill = built.total_postings / (num_terms * num_docs) if num_terms else 0.0
+        assert (built.term_table is not None) == (num_docs >= 2 and num_terms > 0 and fill >= TABLE_FILL)
+        if quant.mode == "exact":  # bits mode may drop postings that quantize to 0
+            assert (built.term_table is not None) == (dense and num_docs >= 2)
+        scored = dequantized(docs, quant)
+        for q in queries:
+            ops = sum(t in v.entries for _, v in scored for t in q.entries)
+            for k in (0, 1, 10, num_docs + 1):
+                expected = exhaustive_search(q, scored, k)
+                assert index_search(built, q, k) == (expected, ops)
+                assert index_search(loaded, q, k) == (expected, ops)
 
 
 class TestBuildEdges:
