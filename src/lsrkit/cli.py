@@ -1,6 +1,6 @@
 """Command-line surface: encode, index, search, eval, train-head, ablate.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation error (or a size that does not fit in memory), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -110,6 +110,9 @@ def main(argv=None) -> int:
         return 0
     except ValueError as e:  # includes config.ValidationError
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy's error names the shape it could not allocate
+        print(f"error: out of memory ({e})", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

@@ -5,21 +5,23 @@ doc encoder, which maps a batch of texts to one vector each.  Query-document
 similarity is the dot product of the two encoded vectors.  The neural heads
 (MLP, expansion-MLP, MLM, CLS-MLM) and the binary encoder also have a dense
 form, `head_forward`, with its gradient `head_backward`; the sparse encoders
-wrap the former.  The trainer runs the same kernels over stacks of texts
-(`mlp_forward` over a `token_stack`, `frozen_forward` over `frozen_input`
-rows), which give each text the bits it gets alone.
+wrap the former.  The trainer runs the same kernels over stacks of texts,
+which give each text the bits it gets alone; `stack_forward` is the one
+place that picks a head kind's kernel (`mlp_forward` over a `token_stack`,
+`frozen_forward` over `frozen_input` rows, or `argmax_forward`).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Container, Mapping
+from typing import Callable, Container, Mapping
 
 import numpy as np
 
@@ -285,8 +287,8 @@ def head_forward(
     The cache is None when the weights depend on no trainable parameter (the
     binary encoder, or an empty text under a per-token head).  MLP heads are
     `mlp_forward` of a one-text stack; heads with a `frozen_input` row are
-    `frozen_forward` of it; MLM with softplus or quality heads takes the
-    first-max arg-max position per column.
+    `frozen_forward` of it; MLM with softplus or quality heads is row 0 of
+    `argmax_forward`.
     """
     if kind in (EncoderKind.MLP, EncoderKind.EXP_MLP, EncoderKind.MLM):
         _check_ctx(text, emb)
@@ -300,23 +302,61 @@ def head_forward(
     x = frozen_input(kind, text, emb, head)
     if x is not None:
         return frozen_forward(kind, x, head)
-    logits = emb.ctx_embeddings @ emb.input_embeddings.T + head.mlm_bias  # L x |V|
-    a = activate(logits, head.activation)
-    if head.use_quality_heads:
-        q, g = _quality_scores(emb, head)
-        a = a * g[:, None]
-    else:
-        q, g = 1.0, np.ones(len(text))
-    cols = np.arange(a.shape[1])
-    jstar = a.argmax(axis=0)  # first max wins ties
-    m = a[jstar, cols]
-    cache = {"kind": kind, "head": head, "m": m, "zstar": logits[jstar, cols], "gstar": g[jstar], "q": q}
-    return q * np.log1p(m), cache
+    w, cache = argmax_forward([emb], head)
+    return w[0], cache
+
+
+def argmax_forward(embs: list[EmbeddingBundle], head: HeadParameters) -> tuple[np.ndarray, dict]:
+    """MLM weights of N texts by the first-max arg-max over each text's tokens, an N x |V| array, and the
+    `head_backward` cache: the MLM head with softplus or quality heads, which has no `frozen_input`.
+
+    Text by text, with no padded N x L x |V| stack: column i's first max m_i of the activated logits, times
+    each token's importance g under quality heads, gives w_i = q * log(1 + m_i).  The cache holds per row
+    m, its logit zstar, its token's g (gstar) and q.  An empty text's row is zero with gstar 0, so it
+    passes no gradient.
+    """
+    n, vocab_size = len(embs), embs[0].input_embeddings.shape[0]
+    w, m, zstar, gstar = (np.zeros((n, vocab_size)) for _ in range(4))
+    q, cols = np.ones((n, 1)), np.arange(vocab_size)
+    for i, emb in enumerate(embs):
+        if not len(emb.ctx_embeddings):
+            continue
+        logits = emb.ctx_embeddings @ emb.input_embeddings.T + head.mlm_bias  # L x |V|
+        a = activate(logits, head.activation)
+        g = np.ones(len(logits))
+        if head.use_quality_heads:
+            q[i], g = _quality_scores(emb, head)
+            a = a * g[:, None]
+        jstar = a.argmax(axis=0)  # first max wins ties
+        m[i], zstar[i], gstar[i] = a[jstar, cols], logits[jstar, cols], g[jstar]
+        w[i] = q[i] * np.log1p(m[i])
+    return w, {"kind": EncoderKind.MLM, "head": head, "m": m, "zstar": zstar, "gstar": gstar, "q": q}
+
+
+def stack_forward(
+    kind: EncoderKind, texts: list[TokenizedText], embs: list[EmbeddingBundle], head: HeadParameters
+) -> Callable[[HeadParameters], tuple[np.ndarray, dict | None]]:
+    """The dense head of N >= 1 texts as a function of its parameters, heads -> (N x |V| weights, cache).
+
+    The one place that maps a head kind to its stacked kernel: `mlp_forward` over a `token_stack`,
+    `frozen_forward` over stacked `frozen_input` rows, or `argmax_forward`.  Inputs that no trainable
+    parameter reaches are computed here, once; `head` fixes only the options that do not train.
+    """
+    if kind in MLP_HEADS:
+        return functools.partial(mlp_forward, token_stack(texts, embs, embs[0].input_embeddings.shape[0]))
+    rows = [frozen_input(kind, t, e, head) for t, e in zip(texts, embs)]
+    if rows[0] is not None:
+        return functools.partial(frozen_forward, kind, np.stack(rows))
+    if kind is not EncoderKind.MLM:
+        raise ValueError(f"encoder kind {kind.value!r} has no dense head")
+    for t, e in zip(texts, embs):
+        _check_ctx(t, e)
+    return functools.partial(argmax_forward, embs)
 
 
 def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
     """Accumulate head-parameter gradients given dLoss/dWeights for one text, or for the N x |V| weights
-    of an `mlp_forward` or `frozen_forward` stack.
+    of a `stack_forward` kernel.
 
     Chain rule through log/softplus/ReLU/max.  MLM's max routes its gradient to
     the column's max logit zstar: in the max form of `frozen_input`, that is the

@@ -79,10 +79,10 @@ PENALTIES = {
 
 
 def topk_positions(weights: np.ndarray, term_ids: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k largest weights, ties broken by the smaller term id."""
+    """Positions of the k largest weights along the last axis, ties broken by the smaller term id."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return np.lexsort((term_ids, -weights))[:k]
+    return np.lexsort((term_ids, -weights), axis=-1)[..., :k]
 
 
 def topk_prune(v: SparseVector, k: int) -> SparseVector:
@@ -95,10 +95,11 @@ def topk_prune(v: SparseVector, k: int) -> SparseVector:
 
 
 def topk_mask(w: np.ndarray, k: int) -> np.ndarray:
-    """0/1 mask over a dense |V|-vector that keeps its k largest positive weights."""
-    keep = topk_positions(w, np.arange(len(w)), k)
+    """0/1 mask over a dense |V|-vector, or over each row of an N x |V| stack, that keeps its k largest
+    positive weights."""
+    keep = topk_positions(w, np.broadcast_to(np.arange(w.shape[-1]), w.shape), k)
     mask = np.zeros_like(w)
-    mask[keep[w[keep] > 0]] = 1.0
+    np.put_along_axis(mask, keep, np.take_along_axis(w, keep, axis=-1) > 0, axis=-1)
     return mask
 
 

@@ -8,22 +8,16 @@ bits it has alone.  The trainer trains the heads of one
 `config.MethodConfig`: it reads the encoders, regularizers, `shared_heads`
 and supervision recipe from the config, builds term-recall labels from its
 own triples when the loss is `term_mse`, and runs
-the encoders' own dense heads (`encoders.head_forward` / `head_backward`),
+the encoders' own dense heads (`encoders.stack_forward` / `head_backward`),
 `LOSSES` and `regularization.PENALTIES`, so the code that trains is the code
 that encodes and the code the finite-difference checks cover; no autodiff
 dependency is needed.
 
-The backbone and the vocabulary embeddings are frozen, so a head's input that
-no trained parameter reaches (`encoders.frozen_input`) is the same at every
-step: the binary rows, CLS-MLM's logits h_0 . e_i, and, for ReLU MLM without
-quality heads, the column max of the logits max_j h_j . e_i.  The trainer
-computes those once per call and runs `frozen_forward` on the stacked rows at
-each step.  An MLP or expansion-MLP side, whose weight trains, stacks its
-texts' tokens once per call (`encoders.token_stack`) and runs one
-`mlp_forward` over them at each step.  Both kernels give each text the bits
-it gets alone.  Only MLM with softplus or quality heads (EPIC's doc side),
-whose max is a first-max arg-max over the tokens, runs `head_forward` per
-text at each step.
+The backbone and the vocabulary embeddings are frozen, so each side's texts
+are embedded and stacked once per call by `encoders.stack_forward`, the one
+place that picks a head kind's kernel; each step runs one stacked forward and
+one `head_backward` per side.  Every kernel gives each text the bits it gets
+alone.
 
 The pairwise loss runs over all triples at once, with the bits of a loop
 over them: one `ddot` per (query, candidate) pair, one loss call per
@@ -33,7 +27,6 @@ rounds (`_TripleBatch`).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,19 +36,7 @@ import numpy as np
 
 from .config import MethodConfig
 from .core import TokenizedText, json_list, json_number, json_object, numbered_lines, parse_json
-from .encoders import (
-    DIFFERENTIABLE,
-    MLP_HEADS,
-    EmbeddingBundle,
-    EncoderKind,
-    HeadParameters,
-    frozen_forward,
-    frozen_input,
-    head_backward,
-    head_forward,
-    mlp_forward,
-    token_stack,
-)
+from .encoders import DIFFERENTIABLE, EmbeddingBundle, EncoderKind, HeadParameters, head_backward, stack_forward
 from .regularization import PENALTIES, RegularizerConfig, RegularizerKind, topk_mask, topk_schedule
 
 
@@ -291,13 +272,9 @@ def train_heads(
     Starts from copies of the given heads (shared heads: the query heads serve
     both sides) and reads |V| and d off them.  Backbone embeddings are frozen
     inputs supplied by `embed`, called once per distinct text.  Once per call,
-    an MLP or expansion-MLP side stacks its texts' tokens (`token_stack`), and a
-    side whose head has `frozen_input` rows (binary; CLS-MLM; ReLU MLM without
-    quality heads, whose row is the column max of the bias-free logits) stacks
-    those rows; each step runs one `mlp_forward` or `frozen_forward` over the
-    stack and one `head_backward` of it.  MLM with softplus or quality heads
-    (the first-max arg-max token per column) runs `head_forward` per text at
-    each step.  Deterministic: iteration order and summation order are fixed,
+    `encoders.stack_forward` stacks each side's texts and picks its head kind's
+    kernel; each step runs one stacked forward and one `head_backward` per
+    side.  Deterministic: iteration order and summation order are fixed,
     gradients adding doc rows first, then query rows, text by text, so the
     stacked and per-text forms give the same bits.
     """
@@ -349,21 +326,9 @@ def train_heads(
         pairwise = _TripleBatch(LOSSES[loss_kind], [
             (row["q"][t.query.doc_id], [row["d"][d.doc_id] for d in (t.positive, *t.negatives)], t.teacher_scores)
             for t in triples])
-    kinds = {"q": config.query.encoder, "d": config.doc.encoder}
     params = {"q": q_heads, "d": d_heads}
-    # MLP sides stack their tokens once, sides with `frozen_input` rows stack those rows once: each step runs
-    # one forward over the stack.  The others keep their embeddings for `head_forward`.
-    forwards, bundles = {}, {}
-    for side in texts:
-        embedded = [embed(text) for text in texts[side]]
-        if kinds[side] in MLP_HEADS:
-            forwards[side] = functools.partial(mlp_forward, token_stack(texts[side], embedded, vocab_size))
-            continue
-        inputs = [frozen_input(kinds[side], t, e, params[side]) for t, e in zip(texts[side], embedded)]
-        if inputs[0] is None:
-            bundles[side] = embedded
-        else:
-            forwards[side] = functools.partial(frozen_forward, kinds[side], np.stack(inputs))
+    forwards = {side: stack_forward(cfg.encoder, texts[side], [embed(text) for text in texts[side]], params[side])
+                for side, cfg in (("q", config.query), ("d", config.doc))}
     regs = {"q": config.query.regularizer, "d": config.doc.regularizer}
 
     def zero_grads() -> dict:
@@ -377,17 +342,10 @@ def train_heads(
     for step in range(steps):
         W, caches, masks = {}, {}, {}
         for side in ("q", "d"):
-            if side in forwards:
-                W[side], cache = forwards[side](params[side])
-                caches[side] = [cache]
-            else:
-                out = [head_forward(kinds[side], t, e, params[side]) for t, e in zip(texts[side], bundles[side])]
-                W[side] = np.stack([w for w, _ in out])
-                caches[side] = [cache for _, cache in out]
+            W[side], caches[side] = forwards[side](params[side])
             # Training-time top-k pruning with a linear k-decay schedule from |V|.
             if regs[side].kind is RegularizerKind.TOPK:
-                k = topk_schedule(vocab_size, regs[side].k, steps, step)
-                masks[side] = np.stack([topk_mask(w, k) for w in W[side]])
+                masks[side] = topk_mask(W[side], topk_schedule(vocab_size, regs[side].k, steps, step))
                 W[side] = W[side] * masks[side]
         if loss_kind == "term_mse":
             G = {side: np.zeros_like(W[side]) for side in W}
@@ -411,9 +369,7 @@ def train_heads(
         d_grads = q_grads if config.shared_heads else zero_grads()
         # Doc rows first, then query rows: with shared heads this fixes the summation order.
         for side, grads in (("d", d_grads), ("q", q_grads)):
-            gw = G[side] * masks[side] if side in masks else G[side]
-            for cache, g in zip(caches[side], [gw] if side in forwards else gw):
-                head_backward(cache, g, grads)
+            head_backward(caches[side], G[side] * masks[side] if side in masks else G[side], grads)
 
         if trains["q"]:
             apply(q_heads, q_grads)

@@ -329,6 +329,17 @@ class TestCliCommands:
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
 
+    def test_size_beyond_memory_exits_1(self, tmp_path, capsys):
+        # numpy refuses the 60 x 10^15 backbone table before it allocates anything
+        config_path, _ = make_workspace(tmp_path, backbone={"dim": 10**15})
+        code = main([
+            "encode", "--config", str(config_path), "--side", "doc",
+            "--input", str(tmp_path / "data" / "collection.tsv"), "--output", str(tmp_path / "o.jsonl"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: out of memory")
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         config_path, _ = make_workspace(tmp_path, query={"encoder": "bert"})
         code = main([

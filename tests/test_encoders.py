@@ -1,5 +1,6 @@
 """Encoder architectures, checked against independent dense evaluations."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -13,6 +14,7 @@ from lsrkit.core import SparseVector, TokenizedText, compute_corpus_stats
 from lsrkit.encoders import (
     Bm25Params,
     EncoderKind,
+    argmax_forward,
     backbone_table,
     encode_binary,
     encode_bm25_doc,
@@ -30,6 +32,7 @@ from lsrkit.encoders import (
     read_expansion_file,
     read_head_parameters,
     softplus,
+    stack_forward,
     token_stack,
     toy_backbone,
     write_head_parameters,
@@ -295,8 +298,9 @@ class TestMlm:
 
 
 class TestFrozenStack:
-    """`frozen_forward` and `head_backward` over a stack of `frozen_input` rows give the bits of
-    `head_forward` and `head_backward` text by text, added onto a running total in text order."""
+    """`frozen_forward` and `head_backward` over a stack of `frozen_input` rows, directly and through
+    `stack_forward`, give the bits of `head_forward` and `head_backward` text by text, added onto a
+    running total in text order."""
 
     @pytest.mark.parametrize("kind, activation", [
         (EncoderKind.MLM, "relu"), (EncoderKind.CLS_MLM, "relu"), (EncoderKind.CLS_MLM, "softplus"),
@@ -311,15 +315,16 @@ class TestFrozenStack:
         embs = [make_bundle(rng.standard_normal((len(t), dim)), E, cls=rng.standard_normal(dim)) for t in texts]
         G = rng.standard_normal((len(texts), vocab_size))
         start = rng.standard_normal(vocab_size)
-        W, cache = frozen_forward(kind, np.stack([frozen_input(kind, t, e, heads) for t, e in zip(texts, embs)]), heads)
-        stacked = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
-        head_backward(cache, G, stacked)
-        looped = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
-        for i, (t, e) in enumerate(zip(texts, embs)):
-            w, c = head_forward(kind, t, e, heads)
-            assert w.tobytes() == W[i].tobytes()
-            head_backward(c, G[i], looped)
-        assert stacked["mlm_bias"].tobytes() == looped["mlm_bias"].tobytes()
+        rows = np.stack([frozen_input(kind, t, e, heads) for t, e in zip(texts, embs)])
+        for W, cache in (frozen_forward(kind, rows, heads), stack_forward(kind, texts, embs, heads)(heads)):
+            stacked = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
+            head_backward(cache, G, stacked)
+            looped = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
+            for i, (t, e) in enumerate(zip(texts, embs)):
+                w, c = head_forward(kind, t, e, heads)
+                assert w.tobytes() == W[i].tobytes()
+                head_backward(c, G[i], looped)
+            assert stacked["mlm_bias"].tobytes() == looped["mlm_bias"].tobytes()
 
     def test_no_frozen_input_where_a_parameter_reaches_inside(self):
         emb = make_bundle([[1.0]], [[1.0], [2.0]])
@@ -331,8 +336,9 @@ class TestFrozenStack:
 
 
 class TestMlpStack:
-    """`mlp_forward` over a `token_stack` and `head_backward` of its cache give the bits of
-    `head_forward` and `head_backward` text by text, added onto a running total in text order.
+    """`mlp_forward` over a `token_stack`, directly and through `stack_forward`, and `head_backward` of
+    its cache give the bits of `head_forward` and `head_backward` text by text, added onto a running
+    total in text order.
 
     The stack is large enough that a BLAS form (`ctx @ w` for the logits, `ctx.T @ gz` for
     the weight gradient) gives some rows other bits than it gives the texts alone."""
@@ -356,21 +362,59 @@ class TestMlpStack:
         def totals():
             return {"mlp_weight": start.copy(), "mlp_bias": 0.25, "mlm_bias": np.zeros(vocab_size)}
 
-        W, cache = mlp_forward(token_stack(texts, embs, vocab_size), heads)
-        stacked = totals()
-        head_backward(cache, G, stacked)
-        looped = totals()
-        for i, (t, e) in enumerate(zip(texts, embs)):
-            w, c = head_forward(kind, t, e, heads)
-            assert w.tobytes() == W[i].tobytes(), t.doc_id
-            head_backward(c, G[i], looped)
-        assert stacked["mlp_weight"].tobytes() == looped["mlp_weight"].tobytes()
-        assert stacked["mlp_bias"] == looped["mlp_bias"]
-        assert not W[1].any()
+        for W, cache in (mlp_forward(token_stack(texts, embs, vocab_size), heads),
+                         stack_forward(kind, texts, embs, heads)(heads)):
+            stacked = totals()
+            head_backward(cache, G, stacked)
+            looped = totals()
+            for i, (t, e) in enumerate(zip(texts, embs)):
+                w, c = head_forward(kind, t, e, heads)
+                assert w.tobytes() == W[i].tobytes(), t.doc_id
+                head_backward(c, G[i], looped)
+            assert stacked["mlp_weight"].tobytes() == looped["mlp_weight"].tobytes()
+            assert stacked["mlp_bias"] == looped["mlp_bias"]
+            assert not W[1].any()
 
     def test_stack_without_tokens(self):
         W, cache = mlp_forward(token_stack([text("a"), text("b")], [make_bundle([], [[1.0]])] * 2, 1), make_heads(1, 1))
         assert W.shape == (2, 1) and not W.any() and cache is None
+
+
+class TestArgmaxStack:
+    """`argmax_forward` and `head_backward` over N texts give the bits of one-text `head_forward` and
+    `head_backward` calls, added onto a running total in text order; an empty text's row is zero and
+    passes no gradient."""
+
+    @pytest.mark.parametrize("activation, quality", [("softplus", False), ("relu", True)])
+    def test_stack_equals_per_text_loop(self, rng, activation, quality):
+        vocab_size, dim = 12, 4
+        E = rng.standard_normal((vocab_size, dim))
+        bias = rng.standard_normal(vocab_size)
+        bias[0] = -50.0  # column 0: under ReLU every token gives 0, a tie the first token wins
+        heads = make_heads(vocab_size, dim, mlm_bias=bias, activation=activation, use_quality_heads=quality)
+        heads.quality_weight, heads.importance_weight = rng.standard_normal((2, dim))
+        texts = [TokenizedText(f"d{i}", tuple(int(t) for t in rng.integers(0, vocab_size, size=n)))
+                 for i, n in enumerate((3, 0, 5, 1, 4))]
+        ctxs = [rng.standard_normal((len(t), dim)) for t in texts]
+        ctxs[2][3] = ctxs[2][1]  # equal rows: every column of text 2 has tied maxima
+        embs = [make_bundle(c, E, cls=rng.standard_normal(dim)) for c in ctxs]
+        G = rng.standard_normal((len(texts), vocab_size))
+        start = rng.standard_normal(vocab_size)
+        for forward in (functools.partial(argmax_forward, embs), stack_forward(EncoderKind.MLM, texts, embs, heads)):
+            W, cache = forward(heads)
+            stacked = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
+            head_backward(cache, G, stacked)
+            looped = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
+            for i, (t, e) in enumerate(zip(texts, embs)):
+                w, c = head_forward(EncoderKind.MLM, t, e, heads)
+                assert w.tobytes() == W[i].tobytes(), t.doc_id
+                head_backward(c, G[i], looped)
+            assert stacked["mlm_bias"].tobytes() == looped["mlm_bias"].tobytes()
+            assert not W[1].any() and not cache["gstar"][1].any()
+
+    def test_stack_forward_rejects_a_kind_without_dense_head(self):
+        with pytest.raises(ValueError, match="no dense head"):
+            stack_forward(EncoderKind.BM25_DOC, [text("d", 0)], [make_bundle([[1.0]], [[1.0]])], make_heads(1, 1))
 
 
 class TestClsMlm:

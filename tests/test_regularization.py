@@ -159,6 +159,16 @@ class TestTopkMask:
             assert SparseVector.from_dense(w * topk_mask(w, k)) == topk_prune(v, k)
 
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 8, 9, 20])
+    def test_batch_equals_each_row(self, rng, k):
+        # small integer weights tie often; rows 1 and 3 are all zero, of either sign
+        W = rng.integers(-2, 3, size=(6, 8)).astype(np.float64)
+        W[1], W[3] = 0.0, -0.0
+        mask = topk_mask(W, k)
+        assert mask.tobytes() == np.stack([topk_mask(w, k) for w in W]).tobytes()
+        assert not mask[1].any() and not mask[3].any()
+
+
 class TestTopkSchedule:
     def test_linear_decay_endpoints(self):
         assert topk_schedule(100, 10, steps=10, step=0) == 100

@@ -23,12 +23,14 @@ several grades per query, zero grades, judged docs the run misses, and
 queries with no judgments or no ranking.  Then it writes a small synthetic
 task with one doc and one query emptied, heads whose bias columns start on
 both sides of ReLU's kink, and one config per entry of `EDGE_SETUPS` (shared
-ReLU MLM, binary/MLM under MarginMSE, binary/CLS-MLM), and digests
-`run_train` on each (`repr(loss_history)` and both heads).  Last of all,
-it encodes the toy data with BM25, which no bundled config uses, and
-digests the vector files and the exact-index rankings (`bm25`), and it
-digests `write_vectors` on hand-built batches whose terms, ids and weights
-no bundled vocabulary or encoder gives (`vectors`).
+ReLU MLM, binary/MLM under MarginMSE, binary/CLS-MLM, and three arg-max MLM
+doc sides: EPIC's softplus with quality heads and top-k, ReLU with quality
+heads, softplus under L1), and digests `run_train` on each
+(`repr(loss_history)` and both heads).  Last of all, it encodes the toy
+data with BM25, which no bundled config uses, and digests the vector files
+and the exact-index rankings (`bm25`), and it digests `write_vectors` on
+hand-built batches whose terms, ids and weights no bundled vocabulary or
+encoder gives (`vectors`).
 OUT.json maps each output to its sha256.  Two checkouts give the same
 outputs exactly when their OUT.json files are byte-identical
 (`cmp A.json B.json`).  Only calls that older checkouts also have are used.
@@ -56,11 +58,17 @@ ABLATION = (
 )
 
 
-#: (name, query encoder, doc encoder, shared_heads, supervision loss) of the edge-case training digests
+#: (name, query encoder, doc encoder, shared_heads, supervision loss, doc-side settings over the FLOPs
+#: regularizer) of the edge-case training digests; the last three are arg-max MLM doc sides, EPIC's first
 EDGE_SETUPS = (
-    ("shared relu mlm", "mlm", "mlm", True, "contrastive"),
-    ("binary/mlm", "binary", "mlm", False, "margin_mse"),
-    ("binary/cls_mlm", "binary", "cls_mlm", False, "contrastive"),
+    ("shared relu mlm", "mlm", "mlm", True, "contrastive", {}),
+    ("binary/mlm", "binary", "mlm", False, "margin_mse", {}),
+    ("binary/cls_mlm", "binary", "cls_mlm", False, "contrastive", {}),
+    ("mlp/epic mlm", "mlp", "mlm", False, "contrastive",
+     {"activation": "softplus", "quality_heads": True, "regularizer": {"kind": "topk", "k": 5}}),
+    ("mlp/relu quality mlm", "mlp", "mlm", False, "contrastive", {"quality_heads": True}),
+    ("binary/softplus mlm, l1", "binary", "mlm", False, "margin_mse",
+     {"activation": "softplus", "regularizer": {"kind": "l1", "weight": 0.1}}),
 )
 
 
@@ -116,24 +124,31 @@ def edge_training(work: Path) -> dict:
     write_collection(emptied(task.queries), task.vocab, work / "queries.tsv")
     (work / "triples.jsonl").write_text("".join(json.dumps(r) + "\n" for r in task.triples), encoding="utf-8")
     v, dim, seed = task.vocab.size, 6, 3
-    for s in (seed, seed + 1):  # a third of the bias columns start at -0.5, the rest at 0.3
-        heads = init_head_parameters(v, dim, s)
+
+    def heads_file(name: str, s: int, side: dict) -> str:
+        """Seed-s heads that fit `side`, a third of their bias columns at -0.5 and the rest at 0.3."""
+        heads = init_head_parameters(v, dim, s, activation=side.get("activation", "relu"),
+                                     use_quality_heads=side.get("quality_heads", False))
         heads.mlm_bias = np.where(np.arange(v) % 3 == 0, -0.5, 0.3)
-        write_head_parameters(heads, work / f"heads_{s}.json")
+        write_head_parameters(heads, work / name)
+        return name
+
     out = {}
     reg = {"kind": "flops", "weight": 0.1}
-    for i, (name, query, doc, shared, loss) in enumerate(EDGE_SETUPS):
+    for i, (name, query, doc, shared, loss, doc_settings) in enumerate(EDGE_SETUPS):
+        doc_side = {"encoder": doc, "regularizer": reg, **doc_settings}
+        query_heads = heads_file(f"edge_{i}_query.json", seed, {})
         config = {
             "name": f"edge_{i}",  # a config name has no whitespace; `name` keys the digests
             "query": {"encoder": query, "regularizer": reg},
-            "doc": {"encoder": doc, "regularizer": reg},
+            "doc": doc_side,
             "shared_heads": shared,
             "supervision": {"loss": loss, "steps": 6, "lr": 0.5},
             "backbone": {"seed": seed, "dim": dim},
             "paths": {
                 "vocab": "vocab.txt", "collection": "collection.tsv", "queries": "queries.tsv",
-                "triples": "triples.jsonl", "query_heads": f"heads_{seed}.json",
-                "doc_heads": f"heads_{seed if shared else seed + 1}.json",
+                "triples": "triples.jsonl", "query_heads": query_heads,
+                "doc_heads": query_heads if shared else heads_file(f"edge_{i}_doc.json", seed + 1, doc_side),
             },
         }
         path = work / f"edge_{i}.json"
