@@ -8,10 +8,9 @@ import json
 import math
 import os
 import secrets
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -138,6 +137,36 @@ def vector_columns(
     return ids, lengths, terms, weights
 
 
+def term_counts(texts: Sequence[TokenizedText]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(token count per text, then per distinct (text, term) pair: its text's row, its term id and
+    its count) of `texts`, the pairs ascending by row and then by term id, all int64.
+
+    Every token is keyed `row * size + term id`, size one past the batch's largest id, and one
+    `np.unique(..., return_counts=True)` counts the keys.  A term id that is negative, or so large
+    that a key leaves int64, is a ValueError naming its text.
+    """
+    token_ids = [t.token_ids for t in texts]
+    lengths = np.fromiter(map(len, token_ids), np.int64, len(token_ids))
+    total = int(lengths.sum())
+    limit = np.iinfo(np.int64).max // max(len(texts), 1)  # every id below it keys into int64
+    try:
+        ids = np.fromiter(itertools.chain.from_iterable(token_ids), np.int64, total)
+    except OverflowError:  # an id beyond int64
+        raise _term_id_out_of_range(texts, limit) from None
+    size = int(ids.max()) + 1 if total else 1
+    if total and (ids.min() < 0 or size > limit):
+        raise _term_id_out_of_range(texts, limit)
+    keys, tf = np.unique(np.repeat(np.arange(len(texts), dtype=np.int64) * size, lengths) + ids, return_counts=True)
+    rows = keys // size
+    return lengths, rows, keys - rows * size, tf
+
+
+def _term_id_out_of_range(texts: Sequence[TokenizedText], limit: int) -> ValueError:
+    """The error naming the first text of `texts` with a term id outside [0, limit)."""
+    text, t = next((text, t) for text in texts for t in text.token_ids if not 0 <= t < limit)
+    return ValueError(f"text {text.doc_id!r}: term id {t} is outside [0, {limit})")
+
+
 @dataclass(frozen=True)
 class CorpusStats:
     """Document frequencies and length statistics over a tokenized corpus."""
@@ -148,13 +177,21 @@ class CorpusStats:
     degenerate: bool  # num_docs == 0 or avg_doc_len == 0: BM25 doc weights undefined
 
 
-def compute_corpus_stats(docs: list[TokenizedText]) -> CorpusStats:
-    """Presence-based document frequencies and the mean document length."""
+def compute_corpus_stats(docs: Sequence[TokenizedText]) -> CorpusStats:
+    """Presence-based document frequencies, keyed in ascending term-id order, and the mean
+    document length, from the (doc, term) pairs of `term_counts`."""
+    lengths, _, terms, _ = term_counts(docs)
     n = len(docs)
-    avgdl = sum(map(len, docs)) / n if n else 0.0
+    avgdl = int(lengths.sum()) / n if n else 0.0  # a Python int over n: the bits of sum(map(len, docs)) / n
+    if len(terms) and terms.max() >= len(terms):  # sparse ids: no table as long as the largest id
+        present, df = np.unique(terms, return_counts=True)
+    else:
+        df = np.bincount(terms)
+        present = np.flatnonzero(df)
+        df = df[present]
     return CorpusStats(
         num_docs=n,
-        doc_freq=dict(Counter(itertools.chain.from_iterable(map(set, (doc.token_ids for doc in docs))))),
+        doc_freq=dict(zip(present.tolist(), df.tolist())),
         avg_doc_len=avgdl,
         degenerate=(n == 0 or avgdl == 0.0),
     )

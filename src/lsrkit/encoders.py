@@ -35,6 +35,7 @@ from .core import (
     numbered_lines,
     parse_collection,
     read_json,
+    term_counts,
 )
 
 
@@ -425,33 +426,27 @@ def encode_bm25_doc(
 ) -> list[SparseVector]:
     """Saturated term frequency with document-length normalization, one vector per text.
 
-    One pass over the batch's (doc, term, tf) columns: every token is keyed
-    `row * |V| + term id` (|V| one past the batch's largest id) and
-    `np.unique` counts each key.  A weight is tf * (k1 + 1) / (tf + norm),
+    One pass over the batch's (doc, term, tf) columns from `core.term_counts`.
+    A weight is tf * (k1 + 1) / (tf + norm),
     norm = k1 * (1 - b + b * length / avg_doc_len): the IEEE operations, in
     order, of the per-text formula, so each weight has the bits it has alone.
     Entries are in ascending term-id order, and every vector's key for a term
     is the same int object.  An empty text gives an empty vector; a non-empty
-    one on degenerate stats is a ValueError.
+    one on degenerate stats is a ValueError, and so is a term id that
+    `term_counts` rejects (a negative one).
     """
-    token_ids = [t.token_ids for t in texts]
-    lengths = np.fromiter(map(len, token_ids), np.intp, len(texts))
-    total = int(lengths.sum())
-    if not total:
+    lengths, rows, terms, tf = term_counts(texts)
+    if not len(terms):
         return [SparseVector() for _ in texts]
     if stats.degenerate:
         raise ValueError("degenerate corpus stats: avg_doc_len undefined")
-    terms = np.fromiter(itertools.chain.from_iterable(token_ids), np.intp, total)
-    size = int(terms.max()) + 1
-    keys, tf = np.unique(np.repeat(np.arange(len(texts)) * size, lengths) + terms, return_counts=True)
-    rows = keys // size
     with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow to inf silently too
         norm = params.k1 * (1.0 - params.b + params.b * lengths / stats.avg_doc_len)
         weights = tf * (params.k1 + 1.0) / (tf + norm[rows])
     kept = np.flatnonzero(weights)  # a k1 so large that norm overflows to inf weighs a term 0.0
-    if len(kept) < len(keys):
-        keys, rows, weights = keys[kept], rows[kept], weights[kept]
-    entries = zip(_shared_term_keys(size)[keys - rows * size].tolist(), weights.tolist())
+    if len(kept) < len(terms):
+        terms, rows, weights = terms[kept], rows[kept], weights[kept]
+    entries = zip(_shared_term_keys(int(terms.max(initial=0)) + 1)[terms].tolist(), weights.tolist())
     out = list(map(SparseVector.__new__, itertools.repeat(SparseVector, len(texts))))
     for vec, nnz in zip(out, np.bincount(rows, minlength=len(texts)).tolist()):
         vec.entries = dict(itertools.islice(entries, nnz))

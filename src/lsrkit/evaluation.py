@@ -135,7 +135,9 @@ def read_run(path: str | Path) -> RunFile:
                 raise ValueError(f"score {score_s} rises down the ranking of query {qid!r}")
             seen.add((qid, did))
             ranking.append((did, score))
-    return RunFile(rankings=rankings)
+    run = RunFile.__new__(RunFile)  # the loop has made `RunFile.__post_init__`'s checks, line by line
+    run.rankings = rankings
+    return run
 
 
 def write_qrels(qrels: Qrels, path: str | Path) -> None:

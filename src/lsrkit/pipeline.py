@@ -174,7 +174,7 @@ def encode_side(
                 vec = encode_mlp(text, emb, heads)
         if cfg.regularizer.kind is RegularizerKind.TOPK:
             vec = topk_prune(vec, cfg.regularizer.k)
-        if kind in NON_EXPANDING and not set(vec.entries) <= set(text.token_ids):
+        if kind in NON_EXPANDING and not vec.entries.keys() <= set(text.token_ids):
             raise ValidationError(
                 f"{config.name}: {kind.value} emitted a term outside the input for {text.doc_id!r}"
             )

@@ -20,9 +20,9 @@ one `head_backward` per side.  Every kernel gives each text the bits it gets
 alone.
 
 The pairwise loss runs over all triples at once, with the bits of a loop
-over them: one `ddot` per (query, candidate) pair, one loss call per
-candidate count, and the gradient rows summed in triple order by occurrence
-rounds (`_TripleBatch`).
+over them: per candidate count, one stacked `np.matmul` that runs a `ddot`
+per (query, candidate) pair and one loss call, and the gradient rows summed
+in triple order by occurrence rounds (`_TripleBatch`).
 """
 
 from __future__ import annotations
@@ -169,8 +169,10 @@ class _TripleBatch:
     rows (`[positive, negatives...]`) and teacher scores.  Triples are grouped
     by candidate count, each group in triple order, and a loss runs on one N×C
     score matrix per count: padding rows to one length would regroup numpy's
-    pairwise row sums.  Each score is one `ddot` per (query, candidate) pair,
-    the bits of `@`, which no batched product (`einsum`, GEMM) keeps.  A query
+    pairwise row sums.  A group's scores are one `np.matmul` of its query rows
+    as (1, n) matrices by its candidate rows as (n, 1) ones: numpy runs each
+    such item as one `ddot`, the bits of `Wq[q].dot(Wd[d])`, which a GEMM or
+    `einsum` over the group does not keep.  A query
     row's gradient is `scale·(g0·d0 + ((0 + g1·d1) + g2·d2)…)` and a candidate
     row's `(scale·g)·wq`; both are summed per row in triple order by occurrence
     rounds (`_scatter`).  `np.add.at` on rows costs more than the loop it
@@ -184,16 +186,16 @@ class _TripleBatch:
         self.unsort = np.argsort(order)  # each triple's place in the grouped order
         grouped = [candidates[i] for i in order]
         d_rows = np.array([r for _, rows, _ in grouped for r in rows], dtype=np.int64)
-        self.pair_q = np.repeat([q for q, _, _ in grouped], counts[order])
-        self.pairs = list(zip(self.pair_q.tolist(), d_rows.tolist()))
-        # Per count: the slice of its pairs, its candidate rows (N×C) and its teacher scores (N×C or None).
+        q_rows = np.array([q for q, _, _ in grouped], dtype=np.int64)
+        self.pair_q = np.repeat(q_rows, counts[order])
+        # Per count: its query rows (N), its candidate rows (N×C) and its teacher scores (N×C or None).
         pair_start = np.r_[0, np.cumsum(counts[order])]
         self.groups, first = [], 0
         for count, size in zip(*np.unique(counts, return_counts=True)):
             pairs = slice(pair_start[first], pair_start[first + size])
             teachers = [t for _, _, t in grouped[first:first + size]]
             teacher = None if None in teachers else np.array([[pos, *negs] for pos, negs in teachers])
-            self.groups.append((pairs, d_rows[pairs].reshape(size, count), teacher))
+            self.groups.append((q_rows[first:first + size], d_rows[pairs].reshape(size, count), teacher))
             first += size
         # Contributions in triple order: a query row's is its triple's (in the grouped order), a
         # candidate row's is its pair's.
@@ -204,11 +206,10 @@ class _TripleBatch:
     def __call__(self, Wq: np.ndarray, Wd: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """The loss, the mean over triples summed in triple order, and its gradients wrt the query rows
         `Wq` and the doc rows `Wd`."""
-        q_views, d_views = list(Wq), list(Wd)
-        scores = np.fromiter((q_views[q].dot(d_views[d]) for q, d in self.pairs), np.float64, len(self.pairs))
         losses, score_grads, q_grads = [], [], []
-        for pairs, d_rows, teacher in self.groups:
-            loss, g = self.loss(scores[pairs].reshape(d_rows.shape), teacher)
+        for q_rows, d_rows, teacher in self.groups:
+            scores = np.matmul(Wq[q_rows][:, None, None, :], Wd[d_rows][:, :, :, None])
+            loss, g = self.loss(scores.reshape(d_rows.shape), teacher)
             rest = np.zeros((len(d_rows), Wd.shape[1]))
             for c in range(1, d_rows.shape[1]):
                 rest += g[:, c, None] * Wd[d_rows[:, c]]

@@ -8,6 +8,7 @@ leaves room for useful expansion.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,7 +71,8 @@ def make_synthetic_task(
     stats = compute_corpus_stats(docs)
     params = Bm25Params()
     for qi in range(num_queries):
-        target = docs[qi % num_docs]
+        target_index = qi % num_docs
+        target = docs[target_index]
         distinct = sorted(set(target.token_ids))
         n_q = min(len(distinct), int(rng.integers(2, 5)))
         q_tokens = tuple(int(t) for t in rng.choice(distinct, size=n_q, replace=False))
@@ -78,8 +80,9 @@ def make_synthetic_task(
         queries.append(query)
         judgments[(query.doc_id, target.doc_id)] = 1
 
-        neg_pool = [d for d in docs if d.doc_id != target.doc_id]
-        negs = [neg_pool[int(j)] for j in rng.choice(len(neg_pool), size=NEGATIVES_PER_QUERY, replace=False)]
+        # j indexes the docs other than the target, as a pool without it would
+        negs = [docs[j + (j >= target_index)]
+                for j in rng.choice(num_docs - 1, size=NEGATIVES_PER_QUERY, replace=False).tolist()]
         qv = encode_bm25_query(query, stats)
         teacher_pos, *teacher_negs = (qv.dot(v) for v in encode_bm25_doc([target, *negs], stats, params))
         triples.append(
@@ -94,7 +97,7 @@ def make_synthetic_task(
     expansions: dict[str, list[int]] = {}
     for doc, topic in zip(docs, doc_topic):
         present = set(doc.token_ids)
-        extra = [t for t in topic_terms[topic] if t not in present][:4]
+        extra = list(itertools.islice((t for t in topic_terms[topic] if t not in present), 4))
         expansions[doc.doc_id] = extra
 
     return SyntheticTask(

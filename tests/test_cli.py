@@ -14,7 +14,7 @@ from conftest import heads_bytes
 from lsrkit import encoders, pipeline
 from lsrkit.cli import main
 from lsrkit.config import BackboneConfig, SupervisionConfig, ValidationError, apply_toggle, load_config
-from lsrkit.core import read_collection, read_vocabulary, compute_corpus_stats
+from lsrkit.core import SparseVector, TokenizedText, read_collection, read_vocabulary, compute_corpus_stats
 from lsrkit.encoders import EncoderKind, encode_bm25_doc, encode_bm25_query, Bm25Params, read_head_parameters
 from lsrkit.index import Quantization, build_index, exhaustive_search
 from lsrkit.regularization import RegularizerKind
@@ -1112,6 +1112,21 @@ class TestOnePath:
         pipeline.encode_side(config, "query", [query], res, config.backbone_seed)
         assert len(embedded[qid][0]) == len(query.token_ids) + 3
         assert trained == embedded[qid]
+
+    def test_support_audit_of_non_expanding_encoders(self, tmp_path, monkeypatch):
+        """A binary side passes the audit with its own terms; one term outside a text is a
+        ValidationError (exit 1) naming that text."""
+        config_path, _ = make_workspace(tmp_path, query={"encoder": "binary"})
+        config = load_config(config_path)
+        res = pipeline.load_resources(config)
+        texts = [*res.queries[:3], TokenizedText("q_empty", ())]
+        assert [vid for vid, _ in pipeline.encode_side(config, "query", texts, res, 0)] == [t.doc_id for t in texts]
+        outside = next(t for t in range(res.vocab.size) if t not in texts[1].token_ids)
+        encode = pipeline.encode_binary
+        monkeypatch.setattr(pipeline, "encode_binary", lambda text: SparseVector(
+            {**encode(text).entries, **({outside: 1.0} if text is texts[1] else {})}))
+        with pytest.raises(ValidationError, match=f"binary emitted a term outside the input for {texts[1].doc_id!r}"):
+            pipeline.encode_side(config, "query", texts, res, 0)
 
     @pytest.mark.parametrize("name", ["deepimpact", "splade_max"])
     def test_pipeline_run_equals_index_search_eval(self, tmp_path, name):

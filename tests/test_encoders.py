@@ -4,13 +4,16 @@ import functools
 import hashlib
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_bundle, make_heads, text
 
-from lsrkit.core import SparseVector, TokenizedText, compute_corpus_stats
+from lsrkit.core import SparseVector, TokenizedText, compute_corpus_stats, term_counts
 from lsrkit.encoders import (
     Bm25Params,
     EncoderKind,
@@ -578,6 +581,67 @@ class TestBm25DocBatch:
                 encode_bm25_doc(batch, stats)
             with pytest.raises(ValueError, match="degenerate corpus stats"):
                 bm25_doc_oracle(batch[-1], stats)
+
+    def test_negative_term_id_names_the_text(self, bm25_batch):
+        texts, stats = bm25_batch
+        with pytest.raises(ValueError, match="text 'bad': term id -1 "):
+            encode_bm25_doc([*texts[:3], TokenizedText("bad", (4, -1)), *texts[3:5]], stats)
+
+
+def counts_oracle(texts: list[TokenizedText]):
+    """`term_counts` the naive way: a Counter of (row, term id) over every token."""
+    pairs = sorted(Counter((row, t) for row, text in enumerate(texts) for t in text.token_ids).items())
+    return ([len(t) for t in texts], [r for (r, _), _ in pairs], [t for (_, t), _ in pairs], [n for _, n in pairs])
+
+
+def corpus_oracle(texts: list[TokenizedText]):
+    """(doc_freq, avg_doc_len) the naive way: a Counter over each doc's set of ids, and the token total over n."""
+    n = len(texts)
+    return dict(Counter(t for text in texts for t in set(text.token_ids))), (sum(map(len, texts)) / n if n else 0.0)
+
+
+class TestTermCounts:
+    """`core.term_counts`, and `compute_corpus_stats` built on it, against naive oracles."""
+
+    ids = st.one_of(st.integers(0, 40), st.sampled_from([0, BATCH_VOCAB - 1, 2**40]))
+
+    @settings(max_examples=40, deadline=None)
+    # the 10**6-token doc only in the explicit examples: its naive oracle takes about 0.3 s
+    @given(docs=st.lists(st.lists(ids, max_size=25), max_size=12), with_long_doc=st.just(False))
+    @example(docs=[], with_long_doc=False)
+    @example(docs=[[], []], with_long_doc=False)
+    @example(docs=[], with_long_doc=True)
+    @example(docs=[[3, 3, 3], [], [0, BATCH_VOCAB - 1, 0]], with_long_doc=True)
+    def test_matches_the_naive_oracles(self, bm25_batch, docs, with_long_doc):
+        texts = [TokenizedText(f"d{i}", ids) for i, ids in enumerate(docs)]
+        if with_long_doc:
+            texts.insert(len(texts) // 2, bm25_batch[0][23])  # 10**6 tokens
+        columns = term_counts(texts)
+        assert [c.tolist() for c in columns] == list(counts_oracle(texts))
+        assert all(c.dtype == np.int64 for c in columns)
+        doc_freq, avgdl = corpus_oracle(texts)
+        stats = compute_corpus_stats(texts)
+        assert stats.doc_freq == doc_freq and list(stats.doc_freq) == sorted(doc_freq)
+        assert all(type(t) is int and type(df) is int for t, df in stats.doc_freq.items())
+        assert stats.avg_doc_len.hex() == avgdl.hex() and stats.num_docs == len(texts)
+        assert stats.degenerate == (not texts or avgdl == 0.0)
+
+    def test_the_test_batch(self, bm25_batch):
+        texts, stats = bm25_batch
+        assert (stats.doc_freq, stats.avg_doc_len) == corpus_oracle(texts)
+        assert [c.tolist() for c in term_counts(texts)] == list(counts_oracle(texts))
+
+    @pytest.mark.parametrize("bad", [-1, -(2**70), "limit", 2**63, 2**70])
+    @pytest.mark.parametrize("count", [term_counts, compute_corpus_stats])
+    def test_id_out_of_range_names_the_text(self, count, bad):
+        """Over 3 texts, ids from 0 to `limit` - 1 key (text, term) pairs into int64; others are errors."""
+        limit = np.iinfo(np.int64).max // 3
+        good = [TokenizedText("a", (0, 1)), TokenizedText("b", ()), TokenizedText("c", (limit - 1, 0))]
+        assert term_counts(good)[2].tolist() == [0, 1, 0, limit - 1]
+        assert compute_corpus_stats(good).doc_freq == {0: 2, 1: 1, limit - 1: 1}
+        bad = limit if bad == "limit" else bad
+        with pytest.raises(ValueError, match=f"text 'bad': term id {bad} is outside"):
+            count([good[0], TokenizedText("bad", (2, bad)), good[2]])
 
 
 class TestScore:

@@ -433,6 +433,24 @@ class TestBatchedTrainer:
         monkeypatch.setattr(supervision, "_TripleBatch", PerTripleLoop)
         assert batched == train()
 
+    @pytest.mark.parametrize("n", [3, 17, 24, 300, 301, 5000])
+    def test_scores_are_the_dot_of_each_pair(self, n):
+        """The stacked matmul scores each (query, candidate) pair with the bits of `Wq[q].dot(Wd[d])`,
+        over rows of mixed magnitudes, at widths around BLAS's unrolled blocks."""
+        rng = np.random.default_rng(n)
+        Wq, Wd = (rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-8, 8, size=(rows, n)) for rows in (3, 9))
+        candidates = [(0, [1, 2], None), (1, [4, 0, 8], None), (0, [5, 6], None), (2, [7, 3, 7], None)]
+        seen = []
+
+        def recording_loss(scores, teacher):
+            seen.append(scores.copy())
+            return np.zeros(len(scores)), np.zeros_like(scores)
+
+        supervision._TripleBatch(recording_loss, candidates)(Wq, Wd)
+        by_count = [[c for c in candidates if len(c[1]) == count] for count in (2, 3)]
+        want = [np.array([[Wq[q].dot(Wd[d]) for d in rows] for q, rows, _ in group]) for group in by_count]
+        assert [bits(x) for x in seen] == [bits(x) for x in want]
+
 
 class TestTrainerGradients:
     """End-to-end parameter gradients vs finite differences through one step."""
