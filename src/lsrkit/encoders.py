@@ -1,14 +1,14 @@
 """Sparse encoders: binary, MLP, expansion-MLP, MLM, CLS-MLM, and the BM25 pair.
 
-Every encoder is a pure function TokenizedText -> SparseVector, except the BM25
-doc encoder, which maps a batch of texts to one vector each.  Query-document
-similarity is the dot product of the two encoded vectors.  The neural heads
-(MLP, expansion-MLP, MLM, CLS-MLM) and the binary encoder also have a dense
-form, `head_forward`, with its gradient `head_backward`; the sparse encoders
-wrap the former.  The trainer runs the same kernels over stacks of texts,
-which give each text the bits it gets alone; `stack_forward` is the one
-place that picks a head kind's kernel (`mlp_forward` over a `token_stack`,
-`frozen_forward` over `frozen_input` rows, or `argmax_forward`).
+The binary and BM25 query encoders map one TokenizedText to a SparseVector;
+the BM25 doc encoder maps a batch of texts to one vector each.  The neural
+heads (MLP, expansion-MLP, MLM, CLS-MLM) map a stack of N texts to dense
+N x |V| weights, with the gradient `head_backward`: `stack_forward` is the
+one place that picks a head kind's kernel (`mlp_forward` over a
+`token_stack`, `frozen_forward` over `frozen_input` rows, or
+`argmax_forward`), for encoding and for training alike.  Every kernel gives
+each text the bits it gets in a one-text stack.  Query-document similarity
+is the dot product of the two encoded vectors.
 """
 
 from __future__ import annotations
@@ -161,15 +161,6 @@ def _quality_scores(emb: EmbeddingBundle, head: HeadParameters):
     return q, g
 
 
-def encode_mlp(text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters) -> SparseVector:
-    """Per-token linear head; contributions summed over repeated occurrences.
-
-    With log normalization each occurrence contributes log(act(h_j.W + b) + 1);
-    without it (the uniCOIL-style variant) the activated logit is used directly.
-    """
-    return SparseVector.from_dense(head_forward(EncoderKind.MLP, text, emb, head)[0])
-
-
 def expand_text(text: TokenizedText, expansions: Mapping[str, list[int]]) -> TokenizedText:
     """Append external expansion terms, deduplicated against the original text."""
     if text.doc_id not in expansions:
@@ -183,22 +174,8 @@ def expand_text(text: TokenizedText, expansions: Mapping[str, list[int]]) -> Tok
     return TokenizedText(doc_id=text.doc_id, token_ids=text.token_ids + tuple(extra))
 
 
-def encode_mlm(text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters) -> SparseVector:
-    """MLM head: project every token onto the full vocabulary, max-aggregate over positions.
-
-    w_i = q(t) * log(1 + max_j act(h_j . e_i + b_i) * g(t_j)); with quality heads
-    off both q and g are 1.  Output support may extend beyond the input terms.
-    """
-    return SparseVector.from_dense(head_forward(EncoderKind.MLM, text, emb, head)[0])
-
-
-def encode_cls_mlm(text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters) -> SparseVector:
-    """Sequence-slot MLM head: w_i = act(h_0 . e_i + b_i), no log, no max."""
-    return SparseVector.from_dense(head_forward(EncoderKind.CLS_MLM, text, emb, head)[0])
-
-
 # ---------------------------------------------------------------------------
-# Dense forward/backward per head, shared by the encoders and the trainer
+# Stacked dense heads, shared by encoding and training
 # ---------------------------------------------------------------------------
 
 
@@ -227,9 +204,11 @@ def frozen_input(
 
 
 def frozen_forward(kind: EncoderKind, x: np.ndarray, head: HeadParameters) -> tuple[np.ndarray, dict | None]:
-    """Weights and `head_backward` cache from `frozen_input` rows: one |V|-row, or an N x |V| stack of them.
+    """Weights and `head_backward` cache from an N x |V| stack of `frozen_input` rows.
 
-    Elementwise, so each row gets the bits it would get alone.
+    Binary: the rows.  CLS-MLM: w_i = act(h_0 . e_i + b_i), no log and no max.
+    ReLU MLM: w_i = log(1 + relu(max_j h_j . e_i + b_i)).  Elementwise, so
+    each row gets the bits it gets alone.
     """
     if kind is EncoderKind.BINARY:
         return x, None
@@ -242,8 +221,6 @@ def frozen_forward(kind: EncoderKind, x: np.ndarray, head: HeadParameters) -> tu
 
 #: the per-token heads, whose weights `mlp_forward` computes over a token stack
 MLP_HEADS = frozenset({EncoderKind.MLP, EncoderKind.EXP_MLP})
-#: the `starts` of a one-text stack
-_ONE_TEXT = np.zeros(1, dtype=np.intp)
 
 
 def token_stack(texts: list[TokenizedText], embs: list[EmbeddingBundle], vocab_size: int) -> dict:
@@ -251,12 +228,13 @@ def token_stack(texts: list[TokenizedText], embs: list[EmbeddingBundle], vocab_s
     each token's slot `row * |V| + term id` in the N x |V| weights, and each non-empty text's start offset."""
     for t, e in zip(texts, embs):
         _check_ctx(t, e)
-    lengths = np.fromiter((len(t) for t in texts), np.intp, len(texts))
-    ids = np.fromiter(itertools.chain.from_iterable(t.token_ids for t in texts), np.intp, int(lengths.sum()))
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    ends = np.cumsum(lengths)
+    ids = np.fromiter(itertools.chain.from_iterable(t.token_ids for t in texts), np.intp, ends[-1])
     return {
         "ctx": np.concatenate([e.ctx_embeddings for e in embs]),
-        "slots": np.repeat(np.arange(len(texts)) * vocab_size, lengths) + ids,
-        "starts": (np.cumsum(lengths) - lengths)[lengths > 0],
+        "slots": np.repeat(np.arange(0, len(texts) * vocab_size, vocab_size), lengths) + ids,
+        "starts": (ends - lengths)[lengths > 0],
         "shape": (len(texts), vocab_size),
     }
 
@@ -264,12 +242,13 @@ def token_stack(texts: list[TokenizedText], embs: list[EmbeddingBundle], vocab_s
 def mlp_forward(stack: dict, head: HeadParameters) -> tuple[np.ndarray, dict | None]:
     """MLP/expansion-MLP weights of a `token_stack`, an array of the stack's `shape`, and the `head_backward` cache.
 
-    Batch-invariant: each text's row has the bits it has in a one-text stack.
-    The logits are one einsum, whose bits per token, unlike those of a BLAS
-    GEMV (`ctx @ w`), do not depend on the number of rows; each token's
-    activation (log(1 + a) with log normalization) is added in token order,
-    so repeated terms sum as in a loop.  The cache is None for a stack
-    without tokens.
+    A term's weight sums its occurrences' log(1 + act(h_j . W + b)), or without
+    log normalization (the uniCOIL-style variant) act(h_j . W + b), so the
+    support is the input terms.  Batch-invariant: each text's row has the bits
+    it has in a one-text stack.  The logits are one einsum, whose bits per
+    token, unlike those of a BLAS GEMV (`ctx @ w`), do not depend on the
+    number of rows; the activations are added in token order, so repeated
+    terms sum as in a loop.  The cache is None for a stack without tokens.
     """
     w = np.zeros(stack["shape"])
     if not len(stack["ctx"]):
@@ -278,33 +257,6 @@ def mlp_forward(stack: dict, head: HeadParameters) -> tuple[np.ndarray, dict | N
     a = activate(z, head.activation)
     np.add.at(w.reshape(-1), stack["slots"], np.log1p(a) if head.mlp_log_normalize else a)
     return w, {"kind": EncoderKind.MLP, "head": head, "z": z, "a": a, **stack}
-
-
-def head_forward(
-    kind: EncoderKind, text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters
-) -> tuple[np.ndarray, dict | None]:
-    """Dense |V|-vector of weights plus the cache `head_backward` needs.
-
-    The cache is None when the weights depend on no trainable parameter (the
-    binary encoder, or an empty text under a per-token head).  MLP heads are
-    `mlp_forward` of a one-text stack; heads with a `frozen_input` row are
-    `frozen_forward` of it; MLM with softplus or quality heads is row 0 of
-    `argmax_forward`.
-    """
-    if kind in (EncoderKind.MLP, EncoderKind.EXP_MLP, EncoderKind.MLM):
-        _check_ctx(text, emb)
-        if len(text) == 0:
-            return np.zeros(emb.input_embeddings.shape[0]), None
-    elif kind not in (EncoderKind.BINARY, EncoderKind.CLS_MLM):
-        raise ValueError(f"encoder kind {kind.value!r} has no dense head")
-    if kind in MLP_HEADS:
-        return mlp_forward({"ctx": emb.ctx_embeddings, "slots": list(text.token_ids), "starts": _ONE_TEXT,
-                            "shape": emb.input_embeddings.shape[:1]}, head)
-    x = frozen_input(kind, text, emb, head)
-    if x is not None:
-        return frozen_forward(kind, x, head)
-    w, cache = argmax_forward([emb], head)
-    return w[0], cache
 
 
 def argmax_forward(embs: list[EmbeddingBundle], head: HeadParameters) -> tuple[np.ndarray, dict]:
@@ -339,15 +291,16 @@ def stack_forward(
 ) -> Callable[[HeadParameters], tuple[np.ndarray, dict | None]]:
     """The dense head of N >= 1 texts as a function of its parameters, heads -> (N x |V| weights, cache).
 
-    The one place that maps a head kind to its stacked kernel: `mlp_forward` over a `token_stack`,
-    `frozen_forward` over stacked `frozen_input` rows, or `argmax_forward`.  Inputs that no trainable
-    parameter reaches are computed here, once; `head` fixes only the options that do not train.
+    The one place that maps a head kind to its kernel, for encoding and for training: `mlp_forward`
+    over a `token_stack`, `frozen_forward` over stacked `frozen_input` rows, or `argmax_forward`.
+    Inputs that no trainable parameter reaches are computed here, once; `head` fixes only the
+    options that do not train.  Each row has the bits of the text's one-text stack.
     """
     if kind in MLP_HEADS:
         return functools.partial(mlp_forward, token_stack(texts, embs, embs[0].input_embeddings.shape[0]))
     rows = [frozen_input(kind, t, e, head) for t, e in zip(texts, embs)]
     if rows[0] is not None:
-        return functools.partial(frozen_forward, kind, np.stack(rows))
+        return functools.partial(frozen_forward, kind, np.array(rows))
     if kind is not EncoderKind.MLM:
         raise ValueError(f"encoder kind {kind.value!r} has no dense head")
     for t, e in zip(texts, embs):
@@ -356,18 +309,18 @@ def stack_forward(
 
 
 def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
-    """Accumulate head-parameter gradients given dLoss/dWeights for one text, or for the N x |V| weights
-    of a `stack_forward` kernel.
+    """Accumulate head-parameter gradients given dLoss/dWeights, `grad_w`, for the N x |V| weights of a
+    `stack_forward` kernel.
 
     Chain rule through log/softplus/ReLU/max.  MLM's max routes its gradient to
     the column's max logit zstar: in the max form of `frozen_input`, that is the
     column max itself, with g = q = 1; otherwise it is the first-max arg-max
     position's logit, times that token's importance g and the sequence quality q.
     MLP heads sum each text's token gradients with `np.add.reduceat`, whose bits
-    depend only on that text's tokens.  A stack's per-text rows (a 2-D `grad_w`;
-    one text's 1-D `grad_w` is a 1-row stack) are added one after another, in
-    row order, as a loop over its texts would add them.  `grads` holds
-    "mlp_weight", "mlp_bias" and "mlm_bias", as zeros before the first text.
+    depend only on that text's tokens.  A stack's per-text rows are added one
+    after another, in row order, as a loop over its texts would add them.
+    `grads` holds "mlp_weight", "mlp_bias" and "mlm_bias", as zeros before the
+    first text.
     """
     if cache is None:
         return
@@ -386,7 +339,7 @@ def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
         for s in np.add.reduceat(gz, cache["starts"]).tolist():
             grads["mlp_bias"] += s
         return
-    _add_rows(np.atleast_2d(rows), grads["mlm_bias"])
+    _add_rows(rows, grads["mlm_bias"])
 
 
 def _add_rows(rows: np.ndarray, total: np.ndarray) -> None:
@@ -446,7 +399,12 @@ def encode_bm25_doc(
     kept = np.flatnonzero(weights)  # a k1 so large that norm overflows to inf weighs a term 0.0
     if len(kept) < len(terms):
         terms, rows, weights = terms[kept], rows[kept], weights[kept]
-    entries = zip(_shared_term_keys(int(terms.max(initial=0)) + 1)[terms].tolist(), weights.tolist())
+    if terms.max(initial=0) < len(terms):
+        keys = _shared_term_keys(int(terms.max(initial=0)) + 1)[terms]
+    else:  # sparse ids: no table as long as the largest id, only a key object per id present
+        present, inverse = np.unique(terms, return_inverse=True)
+        keys = np.array(present.tolist(), dtype=object)[inverse]
+    entries = zip(keys.tolist(), weights.tolist())
     out = list(map(SparseVector.__new__, itertools.repeat(SparseVector, len(texts))))
     for vec, nnz in zip(out, np.bincount(rows, minlength=len(texts)).tolist()):
         vec.entries = dict(itertools.islice(entries, nnz))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lsrkit.config import MethodConfig, PathsConfig, SideConfig, SupervisionConfig
-from lsrkit.core import TokenizedText
-from lsrkit.encoders import EmbeddingBundle, EncoderKind, HeadParameters
+from lsrkit.core import SparseVector, TokenizedText
+from lsrkit.encoders import EmbeddingBundle, EncoderKind, HeadParameters, stack_forward
 from lsrkit.regularization import RegularizerConfig
 
 
@@ -42,6 +42,17 @@ def make_heads(
         mlp_log_normalize=mlp_log_normalize,
         use_quality_heads=use_quality_heads,
     )
+
+
+def one_text_stack(kind, text, emb, heads):
+    """(1 x |V| weights, cache) of `text` alone through `stack_forward`: the per-text side that
+    N-text stacks are checked against."""
+    return stack_forward(EncoderKind(kind), [text], [emb], heads)(heads)
+
+
+def encode_one(kind, text, emb, heads) -> SparseVector:
+    """`text`'s sparse vector under a neural head, from its one-text stack."""
+    return SparseVector.from_dense(one_text_stack(kind, text, emb, heads)[0][0])
 
 
 def heads_bytes(heads: HeadParameters) -> dict:

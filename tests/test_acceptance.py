@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import make_bundle, make_heads, method_config, text
+from conftest import encode_one, make_bundle, make_heads, method_config, one_text_stack, text
 
 from lsrkit.config import load_config
 from lsrkit.core import (
@@ -31,11 +31,7 @@ from lsrkit.encoders import (
     encode_binary,
     encode_bm25_doc,
     encode_bm25_query,
-    encode_cls_mlm,
-    encode_mlm,
-    encode_mlp,
     expand_text,
-    head_forward,
     init_head_parameters,
     softplus,
     toy_backbone,
@@ -151,17 +147,17 @@ class TestCriterion3:
         # hand examples with fixed embeddings
         emb = make_bundle(ctx=[[2.0], [-3.0]], input_emb=[[1.0], [1.0], [1.0]])
         heads = make_heads(3, 1)
-        v = encode_mlp(text("x", 0, 1), emb, heads)
+        v = encode_one("mlp", text("x", 0, 1), emb, heads)
         checks.append(abs(v.get(0) - math.log(3.0)) <= 1e-12 and v.get(1) == 0.0)
         emb_rep = make_bundle(ctx=[[2.0], [2.0]], input_emb=[[1.0], [1.0], [1.0]])
-        v = encode_mlp(text("x", 0, 0), emb_rep, heads)
+        v = encode_one("mlp", text("x", 0, 0), emb_rep, heads)
         checks.append(abs(v.get(0) - 2 * math.log(3.0)) <= 1e-12)
         emb2 = make_bundle(ctx=[[2.0]], input_emb=[[1.0], [2.0], [-1.0]])
-        v = encode_mlm(text("x", 0), emb2, make_heads(3, 1))
+        v = encode_one("mlm", text("x", 0), emb2, make_heads(3, 1))
         checks.append(abs(v.get(0) - math.log(3.0)) <= 1e-12
                       and abs(v.get(1) - math.log(5.0)) <= 1e-12 and v.get(2) == 0.0)
-        v = encode_cls_mlm(text("x", 0), make_bundle(ctx=[[1.0]], input_emb=[[2.0], [0.5]], cls=[1.0]),
-                           make_heads(2, 1))
+        v = encode_one("cls_mlm", text("x", 0), make_bundle(ctx=[[1.0]], input_emb=[[2.0], [0.5]], cls=[1.0]),
+                       make_heads(2, 1))
         checks.append(v.get(0) == 2.0 and v.get(1) == 0.5)
 
         # dense oracle agreement on randomized toy-backbone inputs
@@ -182,12 +178,8 @@ class TestCriterion3:
             logits = emb.ctx_embeddings @ emb.input_embeddings.T + heads.mlm_bias
             dense_mlm = np.log1p(np.maximum(logits, 0.0).max(axis=0))
             dense_cls = np.maximum(emb.cls_embedding @ emb.input_embeddings.T + heads.mlm_bias, 0.0)
-            for kind, encode, dense in (
-                ("mlp", encode_mlp, dense_mlp),
-                ("mlm", encode_mlm, dense_mlm),
-                ("cls_mlm", encode_cls_mlm, dense_cls),
-            ):
-                got = encode(t, emb, heads)
+            for kind, dense in (("mlp", dense_mlp), ("mlm", dense_mlm), ("cls_mlm", dense_cls)):
+                got = encode_one(kind, t, emb, heads)
                 full = np.zeros(V)
                 for term, w in got.entries.items():
                     full[term] = w
@@ -197,9 +189,9 @@ class TestCriterion3:
             # support constraints
             if not set(encode_binary(t).entries) <= set(ids):
                 support_ok = False
-            if not set(encode_mlp(t, emb, heads).entries) <= set(ids):
+            if not set(encode_one("mlp", t, emb, heads).entries) <= set(ids):
                 support_ok = False
-            mlm_support = set(encode_mlm(t, emb, heads).entries)
+            mlm_support = set(encode_one("mlm", t, emb, heads).entries)
             if mlm_support - set(ids):
                 expanded_support_seen = True
 
@@ -207,7 +199,7 @@ class TestCriterion3:
         ids = (0, 1)
         expanded = expand_text(text("e", *ids), {"e": [5, 6]})
         emb = toy_backbone(expanded, V, D, seed=3)
-        exp_vec = encode_mlp(expanded, emb, heads)
+        exp_vec = encode_one("mlp", expanded, emb, heads)
         support_ok = support_ok and set(exp_vec.entries) <= {0, 1, 5, 6}
 
         ok = all(checks) and worst <= 1e-12 and support_ok and expanded_support_seen
@@ -298,7 +290,7 @@ class TestCriterion5:
             result = train_heads(config, triples, embed,
                                  init_head_parameters(V, D, 3), init_head_parameters(V, D, 4))
             counts = [
-                int((head_forward(EncoderKind.MLM, d, embed(d), result.doc_heads)[0] > 0).sum())
+                int((one_text_stack(EncoderKind.MLM, d, embed(d), result.doc_heads)[0] > 0).sum())
                 for d in task.docs
             ]
             nnz.append(float(np.mean(counts)))
@@ -331,7 +323,7 @@ class TestCriterion6:
 
         def encode_all(kind, texts, heads):
             return [
-                (t.doc_id, SparseVector.from_dense(head_forward(kind, t, embed(t), heads)[0]))
+                (t.doc_id, encode_one(kind, t, embed(t), heads))
                 for t in texts
             ]
 

@@ -6,15 +6,20 @@ import math
 import re
 import shutil
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import heads_bytes
+from conftest import heads_bytes, method_config
 from lsrkit import encoders, pipeline
 from lsrkit.cli import main
-from lsrkit.config import BackboneConfig, SupervisionConfig, ValidationError, apply_toggle, load_config
-from lsrkit.core import SparseVector, TokenizedText, read_collection, read_vocabulary, compute_corpus_stats
+from lsrkit.config import BackboneConfig, SideConfig, SupervisionConfig, ValidationError, apply_toggle, load_config
+from lsrkit.core import (
+    SparseVector, TokenizedText, build_vocabulary, compute_corpus_stats, read_collection, read_vocabulary,
+)
 from lsrkit.encoders import EncoderKind, encode_bm25_doc, encode_bm25_query, Bm25Params, read_head_parameters
 from lsrkit.index import Quantization, build_index, exhaustive_search
 from lsrkit.regularization import RegularizerKind
@@ -1210,3 +1215,74 @@ class TestBackboneTable:
         pipeline.encode_side(config, "doc", res.docs, res, config.backbone_seed)
         pipeline.encode_side(config, "query", res.queries, res, config.backbone_seed)
         assert builds == []
+
+
+#: every neural doc side: the MLP heads, MLM in the max form (ReLU) and by arg-max (softplus with
+#: quality heads), and CLS-MLM
+NEURAL_SIDES = {
+    "mlp": SideConfig(EncoderKind.MLP),
+    "exp_mlp": SideConfig(EncoderKind.EXP_MLP),
+    "relu mlm": SideConfig(EncoderKind.MLM),
+    "arg-max mlm": SideConfig(EncoderKind.MLM, activation="softplus", quality_heads=True),
+    "cls_mlm": SideConfig(EncoderKind.CLS_MLM),
+}
+
+
+class TestStackedEncode:
+    """`encode_side` on a neural side runs one `stack_forward` per slice of ENCODE_SLICE texts and gives
+    each text the bits of a one-text encode."""
+
+    @staticmethod
+    def _setup(side: str, n: int, vocab_size: int = 50, max_len: int = 6):
+        """A doc-side config and in-memory `Resources` of `n` docs: docs 0, ENCODE_SLICE - 1,
+        ENCODE_SLICE and n - 1 are empty, and every third doc has expansion terms."""
+        rng = np.random.default_rng(25)
+        docs = [TokenizedText(f"d{i}", rng.integers(0, vocab_size, size=rng.integers(1, max_len)).tolist())
+                for i in range(n)]
+        for i in {0, pipeline.ENCODE_SLICE - 1, pipeline.ENCODE_SLICE, n - 1} & set(range(n)):
+            docs[i] = TokenizedText(f"d{i}", ())
+        expansions = {d.doc_id: rng.integers(0, vocab_size, size=3).tolist() for d in docs[::3]}
+        vocab = build_vocabulary(f"t{i}" for i in range(vocab_size))
+        res = pipeline.Resources(vocab, docs, [], compute_corpus_stats(docs), expansions)
+        return replace(method_config("binary", "mlp"), doc=NEURAL_SIDES[side]), res
+
+    @pytest.mark.parametrize("side", NEURAL_SIDES)
+    def test_empty_batch(self, side):
+        config, res = self._setup(side, 3)
+        assert pipeline.encode_side(config, "doc", [], res, 3) == []
+
+    @pytest.mark.parametrize("side", NEURAL_SIDES)
+    def test_slices_equal_one_text_encodes(self, side):
+        config, res = self._setup(side, 2 * pipeline.ENCODE_SLICE + 1)
+        got = pipeline.encode_side(config, "doc", res.docs, res, 3)
+        assert [vid for vid, _ in got] == [d.doc_id for d in res.docs]
+        for (_, vec), doc in zip(got, res.docs):
+            ((_, alone),) = pipeline.encode_side(config, "doc", [doc], res, 3)
+            assert {t: w.hex() for t, w in vec.entries.items()} == {t: w.hex() for t, w in alone.entries.items()}
+
+    @pytest.mark.parametrize("side", NEURAL_SIDES)
+    def test_one_stack_forward_per_slice(self, side, monkeypatch):
+        config, res = self._setup(side, 2 * pipeline.ENCODE_SLICE + 1)
+        sizes = []
+        stack_forward = pipeline.stack_forward
+
+        def counting(kind, texts, embs, head):
+            sizes.append(len(texts))
+            return stack_forward(kind, texts, embs, head)
+
+        monkeypatch.setattr(pipeline, "stack_forward", counting)
+        pipeline.encode_side(config, "doc", res.docs, res, 3)
+        assert sizes == [pipeline.ENCODE_SLICE, pipeline.ENCODE_SLICE, 1]
+
+    def test_peak_memory_holds_a_slice_not_the_batch(self):
+        """Dense weights of the whole batch at once would take `whole` bytes; slices stay under half."""
+        config, res = self._setup("mlp", 6 * pipeline.ENCODE_SLICE, vocab_size=1000, max_len=3)
+        res.embedding_table(config.backbone_dim, 3)
+        whole = len(res.docs) * res.vocab.size * 8
+        tracemalloc.start()
+        try:
+            pipeline.encode_side(config, "doc", res.docs, res, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 2, (peak, whole)

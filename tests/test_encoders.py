@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_bundle, make_heads, text
+from conftest import encode_one, make_bundle, make_heads, one_text_stack, text
 
 from lsrkit.core import SparseVector, TokenizedText, compute_corpus_stats, term_counts
 from lsrkit.encoders import (
@@ -22,14 +22,10 @@ from lsrkit.encoders import (
     encode_binary,
     encode_bm25_doc,
     encode_bm25_query,
-    encode_cls_mlm,
-    encode_mlm,
-    encode_mlp,
     expand_text,
     frozen_forward,
     frozen_input,
     head_backward,
-    head_forward,
     init_head_parameters,
     mlp_forward,
     read_expansion_file,
@@ -118,27 +114,27 @@ class TestMlp:
         # d=1, W=1, b=0, tokens [a,b] with h=[2,-3]: a gets ln 3, b is dropped
         emb = make_bundle([[2.0], [-3.0]], [[0.0], [0.0]])
         heads = make_heads(2, 1)
-        got = encode_mlp(text("d", 0, 1), emb, heads)
+        got = encode_one("mlp", text("d", 0, 1), emb, heads)
         assert got.entries == pytest.approx({0: math.log(3.0)})
 
     def test_repeated_token_sums_over_positions(self):
         emb = make_bundle([[2.0], [2.0]], [[0.0], [0.0]])
-        got = encode_mlp(text("d", 0, 0), emb, make_heads(2, 1))
+        got = encode_one("mlp", text("d", 0, 0), emb, make_heads(2, 1))
         assert got.entries == pytest.approx({0: 2.0 * math.log(3.0)})
 
     def test_empty_text(self):
         emb = make_bundle([], [[0.0], [0.0]])
-        assert encode_mlp(text("d"), emb, make_heads(2, 1)) == SparseVector()
+        assert encode_one("mlp", text("d"), emb, make_heads(2, 1)) == SparseVector()
 
     def test_no_log_normalization_variant(self):
         emb = make_bundle([[2.0]], [[0.0]])
-        got = encode_mlp(text("d", 0), emb, make_heads(1, 1, mlp_log_normalize=False))
+        got = encode_one("mlp", text("d", 0), emb, make_heads(1, 1, mlp_log_normalize=False))
         assert got.entries == pytest.approx({0: 2.0})
 
     def test_shape_mismatch_rejected(self):
         emb = make_bundle([[2.0]], [[0.0]])
         with pytest.raises(ValueError):
-            encode_mlp(text("d", 0, 1), emb, make_heads(1, 1))
+            encode_one("mlp", text("d", 0, 1), emb, make_heads(1, 1))
 
     def test_matches_dense_oracle_randomized(self, rng):
         vocab_size, dim = 12, 4
@@ -148,7 +144,7 @@ class TestMlp:
             emb = make_bundle(ctx, rng.standard_normal((vocab_size, dim)))
             W = rng.standard_normal(dim)
             heads = make_heads(vocab_size, dim, mlp_weight=W, mlp_bias=0.3)
-            got = encode_mlp(TokenizedText("d", ids), emb, heads)
+            got = encode_one("mlp", TokenizedText("d", ids), emb, heads)
             want = dense_mlp(ids, ctx, W, 0.3, vocab_size)
             assert got.to_dense(vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
 
@@ -196,32 +192,32 @@ class TestMlm:
     def test_expands_to_non_input_term(self):
         # |V|=2, e=[1,1], b=0, token a (id 0) with h=2: both dims get ln 3
         emb = make_bundle([[2.0]], [[1.0], [1.0]])
-        got = encode_mlm(text("d", 0), emb, make_heads(2, 1))
+        got = encode_one("mlm", text("d", 0), emb, make_heads(2, 1))
         assert got.entries == pytest.approx({0: math.log(3.0), 1: math.log(3.0)})
 
     def test_all_negative_logits_give_zero_vector(self):
         emb = make_bundle([[-2.0]], [[1.0], [1.0]])
-        assert encode_mlm(text("d", 0), emb, make_heads(2, 1)) == SparseVector()
+        assert encode_one("mlm", text("d", 0), emb, make_heads(2, 1)) == SparseVector()
 
     def test_max_aggregation_over_positions(self):
         emb = make_bundle([[1.0], [4.0]], [[1.0]])
-        got = encode_mlm(text("d", 0, 0), emb, make_heads(1, 1))
+        got = encode_one("mlm", text("d", 0, 0), emb, make_heads(1, 1))
         assert got.entries == pytest.approx({0: math.log(5.0)})
 
     def test_empty_text(self):
         emb = make_bundle([], [[1.0]])
-        assert encode_mlm(text("d"), emb, make_heads(1, 1)) == SparseVector()
+        assert encode_one("mlm", text("d"), emb, make_heads(1, 1)) == SparseVector()
 
     @staticmethod
     def _relu_head(ids, ctx, E, bias):
-        """ReLU `head_forward` on a hand-built bundle, its dense oracle, and the bias gradient of sum(w)."""
+        """ReLU MLM of a one-text stack on a hand-built bundle, its dense oracle, and the bias gradient of sum(w)."""
         emb = make_bundle(ctx, E)
         heads = make_heads(len(E), len(E[0]), mlm_bias=bias)
-        w, cache = head_forward(EncoderKind.MLM, TokenizedText("d", ids), emb, heads)
+        w, cache = one_text_stack("mlm", TokenizedText("d", ids), emb, heads)
         grads = {"mlp_weight": np.zeros(len(E[0])), "mlp_bias": 0.0, "mlm_bias": np.zeros(len(E))}
-        head_backward(cache, np.ones(len(E)), grads)
+        head_backward(cache, np.ones((1, len(E))), grads)
         want = dense_mlm(ids, emb.ctx_embeddings, emb.input_embeddings, np.asarray(bias, dtype=np.float64))
-        return w, cache, want, grads["mlm_bias"]
+        return w[0], cache, want, grads["mlm_bias"]
 
     def test_tied_max_logit(self):
         # column 0: both positions give logit 1 + 0.5; column 1: 2 at position 0, -1 at position 1
@@ -238,10 +234,10 @@ class TestMlm:
         assert w.tolist() == pytest.approx(want.tolist(), abs=1e-12)
         assert grad.tolist() == [0.0, 0.5]
 
-    def test_empty_text_gives_zeros_and_no_cache(self):
-        w, cache, want, grad = self._relu_head((), [], [[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0])
+    def test_empty_text_gives_zeros_and_no_gradient(self):
+        w, _, want, grad = self._relu_head((), [], [[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0])
         assert w.tolist() == want.tolist() == [0.0, 0.0]
-        assert cache is None and grad.tolist() == [0.0, 0.0]
+        assert grad.tolist() == [0.0, 0.0]
 
     def test_matches_dense_oracle_randomized(self, rng):
         vocab_size, dim = 10, 3
@@ -251,7 +247,7 @@ class TestMlm:
             E = rng.standard_normal((vocab_size, dim))
             bias = rng.standard_normal(vocab_size)
             emb = make_bundle(ctx, E)
-            got = encode_mlm(TokenizedText("d", ids), emb, make_heads(vocab_size, dim, mlm_bias=bias))
+            got = encode_one("mlm", TokenizedText("d", ids), emb, make_heads(vocab_size, dim, mlm_bias=bias))
             want = dense_mlm(ids, ctx, E, bias)
             assert got.to_dense(vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
 
@@ -263,7 +259,7 @@ class TestMlm:
             ctx = rng.standard_normal((len(ids), dim))
             E = rng.standard_normal((vocab_size, dim))
             emb = make_bundle(ctx, E)
-            got = encode_mlm(TokenizedText("d", ids), emb, make_heads(vocab_size, dim))
+            got = encode_one("mlm", TokenizedText("d", ids), emb, make_heads(vocab_size, dim))
             logits = ctx @ E.T
             alt = np.max(np.log1p(np.maximum(logits, 0.0)), axis=0)
             assert got.to_dense(vocab_size) == pytest.approx(alt.tolist(), abs=1e-12)
@@ -274,9 +270,10 @@ class TestMlm:
         ctx = rng.standard_normal((len(ids), dim))
         E = rng.standard_normal((vocab_size, dim))
         heads = make_heads(vocab_size, dim)
-        base = encode_mlm(TokenizedText("d", ids), make_bundle(ctx, E), heads)
+        base = encode_one("mlm", TokenizedText("d", ids), make_bundle(ctx, E), heads)
         perm = [2, 0, 3, 1]
-        permuted = encode_mlm(
+        permuted = encode_one(
+            "mlm",
             TokenizedText("d", tuple(ids[p] for p in perm)),
             make_bundle(ctx[perm], E),
             heads,
@@ -293,7 +290,7 @@ class TestMlm:
         heads.importance_weight = rng.standard_normal(dim)
         cls = ctx.mean(axis=0)
         emb = make_bundle(ctx, E, cls=cls)
-        got = encode_mlm(TokenizedText("d", ids), emb, heads)
+        got = encode_one("mlm", TokenizedText("d", ids), emb, heads)
         q = float(softplus(cls @ heads.quality_weight))
         g = softplus(ctx @ heads.importance_weight)
         want = dense_mlm(ids, ctx, E, np.zeros(vocab_size), q=q, g=g)
@@ -302,8 +299,8 @@ class TestMlm:
 
 class TestFrozenStack:
     """`frozen_forward` and `head_backward` over a stack of `frozen_input` rows, directly and through
-    `stack_forward`, give the bits of `head_forward` and `head_backward` text by text, added onto a
-    running total in text order."""
+    `stack_forward`, give the bits of one-text stacks, text by text, added onto a running total in
+    text order."""
 
     @pytest.mark.parametrize("kind, activation", [
         (EncoderKind.MLM, "relu"), (EncoderKind.CLS_MLM, "relu"), (EncoderKind.CLS_MLM, "softplus"),
@@ -324,9 +321,9 @@ class TestFrozenStack:
             head_backward(cache, G, stacked)
             looped = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
             for i, (t, e) in enumerate(zip(texts, embs)):
-                w, c = head_forward(kind, t, e, heads)
+                w, c = one_text_stack(kind, t, e, heads)
                 assert w.tobytes() == W[i].tobytes()
-                head_backward(c, G[i], looped)
+                head_backward(c, G[i:i + 1], looped)
             assert stacked["mlm_bias"].tobytes() == looped["mlm_bias"].tobytes()
 
     def test_no_frozen_input_where_a_parameter_reaches_inside(self):
@@ -340,8 +337,8 @@ class TestFrozenStack:
 
 class TestMlpStack:
     """`mlp_forward` over a `token_stack`, directly and through `stack_forward`, and `head_backward` of
-    its cache give the bits of `head_forward` and `head_backward` text by text, added onto a running
-    total in text order.
+    its cache give the bits of one-text stacks, text by text, added onto a running total in text
+    order.
 
     The stack is large enough that a BLAS form (`ctx @ w` for the logits, `ctx.T @ gz` for
     the weight gradient) gives some rows other bits than it gives the texts alone."""
@@ -371,9 +368,9 @@ class TestMlpStack:
             head_backward(cache, G, stacked)
             looped = totals()
             for i, (t, e) in enumerate(zip(texts, embs)):
-                w, c = head_forward(kind, t, e, heads)
+                w, c = one_text_stack(kind, t, e, heads)
                 assert w.tobytes() == W[i].tobytes(), t.doc_id
-                head_backward(c, G[i], looped)
+                head_backward(c, G[i:i + 1], looped)
             assert stacked["mlp_weight"].tobytes() == looped["mlp_weight"].tobytes()
             assert stacked["mlp_bias"] == looped["mlp_bias"]
             assert not W[1].any()
@@ -384,9 +381,8 @@ class TestMlpStack:
 
 
 class TestArgmaxStack:
-    """`argmax_forward` and `head_backward` over N texts give the bits of one-text `head_forward` and
-    `head_backward` calls, added onto a running total in text order; an empty text's row is zero and
-    passes no gradient."""
+    """`argmax_forward` and `head_backward` over N texts give the bits of one-text stacks, added onto a
+    running total in text order; an empty text's row is zero and passes no gradient."""
 
     @pytest.mark.parametrize("activation, quality", [("softplus", False), ("relu", True)])
     def test_stack_equals_per_text_loop(self, rng, activation, quality):
@@ -409,9 +405,9 @@ class TestArgmaxStack:
             head_backward(cache, G, stacked)
             looped = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
             for i, (t, e) in enumerate(zip(texts, embs)):
-                w, c = head_forward(EncoderKind.MLM, t, e, heads)
+                w, c = one_text_stack(EncoderKind.MLM, t, e, heads)
                 assert w.tobytes() == W[i].tobytes(), t.doc_id
-                head_backward(c, G[i], looped)
+                head_backward(c, G[i:i + 1], looped)
             assert stacked["mlm_bias"].tobytes() == looped["mlm_bias"].tobytes()
             assert not W[1].any() and not cache["gstar"][1].any()
 
@@ -423,17 +419,17 @@ class TestArgmaxStack:
 class TestClsMlm:
     def test_positive_dim_only(self):
         emb = make_bundle([], [[1.0], [-1.0]], cls=[2.0])
-        got = encode_cls_mlm(text("d"), emb, make_heads(2, 1))
+        got = encode_one("cls_mlm", text("d"), emb, make_heads(2, 1))
         assert got.entries == pytest.approx({0: 2.0})
 
     def test_zero_cls_and_nonpositive_bias(self):
         emb = make_bundle([], [[1.0], [-1.0]], cls=[0.0])
-        got = encode_cls_mlm(text("d"), emb, make_heads(2, 1, mlm_bias=[0.0, -1.0]))
+        got = encode_one("cls_mlm", text("d"), emb, make_heads(2, 1, mlm_bias=[0.0, -1.0]))
         assert got == SparseVector()
 
     def test_bias_only(self):
         emb = make_bundle([], [[1.0]], cls=[0.0])
-        got = encode_cls_mlm(text("d"), emb, make_heads(1, 1, mlm_bias=[0.5]))
+        got = encode_one("cls_mlm", text("d"), emb, make_heads(1, 1, mlm_bias=[0.5]))
         assert got.entries == pytest.approx({0: 0.5})
 
     def test_matches_dense_oracle_randomized(self, rng):
@@ -443,7 +439,7 @@ class TestClsMlm:
             cls = rng.standard_normal(dim)
             bias = rng.standard_normal(vocab_size)
             emb = make_bundle(np.zeros((0, dim)), E, cls=cls)
-            got = encode_cls_mlm(text("d"), emb, make_heads(vocab_size, dim, mlm_bias=bias))
+            got = encode_one("cls_mlm", text("d"), emb, make_heads(vocab_size, dim, mlm_bias=bias))
             want = dense_cls_mlm(cls, E, bias)
             assert got.to_dense(vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
 
@@ -601,7 +597,7 @@ def corpus_oracle(texts: list[TokenizedText]):
 
 
 class TestTermCounts:
-    """`core.term_counts`, and `compute_corpus_stats` built on it, against naive oracles."""
+    """`core.term_counts`, and `compute_corpus_stats` and `encode_bm25_doc` built on it, against naive oracles."""
 
     ids = st.one_of(st.integers(0, 40), st.sampled_from([0, BATCH_VOCAB - 1, 2**40]))
 
@@ -612,6 +608,7 @@ class TestTermCounts:
     @example(docs=[[], []], with_long_doc=False)
     @example(docs=[], with_long_doc=True)
     @example(docs=[[3, 3, 3], [], [0, BATCH_VOCAB - 1, 0]], with_long_doc=True)
+    @example(docs=[[2**40, 3, 2**40], [], [0, 2**40]], with_long_doc=False)
     def test_matches_the_naive_oracles(self, bm25_batch, docs, with_long_doc):
         texts = [TokenizedText(f"d{i}", ids) for i, ids in enumerate(docs)]
         if with_long_doc:
@@ -625,6 +622,7 @@ class TestTermCounts:
         assert all(type(t) is int and type(df) is int for t, df in stats.doc_freq.items())
         assert stats.avg_doc_len.hex() == avgdl.hex() and stats.num_docs == len(texts)
         assert stats.degenerate == (not texts or avgdl == 0.0)
+        assert hex_entries(encode_bm25_doc(texts, stats)) == hex_entries([bm25_doc_oracle(t, stats) for t in texts])
 
     def test_the_test_batch(self, bm25_batch):
         texts, stats = bm25_batch
@@ -777,9 +775,9 @@ class TestEncoderProperties:
             t, emb, heads = self._random_case(rng)
             outputs = [
                 encode_binary(t),
-                encode_mlp(t, emb, heads),
-                encode_mlm(t, emb, heads),
-                encode_cls_mlm(t, emb, heads),
+                encode_one("mlp", t, emb, heads),
+                encode_one("mlm", t, emb, heads),
+                encode_one("cls_mlm", t, emb, heads),
                 encode_bm25_query(t, stats),
                 *encode_bm25_doc([t], stats),
             ]
@@ -792,10 +790,10 @@ class TestEncoderProperties:
             t, emb, heads = self._random_case(rng)
             support = set(t.token_ids)
             assert set(encode_binary(t).entries) <= support
-            assert set(encode_mlp(t, emb, heads).entries) <= support
-            if not set(encode_mlm(t, emb, heads).entries) <= support:
+            assert set(encode_one("mlp", t, emb, heads).entries) <= support
+            if not set(encode_one("mlm", t, emb, heads).entries) <= support:
                 expanded_somewhere = True
-            if not set(encode_cls_mlm(t, emb, heads).entries) <= support:
+            if not set(encode_one("cls_mlm", t, emb, heads).entries) <= support:
                 expanded_somewhere = True
         assert expanded_somewhere, "MLM encoders never expanded beyond the input"
 
@@ -804,24 +802,24 @@ class TestEncoderProperties:
         for _ in range(20):
             t, emb, heads = self._random_case(rng)
             j = int(rng.integers(len(t)))
-            before = encode_mlp(t, emb, heads).get(t.token_ids[j])
+            before = encode_one("mlp", t, emb, heads).get(t.token_ids[j])
             bumped = emb.ctx_embeddings.copy()
             bumped[j] += heads.mlp_weight * 0.5  # moves z_j up by 0.5*|W|^2
             emb2 = make_bundle(bumped, emb.input_embeddings, cls=emb.cls_embedding)
-            after = encode_mlp(t, emb2, heads).get(t.token_ids[j])
+            after = encode_one("mlp", t, emb2, heads).get(t.token_ids[j])
             assert after >= before - 1e-12
 
     def test_mlm_monotone_in_bias(self, rng):
         for _ in range(20):
             t, emb, heads = self._random_case(rng)
             i = int(rng.integers(len(heads.mlm_bias)))
-            before = encode_mlm(t, emb, heads).get(i)
+            before = encode_one("mlm", t, emb, heads).get(i)
             heads2 = heads.copy()
             heads2.mlm_bias[i] += 0.7
-            after = encode_mlm(t, emb, heads2).get(i)
+            after = encode_one("mlm", t, emb, heads2).get(i)
             assert after >= before - 1e-12
-            cls_before = encode_cls_mlm(t, emb, heads).get(i)
-            cls_after = encode_cls_mlm(t, emb, heads2).get(i)
+            cls_before = encode_one("cls_mlm", t, emb, heads).get(i)
+            cls_after = encode_one("cls_mlm", t, emb, heads2).get(i)
             assert cls_after >= cls_before - 1e-12
 
 

@@ -8,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import heads_bytes, method_config, text
+from conftest import heads_bytes, method_config, one_text_stack, text
 
 from lsrkit import supervision
-from lsrkit.encoders import EncoderKind, backbone_table, head_forward, init_head_parameters, toy_backbone
+from lsrkit.encoders import EncoderKind, backbone_table, init_head_parameters, toy_backbone
 from lsrkit.regularization import RegularizerConfig, RegularizerKind
 from lsrkit.supervision import (
     TrainingTriple,
@@ -356,7 +356,7 @@ class TestTrainHeads:
     def _mean_doc_nnz(self, task, heads):
         embed = self._embed(task.vocab.size)
         counts = [
-            int((head_forward(EncoderKind.MLM, d, embed(d), heads)[0] > 0).sum())
+            int((one_text_stack(EncoderKind.MLM, d, embed(d), heads)[0] > 0).sum())
             for d in task.docs
         ]
         return float(np.mean(counts))
@@ -597,7 +597,7 @@ class TestTrainerGradients:
             return train_heads(probe, triples, embed, heads, heads).loss_history[1]
 
         def penalty(texts):  # naive: over the distinct texts of a side at h1
-            w = np.stack([head_forward(encoder, t, embed(t), h1)[0] for t in texts])
+            w = np.concatenate([one_text_stack(encoder, t, embed(t), h1)[0] for t in texts])
             if kind is RegularizerKind.FLOPS:
                 return float((w.mean(axis=0) ** 2).sum())
             return float(np.mean([np.linalg.norm(row, ord=1 if kind is RegularizerKind.L1 else 2) for row in w]))

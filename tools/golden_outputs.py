@@ -30,7 +30,10 @@ heads, softplus under L1), and digests `run_train` on each
 data with BM25, which no bundled config uses, and digests the vector files
 and the exact-index rankings (`bm25`), and it digests `write_vectors` on
 hand-built batches whose terms, ids and weights no bundled vocabulary or
-encoder gives (`vectors`).
+encoder gives (`vectors`).  Then it encodes 600 docs, some empty, with each
+neural head kind in `ENCODE_EDGE_SIDES` in one `encode_side` call, a batch
+past the ends of 256-text slices, and digests the vector files
+(`encode_edges`).
 OUT.json maps each output to its sha256.  Two checkouts give the same
 outputs exactly when their OUT.json files are byte-identical
 (`cmp A.json B.json`).  Only calls that older checkouts also have are used.
@@ -69,6 +72,18 @@ EDGE_SETUPS = (
     ("mlp/relu quality mlm", "mlp", "mlm", False, "contrastive", {"quality_heads": True}),
     ("binary/softplus mlm, l1", "binary", "mlm", False, "margin_mse",
      {"activation": "softplus", "regularizer": {"kind": "l1", "weight": 0.1}}),
+)
+
+
+#: (name, doc side) of the `encode_edges` digests: every neural head kind, MLM both in the max form
+#: (ReLU) and by arg-max (EPIC's softplus with quality heads)
+ENCODE_EDGE_SIDES = (
+    ("mlp", {"encoder": "mlp"}),
+    ("mlp, no log", {"encoder": "mlp", "log_normalize": False}),
+    ("exp_mlp", {"encoder": "exp_mlp"}),
+    ("relu mlm", {"encoder": "mlm"}),
+    ("arg-max mlm", {"encoder": "mlm", "activation": "softplus", "quality_heads": True}),
+    ("cls_mlm", {"encoder": "cls_mlm"}),
 )
 
 
@@ -240,6 +255,48 @@ def edge_vectors(work: Path) -> dict:
     return out
 
 
+def encode_edges(work: Path) -> dict:
+    """Digests of `encode_side` over 600 synthetic docs per `ENCODE_EDGE_SIDES` entry, in one call.
+
+    Docs 0, 255, 256, 300, 511, 512 and 599 are empty: the first and last of a
+    batch and of 256-text slices, where a stacked encoder starts or ends a stack.
+    Every third doc has expansion terms (one of them empty).
+    """
+    from lsrkit import pipeline
+    from lsrkit.config import load_config
+    from lsrkit.core import TokenizedText, write_collection, write_vocabulary
+    from lsrkit.synthetic import make_synthetic_task
+
+    task = make_synthetic_task(num_docs=600, num_queries=4, vocab_size=60, seed=11)
+    empty = {0, 255, 256, 300, 511, 512, 599}
+    docs = [TokenizedText(d.doc_id, () if i in empty else d.token_ids) for i, d in enumerate(task.docs)]
+    work.mkdir()
+    write_vocabulary(task.vocab, work / "vocab.txt")
+    write_collection(docs, task.vocab, work / "collection.tsv")
+    write_collection(task.queries, task.vocab, work / "queries.tsv")
+    (work / "expansions.tsv").write_text(
+        "".join(f"{d.doc_id}\t{' '.join(task.vocab.terms[(7 * i + j) % task.vocab.size] for j in range(3))}\n"
+                for i, d in enumerate(docs) if i % 3 == 0),
+        encoding="utf-8")
+    out = {}
+    for name, side in ENCODE_EDGE_SIDES:
+        path = work / "edges.json"
+        path.write_text(json.dumps({
+            "name": "edges",
+            "query": {"encoder": "binary"},
+            "doc": side,
+            "backbone": {"seed": 5, "dim": 8},
+            "paths": {"vocab": "vocab.txt", "collection": "collection.tsv", "queries": "queries.tsv",
+                      "expansions": "expansions.tsv"},
+        }), encoding="utf-8")
+        config = load_config(path)
+        res = pipeline.load_resources(config)
+        vectors = pipeline.encode_side(config, "doc", res.docs, res, config.backbone_seed)
+        pipeline.write_vectors(vectors, res.vocab, work / "vectors.jsonl")
+        out[name] = sha256(work / "vectors.jsonl")
+    return out
+
+
 def digests(src_dir: Path, work: Path) -> dict:
     sys.path.insert(0, str(src_dir / "src"))
     from lsrkit import index, pipeline
@@ -297,6 +354,7 @@ def digests(src_dir: Path, work: Path) -> dict:
     out["edge_training"] = edge_training(work / "edge")
     out["bm25"] = bm25(src_dir / "data" / "toy", work / "bm25")
     out["vectors"] = edge_vectors(work / "vectors")
+    out["encode_edges"] = encode_edges(work / "encode_edges")
     return out
 
 
