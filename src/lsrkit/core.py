@@ -1,4 +1,12 @@
-"""Shared vocabulary, tokenized-text, sparse-vector and corpus-statistics types."""
+"""Shared vocabulary, tokenized-text, sparse-vector and corpus-statistics types.
+
+The sparse-vector contract: a `SparseVector`'s entries ascend by term id, every id is an int in
+[0, 2**63), and every weight is a float that is finite and > 0 (exact zeros are dropped).  Only the
+constructors here build one, each checking the contract where it builds: the mapping constructor
+sorts and checks, `from_dense` checks its row and `from_columns` a batch's weights column.  An entry
+that breaks it is a ValueError, so every later stage (writing, reading, indexing, search) takes a
+vector as it is, with no re-sort or re-check.
+"""
 
 from __future__ import annotations
 
@@ -64,18 +72,19 @@ class TokenizedText:
 
 
 class SparseVector:
-    """Vocabulary-dimension vector stored as {term id: weight}; exact zeros are never stored.
-
-    Encoder outputs are non-negative.  Training keeps its gradients in dense
-    numpy arrays, never in this type.
-    """
+    """Vocabulary-dimension vector stored as {term id: weight}, under the contract of this module's
+    docstring.  Training keeps its gradients in dense numpy arrays, never in this type."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[int, float] | None = None):
-        self.entries: dict[int, float] = {
-            int(t): float(w) for t, w in (entries or {}).items() if w != 0.0
-        }
+        kept = {int(t): float(w) for t, w in (entries or {}).items() if w != 0.0}
+        if kept:
+            terms = sorted(kept)
+            kept = {t: kept[t] for t in terms}
+            if not (0 <= terms[0] and terms[-1] < 2**63 and all(0.0 < w < math.inf for w in kept.values())):
+                raise _bad_entry(kept)
+        self.entries: dict[int, float] = kept
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseVector) and self.entries == other.entries
@@ -117,13 +126,48 @@ class SparseVector:
         idx = np.flatnonzero(values)
         vec = cls.__new__(cls)
         vec.entries = dict(zip(idx.tolist(), values[idx].tolist()))
+        if len(idx) and not (values.min() >= 0.0 and values.max() < math.inf):  # min() propagates a NaN
+            raise _bad_entry(vec.entries)
         return vec
+
+    @classmethod
+    def from_columns(
+        cls, texts: Sequence[TokenizedText], rows: np.ndarray, terms: np.ndarray, weights: np.ndarray
+    ) -> list["SparseVector"]:
+        """One vector per text of `texts` from the row and term id columns of `term_counts(texts)` and a
+        weights column: zeros are dropped and the rest checked at once, a bad one being a ValueError
+        naming its text.  Every vector's key for a term is the same int object: one int per term, not
+        one per entry."""
+        kept = np.flatnonzero(weights)
+        if len(kept) < len(weights):
+            rows, terms, weights = rows[kept], terms[kept], weights[kept]
+        if len(weights) and not (weights.min() > 0.0 and weights.max() < math.inf):
+            bad = int(np.argmin((weights > 0.0) & (weights < math.inf)))  # the first entry that fails
+            raise ValueError(f"text {texts[rows[bad]].doc_id!r}: {_bad_entry({int(terms[bad]): float(weights[bad])})}")
+        if terms.max(initial=0) < len(terms):  # a table of one int object per id, entry i the int i
+            keys = np.arange(int(terms.max(initial=0)) + 1, dtype=object)[terms]
+        else:  # sparse ids: no table as long as the largest id, only a key object per id present
+            present, inverse = np.unique(terms, return_inverse=True)
+            keys = np.array(present.tolist(), dtype=object)[inverse]
+        entries = zip(keys.tolist(), weights.tolist())
+        out = list(map(cls.__new__, itertools.repeat(cls, len(texts))))
+        for vec, nnz in zip(out, np.bincount(rows, minlength=len(texts)).tolist()):
+            vec.entries = dict(itertools.islice(entries, nnz))
+        return out
+
+
+def _bad_entry(entries: Mapping[int, float]) -> ValueError:
+    """The error naming the first entry of `entries` that breaks the SparseVector contract."""
+    t, w = next((t, w) for t, w in entries.items() if not (0 <= t < 2**63 and 0.0 < w < math.inf))
+    if not 0 <= t < 2**63:
+        return ValueError(f"term id {t} is outside [0, 2**63)")
+    return ValueError(f"term {t} has weight {w!r}, not a finite number > 0")
 
 
 def vector_columns(
     vectors: Iterable[tuple[str, SparseVector]],
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, nnz per vector, term ids, weights) of `vectors`: every vector's entries, in its dict's
+    """(ids, nnz per vector, term ids, weights) of `vectors`: every vector's entries, in ascending term
     order, one vector after another in an int64 and a float64 column."""
     ids: list[str] = []
     entries: list[dict[int, float]] = []

@@ -361,54 +361,28 @@ def encode_bm25_query(text: TokenizedText, stats: CorpusStats) -> SparseVector:
     return SparseVector({t: idf(t, stats) for t in set(text.token_ids)})
 
 
-#: entry i is the int i: the one key object for term i in every vector `encode_bm25_doc` emits, so keys
-#: cost one int per term, not one per posting.  A grow-only cache of immutable values.
-_term_keys = np.array([], dtype=object)
-
-
-def _shared_term_keys(size: int) -> np.ndarray:
-    """An object array whose entry i is the int i, the same object on every call."""
-    global _term_keys
-    if len(_term_keys) < size:
-        _term_keys = np.concatenate([_term_keys, np.array(range(len(_term_keys), size), dtype=object)])
-    return _term_keys
-
-
 def encode_bm25_doc(
     texts: list[TokenizedText], stats: CorpusStats, params: Bm25Params = Bm25Params()
 ) -> list[SparseVector]:
     """Saturated term frequency with document-length normalization, one vector per text.
 
-    One pass over the batch's (doc, term, tf) columns from `core.term_counts`.
-    A weight is tf * (k1 + 1) / (tf + norm),
+    One pass over the batch's (doc, term, tf) columns from `core.term_counts`,
+    handed to `SparseVector.from_columns`.  A weight is tf * (k1 + 1) / (tf + norm),
     norm = k1 * (1 - b + b * length / avg_doc_len): the IEEE operations, in
     order, of the per-text formula, so each weight has the bits it has alone.
-    Entries are in ascending term-id order, and every vector's key for a term
-    is the same int object.  An empty text gives an empty vector; a non-empty
-    one on degenerate stats is a ValueError, and so is a term id that
-    `term_counts` rejects (a negative one).
+    A k1 so large that norm overflows to inf weighs a term 0.0, which is
+    dropped.  An empty text gives an empty vector; a non-empty one on
+    degenerate stats is a ValueError, and so is a term id that `term_counts`
+    rejects (a negative one) or a weight that is not finite (k1 near the
+    float limit), naming its text.
     """
     lengths, rows, terms, tf = term_counts(texts)
-    if not len(terms):
-        return [SparseVector() for _ in texts]
-    if stats.degenerate:
+    if stats.degenerate and len(terms):
         raise ValueError("degenerate corpus stats: avg_doc_len undefined")
     with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow to inf silently too
         norm = params.k1 * (1.0 - params.b + params.b * lengths / stats.avg_doc_len)
         weights = tf * (params.k1 + 1.0) / (tf + norm[rows])
-    kept = np.flatnonzero(weights)  # a k1 so large that norm overflows to inf weighs a term 0.0
-    if len(kept) < len(terms):
-        terms, rows, weights = terms[kept], rows[kept], weights[kept]
-    if terms.max(initial=0) < len(terms):
-        keys = _shared_term_keys(int(terms.max(initial=0)) + 1)[terms]
-    else:  # sparse ids: no table as long as the largest id, only a key object per id present
-        present, inverse = np.unique(terms, return_inverse=True)
-        keys = np.array(present.tolist(), dtype=object)[inverse]
-    entries = zip(keys.tolist(), weights.tolist())
-    out = list(map(SparseVector.__new__, itertools.repeat(SparseVector, len(texts))))
-    for vec, nnz in zip(out, np.bincount(rows, minlength=len(texts)).tolist()):
-        vec.entries = dict(itertools.islice(entries, nnz))
-    return out
+    return SparseVector.from_columns(texts, rows, terms, weights)
 
 
 # ---------------------------------------------------------------------------

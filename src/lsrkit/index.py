@@ -103,9 +103,10 @@ def build_index(
 ) -> ImpactIndex:
     """Transcribe (doc, term, weight) nonzeros into doc-ordered posting lists.
 
-    Quantized impact = round_half_up(w * (2^bits - 1) / max_w); impacts that
-    quantize to 0 are dropped.  One stable sort by term keeps doc order within
-    each posting list.
+    Weights are finite and > 0 and term ids non-negative, by the
+    `core.SparseVector` contract.  Quantized impact =
+    round_half_up(w * (2^bits - 1) / max_w); impacts that quantize to 0 are
+    dropped.  One stable sort by term keeps doc order within each posting list.
     """
     doc_table, lengths, terms, w = vector_columns(vectors)
     seen: set[str] = set()
@@ -114,10 +115,6 @@ def build_index(
             raise ValueError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
     ordinals = np.repeat(np.arange(len(doc_table)), lengths)
-    bad = ordinals[~((w > 0) & (w < math.inf)) | (terms < 0)]
-    if len(bad):  # name the first bad document
-        problem = "negative term id" if (terms[ordinals == bad[0]] < 0).any() else "non-positive or non-finite weight"
-        raise ValueError(f"{problem} in document {doc_table[bad[0]]!r}")
 
     max_w = float(w.max()) if len(w) else 0.0
     if quantization.mode == "bits":
@@ -156,23 +153,24 @@ def index_search(
 ) -> tuple[list[tuple[str, float]], int]:
     """Term-at-a-time accumulation over the query's terms in ascending term order.
 
+    The query's entries ascend by term id and its weights are finite and > 0,
+    by the `core.SparseVector` contract; terms past the index's last add nothing.
     On posting slices, the query terms' slices are concatenated in ascending
     term order and one `np.bincount` adds them in that order, so each doc's
     score is the same float sum as a term-by-term loop.  On the dense term
     table (`ImpactIndex.term_table`), the query's rows are scaled and reduced
     along axis 0, which numpy adds row after row for a table 2 or more docs
-    wide: the same sum, plus ±0.0 for each term a doc lacks, which changes no
-    nonzero sum and leaves a zero sum zero.  A query weight that is not finite
-    would make those products NaN, so such a query takes the slices.
-    Docs scoring exactly 0 are left out; the top k are ranked by score
+    wide: the same sum, plus 0.0 for each term a doc lacks, which changes no
+    sum.  Docs scoring exactly 0 are left out; the top k are ranked by score
     descending, ties by doc_id ascending.  ops_count is the number of
     multiply-accumulate operations, i.e. the sum of posting-list lengths
     across query terms present in the index.
     """
-    offsets = index.offsets
-    dense = _table_rows(index, q)
-    if dense is not None:
-        terms, wq = dense
+    offsets, num_terms = index.offsets, len(index.offsets) - 1
+    if index.term_table is not None:
+        terms = np.fromiter(q.entries, np.int64, len(q.entries))
+        inside = np.searchsorted(terms, num_terms)  # terms ascend: those the index has come first
+        terms, wq = terms[:inside], np.fromiter(q.entries.values(), np.float64, len(q.entries))[:inside]
         ops = int((offsets[terms + 1] - offsets[terms]).sum())
         if k <= 0 or not ops:
             return [], ops
@@ -180,8 +178,8 @@ def index_search(
         rows *= wq[:, None]  # in place: a second m x N array costs more than the arithmetic
         acc = np.add.reduce(rows, axis=0)
     else:
-        ordinals, weights, num_terms = index.ordinals, index.weights, len(offsets) - 1
-        spans = [(offsets[t], offsets[t + 1], wq) for t, wq in sorted(q.entries.items()) if 0 <= t < num_terms]
+        ordinals, weights = index.ordinals, index.weights
+        spans = [(offsets[t], offsets[t + 1], wq) for t, wq in q.entries.items() if t < num_terms]
         ops = int(sum(hi - lo for lo, hi, _ in spans))
         if k <= 0 or not ops:
             return [], ops
@@ -197,27 +195,6 @@ def index_search(
         hits, scores = hits[kept], scores[kept]
     order = np.lexsort((index.doc_rank[hits], -scores))[:k]
     return [(index.doc_table[o], s) for o, s in zip(hits[order].tolist(), scores[order].tolist())], ops
-
-
-def _table_rows(index: ImpactIndex, q: SparseVector) -> tuple[np.ndarray, np.ndarray] | None:
-    """(term ids, weights) of q's terms in the index, ascending, if `index` is searched from its term
-    table; None if it has none or a weight of q is not finite."""
-    if index.term_table is None:
-        return None
-    try:
-        terms = np.fromiter(q.entries, np.int64, len(q.entries))
-    except OverflowError:  # a term id past int64 is in no index
-        return None
-    wq = np.fromiter(q.entries.values(), np.float64, len(q.entries))
-    if not np.isfinite(wq).all():
-        return None
-    order = np.argsort(terms)
-    terms, wq = terms[order], wq[order]
-    num_terms = len(index.offsets) - 1
-    if len(terms) and (terms[0] < 0 or terms[-1] >= num_terms):
-        kept = (terms >= 0) & (terms < num_terms)
-        terms, wq = terms[kept], wq[kept]
-    return terms, wq
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +236,7 @@ def load_index(directory: str | Path) -> ImpactIndex:
         quant = Quantization(**header["quantization"])
         scale = json_number(header["scale"], "scale")
         doc_table, vocab_id = json_list(header["doc_table"], "doc_table"), header["vocab"]
-        "".join(doc_table)  # a TypeError at the first id that is no string, in one C loop (faster than isinstance)
+        joined = "".join(doc_table)  # a TypeError at the first id that is no string, in one C loop
         num_offsets, total, payload_bytes, crc = (
             header[key] for key in ("num_offsets", "total_postings", "payload_bytes", "crc32")
         )
@@ -267,7 +244,10 @@ def load_index(directory: str | Path) -> ImpactIndex:
         raise ValueError(f"corrupt index in {directory}: bad header field ({e!r})") from e
     _require(all(type(n) is int for n in (num_offsets, total, payload_bytes, crc)), directory,
              "num_offsets, total_postings, payload_bytes and crc32 must be JSON integers")
-    _require(len(set(doc_table)) == len(doc_table), directory, "doc ids must be unique")
+    ids = set(doc_table)
+    _require(len(ids) == len(doc_table), directory, "doc ids must be unique")
+    _require("" not in ids and (not joined or joined.split() == [joined]), directory,  # read_vectors' id rule
+             "doc ids must be nonempty with no whitespace")
     _require(scale >= 0, directory, "scale must be non-negative")
 
     blob = (directory / "postings.bin").read_bytes()

@@ -146,8 +146,10 @@ def encode_side(
     BM25 doc weights come from one (doc, term, tf) column pass over the whole
     batch; a neural head embeds each slice of ENCODE_SLICE texts and runs it
     through one `stack_forward`; binary and BM25 query encode one text at a
-    time.  Applies inference-time top-k pruning when the side's regularizer is
-    topk, and audits the support constraint for non-expanding encoders.
+    time.  A vector that breaks the `core.SparseVector` contract (a head that
+    gives a NaN weight) is a ValidationError naming its text.  Applies
+    inference-time top-k pruning when the side's regularizer is topk, and
+    audits the support constraint for non-expanding encoders.
     """
     cfg = config.query if side == "query" else config.doc
     kind = cfg.encoder
@@ -156,22 +158,29 @@ def encode_side(
         if res.stats.degenerate and any(map(len, texts)):
             raise ValidationError(f"{config.paths.collection}: every document is empty, so BM25 doc weights "
                                   "are undefined (no average doc length)")
-        vectors = encode_bm25_doc(texts, res.stats, config.bm25)
+        vectors = iter(encode_bm25_doc(texts, res.stats, config.bm25))
     elif kind is EncoderKind.BM25_QUERY:
-        vectors = [encode_bm25_query(text, res.stats) for text in texts]
+        vectors = (encode_bm25_query(text, res.stats) for text in texts)
     elif kind is EncoderKind.BINARY:
-        vectors = list(map(encode_binary, texts))
+        vectors = map(encode_binary, texts)
     else:
         table = res.embedding_table(config.backbone_dim, seed)
         if heads is None:
             heads = side_heads(config, side, seed, res.vocab.size)
-        vectors = []
-        for start in range(0, len(texts), ENCODE_SLICE):
-            part = texts[start:start + ENCODE_SLICE]
-            embs = [toy_backbone(text, res.vocab.size, config.backbone_dim, seed, table) for text in part]
-            vectors.extend(map(SparseVector.from_dense, stack_forward(kind, part, embs, heads)(heads)[0]))
+
+        def rows():  # one slice's N x |V| weights at a time
+            for start in range(0, len(texts), ENCODE_SLICE):
+                part = texts[start:start + ENCODE_SLICE]
+                embs = [toy_backbone(text, res.vocab.size, config.backbone_dim, seed, table) for text in part]
+                yield from stack_forward(kind, part, embs, heads)(heads)[0]
+
+        vectors = map(SparseVector.from_dense, rows())
     out: list[tuple[str, SparseVector]] = []
-    for text, vec in zip(texts, vectors):
+    for text in texts:
+        try:
+            vec = next(vectors)
+        except ValueError as e:  # the text's vector breaks the SparseVector contract
+            raise ValidationError(f"text {text.doc_id!r}: {e}") from e
         if cfg.regularizer.kind is RegularizerKind.TOPK:
             vec = topk_prune(vec, cfg.regularizer.k)
         if kind in NON_EXPANDING and not vec.entries.keys() <= set(text.token_ids):
@@ -194,26 +203,21 @@ def write_vectors(
     vectors: list[tuple[str, SparseVector]], vocab: Vocabulary, path: str | Path
 ) -> None:
     """Encoded-vector file: one JSON object per line, the bytes of json.dumps({"id": ..., "vector":
-    {term: weight, ...}}) with the terms in ascending id order.  A weight that is not finite has no
-    JSON form, and is a ValueError naming `path` and the first vector holding one.
+    {term: weight, ...}}) with the terms in ascending id order, the order of every vector's entries.
 
     A batch with few distinct weights (BM25 weights depend only on tf and doc length, binary ones
     are all 1) is written as columns, each distinct weight formatted once; any other batch goes
     through the C encoder record by record."""
     ids, lengths, terms, weights = vector_columns(vectors)
-    finite = np.isfinite(weights)
-    if not finite.all():
-        row = np.searchsorted(np.cumsum(lengths), finite.argmin(), side="right")
-        raise ValueError(f"{path}: vector {ids[row]!r} has a weight that is not finite")
     ordered = np.sort(weights)  # np.unique's values, without the 1.7 MB import of numpy.ma that np.unique makes
     distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
     if len(distinct) > COLUMN_MAX_DISTINCT_SHARE * len(weights):
         encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps' output
-        lines = [encode({"id": vid, "vector": {vocab.terms[t]: vec.entries[t] for t in sorted(vec.entries)}})
+        lines = [encode({"id": vid, "vector": {vocab.terms[t]: w for t, w in vec.entries.items()}})
                  for vid, vec in vectors]
     else:
         lines = _column_lines(ids, lengths, terms, weights, distinct, vocab)
-    del ids, lengths, terms, weights, finite, ordered, distinct  # free the columns before write_lines copies the lines
+    del ids, lengths, terms, weights, ordered, distinct  # free the columns before write_lines copies the lines
     write_lines(path, lines)
 
 
@@ -224,10 +228,6 @@ def _column_lines(
     """`write_vectors`' lines from its columns: each term the batch uses escaped once as a key,
     each of the sorted `distinct` weights formatted once, and one join per line."""
     ends = np.cumsum(lengths)
-    descents = np.flatnonzero(terms[1:] < terms[:-1]) + 1  # term ids below the one before them
-    if not np.isin(descents, ends).all():  # one that starts no vector: a vector out of term order
-        order = np.lexsort((terms, np.repeat(np.arange(len(ids)), lengths)))
-        terms, weights = terms[order], weights[order]
     used = np.flatnonzero(np.bincount(terms, minlength=vocab.size)).tolist()
     first, later = np.empty(vocab.size, dtype=object), np.empty(vocab.size, dtype=object)
     first[used] = keys = [encode_basestring_ascii(vocab.terms[t]) + ": " for t in used]
@@ -245,7 +245,8 @@ def _column_lines(
 
 
 def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseVector]]:
-    """Records written by `write_vectors`: whitespace-free string ids, each once, finite non-negative weights."""
+    """Records written by `write_vectors`: whitespace-free string ids, each once, and vectors the
+    `SparseVector` constructor takes from finite JSON number weights (a negative one is refused)."""
     out = []
     first_line: dict[str, int] = {}
     with numbered_lines(path) as lines:
@@ -259,8 +260,6 @@ def read_vectors(path: str | Path, vocab: Vocabulary) -> list[tuple[str, SparseV
                 if first_line.setdefault(vid, lineno) != lineno:
                     raise ValueError(f"repeated id {vid!r}, first on line {first_line[vid]}")
                 vector = {vocab.term_to_id[t]: json_number(w, "weight") for t, w in weights.items()}
-                if min(vector.values(), default=0.0) < 0:
-                    raise ValueError("weights must be non-negative")
                 out.append((vid, SparseVector(vector)))
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"bad vector record ({e})") from e

@@ -37,6 +37,8 @@ class RegularizerConfig:
             raise ValueError(f"weight: penalty coefficient must be finite and >= 0, got {self.weight}")
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
+        if self.kind == RegularizerKind.TOPK and self.k < 1:  # k = 0 would leave every vector empty
+            raise ValueError(f"k must be >= 1 for topk, got {self.k}")
 
 
 def _batch_size(batch: np.ndarray) -> int:
@@ -88,7 +90,7 @@ def topk_positions(weights: np.ndarray, term_ids: np.ndarray, k: int) -> np.ndar
 def topk_prune(v: SparseVector, k: int) -> SparseVector:
     """Keep the k largest weights, ties broken by smaller term id."""
     if k >= v.nnz:
-        return SparseVector(v.entries)
+        return v
     ids = np.fromiter(v.entries, dtype=np.int64, count=v.nnz)
     weights = np.fromiter(v.entries.values(), dtype=np.float64, count=v.nnz)
     return SparseVector({t: v.entries[t] for t in ids[topk_positions(weights, ids, k)].tolist()})

@@ -132,11 +132,14 @@ class TestConfigLoading:
         {"top_k": "50"},
         {"quantization": {"mode": "bits", "bits": 8.0}},
         {"doc": {"regularizer": {"kind": "topk", "k": 2.5}}},
+        {"doc": {"regularizer": {"kind": "topk", "k": 0}}},
+        {"doc": {"regularizer": {"kind": "topk"}}},
         {"query": {"regularizer": {"kind": "flops", "weight": math.inf}}},
         {"query": {"regularizer": {"kind": "flops", "weight": False}}},
     ], ids=[
         "steps_float", "steps_zero", "lr_bool", "lr_nan", "lr_string", "dim_float", "seed_bool", "top_k_string",
-        "bits_float", "regularizer_k_float", "regularizer_weight_inf", "regularizer_weight_bool",
+        "bits_float", "regularizer_k_float", "regularizer_topk_k_zero", "regularizer_topk_k_left_out",
+        "regularizer_weight_inf", "regularizer_weight_bool",
     ])
     def test_numbers_checked_not_coerced(self, tmp_path, capsys, overrides):
         """Counts must be JSON integers and rates finite JSON numbers, no bool: exit 1 naming the config."""
@@ -401,6 +404,25 @@ class TestCliCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("doc_id", ["d 1", "", "d1\t"])
+    def test_index_doc_id_with_whitespace_exits_1(self, tmp_path, capsys, doc_id):
+        """An index whose header gives such a doc id would write run lines that `eval` refuses: `search`
+        is exit 1 naming the index as corrupt, with no run written."""
+        config_path, _ = make_workspace(tmp_path)
+        docs_out = self._encode(config_path, tmp_path, "doc", "collection.tsv", "docs.jsonl")
+        queries_out = self._encode(config_path, tmp_path, "query", "queries.tsv", "queries.jsonl")
+        index_dir, run_path = tmp_path / "index", tmp_path / "run.trec"
+        assert main(["index", "--config", str(config_path), "--vectors", str(docs_out), "--output", str(index_dir)]) == 0
+        header = json.loads((index_dir / "header.json").read_text(encoding="utf-8"))
+        header["doc_table"][2] = doc_id
+        (index_dir / "header.json").write_text(json.dumps(header), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["search", "--config", str(config_path), "--index", str(index_dir), "--queries", str(queries_out),
+                     "--output", str(run_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: corrupt index in {index_dir}: doc ids must be nonempty with no whitespace\n"
+        assert not run_path.exists()
+
     @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-1.5", '"0.5"', "true"])
     def test_bad_vector_weight_exits_1(self, tmp_path, capsys, weight):
         config_path, task = make_workspace(tmp_path)
@@ -658,8 +680,8 @@ class TestCliCommands:
                                            "weights are undefined (no average doc length)\n")
 
     def test_weight_beyond_the_float_range_exits_1_keeping_the_output(self, tmp_path, capsys):
-        """k1 = 1e308 overflows BM25 doc weights to infinity, which JSON cannot hold: exit 1 naming the
-        output and the vector, with the file already at the output path left byte for byte."""
+        """k1 = 1e308 overflows BM25 doc weights to infinity, which no SparseVector holds: exit 1 naming the
+        text and its term, with the file already at the output path left byte for byte."""
         config_path, task = make_workspace(tmp_path, query={"encoder": "bm25_query"}, doc={"encoder": "bm25_doc"},
                                            bm25={"k1": 1e308, "b": 1.0})
         out = tmp_path / "o.jsonl"
@@ -667,7 +689,7 @@ class TestCliCommands:
         assert main(["encode", "--config", str(config_path), "--side", "doc",
                      "--input", str(tmp_path / "data" / "collection.tsv"), "--output", str(out)]) == 1
         err = capsys.readouterr().err
-        named = re.fullmatch(rf"error: {re.escape(str(out))}: vector '(\S+)' has a weight that is not finite\n", err)
+        named = re.fullmatch(r"error: text '(\S+)': term \d+ has weight (inf|nan), not a finite number > 0\n", err)
         assert named and named.group(1) in {d.doc_id for d in task.docs}
         assert out.read_bytes() == b"earlier\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data", "o.jsonl"]
@@ -771,6 +793,8 @@ class TestAblate:
             ("query_encoder=mlp,doc_encoder=mlm", "query.encoder", []),
             ("query_encoder=spladee", "query.encoder", []),
             ("regularizer=topk:2.5", "regularizer.k", ["--train"]),
+            ("regularizer=topk", "regularizer.k", []),  # k left out is 0, which would empty every vector
+            ("regularizer=topk:0", "regularizer.k", []),
             ("shared_heads=yes", "shared_heads", []),
             ("regularizer=flops: 0.1", "name", []),  # a toggle joins its row's name, one run file field
             ("shared_heads= true", "name", []),
@@ -1117,6 +1141,26 @@ class TestOnePath:
         pipeline.encode_side(config, "query", [query], res, config.backbone_seed)
         assert len(embedded[qid][0]) == len(query.token_ids) + 3
         assert trained == embedded[qid]
+
+    @pytest.mark.parametrize("encoder", ["mlm", "cls_mlm"])
+    def test_head_giving_nan_weights_exits_1_naming_the_text(self, tmp_path, capsys, monkeypatch, encoder):
+        """A heads file holds finite numbers only, but heads built in memory may not: a NaN mlm_bias
+        gives NaN weights, which no SparseVector holds.  `encode` is exit 1 naming the first text, and
+        writes no output file."""
+        config_path, task = make_workspace(tmp_path, doc={"encoder": encoder})
+        side_heads = pipeline.side_heads
+
+        def nan_heads(*args):
+            heads = side_heads(*args)
+            heads.mlm_bias[task.vocab.size // 2] = math.nan
+            return heads
+
+        monkeypatch.setattr(pipeline, "side_heads", nan_heads)
+        assert main(_encode_doc_argv(config_path, tmp_path)) == 1
+        first = task.docs[0].doc_id
+        assert capsys.readouterr().err == (f"error: text {first!r}: term {task.vocab.size // 2} has weight nan, "
+                                           "not a finite number > 0\n")
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_support_audit_of_non_expanding_encoders(self, tmp_path, monkeypatch):
         """A binary side passes the audit with its own terms; one term outside a text is a

@@ -115,10 +115,18 @@ class TestCorpusStats:
 
 
 sparse_entries = st.dictionaries(
-    st.integers(min_value=0, max_value=63),
-    st.floats(min_value=-10, max_value=10, allow_nan=False).filter(lambda x: x != 0.0),
-    max_size=20,
+    st.integers(min_value=0, max_value=63), st.floats(min_value=0.0, max_value=10, exclude_min=True), max_size=20
 )
+
+#: entries that break the SparseVector contract, each with the error that names it
+BAD_ENTRIES = {
+    "nan": ({3: math.nan}, "term 3 has weight nan, not a finite number > 0"),
+    "inf": ({3: math.inf}, "term 3 has weight inf, not a finite number > 0"),
+    "-inf": ({3: -math.inf}, "term 3 has weight -inf, not a finite number > 0"),
+    "negative": ({3: -0.5}, "term 3 has weight -0.5, not a finite number > 0"),
+    "negative-id": ({-1: 0.5}, r"term id -1 is outside \[0, 2\*\*63\)"),
+    "id-past-int64": ({2**63: 0.5}, r"term id 9223372036854775808 is outside \[0, 2\*\*63\)"),
+}
 
 
 class TestSparseVector:
@@ -126,6 +134,36 @@ class TestSparseVector:
         v = SparseVector({1: 0.0, 2: 3.0})
         assert v.entries == {2: 3.0}
         assert v.nnz == 1
+
+    @given(sparse_entries)
+    def test_entries_ascend_by_term_id(self, a):
+        v = SparseVector(a)
+        assert list(v.entries.items()) == sorted(a.items())
+        assert all(type(t) is int and type(w) is float for t, w in v.entries.items())
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+    def test_entry_outside_the_contract_is_rejected(self, bad):
+        """Each constructor refuses the entry, naming its term: the mapping one after sorting (the
+        first bad term in term order), `from_dense` for a weight, `from_columns` naming the text too."""
+        entries, problem = bad
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            SparseVector({9: 1.0, **entries, 0: 2.0})
+        (t, w), = entries.items()
+        if 0 <= t < 2**63:
+            with pytest.raises(ValueError, match=f"^{problem}$"):
+                SparseVector.from_dense([0.0, 1.0, 0.0, w, 2.0])
+            texts = [TokenizedText("a", (0, 1)), TokenizedText("b", (1, 3, 5))]
+            rows, terms, weights = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 1, 3, 5]), np.array([1.0, 2, 1, w, 0])
+            with pytest.raises(ValueError, match=f"^text 'b': {problem}$"):
+                SparseVector.from_columns(texts, rows, terms, weights)
+
+    def test_from_columns_drops_zeros(self):
+        """One vector per text, a text without entries included; zero weights are not stored."""
+        texts = [TokenizedText(d, ()) for d in "abc"]
+        got = SparseVector.from_columns(texts, np.array([0, 0, 2, 2]), np.array([1, 4, 0, 300]),
+                                        np.array([0.5, 0.0, 2.0, 1.5]))
+        assert got == [SparseVector({1: 0.5}), SparseVector(), SparseVector({0: 2.0, 300: 1.5})]
+        assert [list(v.entries) for v in got] == [[1], [], [0, 300]]
 
     @given(sparse_entries, sparse_entries)
     @settings(max_examples=200)
@@ -154,13 +192,13 @@ class TestFromDense:
         assert all(type(k) is int for k in got) and all(type(w) is float for w in got.values())
 
     @pytest.mark.parametrize("values", [
-        np.array([0.0, 1.5, -0.0, 0.0, 5e-324, -3.25, 1e308]),
-        [0, 1.5, -0.0, 0.0, 2, -7],
+        np.array([0.0, 1.5, -0.0, 0.0, 5e-324, 3.25, 1e308]),
+        [0, 1.5, -0.0, 0.0, 2, 7],
         np.zeros(6),
         [0.0, -0.0],
         [],
         np.array([]),
-        np.array([3, 0, -1, 0, 2**40]),
+        np.array([3, 0, 1, 0, 2**40]),
         [0, 5, 0, 7],
         np.array([0.1, 0.0, 0.3], dtype=np.float32),
     ], ids=["array", "list", "zeros", "signed_zeros", "empty_list", "empty_array", "int_array", "int_list",
@@ -168,7 +206,7 @@ class TestFromDense:
     def test_equals_the_comprehension(self, values):
         self._check(values)
 
-    @given(st.lists(st.floats(allow_nan=False) | st.integers(-3, 3) | st.just(-0.0), max_size=30))
+    @given(st.lists(st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 3) | st.just(-0.0), max_size=30))
     def test_equals_the_comprehension_on_lists(self, values):
         self._check(values)
         self._check(np.array(values, dtype=np.float64))
@@ -377,18 +415,3 @@ class TestVectorFiles:
             assert read_vectors(path, vocab) == vectors
 
         check()
-
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    @pytest.mark.parametrize("few_distinct", [True, False], ids=["columns", "records"])
-    def test_weight_not_finite_names_the_first_bad_vector_keeping_the_file(self, tmp_path, few_distinct, bad):
-        vocab = build_vocabulary(["a", "b", "c"])
-        weight = (lambda i: 1.0) if few_distinct else (lambda i: 1.0 + i / 7)
-        vectors = [(f"d{i}", SparseVector({t: weight(3 * i + t) for t in (2, 0, 1)})) for i in range(6)]
-        vectors[2] = ("d2", SparseVector({2: bad, 1: weight(7)}))  # bad first in its entries
-        vectors[4] = ("d4", SparseVector({0: bad}))
-        path = tmp_path / "v.jsonl"
-        path.write_bytes(b"earlier\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: vector 'd2' has a weight that is not finite$"):
-            write_vectors(vectors, vocab, path)
-        assert path.read_bytes() == b"earlier\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.jsonl"]

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import encode_one, make_bundle, make_heads, one_text_stack, text
+from conftest import encode_one, make_bundle, make_heads, method_config, one_text_stack, text
 
-from lsrkit.core import SparseVector, TokenizedText, compute_corpus_stats, term_counts
+from lsrkit.core import SparseVector, TokenizedText, build_vocabulary, compute_corpus_stats, term_counts
 from lsrkit.encoders import (
     Bm25Params,
     EncoderKind,
@@ -36,6 +37,8 @@ from lsrkit.encoders import (
     toy_backbone,
     write_head_parameters,
 )
+from lsrkit.pipeline import Resources, encode_side
+from lsrkit.regularization import RegularizerConfig, RegularizerKind
 
 # ---------------------------------------------------------------------------
 # Independent dense oracles for the four encoder formulas
@@ -531,17 +534,38 @@ class TestBm25DocBatch:
     @pytest.mark.parametrize("k1, b", [(0.9, 0.4), (0.0, 0.4), (0.9, 0.0), (0.9, 1.0), (1.2, 0.75), (1e308, 1.0)])
     def test_matches_per_text_oracle_bit_for_bit(self, bm25_batch, corpus, k1, b):
         """Stats of the short docs (mean length near 15) round b * length / avg_doc_len differently from
-        b * (length / avg_doc_len); at k1=1e308 their longer docs overflow norm to inf and weigh 0.0."""
+        b * (length / avg_doc_len).  At k1=1e308 a repeated term's tf * (k1 + 1) overflows to inf, so
+        the oracle refuses that text's vector, and the batch refuses the same first text."""
         texts, stats = bm25_batch
         if corpus == "short docs":
             stats = compute_corpus_stats([t for t in texts if len(t) < 100])
         params = Bm25Params(k1=k1, b=b)
+        expected, refused = [], []
+        for t in texts:
+            try:
+                expected.append(bm25_doc_oracle(t, stats, params))
+            except ValueError as e:
+                refused.append(f"text {t.doc_id!r}: {e}")
+        assert bool(refused) == (k1 == 1e308)
+        if refused:
+            with pytest.raises(ValueError, match=f"^{re.escape(refused[0])}$"):
+                encode_bm25_doc(texts, stats, params)
+            return
         got = encode_bm25_doc(texts, stats, params)
-        assert hex_entries(got) == hex_entries([bm25_doc_oracle(t, stats, params) for t in texts])
+        assert hex_entries(got) == hex_entries(expected)
         for v in got:
             assert list(v.entries) == sorted(v.entries)
             assert 0.0 not in v.entries.values()
             assert all(type(t) is int and type(w) is float for t, w in v.entries.items())
+
+    def test_overflowing_norm_weighs_a_term_zero(self):
+        """At k1=1e308 a long doc's norm overflows to inf, so its terms (tf 1) weigh 0.0 and are dropped,
+        while a short doc's stay finite: the oracle's bits."""
+        texts = [TokenizedText("short", (1,)), TokenizedText("long", tuple(range(10, 40)))]
+        stats, params = compute_corpus_stats(texts), Bm25Params(k1=1e308, b=1.0)
+        got = encode_bm25_doc(texts, stats, params)
+        assert hex_entries(got) == hex_entries([bm25_doc_oracle(t, stats, params) for t in texts])
+        assert got[0].nnz == 1 and got[1] == SparseVector()
 
     def test_ends_of_the_vocabulary_and_repeats(self, bm25_batch):
         texts, stats = bm25_batch
@@ -834,3 +858,51 @@ class TestParameterFiles:
         assert np.array_equal(loaded.mlm_bias, heads.mlm_bias)
         assert loaded.activation == "softplus"
         assert loaded.use_quality_heads
+
+
+def meets_the_contract(vec: SparseVector) -> bool:
+    """The `core.SparseVector` contract, checked entry by entry: ids ascending ints in [0, 2**63),
+    weights floats that are finite and > 0."""
+    terms = list(vec.entries)
+    return terms == sorted(terms) and all(
+        type(t) is int and 0 <= t < 2**63 and type(w) is float and 0.0 < w < math.inf for t, w in vec.entries.items()
+    )
+
+
+CONTRACT_VOCAB = 12
+
+
+@st.composite
+def encode_batches(draw):
+    """(texts, expansions): an empty text and up to 6 more over a 12-term vocabulary, empty ones and
+    repeated terms included, and expansion terms for some of them."""
+    token_ids = st.lists(st.integers(0, CONTRACT_VOCAB - 1), max_size=8)
+    texts = [TokenizedText("empty", ())]
+    texts += [TokenizedText(f"t{i}", draw(token_ids)) for i in range(draw(st.integers(0, 6)))]
+    expansions = {t.doc_id: draw(token_ids) for t in texts[1:] if draw(st.booleans())}
+    return texts, expansions
+
+
+class TestEncodeSideContract:
+    """Every encoder kind, through `pipeline.encode_side`, emits vectors that meet the SparseVector contract."""
+
+    @pytest.mark.parametrize("kind", list(EncoderKind), ids=[k.value for k in EncoderKind])
+    @settings(max_examples=25, deadline=None)
+    @given(batch=encode_batches(), seed=st.integers(0, 3), topk=st.booleans())
+    def test_every_vector_meets_the_contract(self, kind, batch, seed, topk):
+        """With seeded heads (a zero mlm_bias) a text with no terms, expansions included, gets the empty vector."""
+        texts, expansions = batch
+        side = "query" if kind is EncoderKind.BM25_QUERY else "doc"
+        query, doc = (kind.value, "bm25_doc") if side == "query" else ("mlp", kind.value)
+        reg = RegularizerConfig(kind=RegularizerKind.TOPK, k=2) if topk else RegularizerConfig()
+        vocab = build_vocabulary(f"w{i}" for i in range(CONTRACT_VOCAB))
+        res = Resources(vocab=vocab, docs=texts, queries=texts, stats=compute_corpus_stats(texts),
+                        expansions=expansions)
+        out = encode_side(method_config(query, doc, reg=reg), side, texts, res, seed)
+        assert [vid for vid, _ in out] == [t.doc_id for t in texts]
+        assert all(meets_the_contract(vec) for _, vec in out)
+        assert not topk or all(vec.nnz <= 2 for _, vec in out)
+        expanded = expansions if kind is EncoderKind.EXP_MLP else {}
+        for t, (_, vec) in zip(texts, out):
+            if not t.token_ids + tuple(expanded.get(t.doc_id, ())):
+                assert vec == SparseVector()

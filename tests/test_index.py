@@ -90,13 +90,15 @@ class TestBuildIndex:
             build_index(docs)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="non-positive"):
+        """Refused where the vector is built, so build_index never sees it."""
+        with pytest.raises(ValueError, match="term 0 has weight -1.0, not a finite number > 0"):
             build_index([("a", SparseVector({0: -1.0}))])
 
     @pytest.mark.parametrize("w", [math.nan, math.inf])
     @pytest.mark.parametrize("mode", ["exact", "bits"])
     def test_non_finite_weight_rejected(self, w, mode):
-        with pytest.raises(ValueError, match="non-finite"):
+        """Refused where the vector is built, so build_index never sees it."""
+        with pytest.raises(ValueError, match=f"term 1 has weight {w!r}, not a finite number > 0"):
             build_index([("a", SparseVector({0: 1.0})), ("b", SparseVector({1: w}))], Quantization(mode=mode))
 
     def test_posting_structure(self):
@@ -290,8 +292,10 @@ class TestProperties:
 # few distinct weights, so that scores tie; doc ids d0..d13 sort apart from their ordinals (d10 < d2)
 tied_vectors = st.dictionaries(st.integers(0, 6), st.sampled_from([0.25, 0.5, 1.0, 2.0]), max_size=4).map(SparseVector)
 tied_corpora = st.lists(tied_vectors, min_size=1, max_size=14).map(lambda vs: [(f"d{i}", v) for i, v in enumerate(vs)])
-# term ids past the index's last term and negative ones included; the empty query too
-edge_queries = st.dictionaries(st.integers(-3, 9), st.sampled_from([0.5, 1.0, 1.5]), max_size=5).map(SparseVector)
+# term ids past the index's last term included, up to the largest a vector holds; the empty query too
+edge_queries = st.dictionaries(
+    st.integers(0, 9) | st.just(2**63 - 1), st.sampled_from([0.5, 1.0, 1.5]), max_size=5
+).map(SparseVector)
 quantizations = st.one_of(st.just(Quantization()), st.integers(1, 16).map(lambda b: Quantization(mode="bits", bits=b)))
 
 
@@ -324,7 +328,7 @@ class TestSearchEdges:
     @settings(max_examples=100, deadline=None)
     @given(docs=tied_corpora, q=edge_queries, quant=quantizations, k=st.integers(0, 3))
     def test_ops_is_sum_of_query_posting_lengths(self, docs, q, quant, k):
-        """Out-of-range and negative term ids add nothing; k does not change ops."""
+        """Term ids past the index's last add nothing; k does not change ops."""
         postings_of = {t: sum(t in v.entries for _, v in dequantized(docs, quant)) for t in q.entries}
         assert index_search(build_index(docs, quant), q, k)[1] == sum(postings_of.values())
 
@@ -338,7 +342,7 @@ class TestSearchEdges:
         idx = build_index([("a", SparseVector({0: 1.0}))])
         assert index_search(idx, SparseVector({0: 1.0}), k=0) == ([], 1)
         assert index_search(idx, SparseVector(), k=5) == ([], 0)
-        assert index_search(idx, SparseVector({-1: 1.0, 1: 1.0}), k=5) == ([], 0)
+        assert index_search(idx, SparseVector({2**63 - 1: 1.0, 1: 1.0}), k=5) == ([], 0)
 
     def test_scores_are_python_floats(self):
         idx = build_index([("a", SparseVector({0: 1.5}))], Quantization(mode="bits", bits=8))
@@ -382,10 +386,8 @@ def grid_corpora(draw, dense: bool):
     return [(f"d{i}", SparseVector(v)) for i, v in enumerate(vectors)]
 
 
-#: up to 40 terms, past numpy's 8-wide pairwise block; both signs, so that absent cells add -0.0 too
-long_queries = st.dictionaries(
-    st.integers(-3, 52), st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), max_size=40
-).map(SparseVector)
+#: up to 40 terms, past numpy's 8-wide pairwise block, some past the grid's last term
+long_queries = st.dictionaries(st.integers(0, 52), weights, max_size=40).map(SparseVector)
 
 
 class TestTermTable:
@@ -406,37 +408,17 @@ class TestTermTable:
         magnitudes; a 1-doc index keeps to its posting slices."""
         terms = rng.permutation(150)
         doc = SparseVector({int(t): float(w) for t, w in zip(terms, 10.0 ** rng.uniform(-6, 6, 150))})
-        q = SparseVector({int(t): float(w) for t, w in zip(terms, rng.uniform(-1, 1, 150))})
+        q = SparseVector({int(t): float(w) for t, w in zip(terms, 10.0 ** rng.uniform(-3, 3, 150))})
         idx = build_index([("a", doc)])
         assert idx.term_table is None
         assert index_search(idx, q, k=1) == (exhaustive_search(q, [("a", doc)], k=1), 150)
-
-    @pytest.mark.parametrize("w", [math.inf, -math.inf])
-    def test_infinite_query_weight_matches_the_oracle(self, rng, w):
-        """inf x 0.0 would make every doc without the term NaN; such a query takes the slices."""
-        docs = random_corpus(rng, num_docs=30, vocab_size=12, max_nnz=9)
-        idx = build_index(docs)
-        assert idx.term_table is not None
-        q = SparseVector({0: 0.5, 3: w, 7: 1.5})
-        got = index_search(idx, q, k=30)
-        assert got == (exhaustive_search(q, docs, k=30), sum(len(postings(idx).get(t, ())) for t in (0, 3, 7)))
-        assert any(score in (math.inf, -math.inf) for _, score in got[0])
 
     def test_term_ids_outside_the_table_add_nothing(self, rng):
         docs = random_corpus(rng, num_docs=30, vocab_size=12, max_nnz=9)
         idx = build_index(docs)
         assert idx.term_table is not None
-        q = SparseVector({-(2**70): 1.0, -1: 1.0, 2: 0.5, 12: 1.0, 2**70: 1.0})
+        q = SparseVector({2: 0.5, 12: 1.0, 2**40: 1.0, 2**63 - 1: 1.0})
         assert index_search(idx, q, k=30) == (exhaustive_search(q, docs, k=30), len(postings(idx)[2]))
-
-    def test_nan_query_weight_takes_the_slices(self, rng):
-        docs = random_corpus(rng, num_docs=30, vocab_size=12, max_nnz=9)
-        idx = build_index(docs)
-        assert idx.term_table is not None
-        q = SparseVector({1: 2.0, 4: math.nan, 9: 0.25})
-        ranked, _ = index_search(idx, q, k=30)
-        assert as_bits(ranked) == as_bits(slice_reference(idx, q, 30))
-        assert sum(math.isnan(score) for _, score in ranked) == len(postings(idx).get(4, ()))
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
     @settings(max_examples=80, deadline=None)
@@ -481,15 +463,18 @@ class TestBuildEdges:
         "docs, match",
         [
             ([("a", {0: 1.0}), ("b", {1: 1.0}), ("b", {2: 1.0})], "duplicate doc_id 'b'"),
-            ([("a", {0: 1.0}), ("b", {1: -1.0, 2: 1.0})], "non-positive or non-finite weight in document 'b'"),
-            ([("a", {0: 1.0}), ("b", {1: math.nan}), ("c", {2: -1.0})], "weight in document 'b'"),
-            ([("a", {0: 1.0}), ("b", {-2: 1.0}), ("c", {-2: 1.0})], "negative term id in document 'b'"),
-            ([("a", {0: 1.0}), ("b", {-2: 1.0, 1: 1.0}), ("c", {3: math.inf})], "negative term id in document 'b'"),
+            ([("a", {0: 1.0}), ("b", {1: -1.0, 2: 1.0})], "^term 1 has weight -1.0, not a finite number > 0$"),
+            ([("a", {0: 1.0}), ("b", {1: math.nan}), ("c", {2: -1.0})], "^term 1 has weight nan, "),
+            ([("a", {0: 1.0}), ("b", {-2: 1.0}), ("c", {-3: 1.0})], r"^term id -2 is outside \[0, 2\*\*63\)$"),
+            ([("a", {0: 1.0}), ("b", {-2: 1.0, 1: 1.0}), ("c", {3: math.inf})], "^term id -2 is outside "),
         ],
         ids=["duplicate", "negative-weight", "first-bad-weight", "first-negative-term", "negative-term-first"],
     )
     @pytest.mark.parametrize("quant", [Quantization(), Quantization(mode="bits", bits=8)], ids=["exact", "bits"])
     def test_bad_input_names_the_doc(self, docs, match, quant):
+        """build_index names a repeated doc id.  A vector that breaks the `SparseVector` contract is
+        refused where it is built, in doc order, so the error is the first bad doc's (b's, not c's)
+        and build_index never runs."""
         with pytest.raises(ValueError, match=match):
             build_index([(d, SparseVector(e)) for d, e in docs], quant)
 
@@ -607,4 +592,17 @@ class TestCorruption:
         header[key] = value
         (tmp_path / "header.json").write_text(json.dumps(header), encoding="utf-8")
         with pytest.raises(ValueError, match=f"corrupt index in {re.escape(str(tmp_path))}"):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("doc_table", [["a", "", "c"], ["a", "b c", "d"], ["a", "b", "c\t"], ["a", "b", "\u00a0"]],
+                             ids=["empty", "inner-space", "trailing-tab", "nbsp"])
+    def test_doc_id_empty_or_with_whitespace_rejected(self, tmp_path, doc_table):
+        """Such an id would give a run line with another field count, which `eval` refuses: the index is
+        corrupt, by the id rule of `read_vectors`."""
+        docs = [("a", SparseVector({0: 1.0})), ("b", SparseVector({0: 2.0})), ("c", SparseVector({1: 2.5}))]
+        save_index(build_index(docs), tmp_path)
+        header = json.loads((tmp_path / "header.json").read_text(encoding="utf-8"))
+        header["doc_table"] = doc_table
+        (tmp_path / "header.json").write_text(json.dumps(header), encoding="utf-8")
+        with pytest.raises(ValueError, match="corrupt index in .*: doc ids must be nonempty with no whitespace"):
             load_index(tmp_path)

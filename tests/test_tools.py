@@ -1,11 +1,13 @@
-"""`tools/golden_outputs.py --diff`: the digests that differ between two OUT.json files."""
+"""The repo's tools: `tools/golden_outputs.py --diff` (the digests that differ between two OUT.json files)
+and the benchmark's own smoke test."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden_outputs.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "golden_outputs.py"
 
 
 def _diff(tmp_path, a, b):
@@ -26,3 +28,11 @@ def test_diff_names_each_changed_or_missing_digest(tmp_path):
 def test_diff_of_equal_digests_exits_0(tmp_path):
     a = {"train": {"deepct": {"doc_heads": "1"}}}
     assert _diff(tmp_path, a, a).returncode == 0
+
+
+def test_perfbench_smoke_exits_0():
+    """`perfbench/smoke.py` runs every workload at tiny sizes and checks its correctness gate, which
+    builds SparseVectors and searches them, so an API change that breaks the benchmark fails here."""
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "smoke.py")], capture_output=True, text=True,
+                          cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
