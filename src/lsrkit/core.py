@@ -1,11 +1,11 @@
 """Shared vocabulary, tokenized-text, sparse-vector and corpus-statistics types.
 
-The sparse-vector contract: a `SparseVector`'s entries ascend by term id, every id is an int in
-[0, 2**63), and every weight is a float that is finite and > 0 (exact zeros are dropped).  Only the
-constructors here build one, each checking the contract where it builds: the mapping constructor
-sorts and checks, `from_dense` checks its row and `from_columns` a batch's weights column.  An entry
-that breaks it is a ValueError, so every later stage (writing, reading, indexing, search) takes a
-vector as it is, with no re-sort or re-check.
+The sparse-vector contract: a `SparseVector` is two numpy columns, `terms`, int64 ids strictly
+ascending in [0, 2**63), and `weights`, float64, each finite and > 0 (exact zeros are dropped).  Only
+the constructors here build one, each checking the contract where it builds: the mapping constructor
+sorts and checks, `from_dense` checks its row and `from_columns` a batch's weights column, each vector
+a slice of the batch's columns.  An entry that breaks it is a ValueError, so every later stage takes a
+vector as it is, with no re-sort or re-check, and `vector_columns` concatenates a batch's columns.
 """
 
 from __future__ import annotations
@@ -72,19 +72,31 @@ class TokenizedText:
 
 
 class SparseVector:
-    """Vocabulary-dimension vector stored as {term id: weight}, under the contract of this module's
-    docstring.  Training keeps its gradients in dense numpy arrays, never in this type."""
+    """Vocabulary-dimension vector: the `terms` and `weights` columns of this module's contract, never
+    written to.  Training keeps its gradients in dense numpy arrays, never in this type."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("terms", "weights")
 
-    def __init__(self, entries: Mapping[int, float] | None = None):
-        kept = {int(t): float(w) for t, w in (entries or {}).items() if w != 0.0}
-        if kept:
-            terms = sorted(kept)
-            kept = {t: kept[t] for t in terms}
-            if not (0 <= terms[0] and terms[-1] < 2**63 and all(0.0 < w < math.inf for w in kept.values())):
-                raise _bad_entry(kept)
-        self.entries: dict[int, float] = kept
+    def __init__(self, entries: Mapping[int, float] = {}):
+        """The vector of {term id: weight} `entries`, sorted, and checked by `_checked` unless every entry
+        is a Python int and float in the contract."""
+        if not all(type(t) is int and 0 <= t < 2**63 and type(w) is float and 0.0 < w < math.inf
+                   for t, w in entries.items()):
+            entries = _checked(entries)
+        ids = sorted(entries)
+        self.terms = np.array(ids, np.int64)
+        self.weights = np.fromiter(map(entries.__getitem__, ids), np.float64, len(ids))
+
+    @classmethod
+    def _of(cls, terms: np.ndarray, weights: np.ndarray) -> "SparseVector":  # columns that keep the contract
+        vec = cls.__new__(cls)
+        vec.terms, vec.weights = terms, weights
+        return vec
+
+    @property
+    def entries(self) -> dict[int, float]:
+        """{term id: weight} in ascending term order, Python ints and floats: a new dict at each read."""
+        return dict(zip(self.terms.tolist(), self.weights.tolist()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseVector) and self.entries == other.entries
@@ -93,42 +105,36 @@ class SparseVector:
         return f"SparseVector({self.entries!r})"
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.terms)
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
-
-    def get(self, term_id: int) -> float:
-        return self.entries.get(term_id, 0.0)
+        return len(self.terms)
 
     def dot(self, other: "SparseVector") -> float:
-        """Dot product over the shared support, accumulated in ascending term-id order."""
-        a, b = self.entries, other.entries
-        if len(b) < len(a):
-            a, b = b, a
+        """Dot product over the shared support, added entry by entry in ascending term-id order."""
+        a, b = sorted((self.entries, other.entries), key=len)
         total = 0.0
-        for t in sorted(a):
+        for t, w in a.items():
             if t in b:
-                total += a[t] * b[t]
+                total += w * b[t]
         return total
 
-    def to_dense(self, size: int) -> list[float]:
-        dense = [0.0] * size
-        for t, w in self.entries.items():
-            dense[t] = w
-        return dense
+    def take(self, positions: np.ndarray) -> "SparseVector":
+        """The vector of this one's entries at distinct `positions`: a subset keeps the contract."""
+        positions = np.sort(positions)
+        return self._of(self.terms[positions], self.weights[positions])
 
     @classmethod
     def from_dense(cls, values) -> "SparseVector":
-        """The nonzero entries of a 1-D array or list, in index order, as Python ints and floats."""
+        """The nonzero entries of a 1-D array or list, in index order; any other shape is a ValueError."""
         values = np.asarray(values, dtype=np.float64)
-        idx = np.flatnonzero(values)
-        vec = cls.__new__(cls)
-        vec.entries = dict(zip(idx.tolist(), values[idx].tolist()))
-        if len(idx) and not (values.min() >= 0.0 and values.max() < math.inf):  # min() propagates a NaN
-            raise _bad_entry(vec.entries)
-        return vec
+        if values.ndim != 1:
+            raise ValueError(f"from_dense takes a 1-D array, not a {values.ndim}-D one")
+        terms = np.flatnonzero(values)
+        if len(terms) and not (values.min() >= 0.0 and values.max() < math.inf):  # min() propagates a NaN
+            _checked(dict(zip(terms.tolist(), values[terms].tolist())))  # raises, naming the first bad entry
+        return cls._of(terms, values[terms])
 
     @classmethod
     def from_columns(
@@ -136,49 +142,43 @@ class SparseVector:
     ) -> list["SparseVector"]:
         """One vector per text of `texts` from the row and term id columns of `term_counts(texts)` and a
         weights column: zeros are dropped and the rest checked at once, a bad one being a ValueError
-        naming its text.  Every vector's key for a term is the same int object: one int per term, not
-        one per entry."""
+        naming its text.  Each vector's columns are slices of the batch's."""
         kept = np.flatnonzero(weights)
         if len(kept) < len(weights):
             rows, terms, weights = rows[kept], terms[kept], weights[kept]
         if len(weights) and not (weights.min() > 0.0 and weights.max() < math.inf):
             bad = int(np.argmin((weights > 0.0) & (weights < math.inf)))  # the first entry that fails
-            raise ValueError(f"text {texts[rows[bad]].doc_id!r}: {_bad_entry({int(terms[bad]): float(weights[bad])})}")
-        if terms.max(initial=0) < len(terms):  # a table of one int object per id, entry i the int i
-            keys = np.arange(int(terms.max(initial=0)) + 1, dtype=object)[terms]
-        else:  # sparse ids: no table as long as the largest id, only a key object per id present
-            present, inverse = np.unique(terms, return_inverse=True)
-            keys = np.array(present.tolist(), dtype=object)[inverse]
-        entries = zip(keys.tolist(), weights.tolist())
-        out = list(map(cls.__new__, itertools.repeat(cls, len(texts))))
-        for vec, nnz in zip(out, np.bincount(rows, minlength=len(texts)).tolist()):
-            vec.entries = dict(itertools.islice(entries, nnz))
-        return out
+            raise ValueError(f"text {texts[rows[bad]].doc_id!r}: {_weight_problem(terms[bad], float(weights[bad]))}")
+        ends = np.cumsum(np.bincount(rows, minlength=len(texts))).tolist()
+        return [cls._of(terms[start:end], weights[start:end]) for start, end in zip([0, *ends], ends)]
 
 
-def _bad_entry(entries: Mapping[int, float]) -> ValueError:
-    """The error naming the first entry of `entries` that breaks the SparseVector contract."""
-    t, w = next((t, w) for t, w in entries.items() if not (0 <= t < 2**63 and 0.0 < w < math.inf))
-    if not 0 <= t < 2**63:
-        return ValueError(f"term id {t} is outside [0, 2**63)")
-    return ValueError(f"term {t} has weight {w!r}, not a finite number > 0")
+def _checked(entries: Mapping) -> dict:
+    """`entries` without zero weights if each id is an int in [0, 2**63) and each weight an int or float, finite
+    and >= 0 (numpy's too, never a bool); else a ValueError naming the first that is not, in term order."""
+    for t in entries:
+        if type(t) is bool or not isinstance(t, (int, np.integer)):
+            raise ValueError(f"term id {t!r} is not an int")
+    for t, w in sorted(entries.items()):  # ids are distinct: no two weights are compared
+        if not 0 <= t < 2**63:
+            raise ValueError(f"term id {t} is outside [0, 2**63)")
+        if type(w) is bool or not isinstance(w, (int, float, np.integer, np.floating)) or not 0.0 <= w < math.inf:
+            raise ValueError(_weight_problem(t, w))
+    return {t: w for t, w in entries.items() if w != 0}
+
+
+def _weight_problem(term, weight) -> str:
+    return f"term {term} has weight {weight!r}, not a finite number > 0"
 
 
 def vector_columns(
     vectors: Iterable[tuple[str, SparseVector]],
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, nnz per vector, term ids, weights) of `vectors`: every vector's entries, in ascending term
-    order, one vector after another in an int64 and a float64 column."""
-    ids: list[str] = []
-    entries: list[dict[int, float]] = []
-    for vid, vec in vectors:
-        ids.append(vid)
-        entries.append(vec.entries)
-    lengths = np.fromiter(map(len, entries), np.int64, len(entries))
-    total = int(lengths.sum())
-    terms = np.fromiter(itertools.chain.from_iterable(entries), np.int64, total)
-    weights = np.fromiter(itertools.chain.from_iterable(e.values() for e in entries), np.float64, total)
-    return ids, lengths, terms, weights
+    """(ids, nnz per vector, term ids, weights) of `vectors`, their columns one after another."""
+    vectors = list(vectors)
+    lengths = np.fromiter((v.nnz for _, v in vectors), np.int64, len(vectors))
+    terms = np.concatenate([np.empty(0, np.int64), *(v.terms for _, v in vectors)])  # a batch may be empty
+    return [vid for vid, _ in vectors], lengths, terms, np.concatenate([np.empty(0), *(v.weights for _, v in vectors)])
 
 
 def term_counts(texts: Sequence[TokenizedText]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -151,7 +151,7 @@ def _check_ctx(text: TokenizedText, emb: EmbeddingBundle) -> None:
 
 def encode_binary(text: TokenizedText) -> SparseVector:
     """Presence indicator: weight 1 for each distinct input term."""
-    return SparseVector({t: 1.0 for t in text.token_ids})
+    return SparseVector(dict.fromkeys(text.token_ids, 1.0))
 
 
 def _quality_scores(emb: EmbeddingBundle, head: HeadParameters):

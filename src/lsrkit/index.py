@@ -109,11 +109,7 @@ def build_index(
     dropped.  One stable sort by term keeps doc order within each posting list.
     """
     doc_table, lengths, terms, w = vector_columns(vectors)
-    seen: set[str] = set()
-    for doc_id in doc_table:
-        if doc_id in seen:
-            raise ValueError(f"duplicate doc_id {doc_id!r}")
-        seen.add(doc_id)
+    _check_doc_table(doc_table, "")
     ordinals = np.repeat(np.arange(len(doc_table)), lengths)
 
     max_w = float(w.max()) if len(w) else 0.0
@@ -130,22 +126,31 @@ def build_index(
     return ImpactIndex(offsets, ordinals[order], impacts[order], doc_table, quantization, scale=max_w)
 
 
-def _ranked(scored: dict[str, float], k: int) -> list[tuple[str, float]]:
-    """Top-k by score descending, ties broken by doc_id lexicographic ascending."""
-    order = sorted(scored.items(), key=lambda it: (-it[1], it[0]))
-    return order[:k]
+def _check_doc_table(doc_table: list[str], context: str) -> None:
+    """A ValueError, `context` then the problem, unless every doc id is a string, nonempty and with no
+    whitespace (`read_vectors`' id rule: a run file's field), and none is repeated: the first is named."""
+    try:
+        joined = "".join(doc_table)  # a TypeError at the first id that is no string, in one C loop
+    except TypeError:
+        raise ValueError(f"{context}doc ids must be strings") from None
+    if len(set(doc_table)) < len(doc_table):
+        seen: set[str] = set()
+        raise ValueError(f"{context}duplicate doc_id {next(d for d in doc_table if d in seen or seen.add(d))!r}")
+    if "" in doc_table or (joined and joined.split() != [joined]):
+        raise ValueError(f"{context}doc ids must be nonempty with no whitespace")
 
 
 def exhaustive_search(
     q: SparseVector, vectors: list[tuple[str, SparseVector]], k: int
 ) -> list[tuple[str, float]]:
-    """Oracle: exact dot product against every document; zero scores excluded."""
+    """Oracle: exact dot product against every document, zero scores excluded; the top k by score
+    descending, ties broken by doc_id lexicographic ascending."""
     scored = {}
     for doc_id, vec in vectors:
         s = q.dot(vec)
         if s != 0.0:
             scored[doc_id] = s
-    return _ranked(scored, k)
+    return sorted(scored.items(), key=lambda it: (-it[1], it[0]))[:k]
 
 
 def index_search(
@@ -168,9 +173,8 @@ def index_search(
     """
     offsets, num_terms = index.offsets, len(index.offsets) - 1
     if index.term_table is not None:
-        terms = np.fromiter(q.entries, np.int64, len(q.entries))
-        inside = np.searchsorted(terms, num_terms)  # terms ascend: those the index has come first
-        terms, wq = terms[:inside], np.fromiter(q.entries.values(), np.float64, len(q.entries))[:inside]
+        inside = np.searchsorted(q.terms, num_terms)  # terms ascend: those the index has come first
+        terms, wq = q.terms[:inside], q.weights[:inside]
         ops = int((offsets[terms + 1] - offsets[terms]).sum())
         if k <= 0 or not ops:
             return [], ops
@@ -179,7 +183,7 @@ def index_search(
         acc = np.add.reduce(rows, axis=0)
     else:
         ordinals, weights = index.ordinals, index.weights
-        spans = [(offsets[t], offsets[t + 1], wq) for t, wq in q.entries.items() if t < num_terms]
+        spans = [(offsets[t], offsets[t + 1], w) for t, w in zip(q.terms.tolist(), q.weights.tolist()) if t < num_terms]
         ops = int(sum(hi - lo for lo, hi, _ in spans))
         if k <= 0 or not ops:
             return [], ops
@@ -236,7 +240,6 @@ def load_index(directory: str | Path) -> ImpactIndex:
         quant = Quantization(**header["quantization"])
         scale = json_number(header["scale"], "scale")
         doc_table, vocab_id = json_list(header["doc_table"], "doc_table"), header["vocab"]
-        joined = "".join(doc_table)  # a TypeError at the first id that is no string, in one C loop
         num_offsets, total, payload_bytes, crc = (
             header[key] for key in ("num_offsets", "total_postings", "payload_bytes", "crc32")
         )
@@ -244,10 +247,7 @@ def load_index(directory: str | Path) -> ImpactIndex:
         raise ValueError(f"corrupt index in {directory}: bad header field ({e!r})") from e
     _require(all(type(n) is int for n in (num_offsets, total, payload_bytes, crc)), directory,
              "num_offsets, total_postings, payload_bytes and crc32 must be JSON integers")
-    ids = set(doc_table)
-    _require(len(ids) == len(doc_table), directory, "doc ids must be unique")
-    _require("" not in ids and (not joined or joined.split() == [joined]), directory,  # read_vectors' id rule
-             "doc ids must be nonempty with no whitespace")
+    _check_doc_table(doc_table, f"corrupt index in {directory}: ")
     _require(scale >= 0, directory, "scale must be non-negative")
 
     blob = (directory / "postings.bin").read_bytes()

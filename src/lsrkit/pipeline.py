@@ -183,7 +183,7 @@ def encode_side(
             raise ValidationError(f"text {text.doc_id!r}: {e}") from e
         if cfg.regularizer.kind is RegularizerKind.TOPK:
             vec = topk_prune(vec, cfg.regularizer.k)
-        if kind in NON_EXPANDING and not vec.entries.keys() <= set(text.token_ids):
+        if kind in NON_EXPANDING and not set(text.token_ids).issuperset(vec.terms.tolist()):
             raise ValidationError(
                 f"{config.name}: {kind.value} emitted a term outside the input for {text.doc_id!r}"
             )
@@ -212,8 +212,8 @@ def write_vectors(
     ordered = np.sort(weights)  # np.unique's values, without the 1.7 MB import of numpy.ma that np.unique makes
     distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
     if len(distinct) > COLUMN_MAX_DISTINCT_SHARE * len(weights):
-        encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps' output
-        lines = [encode({"id": vid, "vector": {vocab.terms[t]: w for t, w in vec.entries.items()}})
+        encode, term = json.JSONEncoder(allow_nan=False).encode, vocab.terms.__getitem__  # json.dumps' output
+        lines = [encode({"id": vid, "vector": dict(zip(map(term, vec.terms.tolist()), vec.weights.tolist()))})
                  for vid, vec in vectors]
     else:
         lines = _column_lines(ids, lengths, terms, weights, distinct, vocab)

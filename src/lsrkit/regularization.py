@@ -91,9 +91,7 @@ def topk_prune(v: SparseVector, k: int) -> SparseVector:
     """Keep the k largest weights, ties broken by smaller term id."""
     if k >= v.nnz:
         return v
-    ids = np.fromiter(v.entries, dtype=np.int64, count=v.nnz)
-    weights = np.fromiter(v.entries.values(), dtype=np.float64, count=v.nnz)
-    return SparseVector({t: v.entries[t] for t in ids[topk_positions(weights, ids, k)].tolist()})
+    return v.take(topk_positions(v.weights, v.terms, k))
 
 
 def topk_mask(w: np.ndarray, k: int) -> np.ndarray:

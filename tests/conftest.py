@@ -50,6 +50,13 @@ def one_text_stack(kind, text, emb, heads):
     return stack_forward(EncoderKind(kind), [text], [emb], heads)(heads)
 
 
+def to_dense(vec: SparseVector, size: int) -> list[float]:
+    """`vec` as a dense list of `size` floats, 0.0 off its terms."""
+    dense = np.zeros(size)
+    dense[vec.terms] = vec.weights
+    return dense.tolist()
+
+
 def encode_one(kind, text, emb, heads) -> SparseVector:
     """`text`'s sparse vector under a neural head, from its one-text stack."""
     return SparseVector.from_dense(one_text_stack(kind, text, emb, heads)[0][0])

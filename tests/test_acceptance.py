@@ -148,17 +148,17 @@ class TestCriterion3:
         emb = make_bundle(ctx=[[2.0], [-3.0]], input_emb=[[1.0], [1.0], [1.0]])
         heads = make_heads(3, 1)
         v = encode_one("mlp", text("x", 0, 1), emb, heads)
-        checks.append(abs(v.get(0) - math.log(3.0)) <= 1e-12 and v.get(1) == 0.0)
+        checks.append(abs(v.entries.get(0, 0.0) - math.log(3.0)) <= 1e-12 and v.entries.get(1, 0.0) == 0.0)
         emb_rep = make_bundle(ctx=[[2.0], [2.0]], input_emb=[[1.0], [1.0], [1.0]])
         v = encode_one("mlp", text("x", 0, 0), emb_rep, heads)
-        checks.append(abs(v.get(0) - 2 * math.log(3.0)) <= 1e-12)
+        checks.append(abs(v.entries.get(0, 0.0) - 2 * math.log(3.0)) <= 1e-12)
         emb2 = make_bundle(ctx=[[2.0]], input_emb=[[1.0], [2.0], [-1.0]])
         v = encode_one("mlm", text("x", 0), emb2, make_heads(3, 1))
-        checks.append(abs(v.get(0) - math.log(3.0)) <= 1e-12
-                      and abs(v.get(1) - math.log(5.0)) <= 1e-12 and v.get(2) == 0.0)
+        checks.append(abs(v.entries.get(0, 0.0) - math.log(3.0)) <= 1e-12
+                      and abs(v.entries.get(1, 0.0) - math.log(5.0)) <= 1e-12 and v.entries.get(2, 0.0) == 0.0)
         v = encode_one("cls_mlm", text("x", 0), make_bundle(ctx=[[1.0]], input_emb=[[2.0], [0.5]], cls=[1.0]),
                        make_heads(2, 1))
-        checks.append(v.get(0) == 2.0 and v.get(1) == 0.5)
+        checks.append(v.entries.get(0, 0.0) == 2.0 and v.entries.get(1, 0.0) == 0.5)
 
         # dense oracle agreement on randomized toy-backbone inputs
         rng = np.random.default_rng(3)

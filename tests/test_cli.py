@@ -1330,3 +1330,19 @@ class TestStackedEncode:
         finally:
             tracemalloc.stop()
         assert peak < whole / 2, (peak, whole)
+
+    def test_vectors_hold_their_two_columns(self):
+        """An untrained ReLU MLM side expands over most of the vocabulary; its vectors hold their
+        int64 and float64 columns, 16 bytes an entry plus a few hundred a vector, not a dict."""
+        config, res = self._setup("relu mlm", 100, vocab_size=2000)
+        res.embedding_table(config.backbone_dim, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vectors = pipeline.encode_side(config, "doc", res.docs, res, 3)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        entries = sum(vec.nnz for _, vec in vectors)
+        assert entries > 50 * len(vectors)
+        assert held <= 32 * entries, (held, entries)

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import to_dense
+
 from lsrkit.core import (
     WRITE_SLICE,
     CorpusStats,
@@ -24,6 +26,7 @@ from lsrkit.core import (
     read_collection,
     read_json,
     read_vocabulary,
+    vector_columns,
     write_collection,
     write_lines,
     write_vocabulary,
@@ -114,9 +117,8 @@ class TestCorpusStats:
         assert base.avg_doc_len == other.avg_doc_len
 
 
-sparse_entries = st.dictionaries(
-    st.integers(min_value=0, max_value=63), st.floats(min_value=0.0, max_value=10, exclude_min=True), max_size=20
-)
+sparse_weights = st.floats(min_value=0.0, max_value=10, exclude_min=True)
+sparse_entries = st.dictionaries(st.integers(min_value=0, max_value=63), sparse_weights, max_size=20)
 
 #: entries that break the SparseVector contract, each with the error that names it
 BAD_ENTRIES = {
@@ -157,6 +159,29 @@ class TestSparseVector:
             with pytest.raises(ValueError, match=f"^text 'b': {problem}$"):
                 SparseVector.from_columns(texts, rows, terms, weights)
 
+    @pytest.mark.parametrize("entries, problem", [
+        ({1.7: 0.5}, "term id 1.7 is not an int"),
+        ({True: 0.5}, "term id True is not an int"),
+        ({"3": 0.5}, "term id '3' is not an int"),
+        ({2: "0.5"}, "term 2 has weight '0.5', not a finite number > 0"),
+        ({2: True}, "term 2 has weight True, not a finite number > 0"),
+        ({2: np.True_}, "term 2 has weight np.True_, not a finite number > 0"),
+        ({2: None}, "term 2 has weight None, not a finite number > 0"),
+    ], ids=["float-id", "bool-id", "str-id", "str-weight", "bool-weight", "numpy-bool-weight", "none-weight"])
+    def test_mapping_constructor_coerces_nothing(self, entries, problem):
+        """An id or weight of another type is refused, not converted, whatever else the mapping holds."""
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            SparseVector({0: 1.0, **entries, 9: 2.0})
+
+    def test_mapping_constructor_takes_python_and_numpy_numbers(self):
+        got = SparseVector({np.int32(7): np.float32(0.5), 3: 2, np.uint8(5): np.int64(4), 1: 1.5})
+        assert got == SparseVector({1: 1.5, 3: 2.0, 5: 4.0, 7: 0.5})
+
+    @pytest.mark.parametrize("values", [np.float64(2.0), [[0.0, 1.0, 0.0], [0.0, 0.0, 3.0]]], ids=["0-D", "2-D"])
+    def test_from_dense_refuses_all_but_1d(self, values):
+        with pytest.raises(ValueError, match="^from_dense takes a 1-D array, not a [02]-D one$"):
+            SparseVector.from_dense(values)
+
     def test_from_columns_drops_zeros(self):
         """One vector per text, a text without entries included; zero weights are not stored."""
         texts = [TokenizedText(d, ()) for d in "abc"]
@@ -165,18 +190,38 @@ class TestSparseVector:
         assert got == [SparseVector({1: 0.5}), SparseVector(), SparseVector({0: 2.0, 300: 1.5})]
         assert [list(v.entries) for v in got] == [[1], [], [0, 300]]
 
+    @given(st.lists(st.dictionaries(st.integers(0, 63), st.just(0.0) | sparse_weights, max_size=20), max_size=8))
+    def test_from_columns_round_trip(self, batch):
+        """`vector_columns` of `from_columns`' vectors gives back its columns with the zeros dropped, and
+        each vector is the mapping constructor's, its columns int64 ascending and float64."""
+        texts = [TokenizedText(f"t{i}", ()) for i in range(len(batch))]
+        rows = np.array([i for i, e in enumerate(batch) for _ in e], np.int64)
+        terms = np.array([t for e in batch for t in sorted(e)], np.int64)
+        weights = np.array([e[t] for e in batch for t in sorted(e)], np.float64)
+        got = SparseVector.from_columns(texts, rows, terms, weights)
+        assert got == [SparseVector(e) for e in batch]
+        for vec in got:
+            assert vec.terms.dtype == np.int64 and vec.weights.dtype == np.float64
+            assert (np.diff(vec.terms) > 0).all()
+        ids, lengths, got_terms, got_weights = vector_columns(zip((t.doc_id for t in texts), got))
+        kept = weights != 0.0
+        assert ids == [t.doc_id for t in texts]
+        assert lengths.tolist() == np.bincount(rows[kept], minlength=len(batch)).tolist()
+        assert got_terms.dtype == np.int64 and got_terms.tolist() == terms[kept].tolist()
+        assert got_weights.dtype == np.float64 and got_weights.tobytes() == weights[kept].tobytes()
+
     @given(sparse_entries, sparse_entries)
     @settings(max_examples=200)
     def test_arithmetic_matches_dense_oracle(self, a, b):
         va, vb = SparseVector(a), SparseVector(b)
-        da = np.array(va.to_dense(64))
-        db = np.array(vb.to_dense(64))
+        da = np.array(to_dense(va, 64))
+        db = np.array(to_dense(vb, 64))
         assert va.dot(vb) == pytest.approx(float(da @ db), abs=1e-9)
 
     @given(sparse_entries)
     def test_dense_round_trip(self, a):
         v = SparseVector(a)
-        assert SparseVector.from_dense(v.to_dense(64)) == v
+        assert SparseVector.from_dense(to_dense(v, 64)) == v
 
 
 class TestFromDense:

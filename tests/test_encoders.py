@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import encode_one, make_bundle, make_heads, method_config, one_text_stack, text
+from conftest import encode_one, make_bundle, make_heads, method_config, one_text_stack, text, to_dense
 
 from lsrkit.core import SparseVector, TokenizedText, build_vocabulary, compute_corpus_stats, term_counts
 from lsrkit.encoders import (
@@ -149,7 +149,7 @@ class TestMlp:
             heads = make_heads(vocab_size, dim, mlp_weight=W, mlp_bias=0.3)
             got = encode_one("mlp", TokenizedText("d", ids), emb, heads)
             want = dense_mlp(ids, ctx, W, 0.3, vocab_size)
-            assert got.to_dense(vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
+            assert to_dense(got, vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
 
 
 class TestExpandText:
@@ -252,7 +252,7 @@ class TestMlm:
             emb = make_bundle(ctx, E)
             got = encode_one("mlm", TokenizedText("d", ids), emb, make_heads(vocab_size, dim, mlm_bias=bias))
             want = dense_mlm(ids, ctx, E, bias)
-            assert got.to_dense(vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
+            assert to_dense(got, vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
 
     def test_log_of_max_equals_max_of_logs(self, rng):
         # log(1 + max_j x_j) == max_j log(1 + x_j) for x_j >= 0
@@ -265,7 +265,7 @@ class TestMlm:
             got = encode_one("mlm", TokenizedText("d", ids), emb, make_heads(vocab_size, dim))
             logits = ctx @ E.T
             alt = np.max(np.log1p(np.maximum(logits, 0.0)), axis=0)
-            assert got.to_dense(vocab_size) == pytest.approx(alt.tolist(), abs=1e-12)
+            assert to_dense(got, vocab_size) == pytest.approx(alt.tolist(), abs=1e-12)
 
     def test_permutation_invariance_with_quality_heads_off(self, rng):
         vocab_size, dim = 8, 3
@@ -281,7 +281,7 @@ class TestMlm:
             make_bundle(ctx[perm], E),
             heads,
         )
-        assert base.to_dense(vocab_size) == pytest.approx(permuted.to_dense(vocab_size))
+        assert to_dense(base, vocab_size) == pytest.approx(to_dense(permuted, vocab_size))
 
     def test_quality_heads_scale_inside_the_max(self, rng):
         vocab_size, dim = 6, 3
@@ -297,7 +297,7 @@ class TestMlm:
         q = float(softplus(cls @ heads.quality_weight))
         g = softplus(ctx @ heads.importance_weight)
         want = dense_mlm(ids, ctx, E, np.zeros(vocab_size), q=q, g=g)
-        assert got.to_dense(vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
+        assert to_dense(got, vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
 
 
 class TestFrozenStack:
@@ -444,21 +444,21 @@ class TestClsMlm:
             emb = make_bundle(np.zeros((0, dim)), E, cls=cls)
             got = encode_one("cls_mlm", text("d"), emb, make_heads(vocab_size, dim, mlm_bias=bias))
             want = dense_cls_mlm(cls, E, bias)
-            assert got.to_dense(vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
+            assert to_dense(got, vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
 
 
 class TestBm25:
     def test_query_idf(self):
         stats = compute_corpus_stats([TokenizedText("d1", (0,)), TokenizedText("d2", (1,))])
         got = encode_bm25_query(text("q", 0), stats)
-        assert got.get(0) == pytest.approx(math.log(2.0))
+        assert got.entries.get(0, 0.0) == pytest.approx(math.log(2.0))
 
     def test_idf_positive_even_for_ubiquitous_terms(self):
         docs = [TokenizedText(f"d{i}", (0,)) for i in range(5)]
         stats = compute_corpus_stats(docs)
         got = encode_bm25_query(text("q", 0), stats)
-        assert got.get(0) == pytest.approx(math.log(1.0 + 0.5 / 5.5))
-        assert got.get(0) > 0
+        assert got.entries.get(0, 0.0) == pytest.approx(math.log(1.0 + 0.5 / 5.5))
+        assert got.entries.get(0, 0.0) > 0
 
     def test_empty_query(self):
         stats = compute_corpus_stats([TokenizedText("d1", (0,))])
@@ -467,14 +467,14 @@ class TestBm25:
     def test_doc_weight_at_length_parity(self):
         stats = compute_corpus_stats([TokenizedText("d1", (0, 1))])
         (got,) = encode_bm25_doc([TokenizedText("d1", (0, 1))], stats, Bm25Params(k1=0.9, b=0.4))
-        assert got.get(0) == pytest.approx(1.0)
+        assert got.entries.get(0, 0.0) == pytest.approx(1.0)
 
     def test_saturation_bound(self):
         stats = compute_corpus_stats(
             [TokenizedText("d1", tuple([0] * 10**6)), TokenizedText("d2", tuple([1] * 10**6))]
         )
         (got,) = encode_bm25_doc([TokenizedText("d1", tuple([0] * 10**6))], stats)
-        assert got.get(0) == pytest.approx(1.9, abs=1e-3)
+        assert got.entries.get(0, 0.0) == pytest.approx(1.9, abs=1e-3)
 
     def test_empty_doc(self):
         stats = compute_corpus_stats([TokenizedText("d1", (0,))])
@@ -580,15 +580,6 @@ class TestBm25DocBatch:
         size = -(-len(texts) // n_chunks)
         chunked = [v for i in range(0, len(texts), size) for v in encode_bm25_doc(texts[i:i + size], stats)]
         assert hex_entries(chunked) == hex_entries(encode_bm25_doc(texts, stats))
-
-    def test_one_key_object_per_term(self, bm25_batch):
-        """Keys are shared int objects, not one per posting: ids above 256 are not cached by CPython."""
-        texts, stats = bm25_batch
-        first: dict[int, int] = {}
-        for v in encode_bm25_doc(texts, stats):
-            for t in v.entries:
-                assert first.setdefault(t, t) is t
-        assert max(first) > 256
 
     @pytest.mark.parametrize("corpus", [[], [TokenizedText("d0", ()), TokenizedText("d1", ())]])
     def test_degenerate_stats(self, corpus):
@@ -826,24 +817,24 @@ class TestEncoderProperties:
         for _ in range(20):
             t, emb, heads = self._random_case(rng)
             j = int(rng.integers(len(t)))
-            before = encode_one("mlp", t, emb, heads).get(t.token_ids[j])
+            before = encode_one("mlp", t, emb, heads).entries.get(t.token_ids[j], 0.0)
             bumped = emb.ctx_embeddings.copy()
             bumped[j] += heads.mlp_weight * 0.5  # moves z_j up by 0.5*|W|^2
             emb2 = make_bundle(bumped, emb.input_embeddings, cls=emb.cls_embedding)
-            after = encode_one("mlp", t, emb2, heads).get(t.token_ids[j])
+            after = encode_one("mlp", t, emb2, heads).entries.get(t.token_ids[j], 0.0)
             assert after >= before - 1e-12
 
     def test_mlm_monotone_in_bias(self, rng):
         for _ in range(20):
             t, emb, heads = self._random_case(rng)
             i = int(rng.integers(len(heads.mlm_bias)))
-            before = encode_one("mlm", t, emb, heads).get(i)
+            before = encode_one("mlm", t, emb, heads).entries.get(i, 0.0)
             heads2 = heads.copy()
             heads2.mlm_bias[i] += 0.7
-            after = encode_one("mlm", t, emb, heads2).get(i)
+            after = encode_one("mlm", t, emb, heads2).entries.get(i, 0.0)
             assert after >= before - 1e-12
-            cls_before = encode_one("cls_mlm", t, emb, heads).get(i)
-            cls_after = encode_one("cls_mlm", t, emb, heads2).get(i)
+            cls_before = encode_one("cls_mlm", t, emb, heads).entries.get(i, 0.0)
+            cls_after = encode_one("cls_mlm", t, emb, heads2).entries.get(i, 0.0)
             assert cls_after >= cls_before - 1e-12
 
 
@@ -861,12 +852,12 @@ class TestParameterFiles:
 
 
 def meets_the_contract(vec: SparseVector) -> bool:
-    """The `core.SparseVector` contract, checked entry by entry: ids ascending ints in [0, 2**63),
-    weights floats that are finite and > 0."""
-    terms = list(vec.entries)
-    return terms == sorted(terms) and all(
-        type(t) is int and 0 <= t < 2**63 and type(w) is float and 0.0 < w < math.inf for t, w in vec.entries.items()
-    )
+    """The `core.SparseVector` contract: an int64 column of strictly ascending ids in [0, 2**63) and a
+    float64 column, as long, of weights that are finite and > 0, checked entry by entry."""
+    terms, weights = vec.terms.tolist(), vec.weights.tolist()
+    return vec.terms.dtype == np.int64 and vec.weights.dtype == np.float64 and len(terms) == len(weights) and all(
+        0 <= t < 2**63 and 0.0 < w < math.inf for t, w in zip(terms, weights)
+    ) and all(a < b for a, b in zip(terms, terms[1:]))
 
 
 CONTRACT_VOCAB = 12

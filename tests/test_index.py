@@ -463,12 +463,14 @@ class TestBuildEdges:
         "docs, match",
         [
             ([("a", {0: 1.0}), ("b", {1: 1.0}), ("b", {2: 1.0})], "duplicate doc_id 'b'"),
+            ([("a", {0: 1.0}), (7, {1: 1.0})], "^doc ids must be strings$"),
             ([("a", {0: 1.0}), ("b", {1: -1.0, 2: 1.0})], "^term 1 has weight -1.0, not a finite number > 0$"),
             ([("a", {0: 1.0}), ("b", {1: math.nan}), ("c", {2: -1.0})], "^term 1 has weight nan, "),
             ([("a", {0: 1.0}), ("b", {-2: 1.0}), ("c", {-3: 1.0})], r"^term id -2 is outside \[0, 2\*\*63\)$"),
             ([("a", {0: 1.0}), ("b", {-2: 1.0, 1: 1.0}), ("c", {3: math.inf})], "^term id -2 is outside "),
         ],
-        ids=["duplicate", "negative-weight", "first-bad-weight", "first-negative-term", "negative-term-first"],
+        ids=["duplicate", "not-a-string", "negative-weight", "first-bad-weight", "first-negative-term",
+             "negative-term-first"],
     )
     @pytest.mark.parametrize("quant", [Quantization(), Quantization(mode="bits", bits=8)], ids=["exact", "bits"])
     def test_bad_input_names_the_doc(self, docs, match, quant):
@@ -598,8 +600,10 @@ class TestCorruption:
                              ids=["empty", "inner-space", "trailing-tab", "nbsp"])
     def test_doc_id_empty_or_with_whitespace_rejected(self, tmp_path, doc_table):
         """Such an id would give a run line with another field count, which `eval` refuses: the index is
-        corrupt, by the id rule of `read_vectors`."""
+        corrupt, by the id rule of `read_vectors`, and `build_index` refuses to build it."""
         docs = [("a", SparseVector({0: 1.0})), ("b", SparseVector({0: 2.0})), ("c", SparseVector({1: 2.5}))]
+        with pytest.raises(ValueError, match="^doc ids must be nonempty with no whitespace$"):
+            build_index([(doc_id, vec) for doc_id, (_, vec) in zip(doc_table, docs)])
         save_index(build_index(docs), tmp_path)
         header = json.loads((tmp_path / "header.json").read_text(encoding="utf-8"))
         header["doc_table"] = doc_table

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import to_dense
+
 from lsrkit.core import SparseVector
 from lsrkit.regularization import flops_penalty, lp_penalty, topk_mask, topk_prune, topk_schedule
 
@@ -15,7 +17,7 @@ def random_sparse(rng, vocab_size=16, max_nnz=8, positive=True):
 
 
 def dense(batch, vocab_size):
-    return np.array([v.to_dense(vocab_size) for v in batch], dtype=np.float64)
+    return np.array([to_dense(v, vocab_size) for v in batch], dtype=np.float64)
 
 
 class TestFlopsPenalty:
@@ -41,7 +43,7 @@ class TestFlopsPenalty:
             vocab_size = int(rng.integers(4, 64))
             batch = [random_sparse(rng, vocab_size) for _ in range(int(rng.integers(1, 8)))]
             value, _ = flops_penalty(dense(batch, vocab_size))
-            want = sum(sum(v.get(t) for v in batch) ** 2 for t in range(vocab_size)) / len(batch) ** 2
+            want = sum(sum(v.entries.get(t, 0.0) for v in batch) ** 2 for t in range(vocab_size)) / len(batch) ** 2
             assert value == pytest.approx(want, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -155,7 +157,7 @@ class TestTopkMask:
             v = random_sparse(rng)
             v = SparseVector({**v.entries, min(v.entries): max(v.entries.values())})  # force a tie
             k = int(rng.integers(0, 10))
-            w = np.array(v.to_dense(16))
+            w = np.array(to_dense(v, 16))
             assert SparseVector.from_dense(w * topk_mask(w, k)) == topk_prune(v, k)
 
 
