@@ -155,16 +155,25 @@ class SparseVector:
 
 def _checked(entries: Mapping) -> dict:
     """`entries` without zero weights if each id is an int in [0, 2**63) and each weight an int or float, finite
-    and >= 0 (numpy's too, never a bool); else a ValueError naming the first that is not, in term order."""
+    as a float64 and >= 0 (numpy's too, never a bool); else a ValueError naming the first that is not, in term
+    order."""
     for t in entries:
         if type(t) is bool or not isinstance(t, (int, np.integer)):
             raise ValueError(f"term id {t!r} is not an int")
     for t, w in sorted(entries.items()):  # ids are distinct: no two weights are compared
         if not 0 <= t < 2**63:
             raise ValueError(f"term id {t} is outside [0, 2**63)")
-        if type(w) is bool or not isinstance(w, (int, float, np.integer, np.floating)) or not 0.0 <= w < math.inf:
+        if type(w) is bool or not isinstance(w, (int, float, np.integer, np.floating)) or not _finite_float(w):
             raise ValueError(_weight_problem(t, w))
     return {t: w for t, w in entries.items() if w != 0}
+
+
+def _finite_float(w) -> bool:
+    """Whether number `w` is >= 0 and finite as a float64: an int beyond the float range is not."""
+    try:
+        return 0.0 <= float(w) < math.inf
+    except OverflowError:
+        return False
 
 
 def _weight_problem(term, weight) -> str:

@@ -19,6 +19,8 @@ import hashlib
 import itertools
 import json
 import math
+import struct
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Container, Mapping
@@ -390,37 +392,42 @@ def encode_bm25_doc(
 # ---------------------------------------------------------------------------
 
 
-def _hash_key(parts: tuple) -> np.ndarray:
+_KEY_WORDS = struct.Struct("<2Q")
+
+
+def _hash_key(parts: tuple) -> tuple[int, int]:
     """The 128-bit Philox key of `parts`: a blake2b digest of their repr, as two little-endian words."""
-    return np.frombuffer(hashlib.blake2b(repr(parts).encode(), digest_size=16).digest(), "<u8")
+    return _KEY_WORDS.unpack(hashlib.blake2b(repr(parts).encode(), digest_size=16).digest())
 
 
-def _hash_rng(*parts) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_hash_key(parts)))
+#: one Philox bit generator and its Generator per thread, built on first use by `_hashed_normals`
+_PHILOX = threading.local()
 
 
 def _hashed_normals(rows: list[tuple], dim: int) -> np.ndarray:
-    """len(rows) x dim standard normals; row r is the first `dim` draws of `_hash_rng(*rows[r])`.
+    """len(rows) x dim standard normals; row r is the first `dim` draws of a new Philox generator keyed
+    by `_hash_key(rows[r])`.
 
     Philox's key and counter are its whole state (Salmon et al., SC 2011), so
-    one generator re-keyed before each row, with the counter at 0 and the
-    buffers empty, draws the bits of a new generator per row at a fraction of
-    its cost.  The generator is local, so no call depends on another.
+    the thread's one generator, re-keyed before each row with the counter at 0
+    and the buffers empty, draws the bits of a new generator per row at a
+    fraction of its cost.  Each row sets the whole state, so no row and no
+    call depends on another, and threads share no generator.
     """
-    bit_generator = np.random.Philox(key=0)
-    gen = np.random.Generator(bit_generator)
-    zeros = np.zeros(4, np.uint64)
+    pair = getattr(_PHILOX, "pair", None)
+    if pair is None:
+        bit_generator = np.random.Philox(key=0)
+        pair = _PHILOX.pair = (bit_generator, np.random.Generator(bit_generator))
+    bit_generator, gen = pair
+    # one state record, re-keyed per row; Python ints and tuples, which the setter reads faster than numpy's
+    key_state = {"counter": (0, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": key_state, "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     out = np.empty((len(rows), dim))
-    for r, parts in enumerate(rows):
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": _hash_key(parts)},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=out[r])
+    for row, parts in zip(out, rows):
+        key_state["key"] = _hash_key(parts)
+        bit_generator.state = state
+        gen.standard_normal(out=row)
     return out
 
 
@@ -437,31 +444,36 @@ def backbone_table(vocab_size: int, dim: int, seed: int) -> np.ndarray:
 
 
 def toy_backbone(
-    text: TokenizedText, vocab_size: int, dim: int, seed: int, table: np.ndarray | None = None
-) -> EmbeddingBundle:
-    """Deterministic, context-sensitive embeddings.
+    texts: list[TokenizedText], vocab_size: int, dim: int, seed: int, table: np.ndarray | None = None
+) -> list[EmbeddingBundle]:
+    """Deterministic, context-sensitive embeddings of a batch of texts, one bundle per text.
 
     h_j depends on (previous token, token, next token, position parity, seed),
     so the same token gets different embeddings in different contexts.  Half of
     h_j's variance comes from the token's own input embedding e_{t_j}, mimicking
     a real backbone where h_j . e_i is largest for the input term itself:
     h_j = (e_{t_j} + n_j / sqrt(d)) / sqrt(2), where n_j is hashed normals of
-    that context, drawn by one generator per call that is re-keyed per token
-    (`_hashed_normals`).  e_i is row i of `table`, which must be
+    that context.  The batch's context rows are drawn by one `_hashed_normals`
+    call and combined by one gather and one elementwise pass; each text's
+    ctx_embeddings is its slice of that array, with the bits the text gets in a
+    batch of one.  e_i is row i of `table`, which must be
     `backbone_table(vocab_size, dim, seed)` and is built here when not given.
-    h_0 is the mean of the h_j (zero for empty text).
+    h_0 is the mean of the text's h_j (zero for empty text).
     """
-    ids = text.token_ids
     input_emb = backbone_table(vocab_size, dim, seed) if table is None else table
     if input_emb.shape != (vocab_size, dim):
         raise ValueError(f"backbone table is {input_emb.shape}, expected {(vocab_size, dim)}")
-    n = len(ids)
-    contexts = [("ctx", seed, ids[j - 1] if j > 0 else -1, t, ids[j + 1] if j + 1 < n else -1, j % 2)
-                for j, t in enumerate(ids)]
+    contexts = [("ctx", seed, ids[j - 1] if j > 0 else -1, t, ids[j + 1] if j + 1 < len(ids) else -1, j % 2)
+                for ids in (text.token_ids for text in texts) for j, t in enumerate(ids)]
     noise = _hashed_normals(contexts, dim)
-    ctx = (input_emb[np.array(ids, dtype=np.intp)] + noise / math.sqrt(dim)) / math.sqrt(2.0)
-    cls = ctx.mean(axis=0) if n else np.zeros(dim)
-    return EmbeddingBundle(ctx_embeddings=ctx, cls_embedding=cls, input_embeddings=input_emb)
+    token_ids = np.fromiter(itertools.chain.from_iterable(text.token_ids for text in texts), np.intp, len(contexts))
+    ctx = (input_emb[token_ids] + noise / math.sqrt(dim)) / math.sqrt(2.0)
+    bundles = []
+    for start, end in itertools.pairwise(itertools.accumulate(map(len, texts), initial=0)):
+        rows = ctx[start:end]
+        cls = rows.mean(axis=0) if end > start else np.zeros(dim)
+        bundles.append(EmbeddingBundle(ctx_embeddings=rows, cls_embedding=cls, input_embeddings=input_emb))
+    return bundles
 
 
 def init_head_parameters(
@@ -473,14 +485,15 @@ def init_head_parameters(
     use_quality_heads: bool = False,
 ) -> HeadParameters:
     """Seeded head initialization; scales chosen so roughly half the logits activate."""
-    rng = _hash_rng("heads", seed, vocab_size, dim)
+    draws = _hashed_normals([("heads", seed, vocab_size, dim)], 3 * dim)[0]  # one keyed generator's draws, in turn
+    mlp_weight, quality_weight, importance_weight = draws.reshape(3, dim)
     return HeadParameters(
-        mlp_weight=rng.standard_normal(dim),
+        mlp_weight=mlp_weight,
         mlp_bias=0.0,
         mlm_bias=np.zeros(vocab_size),
-        quality_weight=rng.standard_normal(dim),
+        quality_weight=quality_weight,
         quality_bias=0.0,
-        importance_weight=rng.standard_normal(dim),
+        importance_weight=importance_weight,
         importance_bias=0.0,
         activation=activation,
         mlp_log_normalize=mlp_log_normalize,

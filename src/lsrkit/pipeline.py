@@ -144,12 +144,13 @@ def encode_side(
     """Encode a batch of texts with the configured encoder for one side.
 
     BM25 doc weights come from one (doc, term, tf) column pass over the whole
-    batch; a neural head embeds each slice of ENCODE_SLICE texts and runs it
-    through one `stack_forward`; binary and BM25 query encode one text at a
-    time.  A vector that breaks the `core.SparseVector` contract (a head that
-    gives a NaN weight) is a ValidationError naming its text.  Applies
-    inference-time top-k pruning when the side's regularizer is topk, and
-    audits the support constraint for non-expanding encoders.
+    batch; a neural head embeds each slice of ENCODE_SLICE texts in one
+    `toy_backbone` call and runs it through one `stack_forward`; binary and
+    BM25 query encode one text at a time.  A vector that breaks the
+    `core.SparseVector` contract (a head that gives a NaN weight) is a
+    ValidationError naming its text.  Applies inference-time top-k pruning
+    when the side's regularizer is topk, and audits the support constraint
+    for non-expanding encoders.
     """
     cfg = config.query if side == "query" else config.doc
     kind = cfg.encoder
@@ -171,7 +172,7 @@ def encode_side(
         def rows():  # one slice's N x |V| weights at a time
             for start in range(0, len(texts), ENCODE_SLICE):
                 part = texts[start:start + ENCODE_SLICE]
-                embs = [toy_backbone(text, res.vocab.size, config.backbone_dim, seed, table) for text in part]
+                embs = toy_backbone(part, res.vocab.size, config.backbone_dim, seed, table)
                 yield from stack_forward(kind, part, embs, heads)(heads)[0]
 
         vectors = map(SparseVector.from_dense, rows())
@@ -358,7 +359,7 @@ def run_train(
     return train_heads(
         config,
         triples,
-        embed=lambda text: toy_backbone(text, res.vocab.size, config.backbone_dim, seed, table),
+        embed=lambda texts: toy_backbone(texts, res.vocab.size, config.backbone_dim, seed, table),
         query_heads=keep["query"] if "query" in keep else side_heads(config, "query", seed, res.vocab.size),
         doc_heads=keep["doc"] if "doc" in keep else side_heads(config, "doc", seed, res.vocab.size),
         keep=keep,

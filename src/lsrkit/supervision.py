@@ -14,10 +14,10 @@ that encodes and the code the finite-difference checks cover; no autodiff
 dependency is needed.
 
 The backbone and the vocabulary embeddings are frozen, so each side's texts
-are embedded and stacked once per call by `encoders.stack_forward`, the one
-place that picks a head kind's kernel; each step runs one stacked forward and
-one `head_backward` per side.  Every kernel gives each text the bits it gets
-alone.
+are embedded in one `embed` call and stacked once per call by
+`encoders.stack_forward`, the one place that picks a head kind's kernel; each
+step runs one stacked forward and one `head_backward` per side.  Every kernel
+gives each text the bits it gets alone.
 
 The pairwise loss runs over all triples at once, with the bits of a loop
 over them: per candidate count, one stacked `np.matmul` that runs a `ddot`
@@ -250,7 +250,7 @@ def _reg_lambda(cfg: RegularizerConfig, step: int, steps: int) -> float:
 def train_heads(
     config: MethodConfig,
     triples: list[TrainingTriple],
-    embed: Callable[[TokenizedText], EmbeddingBundle],
+    embed: Callable[[list[TokenizedText]], list[EmbeddingBundle]],
     query_heads: HeadParameters,
     doc_heads: HeadParameters,
     keep: Collection[str] = (),
@@ -272,7 +272,8 @@ def train_heads(
 
     Starts from copies of the given heads (shared heads: the query heads serve
     both sides) and reads |V| and d off them.  Backbone embeddings are frozen
-    inputs supplied by `embed`, called once per distinct text.  Once per call,
+    inputs supplied by `embed`, called once per side with the side's distinct
+    texts, which gives one bundle per text.  Once per call,
     `encoders.stack_forward` stacks each side's texts and picks its head kind's
     kernel; each step runs one stacked forward and one `head_backward` per
     side.  Deterministic: iteration order and summation order are fixed,
@@ -328,7 +329,7 @@ def train_heads(
             (row["q"][t.query.doc_id], [row["d"][d.doc_id] for d in (t.positive, *t.negatives)], t.teacher_scores)
             for t in triples])
     params = {"q": q_heads, "d": d_heads}
-    forwards = {side: stack_forward(cfg.encoder, texts[side], [embed(text) for text in texts[side]], params[side])
+    forwards = {side: stack_forward(cfg.encoder, texts[side], embed(texts[side]), params[side])
                 for side, cfg in (("q", config.query), ("d", config.doc))}
     regs = {"q": config.query.regularizer, "d": config.doc.regularizer}
 

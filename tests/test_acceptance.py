@@ -170,7 +170,7 @@ class TestCriterion3:
         for _ in range(50):
             ids = tuple(int(t) for t in rng.integers(0, V, size=int(rng.integers(1, 8))))
             t = text("x", *ids)
-            emb = toy_backbone(t, V, D, seed=3)
+            [emb] = toy_backbone([t], V, D, seed=3)
             z = emb.ctx_embeddings @ heads.mlp_weight + heads.mlp_bias
             dense_mlp = np.zeros(V)
             for j, tok in enumerate(ids):
@@ -198,7 +198,7 @@ class TestCriterion3:
         # expansion encoder: support confined to input plus expansion terms
         ids = (0, 1)
         expanded = expand_text(text("e", *ids), {"e": [5, 6]})
-        emb = toy_backbone(expanded, V, D, seed=3)
+        [emb] = toy_backbone([expanded], V, D, seed=3)
         exp_vec = encode_one("mlp", expanded, emb, heads)
         support_ok = support_ok and set(exp_vec.entries) <= {0, 1, 5, 6}
 
@@ -282,7 +282,7 @@ class TestCriterion5:
         V, D = task.vocab.size, 16
         triples = triples_of(task)
         table = backbone_table(V, D, 7)
-        embed = lambda t: toy_backbone(t, V, D, 7, table)
+        embed = lambda texts: toy_backbone(texts, V, D, 7, table)
         nnz = []
         for lam in (0.0, 0.01, 0.1, 1.0):
             reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=lam)
@@ -290,8 +290,8 @@ class TestCriterion5:
             result = train_heads(config, triples, embed,
                                  init_head_parameters(V, D, 3), init_head_parameters(V, D, 4))
             counts = [
-                int((one_text_stack(EncoderKind.MLM, d, embed(d), result.doc_heads)[0] > 0).sum())
-                for d in task.docs
+                int((one_text_stack(EncoderKind.MLM, d, emb, result.doc_heads)[0] > 0).sum())
+                for d, emb in zip(task.docs, embed(task.docs))
             ]
             nnz.append(float(np.mean(counts)))
         elapsed = time.monotonic() - start
@@ -309,7 +309,7 @@ class TestCriterion6:
         V, D = task.vocab.size, 24
         triples = triples_of(task)
         table = backbone_table(V, D, 7)
-        embed = lambda t: toy_backbone(t, V, D, 7, table)
+        embed = lambda texts: toy_backbone(texts, V, D, 7, table)
         reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=0.1)
 
         base = train_heads(
@@ -323,8 +323,8 @@ class TestCriterion6:
 
         def encode_all(kind, texts, heads):
             return [
-                (t.doc_id, encode_one(kind, t, embed(t), heads))
-                for t in texts
+                (t.doc_id, encode_one(kind, t, emb, heads))
+                for t, emb in zip(texts, embed(texts))
             ]
 
         index = build_index(encode_all(EncoderKind.MLM, task.docs, base.doc_heads))

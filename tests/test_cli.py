@@ -1130,9 +1130,10 @@ class TestOnePath:
         embedded: dict[str, list[tuple[int, ...]]] = {}
         backbone = pipeline.toy_backbone
 
-        def recording_backbone(text, *args):
-            embedded.setdefault(text.doc_id, []).append(text.token_ids)
-            return backbone(text, *args)
+        def recording_backbone(texts, *args):
+            for text in texts:
+                embedded.setdefault(text.doc_id, []).append(text.token_ids)
+            return backbone(texts, *args)
 
         monkeypatch.setattr(pipeline, "toy_backbone", recording_backbone)
         pipeline.run_train(config, config.backbone_seed)
@@ -1191,8 +1192,8 @@ class TestOnePath:
 
 class TestBackboneTable:
     """A `Resources` owns the backbone's input-embedding table: built on first backbone
-    use, once per (dim, seed), read-only, and giving the bundles of the reference
-    `toy_backbone(text, V, d, seed)`."""
+    use, once per (dim, seed), read-only, and giving each text of a batch call the bundle of the
+    reference `toy_backbone([text], V, d, seed)`."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -1204,10 +1205,10 @@ class TestBackboneTable:
             builds.append(args)
             return table(*args)
 
-        def recording_backbone(text, *args):
-            bundle = backbone(text, *args)
-            bundles.append((text, args, bundle))
-            return bundle
+        def recording_backbone(texts, *args):
+            batch = backbone(texts, *args)
+            bundles.extend((text, args, bundle) for text, bundle in zip(texts, batch, strict=True))
+            return batch
 
         monkeypatch.setattr(pipeline, "backbone_table", counting_table)
         monkeypatch.setattr(pipeline, "toy_backbone", recording_backbone)
@@ -1230,7 +1231,7 @@ class TestBackboneTable:
             table[0, 0] = 0.0
         for text, args, bundle in bundles:
             assert args[:3] == (v, d, s) and args[3] is table
-            ref = encoders.toy_backbone(text, v, d, s)
+            [ref] = encoders.toy_backbone([text], v, d, s)
             for field in ("ctx_embeddings", "cls_embedding", "input_embeddings"):
                 assert getattr(bundle, field).tobytes() == getattr(ref, field).tobytes()
 
@@ -1317,6 +1318,19 @@ class TestStackedEncode:
         monkeypatch.setattr(pipeline, "stack_forward", counting)
         pipeline.encode_side(config, "doc", res.docs, res, 3)
         assert sizes == [pipeline.ENCODE_SLICE, pipeline.ENCODE_SLICE, 1]
+
+    def test_one_backbone_call_per_slice(self, monkeypatch):
+        """A ReLU MLM side over ENCODE_SLICE + 1 texts, the last one empty, embeds each slice in one
+        backbone call and gives each text the vector of its one-text encode."""
+        config, res = self._setup("relu mlm", pipeline.ENCODE_SLICE + 1)
+        alone = [pipeline.encode_side(config, "doc", [doc], res, 3)[0] for doc in res.docs]
+        sizes = []
+        backbone = pipeline.toy_backbone
+        monkeypatch.setattr(pipeline, "toy_backbone", lambda texts, *args: sizes.append(len(texts)) or backbone(texts, *args))
+        got = pipeline.encode_side(config, "doc", res.docs, res, 3)
+        assert sizes == [pipeline.ENCODE_SLICE, 1]
+        assert [(vid, vec.terms.tobytes(), vec.weights.tobytes()) for vid, vec in got] == [
+            (vid, vec.terms.tobytes(), vec.weights.tobytes()) for vid, vec in alone]
 
     def test_peak_memory_holds_a_slice_not_the_batch(self):
         """Dense weights of the whole batch at once would take `whole` bytes; slices stay under half."""

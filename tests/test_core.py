@@ -177,6 +177,14 @@ class TestSparseVector:
         got = SparseVector({np.int32(7): np.float32(0.5), 3: 2, np.uint8(5): np.int64(4), 1: 1.5})
         assert got == SparseVector({1: 1.5, 3: 2.0, 5: 4.0, 7: 0.5})
 
+    @pytest.mark.parametrize("weight", [10**400, 2**1024], ids=["10**400", "2**1024"])
+    def test_int_weight_past_the_float_range_is_rejected(self, weight):
+        """An int weight that no float64 holds is a ValueError naming its term, not an OverflowError; an
+        int that converts, 2**1023, is kept.  Only the mapping constructor takes a Python int."""
+        with pytest.raises(ValueError, match=f"^term 1 has weight {weight}, not a finite number > 0$"):
+            SparseVector({0: 1.0, 1: weight})
+        assert SparseVector({1: 2**1023}).weights.tolist() == [2.0**1023]
+
     @pytest.mark.parametrize("values", [np.float64(2.0), [[0.0, 1.0, 0.0], [0.0, 0.0, 3.0]]], ids=["0-D", "2-D"])
     def test_from_dense_refuses_all_but_1d(self, values):
         with pytest.raises(ValueError, match="^from_dense takes a 1-D array, not a [02]-D one$"):

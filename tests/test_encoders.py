@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import math
 import re
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -683,46 +685,55 @@ class TestScore:
 class TestToyBackbone:
     def test_deterministic(self):
         t = text("d", 3, 1, 4)
-        a = toy_backbone(t, 10, 8, seed=5)
-        b = toy_backbone(t, 10, 8, seed=5)
+        [a] = toy_backbone([t], 10, 8, seed=5)
+        [b] = toy_backbone([t], 10, 8, seed=5)
         assert np.array_equal(a.ctx_embeddings, b.ctx_embeddings)
         assert np.array_equal(a.input_embeddings, b.input_embeddings)
         assert np.array_equal(a.cls_embedding, b.cls_embedding)
 
     def test_context_sensitivity(self):
-        a = toy_backbone(text("d", 1, 5, 2), 10, 8, seed=0)
-        b = toy_backbone(text("d", 3, 5, 4), 10, 8, seed=0)
+        [a] = toy_backbone([text("d", 1, 5, 2)], 10, 8, seed=0)
+        [b] = toy_backbone([text("d", 3, 5, 4)], 10, 8, seed=0)
         assert not np.array_equal(a.ctx_embeddings[1], b.ctx_embeddings[1])
 
     def test_empty_text(self):
-        emb = toy_backbone(text("d"), 10, 8, seed=0)
+        [emb] = toy_backbone([text("d")], 10, 8, seed=0)
         assert emb.ctx_embeddings.shape == (0, 8)
         assert np.array_equal(emb.cls_embedding, np.zeros(8))
 
     def test_seed_changes_embeddings(self):
         t = text("d", 1, 2)
-        a = toy_backbone(t, 10, 8, seed=0)
-        b = toy_backbone(t, 10, 8, seed=1)
+        [a] = toy_backbone([t], 10, 8, seed=0)
+        [b] = toy_backbone([t], 10, 8, seed=1)
         assert not np.array_equal(a.ctx_embeddings, b.ctx_embeddings)
 
     def test_given_table(self):
         """A passed-in table gives the same bundle bit for bit; it is read-only and must be |V| x d."""
         t = text("d", 3, 1, 4, 1)
         table = backbone_table(10, 8, seed=5)
-        ref, emb = toy_backbone(t, 10, 8, seed=5), toy_backbone(t, 10, 8, 5, table)
+        [ref], [emb] = toy_backbone([t], 10, 8, seed=5), toy_backbone([t], 10, 8, 5, table)
         for field in ("ctx_embeddings", "cls_embedding", "input_embeddings"):
             assert getattr(ref, field).tobytes() == getattr(emb, field).tobytes()
         assert emb.input_embeddings is table
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
         with pytest.raises(ValueError, match="backbone table"):
-            toy_backbone(t, 11, 8, 5, table)
+            toy_backbone([t], 11, 8, 5, table)
+
+
+def bundle_bytes(emb) -> tuple[bytes, bytes, bytes]:
+    return emb.ctx_embeddings.tobytes(), emb.cls_embedding.tobytes(), emb.input_embeddings.tobytes()
+
+
+def naive_generator(*parts):
+    """A fresh Philox generator keyed by the blake2b digest of repr(parts)."""
+    digest = hashlib.blake2b(repr(parts).encode(), digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
 
 
 def naive_normals(dim, *parts):
-    """The first `dim` normals of a fresh Philox generator keyed by the blake2b digest of repr(parts)."""
-    digest = hashlib.blake2b(repr(parts).encode(), digest_size=16).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little"))).standard_normal(dim)
+    """The first `dim` normals of `naive_generator(*parts)`."""
+    return naive_generator(*parts).standard_normal(dim)
 
 
 def naive_backbone(ids, vocab_size, dim, seed):
@@ -740,8 +751,8 @@ def naive_backbone(ids, vocab_size, dim, seed):
 
 
 class TestBackboneBits:
-    """`toy_backbone` and `backbone_table` draw the bits of a fresh generator per row
-    from one generator that is re-keyed per row."""
+    """`toy_backbone`, `backbone_table` and `init_head_parameters` draw the bits of a fresh generator
+    per row from one generator per thread that is re-keyed per row."""
 
     TEXTS = {
         "empty": (),
@@ -756,18 +767,66 @@ class TestBackboneBits:
             ids = self.TEXTS[name]
             table, ctx, cls = naive_backbone(ids, 30, dim, seed)
             assert backbone_table(30, dim, seed).tobytes() == table.tobytes(), (seed, name, dim)
-            emb = toy_backbone(text("d", *ids), 30, dim, seed)
+            [emb] = toy_backbone([text("d", *ids)], 30, dim, seed)
             assert emb.ctx_embeddings.shape == (len(ids), dim)
             assert emb.ctx_embeddings.tobytes() == ctx.tobytes(), (seed, name, dim)
             assert emb.cls_embedding.tobytes() == cls.tobytes(), (seed, name, dim)
             assert emb.input_embeddings.tobytes() == table.tobytes(), (seed, name, dim)
+
+    def test_head_init_draws_one_keyed_generator_in_turn(self):
+        for vocab_size, dim, seed in ((30, 1, 0), (30, 24, 11)):
+            rng = naive_generator("heads", seed, vocab_size, dim)
+            heads = init_head_parameters(vocab_size, dim, seed)
+            for name in ("mlp_weight", "quality_weight", "importance_weight"):
+                assert getattr(heads, name).tobytes() == rng.standard_normal(dim).tobytes(), (dim, name)
+
+    def test_batch_equals_batches_of_one(self):
+        """Each bundle of a batch call has the bytes of the text's bundle in a batch of one: empty texts
+        first, in the middle and last, a repeated text, and mixed lengths."""
+        texts = [text("e0"), text("a", *self.TEXTS["forty"]), text("b", 7), text("e1"), text("e2"),
+                 text("c", *self.TEXTS["repeated"]), text("a", *self.TEXTS["forty"]), text("e3")]
+        table = backbone_table(30, 24, 11)
+        batch = toy_backbone(texts, 30, 24, 11, table)
+        assert len(batch) == len(texts)
+        for t, emb in zip(texts, batch):
+            [alone] = toy_backbone([t], 30, 24, 11, table)
+            assert bundle_bytes(emb) == bundle_bytes(alone), t.doc_id
+        assert toy_backbone([], 30, 24, 11, table) == []
+
+    def test_threads_get_the_bits_of_a_sequential_run(self):
+        """Two threads embedding different texts at once, 200 batches each, get the bundles of a
+        sequential run: each thread re-keys its own generator, so neither sees the other's state."""
+        table = backbone_table(30, 8, 3)
+        rng = np.random.default_rng(28)
+        work = [[[text(f"{w}.{b}.{i}", *rng.integers(0, 30, size=rng.integers(0, 6)).tolist()) for i in range(3)]
+                 for b in range(200)] for w in range(2)]
+        want = [[list(map(bundle_bytes, toy_backbone(batch, 30, 8, 3, table))) for batch in batches]
+                for batches in work]
+        got = [[], []]
+
+        def run(w):
+            for batch in work[w]:
+                got[w].append(list(map(bundle_bytes, toy_backbone(batch, 30, 8, 3, table))))
+
+        threads = [threading.Thread(target=run, args=(w,)) for w in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
 
     def test_pinned_digests(self):
         """Digests of the bits before the generator was re-keyed, so numpy drift in the state API fails here."""
         table = backbone_table(300, 24, 7)
         assert hashlib.sha256(table.tobytes()).hexdigest() == (
             "362935d2ce6781755387a89c881df30376631227815e53eccbd7fd960b77c135")
-        emb = toy_backbone(text("d", 5, 17, 5, 299, 0, 17), 300, 24, 7, table)
+        [emb] = toy_backbone([text("d", 5, 17, 5, 299, 0, 17)], 300, 24, 7, table)
         assert hashlib.sha256(emb.ctx_embeddings.tobytes() + emb.cls_embedding.tobytes()).hexdigest() == (
             "418ada90be0e7c4cc5e7f92fe09c791b3daf280ff18bb481e5497f801a9c8338")
 
@@ -778,7 +837,7 @@ class TestEncoderProperties:
     def _random_case(self, rng, vocab_size=20, dim=6):
         ids = tuple(int(t) for t in rng.integers(0, vocab_size, size=rng.integers(1, 10)))
         t = TokenizedText("d", ids)
-        emb = toy_backbone(t, vocab_size, dim, seed=int(rng.integers(1000)))
+        [emb] = toy_backbone([t], vocab_size, dim, seed=int(rng.integers(1000)))
         heads = init_head_parameters(vocab_size, dim, seed=int(rng.integers(1000)))
         return t, emb, heads
 
