@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .config import ValidationError, load_config
-from .encoders import write_head_parameters
+from .core import write_lines
+from .encoders import head_record
 from . import pipeline
 
 
@@ -97,8 +99,16 @@ def main(argv=None) -> int:
                 raise ValidationError(f"{args.config}: heads are not shared, so --doc-output must name a file "
                                       "other than --output")
             result = pipeline.run_train(config, seed)
-            write_head_parameters(result.query_heads, Path(args.output))
-            write_head_parameters(result.doc_heads, doc_output)
+            records = {}  # both heads, and the loss, are checked before either file is written
+            for side in ("query", "doc"):
+                try:
+                    records[side] = [head_record(getattr(result, f"{side}_heads"))]
+                except ValueError as e:
+                    raise ValidationError(f"training diverged: the {side} heads' {e}") from e
+            if not math.isfinite(result.loss_history[-1]):
+                raise ValidationError(f"training diverged: the final loss is {result.loss_history[-1]}")
+            write_lines(Path(args.output), records["query"])
+            write_lines(doc_output, records["doc"])
             print(json.dumps({"steps": len(result.loss_history), "final_loss": result.loss_history[-1]}))
         elif args.command == "ablate":
             workdir = Path(args.workdir) if args.workdir else Path(args.output).parent / "ablate_work"

@@ -2,13 +2,14 @@
 
 The binary and BM25 query encoders map one TokenizedText to a SparseVector;
 the BM25 doc encoder maps a batch of texts to one vector each.  The neural
-heads (MLP, expansion-MLP, MLM, CLS-MLM) map a stack of N texts to dense
-N x |V| weights, with the gradient `head_backward`: `stack_forward` is the
-one place that picks a head kind's kernel (`mlp_forward` over a
-`token_stack`, `frozen_forward` over `frozen_input` rows, or
-`argmax_forward`), for encoding and for training alike.  Every kernel gives
-each text the bits it gets in a one-text stack.  Query-document similarity
-is the dot product of the two encoded vectors.
+heads (MLP, expansion-MLP, MLM, CLS-MLM) map N texts and their one backbone
+batch, an `Embeddings`, to dense N x |V| weights, with the gradient
+`head_backward`: `stack_forward` is the one place that checks a batch and
+picks a head kind's kernel (`mlp_forward` over a `token_stack`,
+`frozen_forward` over `frozen_input` rows, or `argmax_forward`), for encoding
+and for training alike.  Every kernel reads a text's rows as slices of the
+batch and gives each text the bits it gets in a one-text stack.
+Query-document similarity is the dot product of the two encoded vectors.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .core import (
     parse_collection,
     read_json,
     term_counts,
+    write_lines,
 )
 
 
@@ -58,26 +60,17 @@ DIFFERENTIABLE = frozenset({EncoderKind.MLP, EncoderKind.EXP_MLP, EncoderKind.ML
 
 
 @dataclass(frozen=True)
-class EmbeddingBundle:
-    """Frozen backbone outputs consumed by the neural heads.
+class Embeddings:
+    """Frozen backbone outputs of a batch of N texts, consumed by the neural heads.
 
-    ctx_embeddings: L x d contextualized token embeddings.
-    cls_embedding:  d-vector for the sequence-level slot.
-    input_embeddings: |V| x d vocabulary input embeddings.
+    ctx: T x d contextualized token embeddings, the texts' tokens one after another.
+    cls: N x d, each text's sequence-level slot.
+    table: |V| x d vocabulary input embeddings.
     """
 
-    ctx_embeddings: np.ndarray
-    cls_embedding: np.ndarray
-    input_embeddings: np.ndarray
-
-    def __post_init__(self):
-        if self.input_embeddings.ndim != 2:
-            raise ValueError("input_embeddings must be |V| x d")
-        d = self.input_embeddings.shape[1]
-        if self.ctx_embeddings.ndim != 2 or self.ctx_embeddings.shape[1] != d:
-            raise ValueError("ctx_embeddings must be L x d")
-        if self.cls_embedding.shape != (d,):
-            raise ValueError("cls_embedding must be a d-vector")
+    ctx: np.ndarray
+    cls: np.ndarray
+    table: np.ndarray
 
 
 ACTIVATIONS = ("relu", "softplus")
@@ -144,22 +137,15 @@ def activate_grad(x, kind: str):
     return 1.0 / (1.0 + np.exp(-x))  # sigmoid
 
 
-def _check_ctx(text: TokenizedText, emb: EmbeddingBundle) -> None:
-    if emb.ctx_embeddings.shape[0] != len(text):
-        raise ValueError(
-            f"embedding rows ({emb.ctx_embeddings.shape[0]}) do not match text length ({len(text)})"
-        )
-
-
 def encode_binary(text: TokenizedText) -> SparseVector:
     """Presence indicator: weight 1 for each distinct input term."""
     return SparseVector(dict.fromkeys(text.token_ids, 1.0))
 
 
-def _quality_scores(emb: EmbeddingBundle, head: HeadParameters):
-    """Sequence quality q and per-token importance g, both softplus of a linear map."""
-    q = float(softplus(emb.cls_embedding @ head.quality_weight + head.quality_bias))
-    g = softplus(emb.ctx_embeddings @ head.importance_weight + head.importance_bias)
+def _quality_scores(cls: np.ndarray, ctx: np.ndarray, head: HeadParameters):
+    """A text's sequence quality q and per-token importance g from its cls and ctx rows: softplus of linear maps."""
+    q = float(softplus(cls @ head.quality_weight + head.quality_bias))
+    g = softplus(ctx @ head.importance_weight + head.importance_bias)
     return q, g
 
 
@@ -181,39 +167,33 @@ def expand_text(text: TokenizedText, expansions: Mapping[str, list[int]]) -> Tok
 # ---------------------------------------------------------------------------
 
 
-def frozen_input(
-    kind: EncoderKind, text: TokenizedText, emb: EmbeddingBundle, head: HeadParameters
-) -> np.ndarray | None:
-    """The |V|-row of a text's dense head that no trainable parameter reaches, or None if there is none.
+def frozen_input(kind: EncoderKind, emb: Embeddings, offsets: list[int], head: HeadParameters) -> np.ndarray | None:
+    """The N x |V| rows of a batch's dense head that no trainable parameter reaches, or None if there are none;
+    text i's ctx rows are offsets[i]:offsets[i + 1].
 
-    Binary: the weights themselves.  CLS-MLM: the bias-free logits h_0 . e_i.
-    ReLU MLM without quality heads: the column max of the bias-free logits,
-    max_j h_j . e_i (-inf for an empty text).  Adding b_i rounds monotonically
-    and ReLU is monotone, so max_j relu(h_j . e_i + b_i) is relu(max_j h_j . e_i + b_i)
-    bit for bit.  MLP heads, and MLM with softplus or quality heads, have no
-    such row: their weight, or their per-token arg-max, moves with the parameters.
+    CLS-MLM: the bias-free logits h_0 . e_i.  ReLU MLM without quality heads:
+    the column max of a text's bias-free logits, max_j h_j . e_i (-inf for an
+    empty text).  Adding b_i rounds monotonically and ReLU is monotone, so
+    max_j relu(h_j . e_i + b_i) is relu(max_j h_j . e_i + b_i) bit for bit.  MLP
+    heads, and MLM with softplus or quality heads, have no such rows: their
+    weight, or their per-token arg-max, moves with the parameters.  Products
+    are taken text by text: a BLAS product's bits per row depend on its row count.
     """
-    if kind is EncoderKind.BINARY:
-        w = np.zeros(emb.input_embeddings.shape[0])
-        w[list(text.token_ids)] = 1.0
-        return w
     if kind is EncoderKind.CLS_MLM:
-        return emb.cls_embedding @ emb.input_embeddings.T
+        return np.array([cls @ emb.table.T for cls in emb.cls])
     if kind is EncoderKind.MLM and head.activation == "relu" and not head.use_quality_heads:
-        _check_ctx(text, emb)
-        return (emb.ctx_embeddings @ emb.input_embeddings.T).max(axis=0, initial=-np.inf)
+        return np.array([(emb.ctx[start:end] @ emb.table.T).max(axis=0, initial=-np.inf)
+                         for start, end in itertools.pairwise(offsets)])
     return None
 
 
-def frozen_forward(kind: EncoderKind, x: np.ndarray, head: HeadParameters) -> tuple[np.ndarray, dict | None]:
+def frozen_forward(kind: EncoderKind, x: np.ndarray, head: HeadParameters) -> tuple[np.ndarray, dict]:
     """Weights and `head_backward` cache from an N x |V| stack of `frozen_input` rows.
 
-    Binary: the rows.  CLS-MLM: w_i = act(h_0 . e_i + b_i), no log and no max.
-    ReLU MLM: w_i = log(1 + relu(max_j h_j . e_i + b_i)).  Elementwise, so
-    each row gets the bits it gets alone.
+    CLS-MLM: w_i = act(h_0 . e_i + b_i), no log and no max.  ReLU MLM:
+    w_i = log(1 + relu(max_j h_j . e_i + b_i)).  Elementwise, so each row gets
+    the bits it gets alone.
     """
-    if kind is EncoderKind.BINARY:
-        return x, None
     z = x + head.mlm_bias
     if kind is EncoderKind.CLS_MLM:
         return activate(z, head.activation), {"kind": kind, "head": head, "z": z}
@@ -225,19 +205,16 @@ def frozen_forward(kind: EncoderKind, x: np.ndarray, head: HeadParameters) -> tu
 MLP_HEADS = frozenset({EncoderKind.MLP, EncoderKind.EXP_MLP})
 
 
-def token_stack(texts: list[TokenizedText], embs: list[EmbeddingBundle], vocab_size: int) -> dict:
-    """The input of `mlp_forward` for N texts: their ctx rows, one text after another (T x d),
-    each token's slot `row * |V| + term id` in the N x |V| weights, and each non-empty text's start offset."""
-    for t, e in zip(texts, embs):
-        _check_ctx(t, e)
-    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
-    ends = np.cumsum(lengths)
-    ids = np.fromiter(itertools.chain.from_iterable(t.token_ids for t in texts), np.intp, ends[-1])
+def token_stack(texts: list[TokenizedText], emb: Embeddings, offsets: list[int]) -> dict:
+    """The input of `mlp_forward` for N texts: the batch's ctx rows as they are (T x d), each token's slot
+    `row * |V| + term id` in the N x |V| weights, and each non-empty text's start offset."""
+    n, vocab_size = len(texts), emb.table.shape[0]
+    ids = np.fromiter(itertools.chain.from_iterable(t.token_ids for t in texts), np.intp, offsets[-1])
     return {
-        "ctx": np.concatenate([e.ctx_embeddings for e in embs]),
-        "slots": np.repeat(np.arange(0, len(texts) * vocab_size, vocab_size), lengths) + ids,
-        "starts": (ends - lengths)[lengths > 0],
-        "shape": (len(texts), vocab_size),
+        "ctx": emb.ctx,
+        "slots": np.repeat(np.arange(0, n * vocab_size, vocab_size), np.diff(offsets)) + ids,
+        "starts": [start for start, end in itertools.pairwise(offsets) if end > start],
+        "shape": (n, vocab_size),
     }
 
 
@@ -261,26 +238,27 @@ def mlp_forward(stack: dict, head: HeadParameters) -> tuple[np.ndarray, dict | N
     return w, {"kind": EncoderKind.MLP, "head": head, "z": z, "a": a, **stack}
 
 
-def argmax_forward(embs: list[EmbeddingBundle], head: HeadParameters) -> tuple[np.ndarray, dict]:
+def argmax_forward(emb: Embeddings, offsets: list[int], head: HeadParameters) -> tuple[np.ndarray, dict]:
     """MLM weights of N texts by the first-max arg-max over each text's tokens, an N x |V| array, and the
     `head_backward` cache: the MLM head with softplus or quality heads, which has no `frozen_input`.
 
-    Text by text, with no padded N x L x |V| stack: column i's first max m_i of the activated logits, times
-    each token's importance g under quality heads, gives w_i = q * log(1 + m_i).  The cache holds per row
-    m, its logit zstar, its token's g (gstar) and q.  An empty text's row is zero with gstar 0, so it
-    passes no gradient.
+    Text by text, on its slice of the batch, with no padded N x L x |V| stack: column i's first max m_i of
+    the activated logits, times each token's importance g under quality heads, gives w_i = q * log(1 + m_i).
+    The cache holds per row m, its logit zstar, its token's g (gstar) and q.  An empty text's row is zero
+    with gstar 0, so it passes no gradient.
     """
-    n, vocab_size = len(embs), embs[0].input_embeddings.shape[0]
+    n, vocab_size = len(offsets) - 1, emb.table.shape[0]
     w, m, zstar, gstar = (np.zeros((n, vocab_size)) for _ in range(4))
     q, cols = np.ones((n, 1)), np.arange(vocab_size)
-    for i, emb in enumerate(embs):
-        if not len(emb.ctx_embeddings):
+    for i, (start, end) in enumerate(itertools.pairwise(offsets)):
+        if end == start:
             continue
-        logits = emb.ctx_embeddings @ emb.input_embeddings.T + head.mlm_bias  # L x |V|
+        ctx = emb.ctx[start:end]
+        logits = ctx @ emb.table.T + head.mlm_bias  # L x |V|
         a = activate(logits, head.activation)
         g = np.ones(len(logits))
         if head.use_quality_heads:
-            q[i], g = _quality_scores(emb, head)
+            q[i], g = _quality_scores(emb.cls[i], ctx, head)
             a = a * g[:, None]
         jstar = a.argmax(axis=0)  # first max wins ties
         m[i], zstar[i], gstar[i] = a[jstar, cols], logits[jstar, cols], g[jstar]
@@ -289,25 +267,28 @@ def argmax_forward(embs: list[EmbeddingBundle], head: HeadParameters) -> tuple[n
 
 
 def stack_forward(
-    kind: EncoderKind, texts: list[TokenizedText], embs: list[EmbeddingBundle], head: HeadParameters
+    kind: EncoderKind, texts: list[TokenizedText], emb: Embeddings, head: HeadParameters
 ) -> Callable[[HeadParameters], tuple[np.ndarray, dict | None]]:
     """The dense head of N >= 1 texts as a function of its parameters, heads -> (N x |V| weights, cache).
 
-    The one place that maps a head kind to its kernel, for encoding and for training: `mlp_forward`
-    over a `token_stack`, `frozen_forward` over stacked `frozen_input` rows, or `argmax_forward`.
-    Inputs that no trainable parameter reaches are computed here, once; `head` fixes only the
-    options that do not train.  Each row has the bits of the text's one-text stack.
+    The one place that checks a batch, once (its T ctx rows are the texts' tokens, one cls row per text),
+    and maps a head kind to its kernel, for encoding and for training: `mlp_forward` over a
+    `token_stack`, `frozen_forward` over `frozen_input` rows, or `argmax_forward`.  Inputs that no
+    trainable parameter reaches are computed here, once; `head` fixes only the options that do not
+    train.  Each row has the bits of the text's one-text stack.
     """
-    if kind in MLP_HEADS:
-        return functools.partial(mlp_forward, token_stack(texts, embs, embs[0].input_embeddings.shape[0]))
-    rows = [frozen_input(kind, t, e, head) for t, e in zip(texts, embs)]
-    if rows[0] is not None:
-        return functools.partial(frozen_forward, kind, np.array(rows))
-    if kind is not EncoderKind.MLM:
+    if kind not in DIFFERENTIABLE:
         raise ValueError(f"encoder kind {kind.value!r} has no dense head")
-    for t, e in zip(texts, embs):
-        _check_ctx(t, e)
-    return functools.partial(argmax_forward, embs)
+    offsets = list(itertools.accumulate(map(len, texts), initial=0))  # text i's ctx rows: offsets[i]:offsets[i + 1]
+    if emb.ctx.shape[0] != offsets[-1] or emb.cls.shape[0] != len(texts):
+        raise ValueError(f"embeddings of {emb.ctx.shape[0]} tokens and {emb.cls.shape[0]} texts do not match "
+                         f"{offsets[-1]} tokens in {len(texts)} texts")
+    if kind in MLP_HEADS:
+        return functools.partial(mlp_forward, token_stack(texts, emb, offsets))
+    x = frozen_input(kind, emb, offsets, head)
+    if x is not None:
+        return functools.partial(frozen_forward, kind, x)
+    return functools.partial(argmax_forward, emb, offsets)
 
 
 def head_backward(cache: dict | None, grad_w: np.ndarray, grads: dict) -> None:
@@ -443,10 +424,8 @@ def backbone_table(vocab_size: int, dim: int, seed: int) -> np.ndarray:
     return table
 
 
-def toy_backbone(
-    texts: list[TokenizedText], vocab_size: int, dim: int, seed: int, table: np.ndarray | None = None
-) -> list[EmbeddingBundle]:
-    """Deterministic, context-sensitive embeddings of a batch of texts, one bundle per text.
+def toy_backbone(texts: list[TokenizedText], table: np.ndarray, seed: int) -> Embeddings:
+    """Deterministic, context-sensitive embeddings of a batch of texts, in one `Embeddings`.
 
     h_j depends on (previous token, token, next token, position parity, seed),
     so the same token gets different embeddings in different contexts.  Half of
@@ -454,26 +433,20 @@ def toy_backbone(
     a real backbone where h_j . e_i is largest for the input term itself:
     h_j = (e_{t_j} + n_j / sqrt(d)) / sqrt(2), where n_j is hashed normals of
     that context.  The batch's context rows are drawn by one `_hashed_normals`
-    call and combined by one gather and one elementwise pass; each text's
-    ctx_embeddings is its slice of that array, with the bits the text gets in a
-    batch of one.  e_i is row i of `table`, which must be
-    `backbone_table(vocab_size, dim, seed)` and is built here when not given.
-    h_0 is the mean of the text's h_j (zero for empty text).
+    call and combined by one gather and one elementwise pass, with the bits each
+    text gets in a batch of one.  e_i is row i of `table`, which must be
+    `backbone_table(|V|, d, seed)`; |V| and d are its shape.  A text's h_0 is
+    the mean of its h_j (zero for an empty text).
     """
-    input_emb = backbone_table(vocab_size, dim, seed) if table is None else table
-    if input_emb.shape != (vocab_size, dim):
-        raise ValueError(f"backbone table is {input_emb.shape}, expected {(vocab_size, dim)}")
+    dim = table.shape[1]
     contexts = [("ctx", seed, ids[j - 1] if j > 0 else -1, t, ids[j + 1] if j + 1 < len(ids) else -1, j % 2)
                 for ids in (text.token_ids for text in texts) for j, t in enumerate(ids)]
     noise = _hashed_normals(contexts, dim)
     token_ids = np.fromiter(itertools.chain.from_iterable(text.token_ids for text in texts), np.intp, len(contexts))
-    ctx = (input_emb[token_ids] + noise / math.sqrt(dim)) / math.sqrt(2.0)
-    bundles = []
-    for start, end in itertools.pairwise(itertools.accumulate(map(len, texts), initial=0)):
-        rows = ctx[start:end]
-        cls = rows.mean(axis=0) if end > start else np.zeros(dim)
-        bundles.append(EmbeddingBundle(ctx_embeddings=rows, cls_embedding=cls, input_embeddings=input_emb))
-    return bundles
+    ctx = (table[token_ids] + noise / math.sqrt(dim)) / math.sqrt(2.0)
+    cls = [ctx[start:end].mean(axis=0) if end > start else np.zeros(dim)
+           for start, end in itertools.pairwise(itertools.accumulate(map(len, texts), initial=0))]
+    return Embeddings(ctx=ctx, cls=np.array(cls).reshape(len(texts), dim), table=table)
 
 
 def init_head_parameters(
@@ -511,19 +484,24 @@ HEAD_TENSORS = {"mlp_weight": 1, "mlp_bias": 0, "mlm_bias": 1, "quality_weight":
                 "importance_weight": 1, "importance_bias": 0}
 
 
+def head_record(head: HeadParameters) -> str:
+    """The one line of a heads file: a JSON record of named tensors with declared shapes, and the options.
+
+    A tensor holding a value that is not finite, which no JSON number holds, is a ValueError naming it.
+    """
+    tensors = {}
+    for name in HEAD_TENSORS:
+        value = np.asarray(getattr(head, name))
+        if not np.isfinite(value).all():
+            raise ValueError(f"tensor {name} holds {value[~np.isfinite(value)].flat[0]}, not a finite number")
+        tensors[name] = {"shape": list(value.shape), "data": value.tolist()}
+    return json.dumps({"tensors": tensors, "activation": head.activation,
+                       "mlp_log_normalize": head.mlp_log_normalize, "use_quality_heads": head.use_quality_heads})
+
+
 def write_head_parameters(head: HeadParameters, path: str | Path) -> None:
-    """Head-parameter file: one JSON record of named tensors with declared shapes."""
-    record = {
-        "tensors": {
-            name: {"shape": list(np.shape(getattr(head, name))), "data": np.asarray(getattr(head, name)).tolist()}
-            for name in HEAD_TENSORS
-        },
-        "activation": head.activation,
-        "mlp_log_normalize": head.mlp_log_normalize,
-        "use_quality_heads": head.use_quality_heads,
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f)
+    """Heads file: the `head_record` line, written by `core.write_lines`."""
+    write_lines(path, [head_record(head)])
 
 
 def read_head_parameters(path: str | Path) -> HeadParameters:

@@ -172,8 +172,7 @@ def encode_side(
         def rows():  # one slice's N x |V| weights at a time
             for start in range(0, len(texts), ENCODE_SLICE):
                 part = texts[start:start + ENCODE_SLICE]
-                embs = toy_backbone(part, res.vocab.size, config.backbone_dim, seed, table)
-                yield from stack_forward(kind, part, embs, heads)(heads)[0]
+                yield from stack_forward(kind, part, toy_backbone(part, table, seed), heads)(heads)[0]
 
         vectors = map(SparseVector.from_dense, rows())
     out: list[tuple[str, SparseVector]] = []
@@ -355,11 +354,10 @@ def run_train(
     queries = {q.doc_id: q for q in side_texts(config.query.encoder, res.queries, res)}
     docs = {d.doc_id: d for d in side_texts(config.doc.encoder, res.docs, res)}
     triples = read_triples(config.paths.triples, queries, docs)
-    table = res.embedding_table(config.backbone_dim, seed)
     return train_heads(
         config,
         triples,
-        embed=lambda texts: toy_backbone(texts, res.vocab.size, config.backbone_dim, seed, table),
+        embed=lambda texts: toy_backbone(texts, res.embedding_table(config.backbone_dim, seed), seed),
         query_heads=keep["query"] if "query" in keep else side_heads(config, "query", seed, res.vocab.size),
         doc_heads=keep["doc"] if "doc" in keep else side_heads(config, "doc", seed, res.vocab.size),
         keep=keep,

@@ -13,9 +13,10 @@ the encoders' own dense heads (`encoders.stack_forward` / `head_backward`),
 that encodes and the code the finite-difference checks cover; no autodiff
 dependency is needed.
 
-The backbone and the vocabulary embeddings are frozen, so each side's texts
-are embedded in one `embed` call and stacked once per call by
-`encoders.stack_forward`, the one place that picks a head kind's kernel; each
+The backbone and the vocabulary embeddings are frozen, so each neural side's
+texts are embedded as one `encoders.Embeddings` batch in one `embed` call and
+stacked once per call by `encoders.stack_forward`, the one place that picks a
+head kind's kernel; a binary side's rows are its `encode_binary` vectors.  Each
 step runs one stacked forward and one `head_backward` per side.  Every kernel
 gives each text the bits it gets alone.
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .config import MethodConfig
 from .core import TokenizedText, json_list, json_number, json_object, numbered_lines, parse_json
-from .encoders import DIFFERENTIABLE, EmbeddingBundle, EncoderKind, HeadParameters, head_backward, stack_forward
+from .encoders import DIFFERENTIABLE, Embeddings, EncoderKind, HeadParameters, encode_binary, head_backward, stack_forward
 from .regularization import PENALTIES, RegularizerConfig, RegularizerKind, topk_mask, topk_schedule
 
 
@@ -250,7 +251,7 @@ def _reg_lambda(cfg: RegularizerConfig, step: int, steps: int) -> float:
 def train_heads(
     config: MethodConfig,
     triples: list[TrainingTriple],
-    embed: Callable[[list[TokenizedText]], list[EmbeddingBundle]],
+    embed: Callable[[list[TokenizedText]], Embeddings],
     query_heads: HeadParameters,
     doc_heads: HeadParameters,
     keep: Collection[str] = (),
@@ -272,13 +273,14 @@ def train_heads(
 
     Starts from copies of the given heads (shared heads: the query heads serve
     both sides) and reads |V| and d off them.  Backbone embeddings are frozen
-    inputs supplied by `embed`, called once per side with the side's distinct
-    texts, which gives one bundle per text.  Once per call,
-    `encoders.stack_forward` stacks each side's texts and picks its head kind's
-    kernel; each step runs one stacked forward and one `head_backward` per
-    side.  Deterministic: iteration order and summation order are fixed,
-    gradients adding doc rows first, then query rows, text by text, so the
-    stacked and per-text forms give the same bits.
+    inputs supplied by `embed`, called once per neural side with the side's
+    distinct texts, which gives one `Embeddings` batch; a binary side's rows
+    are its `encode_binary` vectors.  Once per call, `encoders.stack_forward`
+    stacks each side's texts and picks its head kind's kernel; each step runs
+    one stacked forward and one `head_backward` per side.  Deterministic:
+    iteration order and summation order are fixed, gradients adding doc rows
+    first, then query rows, text by text, so the stacked and per-text forms
+    give the same bits.
     """
     trains = {}
     for side, cfg in (("query", config.query), ("doc", config.doc)):
@@ -329,8 +331,17 @@ def train_heads(
             (row["q"][t.query.doc_id], [row["d"][d.doc_id] for d in (t.positive, *t.negatives)], t.teacher_scores)
             for t in triples])
     params = {"q": q_heads, "d": d_heads}
-    forwards = {side: stack_forward(cfg.encoder, texts[side], embed(texts[side]), params[side])
-                for side, cfg in (("q", config.query), ("d", config.doc))}
+
+    def forward(side: str, kind: EncoderKind) -> Callable[[HeadParameters], tuple[np.ndarray, dict | None]]:
+        """The side's stacked forward, heads -> (weights, cache); a binary side's fixed rows have no cache."""
+        if kind is EncoderKind.BINARY:
+            rows = np.zeros((len(texts[side]), vocab_size))
+            for r, vec in enumerate(map(encode_binary, texts[side])):
+                rows[r, vec.terms] = vec.weights
+            return lambda _: (rows, None)
+        return stack_forward(kind, texts[side], embed(texts[side]), params[side])
+
+    forwards = {side: forward(side, cfg.encoder) for side, cfg in (("q", config.query), ("d", config.doc))}
     regs = {"q": config.query.regularizer, "d": config.doc.regularizer}
 
     def zero_grads() -> dict:

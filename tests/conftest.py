@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -5,19 +6,23 @@ import pytest
 
 from lsrkit.config import MethodConfig, PathsConfig, SideConfig, SupervisionConfig
 from lsrkit.core import SparseVector, TokenizedText
-from lsrkit.encoders import EmbeddingBundle, EncoderKind, HeadParameters, stack_forward
+from lsrkit.encoders import Embeddings, EncoderKind, HeadParameters, stack_forward
 from lsrkit.regularization import RegularizerConfig
 
 
-def make_bundle(ctx, input_emb, cls=None):
-    """EmbeddingBundle from plain nested lists."""
-    ctx = np.asarray(ctx, dtype=np.float64)
-    input_emb = np.asarray(input_emb, dtype=np.float64)
-    if ctx.size == 0:
-        ctx = ctx.reshape(0, input_emb.shape[1])
-    d = input_emb.shape[1]
-    cls = np.zeros(d) if cls is None else np.asarray(cls, dtype=np.float64)
-    return EmbeddingBundle(ctx_embeddings=ctx, cls_embedding=cls, input_embeddings=input_emb)
+def make_embeddings(ctxs, table, cls=None) -> Embeddings:
+    """One `Embeddings` of N texts from plain nested lists or arrays: each text's L x d ctx rows, the
+    |V| x d table, and each text's cls d-vector (zeros when not given)."""
+    table = np.asarray(table, dtype=np.float64)
+    d = table.shape[1]
+    ctx = np.concatenate([np.zeros((0, d)), *(np.asarray(c, dtype=np.float64).reshape(-1, d) for c in ctxs)])
+    cls = np.zeros((len(ctxs), d)) if cls is None else np.asarray(cls, dtype=np.float64).reshape(len(ctxs), d)
+    return Embeddings(ctx=ctx, cls=cls, table=table)
+
+
+def offsets(texts) -> list[int]:
+    """The N + 1 offsets of the texts' tokens in their batch's ctx rows, as `stack_forward` reads them."""
+    return list(itertools.accumulate(map(len, texts), initial=0))
 
 
 def make_heads(
@@ -45,9 +50,9 @@ def make_heads(
 
 
 def one_text_stack(kind, text, emb, heads):
-    """(1 x |V| weights, cache) of `text` alone through `stack_forward`: the per-text side that
-    N-text stacks are checked against."""
-    return stack_forward(EncoderKind(kind), [text], [emb], heads)(heads)
+    """(1 x |V| weights, cache) of `text` alone, with its one-text `Embeddings`, through `stack_forward`: the
+    per-text side that N-text stacks are checked against."""
+    return stack_forward(EncoderKind(kind), [text], emb, heads)(heads)
 
 
 def to_dense(vec: SparseVector, size: int) -> list[float]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import encode_one, make_bundle, make_heads, method_config, one_text_stack, text
+from conftest import encode_one, make_embeddings, make_heads, method_config, one_text_stack, text
 
 from lsrkit.config import load_config
 from lsrkit.core import (
@@ -145,18 +145,18 @@ class TestCriterion3:
         checks = []
 
         # hand examples with fixed embeddings
-        emb = make_bundle(ctx=[[2.0], [-3.0]], input_emb=[[1.0], [1.0], [1.0]])
+        emb = make_embeddings([[[2.0], [-3.0]]], [[1.0], [1.0], [1.0]])
         heads = make_heads(3, 1)
         v = encode_one("mlp", text("x", 0, 1), emb, heads)
         checks.append(abs(v.entries.get(0, 0.0) - math.log(3.0)) <= 1e-12 and v.entries.get(1, 0.0) == 0.0)
-        emb_rep = make_bundle(ctx=[[2.0], [2.0]], input_emb=[[1.0], [1.0], [1.0]])
+        emb_rep = make_embeddings([[[2.0], [2.0]]], [[1.0], [1.0], [1.0]])
         v = encode_one("mlp", text("x", 0, 0), emb_rep, heads)
         checks.append(abs(v.entries.get(0, 0.0) - 2 * math.log(3.0)) <= 1e-12)
-        emb2 = make_bundle(ctx=[[2.0]], input_emb=[[1.0], [2.0], [-1.0]])
+        emb2 = make_embeddings([[[2.0]]], [[1.0], [2.0], [-1.0]])
         v = encode_one("mlm", text("x", 0), emb2, make_heads(3, 1))
         checks.append(abs(v.entries.get(0, 0.0) - math.log(3.0)) <= 1e-12
                       and abs(v.entries.get(1, 0.0) - math.log(5.0)) <= 1e-12 and v.entries.get(2, 0.0) == 0.0)
-        v = encode_one("cls_mlm", text("x", 0), make_bundle(ctx=[[1.0]], input_emb=[[2.0], [0.5]], cls=[1.0]),
+        v = encode_one("cls_mlm", text("x", 0), make_embeddings([[[1.0]]], [[2.0], [0.5]], cls=[[1.0]]),
                        make_heads(2, 1))
         checks.append(v.entries.get(0, 0.0) == 2.0 and v.entries.get(1, 0.0) == 0.5)
 
@@ -164,20 +164,21 @@ class TestCriterion3:
         rng = np.random.default_rng(3)
         V, D = 30, 6
         heads = init_head_parameters(V, D, 3)
+        table = backbone_table(V, D, 3)
         worst = 0.0
         support_ok = True
         expanded_support_seen = False
         for _ in range(50):
             ids = tuple(int(t) for t in rng.integers(0, V, size=int(rng.integers(1, 8))))
             t = text("x", *ids)
-            [emb] = toy_backbone([t], V, D, seed=3)
-            z = emb.ctx_embeddings @ heads.mlp_weight + heads.mlp_bias
+            emb = toy_backbone([t], table, 3)
+            z = emb.ctx @ heads.mlp_weight + heads.mlp_bias
             dense_mlp = np.zeros(V)
             for j, tok in enumerate(ids):
                 dense_mlp[tok] += math.log1p(max(z[j], 0.0))
-            logits = emb.ctx_embeddings @ emb.input_embeddings.T + heads.mlm_bias
+            logits = emb.ctx @ emb.table.T + heads.mlm_bias
             dense_mlm = np.log1p(np.maximum(logits, 0.0).max(axis=0))
-            dense_cls = np.maximum(emb.cls_embedding @ emb.input_embeddings.T + heads.mlm_bias, 0.0)
+            dense_cls = np.maximum(emb.cls[0] @ emb.table.T + heads.mlm_bias, 0.0)
             for kind, dense in (("mlp", dense_mlp), ("mlm", dense_mlm), ("cls_mlm", dense_cls)):
                 got = encode_one(kind, t, emb, heads)
                 full = np.zeros(V)
@@ -198,7 +199,7 @@ class TestCriterion3:
         # expansion encoder: support confined to input plus expansion terms
         ids = (0, 1)
         expanded = expand_text(text("e", *ids), {"e": [5, 6]})
-        [emb] = toy_backbone([expanded], V, D, seed=3)
+        emb = toy_backbone([expanded], table, 3)
         exp_vec = encode_one("mlp", expanded, emb, heads)
         support_ok = support_ok and set(exp_vec.entries) <= {0, 1, 5, 6}
 
@@ -282,7 +283,7 @@ class TestCriterion5:
         V, D = task.vocab.size, 16
         triples = triples_of(task)
         table = backbone_table(V, D, 7)
-        embed = lambda texts: toy_backbone(texts, V, D, 7, table)
+        embed = lambda texts: toy_backbone(texts, table, 7)
         nnz = []
         for lam in (0.0, 0.01, 0.1, 1.0):
             reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=lam)
@@ -290,8 +291,8 @@ class TestCriterion5:
             result = train_heads(config, triples, embed,
                                  init_head_parameters(V, D, 3), init_head_parameters(V, D, 4))
             counts = [
-                int((one_text_stack(EncoderKind.MLM, d, emb, result.doc_heads)[0] > 0).sum())
-                for d, emb in zip(task.docs, embed(task.docs))
+                int((one_text_stack(EncoderKind.MLM, d, embed([d]), result.doc_heads)[0] > 0).sum())
+                for d in task.docs
             ]
             nnz.append(float(np.mean(counts)))
         elapsed = time.monotonic() - start
@@ -309,7 +310,7 @@ class TestCriterion6:
         V, D = task.vocab.size, 24
         triples = triples_of(task)
         table = backbone_table(V, D, 7)
-        embed = lambda texts: toy_backbone(texts, V, D, 7, table)
+        embed = lambda texts: toy_backbone(texts, table, 7)
         reg = RegularizerConfig(kind=RegularizerKind.FLOPS, weight=0.1)
 
         base = train_heads(
@@ -323,8 +324,8 @@ class TestCriterion6:
 
         def encode_all(kind, texts, heads):
             return [
-                (t.doc_id, encode_one(kind, t, emb, heads))
-                for t, emb in zip(texts, embed(texts))
+                (t.doc_id, encode_one(kind, t, embed([t]), heads))
+                for t in texts
             ]
 
         index = build_index(encode_all(EncoderKind.MLM, task.docs, base.doc_heads))

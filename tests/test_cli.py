@@ -1,6 +1,7 @@
 """Configuration loading, ablation toggles, and the CLI subcommands end to end."""
 
 import importlib.util
+import itertools
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from lsrkit.core import (
 from lsrkit.encoders import EncoderKind, encode_bm25_doc, encode_bm25_query, Bm25Params, read_head_parameters
 from lsrkit.index import Quantization, build_index, exhaustive_search
 from lsrkit.regularization import RegularizerKind
+from lsrkit.supervision import TrainResult
 from lsrkit.synthetic import make_synthetic_task, write_task
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -581,6 +583,29 @@ class TestCliCommands:
         assert str(triples.resolve()) in err and f"{loss} requires negatives" in err
         assert repr(records[2]["q"]) in err and repr(records[2]["pos"]) in err
         assert embedded == []
+
+    def test_diverged_training_exits_1_naming_a_tensor(self, tmp_path, capsys):
+        """An lr the loader takes can drive the heads to NaN, which no heads file holds: exit 1 naming the
+        side and a tensor, with neither heads file written."""
+        side = {"encoder": "mlp", "log_normalize": False}
+        config_path, _ = make_workspace(tmp_path, query=side, doc=side, supervision={"steps": 100, "lr": 1e300})
+        q_out, d_out = tmp_path / "q.json", tmp_path / "d.json"
+        with np.errstate(all="ignore"):
+            code = main(["train-head", "--config", str(config_path), "--output", str(q_out), "--doc-output", str(d_out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training diverged: the query heads' tensor \w+ holds (nan|-?inf), not a finite "
+                            r"number\n", err), err
+        assert not q_out.exists() and not d_out.exists()
+
+    def test_non_finite_final_loss_exits_1(self, tmp_path, capsys, monkeypatch):
+        config_path, _ = make_workspace(tmp_path)
+        heads = encoders.init_head_parameters(60, 8, 5)
+        monkeypatch.setattr(pipeline, "run_train", lambda *args: TrainResult(heads, heads, [1.0, math.inf]))
+        q_out, d_out = tmp_path / "q.json", tmp_path / "d.json"
+        assert main(["train-head", "--config", str(config_path), "--output", str(q_out), "--doc-output", str(d_out)]) == 1
+        assert capsys.readouterr().err == "error: training diverged: the final loss is inf\n"
+        assert not q_out.exists() and not d_out.exists()
 
     def test_train_head_shared_heads_need_one_output(self, tmp_path):
         config_path, _ = make_workspace(tmp_path, query={"encoder": "mlm"}, doc={"encoder": "mlm"}, shared_heads=True)
@@ -1192,13 +1217,13 @@ class TestOnePath:
 
 class TestBackboneTable:
     """A `Resources` owns the backbone's input-embedding table: built on first backbone
-    use, once per (dim, seed), read-only, and giving each text of a batch call the bundle of the
-    reference `toy_backbone([text], V, d, seed)`."""
+    use, once per (dim, seed), read-only, and giving each text of a batch call the ctx and cls rows
+    of the reference `toy_backbone([text], backbone_table(V, d, seed), seed)`."""
 
     @staticmethod
     def _record(monkeypatch):
         builds: list[tuple] = []
-        bundles: list[tuple] = []
+        embedded: list[tuple] = []
         table, backbone = pipeline.backbone_table, pipeline.toy_backbone
 
         def counting_table(*args):
@@ -1207,33 +1232,34 @@ class TestBackboneTable:
 
         def recording_backbone(texts, *args):
             batch = backbone(texts, *args)
-            bundles.extend((text, args, bundle) for text, bundle in zip(texts, batch, strict=True))
+            rows = itertools.pairwise(itertools.accumulate(map(len, texts), initial=0))
+            embedded.extend((text, args, batch.ctx[start:end], batch.cls[i], batch.table)
+                           for i, (text, (start, end)) in enumerate(zip(texts, rows)))
             return batch
 
         monkeypatch.setattr(pipeline, "backbone_table", counting_table)
         monkeypatch.setattr(pipeline, "toy_backbone", recording_backbone)
-        return builds, bundles
+        return builds, embedded
 
     def test_built_once_per_dim_and_seed(self, tmp_path, monkeypatch):
         config_path, _ = make_workspace(tmp_path, query={"encoder": "mlm"})
         config = load_config(config_path)
         res = pipeline.load_resources(config)
         v, d, s = res.vocab.size, config.backbone_dim, config.backbone_seed
-        builds, bundles = self._record(monkeypatch)
+        builds, embedded = self._record(monkeypatch)
         pipeline.run_train(config, s, res=res)
         pipeline.encode_side(config, "doc", res.docs, res, s)
         pipeline.encode_side(config, "query", res.queries, res, s)
         assert builds == [(v, d, s)]
-        assert len(bundles) > len(res.docs) + len(res.queries)
+        assert len(embedded) > len(res.docs) + len(res.queries)
         table = res.embedding_table(d, s)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
-        for text, args, bundle in bundles:
-            assert args[:3] == (v, d, s) and args[3] is table
-            [ref] = encoders.toy_backbone([text], v, d, s)
-            for field in ("ctx_embeddings", "cls_embedding", "input_embeddings"):
-                assert getattr(bundle, field).tobytes() == getattr(ref, field).tobytes()
+        for text, args, ctx, cls, batch_table in embedded:
+            assert args == (table, s) and batch_table is table
+            ref = encoders.toy_backbone([text], encoders.backbone_table(v, d, s), s)
+            assert (ctx.tobytes(), cls.tobytes()) == (ref.ctx.tobytes(), ref.cls.tobytes())
 
     def test_seeds_share_one_resources(self, tmp_path, monkeypatch):
         """Encoding at seeds s, s + 1, s on one Resources equals fresh Resources per seed."""

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import encode_one, make_bundle, make_heads, method_config, one_text_stack, text, to_dense
+from conftest import encode_one, make_embeddings, make_heads, method_config, offsets, one_text_stack, text, to_dense
 
 from lsrkit.core import SparseVector, TokenizedText, build_vocabulary, compute_corpus_stats, term_counts
 from lsrkit.encoders import (
     Bm25Params,
+    Embeddings,
     EncoderKind,
     argmax_forward,
     backbone_table,
@@ -41,6 +42,7 @@ from lsrkit.encoders import (
 )
 from lsrkit.pipeline import Resources, encode_side
 from lsrkit.regularization import RegularizerConfig, RegularizerKind
+from lsrkit.supervision import TrainingTriple, train_heads
 
 # ---------------------------------------------------------------------------
 # Independent dense oracles for the four encoder formulas
@@ -117,27 +119,27 @@ class TestBinary:
 class TestMlp:
     def test_relu_drops_negative_logit(self):
         # d=1, W=1, b=0, tokens [a,b] with h=[2,-3]: a gets ln 3, b is dropped
-        emb = make_bundle([[2.0], [-3.0]], [[0.0], [0.0]])
+        emb = make_embeddings([[[2.0], [-3.0]]], [[0.0], [0.0]])
         heads = make_heads(2, 1)
         got = encode_one("mlp", text("d", 0, 1), emb, heads)
         assert got.entries == pytest.approx({0: math.log(3.0)})
 
     def test_repeated_token_sums_over_positions(self):
-        emb = make_bundle([[2.0], [2.0]], [[0.0], [0.0]])
+        emb = make_embeddings([[[2.0], [2.0]]], [[0.0], [0.0]])
         got = encode_one("mlp", text("d", 0, 0), emb, make_heads(2, 1))
         assert got.entries == pytest.approx({0: 2.0 * math.log(3.0)})
 
     def test_empty_text(self):
-        emb = make_bundle([], [[0.0], [0.0]])
+        emb = make_embeddings([[]], [[0.0], [0.0]])
         assert encode_one("mlp", text("d"), emb, make_heads(2, 1)) == SparseVector()
 
     def test_no_log_normalization_variant(self):
-        emb = make_bundle([[2.0]], [[0.0]])
+        emb = make_embeddings([[[2.0]]], [[0.0]])
         got = encode_one("mlp", text("d", 0), emb, make_heads(1, 1, mlp_log_normalize=False))
         assert got.entries == pytest.approx({0: 2.0})
 
     def test_shape_mismatch_rejected(self):
-        emb = make_bundle([[2.0]], [[0.0]])
+        emb = make_embeddings([[[2.0]]], [[0.0]])
         with pytest.raises(ValueError):
             encode_one("mlp", text("d", 0, 1), emb, make_heads(1, 1))
 
@@ -146,7 +148,7 @@ class TestMlp:
         for _ in range(50):
             ids = tuple(rng.integers(0, vocab_size, size=rng.integers(0, 8)))
             ctx = rng.standard_normal((len(ids), dim))
-            emb = make_bundle(ctx, rng.standard_normal((vocab_size, dim)))
+            emb = make_embeddings([ctx], rng.standard_normal((vocab_size, dim)))
             W = rng.standard_normal(dim)
             heads = make_heads(vocab_size, dim, mlp_weight=W, mlp_bias=0.3)
             got = encode_one("mlp", TokenizedText("d", ids), emb, heads)
@@ -196,32 +198,32 @@ class TestExpansionFile:
 class TestMlm:
     def test_expands_to_non_input_term(self):
         # |V|=2, e=[1,1], b=0, token a (id 0) with h=2: both dims get ln 3
-        emb = make_bundle([[2.0]], [[1.0], [1.0]])
+        emb = make_embeddings([[[2.0]]], [[1.0], [1.0]])
         got = encode_one("mlm", text("d", 0), emb, make_heads(2, 1))
         assert got.entries == pytest.approx({0: math.log(3.0), 1: math.log(3.0)})
 
     def test_all_negative_logits_give_zero_vector(self):
-        emb = make_bundle([[-2.0]], [[1.0], [1.0]])
+        emb = make_embeddings([[[-2.0]]], [[1.0], [1.0]])
         assert encode_one("mlm", text("d", 0), emb, make_heads(2, 1)) == SparseVector()
 
     def test_max_aggregation_over_positions(self):
-        emb = make_bundle([[1.0], [4.0]], [[1.0]])
+        emb = make_embeddings([[[1.0], [4.0]]], [[1.0]])
         got = encode_one("mlm", text("d", 0, 0), emb, make_heads(1, 1))
         assert got.entries == pytest.approx({0: math.log(5.0)})
 
     def test_empty_text(self):
-        emb = make_bundle([], [[1.0]])
+        emb = make_embeddings([[]], [[1.0]])
         assert encode_one("mlm", text("d"), emb, make_heads(1, 1)) == SparseVector()
 
     @staticmethod
     def _relu_head(ids, ctx, E, bias):
-        """ReLU MLM of a one-text stack on a hand-built bundle, its dense oracle, and the bias gradient of sum(w)."""
-        emb = make_bundle(ctx, E)
+        """ReLU MLM of a one-text stack on a hand-built batch, its dense oracle, and the bias gradient of sum(w)."""
+        emb = make_embeddings([ctx], E)
         heads = make_heads(len(E), len(E[0]), mlm_bias=bias)
         w, cache = one_text_stack("mlm", TokenizedText("d", ids), emb, heads)
         grads = {"mlp_weight": np.zeros(len(E[0])), "mlp_bias": 0.0, "mlm_bias": np.zeros(len(E))}
         head_backward(cache, np.ones((1, len(E))), grads)
-        want = dense_mlm(ids, emb.ctx_embeddings, emb.input_embeddings, np.asarray(bias, dtype=np.float64))
+        want = dense_mlm(ids, emb.ctx, emb.table, np.asarray(bias, dtype=np.float64))
         return w[0], cache, want, grads["mlm_bias"]
 
     def test_tied_max_logit(self):
@@ -251,7 +253,7 @@ class TestMlm:
             ctx = rng.standard_normal((len(ids), dim))
             E = rng.standard_normal((vocab_size, dim))
             bias = rng.standard_normal(vocab_size)
-            emb = make_bundle(ctx, E)
+            emb = make_embeddings([ctx], E)
             got = encode_one("mlm", TokenizedText("d", ids), emb, make_heads(vocab_size, dim, mlm_bias=bias))
             want = dense_mlm(ids, ctx, E, bias)
             assert to_dense(got, vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
@@ -263,7 +265,7 @@ class TestMlm:
             ids = tuple(rng.integers(0, vocab_size, size=4))
             ctx = rng.standard_normal((len(ids), dim))
             E = rng.standard_normal((vocab_size, dim))
-            emb = make_bundle(ctx, E)
+            emb = make_embeddings([ctx], E)
             got = encode_one("mlm", TokenizedText("d", ids), emb, make_heads(vocab_size, dim))
             logits = ctx @ E.T
             alt = np.max(np.log1p(np.maximum(logits, 0.0)), axis=0)
@@ -275,12 +277,12 @@ class TestMlm:
         ctx = rng.standard_normal((len(ids), dim))
         E = rng.standard_normal((vocab_size, dim))
         heads = make_heads(vocab_size, dim)
-        base = encode_one("mlm", TokenizedText("d", ids), make_bundle(ctx, E), heads)
+        base = encode_one("mlm", TokenizedText("d", ids), make_embeddings([ctx], E), heads)
         perm = [2, 0, 3, 1]
         permuted = encode_one(
             "mlm",
             TokenizedText("d", tuple(ids[p] for p in perm)),
-            make_bundle(ctx[perm], E),
+            make_embeddings([ctx[perm]], E),
             heads,
         )
         assert to_dense(base, vocab_size) == pytest.approx(to_dense(permuted, vocab_size))
@@ -294,12 +296,51 @@ class TestMlm:
         heads.quality_weight = rng.standard_normal(dim)
         heads.importance_weight = rng.standard_normal(dim)
         cls = ctx.mean(axis=0)
-        emb = make_bundle(ctx, E, cls=cls)
+        emb = make_embeddings([ctx], E, cls=[cls])
         got = encode_one("mlm", TokenizedText("d", ids), emb, heads)
         q = float(softplus(cls @ heads.quality_weight))
         g = softplus(ctx @ heads.importance_weight)
         want = dense_mlm(ids, ctx, E, np.zeros(vocab_size), q=q, g=g)
         assert to_dense(got, vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
+
+
+class TestBatchCheck:
+    """`stack_forward` checks a batch once, for every head kind: its ctx rows are the texts' tokens, and
+    it has one cls row per text.  Training checks the batch its `embed` gives in the same place."""
+
+    HEADS = {
+        "mlp": (EncoderKind.MLP, {}),
+        "exp_mlp": (EncoderKind.EXP_MLP, {}),
+        "relu mlm": (EncoderKind.MLM, {}),  # the frozen_input rows
+        "softplus mlm": (EncoderKind.MLM, {"activation": "softplus"}),  # the arg-max
+        "cls_mlm": (EncoderKind.CLS_MLM, {}),
+    }
+    TEXTS = [text("a", 0, 1), text("b", 1)]
+
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("mismatch, tokens, texts", [
+        ("ctx row missing", 2, 2), ("ctx row extra", 4, 2), ("cls row missing", 3, 1), ("cls row extra", 3, 3),
+    ])
+    def test_mismatched_batch_rejected(self, head, mismatch, tokens, texts):
+        kind, options = self.HEADS[head]
+        heads = make_heads(3, 2, **options)
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((3, 2))
+        emb = make_embeddings([rng.standard_normal((len(t), 2)) for t in self.TEXTS], table)
+        assert stack_forward(kind, self.TEXTS, emb, heads)(heads)[0].shape == (2, 3)
+        bad = Embeddings(ctx=rng.standard_normal((tokens, 2)), cls=rng.standard_normal((texts, 2)), table=table)
+        with pytest.raises(ValueError, match=f"^embeddings of {tokens} tokens and {texts} texts do not match "
+                                             "3 tokens in 2 texts$"):
+            stack_forward(kind, self.TEXTS, bad, heads)
+
+    @pytest.mark.parametrize("kind", ["mlp", "mlm", "cls_mlm"])
+    def test_training_embed_that_drops_a_text_rejected(self, kind):
+        triples = [TrainingTriple(text("q", 0, 1), text("d1", 1, 2), (text("d2", 3), text("d3")))]
+        table = backbone_table(4, 2, 0)
+        heads = init_head_parameters(4, 2, 0)
+        with pytest.raises(ValueError, match="texts do not match"):
+            train_heads(method_config(kind, kind, steps=1), triples, lambda texts: toy_backbone(texts[:-1], table, 0),
+                        heads, heads)
 
 
 class TestFrozenStack:
@@ -309,7 +350,6 @@ class TestFrozenStack:
 
     @pytest.mark.parametrize("kind, activation", [
         (EncoderKind.MLM, "relu"), (EncoderKind.CLS_MLM, "relu"), (EncoderKind.CLS_MLM, "softplus"),
-        (EncoderKind.BINARY, "relu"),
     ])
     def test_stack_equals_per_text_loop(self, rng, kind, activation):
         vocab_size, dim = 12, 4
@@ -317,11 +357,13 @@ class TestFrozenStack:
         heads = make_heads(vocab_size, dim, mlm_bias=rng.standard_normal(vocab_size), activation=activation)
         texts = [TokenizedText(f"d{i}", tuple(int(t) for t in rng.integers(0, vocab_size, size=n)))
                  for i, n in enumerate((3, 0, 5, 1, 4))]
-        embs = [make_bundle(rng.standard_normal((len(t), dim)), E, cls=rng.standard_normal(dim)) for t in texts]
+        ctxs, clss = zip(*[(rng.standard_normal((len(t), dim)), rng.standard_normal(dim)) for t in texts])
+        emb = make_embeddings(ctxs, E, cls=clss)
+        embs = [make_embeddings([c], E, cls=[h0]) for c, h0 in zip(ctxs, clss)]
         G = rng.standard_normal((len(texts), vocab_size))
         start = rng.standard_normal(vocab_size)
-        rows = np.stack([frozen_input(kind, t, e, heads) for t, e in zip(texts, embs)])
-        for W, cache in (frozen_forward(kind, rows, heads), stack_forward(kind, texts, embs, heads)(heads)):
+        rows = frozen_input(kind, emb, offsets(texts), heads)
+        for W, cache in (frozen_forward(kind, rows, heads), stack_forward(kind, texts, emb, heads)(heads)):
             stacked = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
             head_backward(cache, G, stacked)
             looped = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
@@ -332,12 +374,12 @@ class TestFrozenStack:
             assert stacked["mlm_bias"].tobytes() == looped["mlm_bias"].tobytes()
 
     def test_no_frozen_input_where_a_parameter_reaches_inside(self):
-        emb = make_bundle([[1.0]], [[1.0], [2.0]])
+        emb = make_embeddings([[[1.0]]], [[1.0], [2.0]])
         for kind, options in [
             (EncoderKind.MLP, {}), (EncoderKind.EXP_MLP, {}),
             (EncoderKind.MLM, {"activation": "softplus"}), (EncoderKind.MLM, {"use_quality_heads": True}),
         ]:
-            assert frozen_input(kind, text("d", 0), emb, make_heads(2, 1, **options)) is None
+            assert frozen_input(kind, emb, offsets([text("d", 0)]), make_heads(2, 1, **options)) is None
 
 
 class TestMlpStack:
@@ -360,15 +402,17 @@ class TestMlpStack:
         texts = [TokenizedText(f"d{i}", tuple(int(t) for t in rng.integers(0, vocab_size, size=n)))
                  for i, n in enumerate(lengths)]
         texts[2] = text("d2", 7, 3, 7, 7, 3)  # repeated tokens sum over their positions
-        embs = [make_bundle(rng.standard_normal((len(t), dim)), E) for t in texts]
+        ctxs = [rng.standard_normal((len(t), dim)) for t in texts]
+        emb = make_embeddings(ctxs, E)
+        embs = [make_embeddings([c], E) for c in ctxs]
         G = rng.standard_normal((len(texts), vocab_size))
         start = rng.standard_normal(dim)
 
         def totals():
             return {"mlp_weight": start.copy(), "mlp_bias": 0.25, "mlm_bias": np.zeros(vocab_size)}
 
-        for W, cache in (mlp_forward(token_stack(texts, embs, vocab_size), heads),
-                         stack_forward(kind, texts, embs, heads)(heads)):
+        for W, cache in (mlp_forward(token_stack(texts, emb, offsets(texts)), heads),
+                         stack_forward(kind, texts, emb, heads)(heads)):
             stacked = totals()
             head_backward(cache, G, stacked)
             looped = totals()
@@ -381,7 +425,8 @@ class TestMlpStack:
             assert not W[1].any()
 
     def test_stack_without_tokens(self):
-        W, cache = mlp_forward(token_stack([text("a"), text("b")], [make_bundle([], [[1.0]])] * 2, 1), make_heads(1, 1))
+        texts = [text("a"), text("b")]
+        W, cache = mlp_forward(token_stack(texts, make_embeddings([[], []], [[1.0]]), offsets(texts)), make_heads(1, 1))
         assert W.shape == (2, 1) and not W.any() and cache is None
 
 
@@ -401,10 +446,13 @@ class TestArgmaxStack:
                  for i, n in enumerate((3, 0, 5, 1, 4))]
         ctxs = [rng.standard_normal((len(t), dim)) for t in texts]
         ctxs[2][3] = ctxs[2][1]  # equal rows: every column of text 2 has tied maxima
-        embs = [make_bundle(c, E, cls=rng.standard_normal(dim)) for c in ctxs]
+        clss = [rng.standard_normal(dim) for _ in ctxs]
+        emb = make_embeddings(ctxs, E, cls=clss)
+        embs = [make_embeddings([c], E, cls=[h0]) for c, h0 in zip(ctxs, clss)]
         G = rng.standard_normal((len(texts), vocab_size))
         start = rng.standard_normal(vocab_size)
-        for forward in (functools.partial(argmax_forward, embs), stack_forward(EncoderKind.MLM, texts, embs, heads)):
+        for forward in (functools.partial(argmax_forward, emb, offsets(texts)),
+                        stack_forward(EncoderKind.MLM, texts, emb, heads)):
             W, cache = forward(heads)
             stacked = {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": start.copy()}
             head_backward(cache, G, stacked)
@@ -418,22 +466,22 @@ class TestArgmaxStack:
 
     def test_stack_forward_rejects_a_kind_without_dense_head(self):
         with pytest.raises(ValueError, match="no dense head"):
-            stack_forward(EncoderKind.BM25_DOC, [text("d", 0)], [make_bundle([[1.0]], [[1.0]])], make_heads(1, 1))
+            stack_forward(EncoderKind.BM25_DOC, [text("d", 0)], make_embeddings([[[1.0]]], [[1.0]]), make_heads(1, 1))
 
 
 class TestClsMlm:
     def test_positive_dim_only(self):
-        emb = make_bundle([], [[1.0], [-1.0]], cls=[2.0])
+        emb = make_embeddings([[]], [[1.0], [-1.0]], cls=[[2.0]])
         got = encode_one("cls_mlm", text("d"), emb, make_heads(2, 1))
         assert got.entries == pytest.approx({0: 2.0})
 
     def test_zero_cls_and_nonpositive_bias(self):
-        emb = make_bundle([], [[1.0], [-1.0]], cls=[0.0])
+        emb = make_embeddings([[]], [[1.0], [-1.0]], cls=[[0.0]])
         got = encode_one("cls_mlm", text("d"), emb, make_heads(2, 1, mlm_bias=[0.0, -1.0]))
         assert got == SparseVector()
 
     def test_bias_only(self):
-        emb = make_bundle([], [[1.0]], cls=[0.0])
+        emb = make_embeddings([[]], [[1.0]], cls=[[0.0]])
         got = encode_one("cls_mlm", text("d"), emb, make_heads(1, 1, mlm_bias=[0.5]))
         assert got.entries == pytest.approx({0: 0.5})
 
@@ -443,7 +491,7 @@ class TestClsMlm:
             E = rng.standard_normal((vocab_size, dim))
             cls = rng.standard_normal(dim)
             bias = rng.standard_normal(vocab_size)
-            emb = make_bundle(np.zeros((0, dim)), E, cls=cls)
+            emb = make_embeddings([np.zeros((0, dim))], E, cls=[cls])
             got = encode_one("cls_mlm", text("d"), emb, make_heads(vocab_size, dim, mlm_bias=bias))
             want = dense_cls_mlm(cls, E, bias)
             assert to_dense(got, vocab_size) == pytest.approx(want.tolist(), abs=1e-12)
@@ -685,44 +733,41 @@ class TestScore:
 class TestToyBackbone:
     def test_deterministic(self):
         t = text("d", 3, 1, 4)
-        [a] = toy_backbone([t], 10, 8, seed=5)
-        [b] = toy_backbone([t], 10, 8, seed=5)
-        assert np.array_equal(a.ctx_embeddings, b.ctx_embeddings)
-        assert np.array_equal(a.input_embeddings, b.input_embeddings)
-        assert np.array_equal(a.cls_embedding, b.cls_embedding)
+        a = toy_backbone([t], backbone_table(10, 8, seed=5), seed=5)
+        b = toy_backbone([t], backbone_table(10, 8, seed=5), seed=5)
+        assert np.array_equal(a.ctx, b.ctx)
+        assert np.array_equal(a.table, b.table)
+        assert np.array_equal(a.cls, b.cls)
 
     def test_context_sensitivity(self):
-        [a] = toy_backbone([text("d", 1, 5, 2)], 10, 8, seed=0)
-        [b] = toy_backbone([text("d", 3, 5, 4)], 10, 8, seed=0)
-        assert not np.array_equal(a.ctx_embeddings[1], b.ctx_embeddings[1])
+        a = toy_backbone([text("d", 1, 5, 2)], backbone_table(10, 8, seed=0), seed=0)
+        b = toy_backbone([text("d", 3, 5, 4)], backbone_table(10, 8, seed=0), seed=0)
+        assert not np.array_equal(a.ctx[1], b.ctx[1])
 
     def test_empty_text(self):
-        [emb] = toy_backbone([text("d")], 10, 8, seed=0)
-        assert emb.ctx_embeddings.shape == (0, 8)
-        assert np.array_equal(emb.cls_embedding, np.zeros(8))
+        emb = toy_backbone([text("d")], backbone_table(10, 8, seed=0), seed=0)
+        assert emb.ctx.shape == (0, 8)
+        assert np.array_equal(emb.cls, np.zeros((1, 8)))
 
     def test_seed_changes_embeddings(self):
         t = text("d", 1, 2)
-        [a] = toy_backbone([t], 10, 8, seed=0)
-        [b] = toy_backbone([t], 10, 8, seed=1)
-        assert not np.array_equal(a.ctx_embeddings, b.ctx_embeddings)
+        a = toy_backbone([t], backbone_table(10, 8, seed=0), seed=0)
+        b = toy_backbone([t], backbone_table(10, 8, seed=1), seed=1)
+        assert not np.array_equal(a.ctx, b.ctx)
 
     def test_given_table(self):
-        """A passed-in table gives the same bundle bit for bit; it is read-only and must be |V| x d."""
+        """A passed-in table gives the batch of a freshly built one bit for bit; the batch holds it, read-only."""
         t = text("d", 3, 1, 4, 1)
         table = backbone_table(10, 8, seed=5)
-        [ref], [emb] = toy_backbone([t], 10, 8, seed=5), toy_backbone([t], 10, 8, 5, table)
-        for field in ("ctx_embeddings", "cls_embedding", "input_embeddings"):
-            assert getattr(ref, field).tobytes() == getattr(emb, field).tobytes()
-        assert emb.input_embeddings is table
+        ref, emb = toy_backbone([t], backbone_table(10, 8, seed=5), 5), toy_backbone([t], table, 5)
+        assert batch_bytes(ref) == batch_bytes(emb)
+        assert emb.table is table
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
-        with pytest.raises(ValueError, match="backbone table"):
-            toy_backbone([t], 11, 8, 5, table)
 
 
-def bundle_bytes(emb) -> tuple[bytes, bytes, bytes]:
-    return emb.ctx_embeddings.tobytes(), emb.cls_embedding.tobytes(), emb.input_embeddings.tobytes()
+def batch_bytes(emb) -> tuple[bytes, bytes, bytes]:
+    return emb.ctx.tobytes(), emb.cls.tobytes(), emb.table.tobytes()
 
 
 def naive_generator(*parts):
@@ -767,11 +812,11 @@ class TestBackboneBits:
             ids = self.TEXTS[name]
             table, ctx, cls = naive_backbone(ids, 30, dim, seed)
             assert backbone_table(30, dim, seed).tobytes() == table.tobytes(), (seed, name, dim)
-            [emb] = toy_backbone([text("d", *ids)], 30, dim, seed)
-            assert emb.ctx_embeddings.shape == (len(ids), dim)
-            assert emb.ctx_embeddings.tobytes() == ctx.tobytes(), (seed, name, dim)
-            assert emb.cls_embedding.tobytes() == cls.tobytes(), (seed, name, dim)
-            assert emb.input_embeddings.tobytes() == table.tobytes(), (seed, name, dim)
+            emb = toy_backbone([text("d", *ids)], backbone_table(30, dim, seed), seed)
+            assert emb.ctx.shape == (len(ids), dim) and emb.cls.shape == (1, dim)
+            assert emb.ctx.tobytes() == ctx.tobytes(), (seed, name, dim)
+            assert emb.cls.tobytes() == cls.tobytes(), (seed, name, dim)
+            assert emb.table.tobytes() == table.tobytes(), (seed, name, dim)
 
     def test_head_init_draws_one_keyed_generator_in_turn(self):
         for vocab_size, dim, seed in ((30, 1, 0), (30, 24, 11)):
@@ -781,32 +826,34 @@ class TestBackboneBits:
                 assert getattr(heads, name).tobytes() == rng.standard_normal(dim).tobytes(), (dim, name)
 
     def test_batch_equals_batches_of_one(self):
-        """Each bundle of a batch call has the bytes of the text's bundle in a batch of one: empty texts
+        """Each text's ctx rows and cls row in a batch call have the bytes of its batch of one: empty texts
         first, in the middle and last, a repeated text, and mixed lengths."""
         texts = [text("e0"), text("a", *self.TEXTS["forty"]), text("b", 7), text("e1"), text("e2"),
                  text("c", *self.TEXTS["repeated"]), text("a", *self.TEXTS["forty"]), text("e3")]
         table = backbone_table(30, 24, 11)
-        batch = toy_backbone(texts, 30, 24, 11, table)
-        assert len(batch) == len(texts)
-        for t, emb in zip(texts, batch):
-            [alone] = toy_backbone([t], 30, 24, 11, table)
-            assert bundle_bytes(emb) == bundle_bytes(alone), t.doc_id
-        assert toy_backbone([], 30, 24, 11, table) == []
+        batch = toy_backbone(texts, table, 11)
+        assert batch.ctx.shape == (sum(map(len, texts)), 24) and batch.cls.shape == (len(texts), 24)
+        assert batch.table is table
+        for i, (t, (start, end)) in enumerate(zip(texts, itertools.pairwise(offsets(texts)))):
+            alone = toy_backbone([t], table, 11)
+            assert batch.ctx[start:end].tobytes() == alone.ctx.tobytes(), t.doc_id
+            assert batch.cls[i].tobytes() == alone.cls.tobytes(), t.doc_id
+        empty = toy_backbone([], table, 11)
+        assert empty.ctx.shape == empty.cls.shape == (0, 24)
 
     def test_threads_get_the_bits_of_a_sequential_run(self):
-        """Two threads embedding different texts at once, 200 batches each, get the bundles of a
+        """Two threads embedding different texts at once, 200 batches each, get the embeddings of a
         sequential run: each thread re-keys its own generator, so neither sees the other's state."""
         table = backbone_table(30, 8, 3)
         rng = np.random.default_rng(28)
         work = [[[text(f"{w}.{b}.{i}", *rng.integers(0, 30, size=rng.integers(0, 6)).tolist()) for i in range(3)]
                  for b in range(200)] for w in range(2)]
-        want = [[list(map(bundle_bytes, toy_backbone(batch, 30, 8, 3, table))) for batch in batches]
-                for batches in work]
+        want = [[batch_bytes(toy_backbone(batch, table, 3)) for batch in batches] for batches in work]
         got = [[], []]
 
         def run(w):
             for batch in work[w]:
-                got[w].append(list(map(bundle_bytes, toy_backbone(batch, 30, 8, 3, table))))
+                got[w].append(batch_bytes(toy_backbone(batch, table, 3)))
 
         threads = [threading.Thread(target=run, args=(w,)) for w in range(2)]
         interval = sys.getswitchinterval()
@@ -826,8 +873,8 @@ class TestBackboneBits:
         table = backbone_table(300, 24, 7)
         assert hashlib.sha256(table.tobytes()).hexdigest() == (
             "362935d2ce6781755387a89c881df30376631227815e53eccbd7fd960b77c135")
-        [emb] = toy_backbone([text("d", 5, 17, 5, 299, 0, 17)], 300, 24, 7, table)
-        assert hashlib.sha256(emb.ctx_embeddings.tobytes() + emb.cls_embedding.tobytes()).hexdigest() == (
+        emb = toy_backbone([text("d", 5, 17, 5, 299, 0, 17)], table, 7)
+        assert hashlib.sha256(emb.ctx.tobytes() + emb.cls.tobytes()).hexdigest() == (
             "418ada90be0e7c4cc5e7f92fe09c791b3daf280ff18bb481e5497f801a9c8338")
 
 
@@ -837,7 +884,8 @@ class TestEncoderProperties:
     def _random_case(self, rng, vocab_size=20, dim=6):
         ids = tuple(int(t) for t in rng.integers(0, vocab_size, size=rng.integers(1, 10)))
         t = TokenizedText("d", ids)
-        [emb] = toy_backbone([t], vocab_size, dim, seed=int(rng.integers(1000)))
+        backbone_seed = int(rng.integers(1000))
+        emb = toy_backbone([t], backbone_table(vocab_size, dim, backbone_seed), backbone_seed)
         heads = init_head_parameters(vocab_size, dim, seed=int(rng.integers(1000)))
         return t, emb, heads
 
@@ -877,9 +925,9 @@ class TestEncoderProperties:
             t, emb, heads = self._random_case(rng)
             j = int(rng.integers(len(t)))
             before = encode_one("mlp", t, emb, heads).entries.get(t.token_ids[j], 0.0)
-            bumped = emb.ctx_embeddings.copy()
+            bumped = emb.ctx.copy()
             bumped[j] += heads.mlp_weight * 0.5  # moves z_j up by 0.5*|W|^2
-            emb2 = make_bundle(bumped, emb.input_embeddings, cls=emb.cls_embedding)
+            emb2 = make_embeddings([bumped], emb.table, cls=emb.cls)
             after = encode_one("mlp", t, emb2, heads).entries.get(t.token_ids[j], 0.0)
             assert after >= before - 1e-12
 

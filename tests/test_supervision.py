@@ -285,7 +285,7 @@ class TestTrainHeads:
 
     def _embed(self, vocab_size):
         table = backbone_table(vocab_size, self.DIM, 11)
-        return lambda texts: toy_backbone(texts, vocab_size, self.DIM, 11, table)
+        return lambda texts: toy_backbone(texts, table, 11)
 
     def _heads(self, vocab_size, seed, **kwargs):
         """Seeded query and doc heads, seeds `seed` and `seed + 1`."""
@@ -353,11 +353,21 @@ class TestTrainHeads:
         result = train_heads(config, triples, self._embed(v), *self._heads(v, 0))
         assert len(result.loss_history) == 5
 
+    def test_binary_side_is_not_embedded(self):
+        """A binary side reads no embeddings: `embed` is called once, with the doc side's distinct texts."""
+        task, triples = small_task()
+        v = task.vocab.size
+        embed, calls = self._embed(v), []
+        result = train_heads(method_config("binary", "mlm", steps=5, lr=0.3), triples,
+                             lambda texts: calls.append([t.doc_id for t in texts]) or embed(texts), *self._heads(v, 0))
+        assert calls == [sorted({d.doc_id for t in triples for d in (t.positive, *t.negatives)})]
+        assert len(result.loss_history) == 5
+
     def _mean_doc_nnz(self, task, heads):
         embed = self._embed(task.vocab.size)
         counts = [
-            int((one_text_stack(EncoderKind.MLM, d, emb, heads)[0] > 0).sum())
-            for d, emb in zip(task.docs, embed(task.docs))
+            int((one_text_stack(EncoderKind.MLM, d, embed([d]), heads)[0] > 0).sum())
+            for d in task.docs
         ]
         return float(np.mean(counts))
 
@@ -426,7 +436,7 @@ class TestBatchedTrainer:
 
         def train():
             heads = (init_head_parameters(v, self.DIM, 4), init_head_parameters(v, self.DIM, 5))
-            result = train_heads(config, triples, lambda texts: toy_backbone(texts, v, self.DIM, 11, table), *heads)
+            result = train_heads(config, triples, lambda texts: toy_backbone(texts, table, 11), *heads)
             return heads_bytes(result.query_heads), heads_bytes(result.doc_heads), repr(result.loss_history)
 
         batched = train()
@@ -485,7 +495,7 @@ class TestTrainerGradients:
         task, triples = small_task(num_docs=20, num_queries=8, vocab_size=24)
         v, dim = task.vocab.size, 6
         table = backbone_table(v, dim, 11)
-        return triples, (lambda texts: toy_backbone(texts, v, dim, 11, table)), v, dim
+        return triples, (lambda texts: toy_backbone(texts, table, 11)), v, dim
 
     @staticmethod
     def _seeded(v, dim, seed):
@@ -545,8 +555,8 @@ class TestTrainerGradients:
         start["query"].mlm_bias = np.where(np.arange(v) % 2 == 0, -1.0, 0.0)
 
         def max_logits(t):
-            [emb] = embed([t])
-            return (emb.ctx_embeddings @ emb.input_embeddings.T).max(axis=0) + start["query"].mlm_bias
+            emb = embed([t])
+            return (emb.ctx @ emb.table.T).max(axis=0) + start["query"].mlm_bias
 
         assert all((max_logits(t) <= 0).any() for t in (first.query, first.positive))
         config = method_config("mlm", "mlm", shared_heads=True, steps=1, lr=0.25)
@@ -597,7 +607,7 @@ class TestTrainerGradients:
             return train_heads(probe, triples, embed, heads, heads).loss_history[1]
 
         def penalty(texts):  # naive: over the distinct texts of a side at h1
-            w = np.concatenate([one_text_stack(encoder, t, emb, h1)[0] for t, emb in zip(texts, embed(texts))])
+            w = np.concatenate([one_text_stack(encoder, t, embed([t]), h1)[0] for t in texts])
             if kind is RegularizerKind.FLOPS:
                 return float((w.mean(axis=0) ** 2).sum())
             return float(np.mean([np.linalg.norm(row, ord=1 if kind is RegularizerKind.L1 else 2) for row in w]))
