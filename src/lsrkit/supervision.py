@@ -16,9 +16,12 @@ dependency is needed.
 The backbone and the vocabulary embeddings are frozen, so each neural side's
 texts are embedded as one `encoders.Embeddings` batch in one `embed` call and
 stacked once per call by `encoders.stack_forward`, the one place that picks a
-head kind's kernel; a binary side's rows are its `encode_binary` vectors.  Each
-step runs one stacked forward and one `head_backward` per side.  Every kernel
-gives each text the bits it gets alone.
+head kind's kernel.  Each step runs one stacked forward and one
+`head_backward` per trained side.  A side that does not train (a binary side,
+or one the caller keeps) has fixed rows, computed once per call: its
+`encode_binary` vectors, or its forward at the given heads; a step only masks
+them and adds their penalty's value.  Every kernel gives each text the bits
+it gets alone.
 
 The pairwise loss runs over all triples at once, with the bits of a loop
 over them: per candidate count, one stacked `np.matmul` that runs a `ddot`
@@ -176,8 +179,9 @@ class _TripleBatch:
     `einsum` over the group does not keep.  A query
     row's gradient is `scale·(g0·d0 + ((0 + g1·d1) + g2·d2)…)` and a candidate
     row's `(scale·g)·wq`; both are summed per row in triple order by occurrence
-    rounds (`_scatter`).  `np.add.at` on rows costs more than the loop it
-    replaces, and `np.add.reduceat` does not add a segment's rows in order.
+    rounds (`_scatter`), and only for the sides asked for: per trained side.
+    `np.add.at` on rows costs more than the loop it replaces, and
+    `np.add.reduceat` does not add a segment's rows in order.
     """
 
     def __init__(self, loss: Callable, candidates: list[tuple[int, list[int], TeacherScores | None]]):
@@ -204,24 +208,29 @@ class _TripleBatch:
         pair_of = [pair_start[t] + c for t, count in zip(self.unsort.tolist(), counts.tolist()) for c in range(count)]
         self.d_rounds = _occurrence_rounds(np.array([r for _, rows, _ in candidates for r in rows]), np.array(pair_of))
 
-    def __call__(self, Wq: np.ndarray, Wd: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """The loss, the mean over triples summed in triple order, and its gradients wrt the query rows
-        `Wq` and the doc rows `Wd`."""
+    def __call__(self, Wq: np.ndarray, Wd: np.ndarray, sides: Collection[str]) -> tuple[float, dict[str, np.ndarray]]:
+        """The loss, the mean over triples summed in triple order, and its gradients wrt the rows of each
+        side named in `sides`: "q" for the query rows `Wq`, "d" for the doc rows `Wd`."""
         losses, score_grads, q_grads = [], [], []
         for q_rows, d_rows, teacher in self.groups:
             scores = np.matmul(Wq[q_rows][:, None, None, :], Wd[d_rows][:, :, :, None])
             loss, g = self.loss(scores.reshape(d_rows.shape), teacher)
-            rest = np.zeros((len(d_rows), Wd.shape[1]))
-            for c in range(1, d_rows.shape[1]):
-                rest += g[:, c, None] * Wd[d_rows[:, c]]
-            q_grads.append(self.scale * (g[:, :1] * Wd[d_rows[:, 0]] + rest))
             losses.append(loss)
             score_grads.append(g.ravel())
-        q_grad = np.concatenate(q_grads)
-        scaled = self.scale * np.concatenate(score_grads)
+            if "q" in sides:
+                rest = np.zeros((len(d_rows), Wd.shape[1]))
+                for c in range(1, d_rows.shape[1]):
+                    rest += g[:, c, None] * Wd[d_rows[:, c]]
+                q_grads.append(self.scale * (g[:, :1] * Wd[d_rows[:, 0]] + rest))
         total = _row_sums((np.concatenate(losses)[self.unsort] * self.scale)[None])[0]
-        return (float(total), _scatter(self.q_rounds, lambda sources: q_grad[sources]),
-                _scatter(self.d_rounds, lambda sources: scaled[sources, None] * Wq[self.pair_q[sources]]))
+        grads = {}
+        if "q" in sides:
+            q_grad = np.concatenate(q_grads)
+            grads["q"] = _scatter(self.q_rounds, lambda sources: q_grad[sources])
+        if "d" in sides:
+            scaled = self.scale * np.concatenate(score_grads)
+            grads["d"] = _scatter(self.d_rounds, lambda sources: scaled[sources, None] * Wq[self.pair_q[sources]])
+        return float(total), grads
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +277,24 @@ def train_heads(
     scores too, both checked before any text is embedded.  A pairwise loss
     groups the triples by candidate count once per call; at each step, one
     `LOSSES` call per count maps the per-pair `ddot` scores to score gradients,
-    and each query or doc row sums its gradients in triple order, one
-    occurrence round at a time (`_TripleBatch`).
+    and each query or doc row of a trained side sums its gradients in triple
+    order, one occurrence round at a time (`_TripleBatch`).
 
     Starts from copies of the given heads (shared heads: the query heads serve
     both sides) and reads |V| and d off them.  Backbone embeddings are frozen
     inputs supplied by `embed`, called once per neural side with the side's
-    distinct texts, which gives one `Embeddings` batch; a binary side's rows
-    are its `encode_binary` vectors.  Once per call, `encoders.stack_forward`
-    stacks each side's texts and picks its head kind's kernel; each step runs
-    one stacked forward and one `head_backward` per side.  Deterministic:
-    iteration order and summation order are fixed, gradients adding doc rows
-    first, then query rows, text by text, so the stacked and per-text forms
-    give the same bits.
+    distinct texts, which gives one `Embeddings` batch.  Once per call,
+    `encoders.stack_forward` stacks each neural side's texts and picks its
+    head kind's kernel; each step runs one stacked forward and one
+    `head_backward` per trained side.  A side that does not train has fixed
+    rows, computed once per call: a binary side's `encode_binary` vectors, or
+    a kept side's forward at the given heads.  A step applies its top-k mask,
+    if any, and adds its penalty's value to the loss, but computes no gradient
+    for it.  A step whose loss is not finite raises a ValueError naming the
+    step, before that step's update; numpy's floating-point warnings are off
+    in the step loop.  Deterministic: iteration order and summation order are
+    fixed, gradients adding doc rows first, then query rows, text by text, so
+    the stacked and per-text forms give the same bits.
     """
     trains = {}
     for side, cfg in (("query", config.query), ("doc", config.doc)):
@@ -331,18 +345,21 @@ def train_heads(
             (row["q"][t.query.doc_id], [row["d"][d.doc_id] for d in (t.positive, *t.negatives)], t.teacher_scores)
             for t in triples])
     params = {"q": q_heads, "d": d_heads}
-
-    def forward(side: str, kind: EncoderKind) -> Callable[[HeadParameters], tuple[np.ndarray, dict | None]]:
-        """The side's stacked forward, heads -> (weights, cache); a binary side's fixed rows have no cache."""
-        if kind is EncoderKind.BINARY:
-            rows = np.zeros((len(texts[side]), vocab_size))
-            for r, vec in enumerate(map(encode_binary, texts[side])):
-                rows[r, vec.terms] = vec.weights
-            return lambda _: (rows, None)
-        return stack_forward(kind, texts[side], embed(texts[side]), params[side])
-
-    forwards = {side: forward(side, cfg.encoder) for side, cfg in (("q", config.query), ("d", config.doc))}
     regs = {"q": config.query.regularizer, "d": config.doc.regularizer}
+    trained = [side for side in ("d", "q") if trains[side]]  # doc rows first: with shared heads, the adding order
+
+    # A side that trains runs its stacked forward at every step; one that does not has fixed rows, computed here:
+    # a binary side's `encode_binary` vectors, or a kept side's forward at the given heads.
+    forwards, fixed = {}, {}
+    for side, kind in (("q", config.query.encoder), ("d", config.doc.encoder)):
+        if kind is EncoderKind.BINARY:
+            fixed[side] = np.zeros((len(texts[side]), vocab_size))
+            for r, vec in enumerate(map(encode_binary, texts[side])):
+                fixed[side][r, vec.terms] = vec.weights
+        elif trains[side]:
+            forwards[side] = stack_forward(kind, texts[side], embed(texts[side]), params[side])
+        else:
+            fixed[side], _ = stack_forward(kind, texts[side], embed(texts[side]), params[side])(params[side])
 
     def zero_grads() -> dict:
         return {"mlp_weight": np.zeros(dim), "mlp_bias": 0.0, "mlm_bias": np.zeros(vocab_size)}
@@ -352,43 +369,47 @@ def train_heads(
             setattr(params, name, getattr(params, name) - lr * g)
 
     loss_history: list[float] = []
-    for step in range(steps):
-        W, caches, masks = {}, {}, {}
-        for side in ("q", "d"):
-            W[side], caches[side] = forwards[side](params[side])
-            # Training-time top-k pruning with a linear k-decay schedule from |V|.
-            if regs[side].kind is RegularizerKind.TOPK:
-                masks[side] = topk_mask(W[side], topk_schedule(vocab_size, regs[side].k, steps, step))
-                W[side] = W[side] * masks[side]
-        if loss_kind == "term_mse":
-            G = {side: np.zeros_like(W[side]) for side in W}
-            total_loss = 0.0
-            for r, labels in labeled:
-                loss, grad = term_mse_loss(W["d"][r], labels)
-                total_loss += loss / len(triples)
-                G["d"][r] += grad / len(triples)
-        else:
-            total_loss, Gq, Gd = pairwise(W["q"], W["d"])
-            G = {"q": Gq, "d": Gd}
+    with np.errstate(all="ignore"):  # a step whose loss is not finite is reported below
+        for step in range(steps):
+            W, caches, masks = dict(fixed), {}, {}
+            for side, forward in forwards.items():
+                W[side], caches[side] = forward(params[side])
+            for side in W:
+                # Training-time top-k pruning with a linear k-decay schedule from |V|.
+                if regs[side].kind is RegularizerKind.TOPK:
+                    masks[side] = topk_mask(W[side], topk_schedule(vocab_size, regs[side].k, steps, step))
+                    W[side] = W[side] * masks[side]
+            if loss_kind == "term_mse":
+                G = {side: np.zeros_like(W[side]) for side in trained}
+                total_loss = 0.0
+                for r, labels in labeled:
+                    loss, grad = term_mse_loss(W["d"][r], labels)
+                    total_loss += loss / len(triples)
+                    if "d" in G:
+                        G["d"][r] += grad / len(triples)
+            else:
+                total_loss, G = pairwise(W["q"], W["d"], trained)
 
-        # Batch penalties (FLOPs / L1 / L2) with quadratic warm-up.
-        for side, cfg in regs.items():
-            if lam := _reg_lambda(cfg, step, steps):
-                value, grad = PENALTIES[cfg.kind](W[side])
-                total_loss += lam * value
-                G[side] += lam * grad
+            # Batch penalties (FLOPs / L1 / L2) with quadratic warm-up; a side that does not train adds only
+            # the value.
+            for side, cfg in regs.items():
+                if lam := _reg_lambda(cfg, step, steps):
+                    value, grad = PENALTIES[cfg.kind](W[side], grad=side in G)
+                    total_loss += lam * value
+                    if grad is not None:
+                        G[side] += lam * grad
+            if not math.isfinite(total_loss):
+                raise ValueError(f"training diverged at step {step + 1} of {steps}: the loss is {total_loss}")
 
-        q_grads = zero_grads()
-        d_grads = q_grads if config.shared_heads else zero_grads()
-        # Doc rows first, then query rows: with shared heads this fixes the summation order.
-        for side, grads in (("d", d_grads), ("q", q_grads)):
-            head_backward(caches[side], G[side] * masks[side] if side in masks else G[side], grads)
-
-        if trains["q"]:
-            apply(q_heads, q_grads)
-        if trains["d"] and not config.shared_heads:
-            apply(d_heads, d_grads)
-        loss_history.append(total_loss)
+            q_grads = zero_grads()
+            grads = {"q": q_grads, "d": q_grads if config.shared_heads else zero_grads()}
+            for side in trained:
+                head_backward(caches[side], G[side] * masks[side] if side in masks else G[side], grads[side])
+            if trains["q"]:
+                apply(q_heads, q_grads)
+            if trains["d"] and not config.shared_heads:
+                apply(d_heads, grads["d"])
+            loss_history.append(total_loss)
 
     return TrainResult(query_heads=q_heads, doc_heads=d_heads, loss_history=loss_history)
 

@@ -8,6 +8,7 @@ import re
 import shutil
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -585,17 +586,36 @@ class TestCliCommands:
         assert embedded == []
 
     def test_diverged_training_exits_1_naming_a_tensor(self, tmp_path, capsys):
-        """An lr the loader takes can drive the heads to NaN, which no heads file holds: exit 1 naming the
-        side and a tensor, with neither heads file written."""
+        """A finite loss can still end in heads no heads file holds: one step at an lr the loader takes,
+        from doc heads 1e8 times their seeded scale, drives the query heads' mlp_weight past the float
+        range.  Exit 1 naming the side and a tensor, with neither heads file written."""
+        start = encoders.init_head_parameters(60, 8, 5, mlp_log_normalize=False)
+        start.mlp_weight = start.mlp_weight * 1e8
+        encoders.write_head_parameters(start, tmp_path / "start.json")
         side = {"encoder": "mlp", "log_normalize": False}
-        config_path, _ = make_workspace(tmp_path, query=side, doc=side, supervision={"steps": 100, "lr": 1e300})
+        config_path, _ = make_workspace(tmp_path, query=side, doc=side, supervision={"steps": 1, "lr": 1e306},
+                                        paths={"doc_heads": str(tmp_path / "start.json")})
         q_out, d_out = tmp_path / "q.json", tmp_path / "d.json"
-        with np.errstate(all="ignore"):
-            code = main(["train-head", "--config", str(config_path), "--output", str(q_out), "--doc-output", str(d_out)])
+        code = main(["train-head", "--config", str(config_path), "--output", str(q_out), "--doc-output", str(d_out)])
         assert code == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: training diverged: the query heads' tensor \w+ holds (nan|-?inf), not a finite "
                             r"number\n", err), err
+        assert not q_out.exists() and not d_out.exists()
+
+    def test_diverging_loss_stops_at_its_step_with_one_line(self, tmp_path, capsys):
+        """An lr of 1e300 makes the loss NaN from step 2: training stops there, before that step's update,
+        with exactly one line on stderr (no numpy warning), exit 1 and no heads file."""
+        side = {"encoder": "mlp", "log_normalize": False}
+        config_path, _ = make_workspace(tmp_path, query=side, doc=side, supervision={"steps": 100, "lr": 1e300})
+        q_out, d_out = tmp_path / "q.json", tmp_path / "d.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train-head", "--config", str(config_path), "--output", str(q_out), "--doc-output",
+                         str(d_out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: training diverged at step 2 of 100: the loss is nan\n"
+        assert [str(w.message) for w in caught] == []
         assert not q_out.exists() and not d_out.exists()
 
     def test_non_finite_final_loss_exits_1(self, tmp_path, capsys, monkeypatch):

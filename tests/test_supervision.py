@@ -10,7 +10,7 @@ import pytest
 
 from conftest import heads_bytes, method_config, one_text_stack, text
 
-from lsrkit import supervision
+from lsrkit import encoders, supervision
 from lsrkit.encoders import EncoderKind, backbone_table, init_head_parameters, toy_backbone
 from lsrkit.regularization import RegularizerConfig, RegularizerKind
 from lsrkit.supervision import (
@@ -160,7 +160,7 @@ class PerTripleLoop:
     def __init__(self, loss, candidates):
         self.loss, self.candidates = ONE_TRIPLE[loss], candidates
 
-    def __call__(self, Wq, Wd):
+    def __call__(self, Wq, Wd, sides):
         Gq, Gd = np.zeros_like(Wq), np.zeros_like(Wd)
         q_rows, d_rows, q_grads, d_grads = list(Wq), list(Wd), list(Gq), list(Gd)
         total_loss, scale = 0.0, 1.0 / len(self.candidates)
@@ -172,7 +172,7 @@ class PerTripleLoop:
                                                                  np.zeros(Wd.shape[1])))
             for gi, r in zip(g, rows):
                 d_grads[r] += scale * gi * wq
-        return total_loss, Gq, Gd
+        return total_loss, {side: G for side, G in (("q", Gq), ("d", Gd)) if side in sides}
 
 
 def bits(x) -> bytes:
@@ -402,6 +402,8 @@ class TestBatchedTrainer:
     """`train_heads` gives the bytes of the per-triple loop (`PerTripleLoop`): heads and `repr(loss_history)`."""
 
     DIM = 6
+    FLOPS = RegularizerConfig(RegularizerKind.FLOPS, weight=0.1)
+    TOPK = RegularizerConfig(RegularizerKind.TOPK, k=3)
 
     def _triples(self):
         """Triples with 1, 4, 9 and 130 negatives, two of each count and interleaved, so the counts form
@@ -425,23 +427,70 @@ class TestBatchedTrainer:
         return task, triples
 
     @pytest.mark.parametrize("loss", ["contrastive", "margin_mse"])
-    @pytest.mark.parametrize("query, doc, shared", [
-        ("mlm", "mlm", True), ("mlp", "mlp", True), ("mlp", "mlm", False), ("mlm", "mlp", False),
-    ], ids=["mlm-shared", "mlp-shared", "mlp-mlm", "mlm-mlp"])
-    def test_bytes_equal_the_per_triple_loop(self, monkeypatch, loss, query, doc, shared):
+    @pytest.mark.parametrize("query, doc, shared, keep, regs", [
+        ("mlm", "mlm", True, (), None), ("mlp", "mlp", True, (), None), ("mlp", "mlm", False, (), None),
+        ("mlm", "mlp", False, (), None), ("binary", "mlp", False, (), None), ("binary", "mlm", False, (), None),
+        ("mlm", "mlp", False, ("query",), (FLOPS, FLOPS)), ("mlm", "mlp", False, ("doc",), (FLOPS, TOPK)),
+    ], ids=["mlm-shared", "mlp-shared", "mlp-mlm", "mlm-mlp", "binary-mlp", "binary-mlm", "mlm-mlp-keep-query",
+            "mlm-mlp-keep-doc-topk"])
+    def test_bytes_equal_the_per_triple_loop(self, monkeypatch, loss, query, doc, shared, keep, regs):
+        """Also with a side that does not train, binary or kept: its heads come back as they went in, and a kept
+        side's penalty value and top-k mask still shape the loss."""
         task, triples = self._triples()
         v = task.vocab.size
         table = backbone_table(v, self.DIM, 11)
         config = method_config(query, doc, shared_heads=shared, loss=loss, steps=4, lr=0.3)
+        if regs:
+            config = replace(config, query=replace(config.query, regularizer=regs[0]),
+                             doc=replace(config.doc, regularizer=regs[1]))
+        start = (init_head_parameters(v, self.DIM, 4), init_head_parameters(v, self.DIM, 5))
 
-        def train():
-            heads = (init_head_parameters(v, self.DIM, 4), init_head_parameters(v, self.DIM, 5))
-            result = train_heads(config, triples, lambda texts: toy_backbone(texts, table, 11), *heads)
+        def train(config=config):
+            result = train_heads(config, triples, lambda texts: toy_backbone(texts, table, 11), *start, keep=keep)
             return heads_bytes(result.query_heads), heads_bytes(result.doc_heads), repr(result.loss_history)
 
         batched = train()
+        fixed = [i for i, side in enumerate(("query", "doc")) if side in keep or (query, doc)[i] == "binary"]
+        assert [batched[i] for i in fixed] == [heads_bytes(start[i]) for i in fixed]
+        for side in keep:  # without the kept side's regularizer, the loss moves
+            bare = train(replace(config, **{side: replace(getattr(config, side), regularizer=RegularizerConfig())}))
+            assert bare[2] != batched[2]
         monkeypatch.setattr(supervision, "_TripleBatch", PerTripleLoop)
         assert batched == train()
+
+    @staticmethod
+    def _spy(monkeypatch, module, name) -> list:
+        """Replace `module.name` with a wrapper that records each call; returns the record."""
+        calls, fn = [], getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_binary_side_has_no_backward(self, monkeypatch):
+        """binary/mlp runs `head_backward` once per step, for the doc side alone."""
+        task, triples = self._triples()
+        v = task.vocab.size
+        table = backbone_table(v, self.DIM, 11)
+        calls = self._spy(monkeypatch, supervision, "head_backward")
+        train_heads(method_config("binary", "mlp", steps=5), triples, lambda texts: toy_backbone(texts, table, 11),
+                    init_head_parameters(v, self.DIM, 4), init_head_parameters(v, self.DIM, 5))
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("keep", ["query", "doc"])
+    def test_kept_side_runs_its_forward_once(self, monkeypatch, keep):
+        """On mlm/mlp, the kept side's kernel runs once per call and the trained side's once per step."""
+        task, triples = self._triples()
+        v = task.vocab.size
+        table = backbone_table(v, self.DIM, 11)
+        calls = {side: self._spy(monkeypatch, encoders, kernel)
+                 for side, kernel in (("query", "frozen_forward"), ("doc", "mlp_forward"))}
+        train_heads(method_config("mlm", "mlp", steps=5), triples, lambda texts: toy_backbone(texts, table, 11),
+                    init_head_parameters(v, self.DIM, 4), init_head_parameters(v, self.DIM, 5), keep=(keep,))
+        assert {side: len(c) for side, c in calls.items()} == {side: 1 if side == keep else 5 for side in calls}
 
     @pytest.mark.parametrize("n", [3, 17, 24, 300, 301, 5000])
     def test_scores_are_the_dot_of_each_pair(self, n):
@@ -456,7 +505,7 @@ class TestBatchedTrainer:
             seen.append(scores.copy())
             return np.zeros(len(scores)), np.zeros_like(scores)
 
-        supervision._TripleBatch(recording_loss, candidates)(Wq, Wd)
+        supervision._TripleBatch(recording_loss, candidates)(Wq, Wd, ("q", "d"))
         by_count = [[c for c in candidates if len(c[1]) == count] for count in (2, 3)]
         want = [np.array([[Wq[q].dot(Wd[d]) for d in rows] for q, rows, _ in group]) for group in by_count]
         assert [bits(x) for x in seen] == [bits(x) for x in want]
