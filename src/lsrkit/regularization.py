@@ -1,9 +1,7 @@
 """Sparsity control: batch FLOPs penalty, Lp norms, and top-k pruning.
 
 The penalties take a dense N x |V| batch of encoder outputs and return the
-value with its gradient, or with None when asked for no gradient (`grad=False`,
-for a side that does not train); the trainer looks them up by kind in
-`PENALTIES`.
+value with its gradient; the trainer looks them up by kind in `PENALTIES`.
 One top-k rule (largest weight first, then the smaller term id) serves both
 inference-time pruning and the trainer's mask.
 """
@@ -49,32 +47,32 @@ def _batch_size(batch: np.ndarray) -> int:
     return batch.shape[0]
 
 
-def flops_penalty(batch: np.ndarray, grad: bool = True) -> tuple[float, np.ndarray | None]:
+def flops_penalty(batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Squared mean activation per dimension, summed over the vocabulary.
 
     Returns the value and its N x |V| gradient, 2 * mean_i / N in every row.
     """
     n = _batch_size(batch)
     mean = batch.mean(axis=0)
-    return float(mean @ mean), np.broadcast_to(2.0 * mean / n, batch.shape) if grad else None
+    return float(mean @ mean), np.broadcast_to(2.0 * mean / n, batch.shape)
 
 
-def lp_penalty(batch: np.ndarray, p: int, grad: bool = True) -> tuple[float, np.ndarray | None]:
+def lp_penalty(batch: np.ndarray, p: int) -> tuple[float, np.ndarray]:
     """Mean L1 or L2 norm over the N rows of the batch, with its N x |V| gradient.
 
     The L2 gradient of an all-zero row is defined as the zero row.
     """
     n = _batch_size(batch)
     if p == 1:
-        return float(np.abs(batch).sum()) / n, np.sign(batch) / n if grad else None
+        return float(np.abs(batch).sum()) / n, np.sign(batch) / n
     if p == 2:
         norms = np.linalg.norm(batch, axis=1)
         safe = np.where(norms > 0, norms, 1.0)
-        return float(norms.sum()) / n, batch / (safe[:, None] * n) if grad else None
+        return float(norms.sum()) / n, batch / (safe[:, None] * n)
     raise ValueError("p must be 1 or 2")
 
 
-#: batch penalties by kind: (N x |V| batch, grad=True) -> (value, N x |V| gradient, or None without grad)
+#: batch penalties by kind: N x |V| batch -> (value, N x |V| gradient)
 PENALTIES = {
     RegularizerKind.FLOPS: flops_penalty,
     RegularizerKind.L1: functools.partial(lp_penalty, p=1),

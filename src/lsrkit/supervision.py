@@ -289,7 +289,7 @@ def train_heads(
     `head_backward` per trained side.  A side that does not train has fixed
     rows, computed once per call: a binary side's `encode_binary` vectors, or
     a kept side's forward at the given heads.  A step applies its top-k mask,
-    if any, and adds its penalty's value to the loss, but computes no gradient
+    if any, and adds its penalty's value to the loss, but runs no backward
     for it.  A step whose loss is not finite raises a ValueError naming the
     step, before that step's update; numpy's floating-point warnings are off
     in the step loop.  Deterministic: iteration order and summation order are
@@ -394,9 +394,9 @@ def train_heads(
             # the value.
             for side, cfg in regs.items():
                 if lam := _reg_lambda(cfg, step, steps):
-                    value, grad = PENALTIES[cfg.kind](W[side], grad=side in G)
+                    value, grad = PENALTIES[cfg.kind](W[side])
                     total_loss += lam * value
-                    if grad is not None:
+                    if side in G:
                         G[side] += lam * grad
             if not math.isfinite(total_loss):
                 raise ValueError(f"training diverged at step {step + 1} of {steps}: the loss is {total_loss}")

@@ -6,7 +6,7 @@ import pytest
 from conftest import to_dense
 
 from lsrkit.core import SparseVector
-from lsrkit.regularization import PENALTIES, flops_penalty, lp_penalty, topk_mask, topk_prune, topk_schedule
+from lsrkit.regularization import flops_penalty, lp_penalty, topk_mask, topk_prune, topk_schedule
 
 
 def random_sparse(rng, vocab_size=16, max_nnz=8, positive=True):
@@ -118,16 +118,6 @@ class TestLpPenalty:
             down[0, t] -= h
             numeric = (lp_penalty(up, p)[0] - lp_penalty(down, p)[0]) / (2 * h)
             assert grad[0, t] == pytest.approx(numeric, rel=1e-4)
-
-
-@pytest.mark.parametrize("kind", sorted(PENALTIES, key=lambda kind: kind.value))
-def test_penalty_without_gradient_keeps_the_value_bits(rng, kind):
-    """`grad=False` (a side that does not train) gives the same value and no gradient."""
-    batch = rng.normal(size=(5, 16)) * (rng.random((5, 16)) < 0.5)
-    batch[2] = 0.0  # an all-zero row, the L2 gradient's special case
-    value, grad = PENALTIES[kind](batch)
-    assert grad.shape == batch.shape
-    assert PENALTIES[kind](batch, grad=False) == (value, None)
 
 
 class TestTopkPrune:
